@@ -9,7 +9,11 @@ and exits with:
   operator, preference not respecting the operator); the report naming the
   witnesses is still emitted;
 * 2 — malformed input (unreadable file, bad JSON, schema violation, unknown
-  flags).
+  flags);
+* 3 — internal error: a result the library built failed its own
+  verification (:class:`~closureops.errors.WitnessVerificationFailed`), which
+  is a bug, never a property of the input; the report is a JSON error
+  document.
 
 Diagnostics go to stderr; stdout carries only the report.  Output is
 deterministic: equal inputs produce byte-equal output.
@@ -40,6 +44,7 @@ from .errors import (
     NotClosed,
     NotIntersectionClosed,
     SchemaError,
+    WitnessVerificationFailed,
 )
 from .generators import check_generation, intersect_generate
 from .labeling import canonical_labeling, minimal_labeling
@@ -286,6 +291,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _write({"error": str(exc)}, args.out)
         return 1
+    except WitnessVerificationFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        _write({"error": str(exc), "internal": True}, args.out)
+        return 3
     _write(payload, args.out)
     return code
 

@@ -77,6 +77,7 @@ __all__ = [
     "hasse_doc",
     "fraction_str",
     "fraction_from",
+    "MAX_RATIONAL_DIGITS",
 ]
 
 
@@ -107,13 +108,35 @@ def fraction_str(value: Fraction) -> str:
     return str(value)
 
 
+#: Most digits, and largest absolute decimal exponent, that a rational string
+#: may carry: ``Fraction("1e1000000")`` alone builds a 3.3M-bit integer.
+MAX_RATIONAL_DIGITS = 1000
+
+
 def fraction_from(value: Any, what: str) -> Fraction:
-    """Parse an exact rational from a JSON string or integer (never a float)."""
+    """Parse an exact rational from a JSON string or integer (never a float).
+
+    Strings with more than :data:`MAX_RATIONAL_DIGITS` digits, or with a
+    decimal exponent beyond it in absolute value, raise :class:`SchemaError`.
+    """
     if isinstance(value, bool):
         raise SchemaError(f"{what} must be a rational string or integer")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        digits = sum(ch.isdigit() for ch in value)
+        _, marker, exponent = value.lower().partition("e")
+        scale = 0
+        if marker and digits <= MAX_RATIONAL_DIGITS:
+            try:
+                scale = int(exponent)
+            except ValueError:
+                pass  # not an exponent; Fraction rejects the string below
+        if digits > MAX_RATIONAL_DIGITS or abs(scale) > MAX_RATIONAL_DIGITS:
+            raise SchemaError(
+                f"{what} exceeds {MAX_RATIONAL_DIGITS} digits or exponent "
+                f"{MAX_RATIONAL_DIGITS}: {value[:40]!r}"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 from closureops import (
+    AdditiveRepresentation,
+    AxiomReport,
     BinaryClassifier,
     ClosureOperator,
     FinitePoset,
@@ -287,6 +289,105 @@ def brute_meet_reducible(topology: Topology, mask: SubsetMask) -> bool:
     strict = [m for m in topology if m.bits != mask.bits and mask < m]
     return any(
         (a.bits & b.bits) == mask.bits for a in strict for b in strict
+    )
+
+
+def oracle_axioms(preference: MenuPreference) -> AxiomReport:
+    """Both menu axioms checked straight from their definitions, every
+    (A, B) and (A, B, C) in ascending order (O(8^n)); when both hold, the
+    Kreps images come from the per-element test x ∈ f(A) ⟺ U(A ∪ {x}) = U(A).
+    """
+    ground = preference.ground
+    values = preference.values
+    full = ground.full_bits
+    flexibility = []
+    for a in range(1, full + 1):
+        b = (a - 1) & a
+        while b:
+            if values[b] > values[a]:
+                flexibility.append((ground.mask(a), ground.mask(b)))
+            b = (b - 1) & a
+    submodularity = []
+    for a in range(1, full + 1):
+        for b in range(full + 1):
+            if values[a | b] != values[a]:
+                continue
+            for c in range(full + 1):
+                if values[a | b | c] != values[a | c]:
+                    submodularity.append(
+                        (ground.mask(a), ground.mask(b), ground.mask(c))
+                    )
+    images = None
+    if not flexibility and not submodularity:
+        images = (0,) + tuple(
+            sum(1 << i for i in range(ground.size) if values[a | 1 << i] == values[a])
+            for a in range(1, full + 1)
+        )
+    return AxiomReport(tuple(flexibility), tuple(submodularity), images)
+
+
+def oracle_kreps_consequences(values, images) -> bool:
+    """Respect, indifference ⟺ closure containment and strict increase of U
+    over closures, each checked on every pair of menus (O(4^n))."""
+    full = len(values) - 1
+    for a in range(1, full + 1):
+        if values[images[a]] != values[a]:
+            return False
+        for b in range(full + 1):
+            contained = images[b] & ~images[a] == 0
+            if (values[a | b] == values[a]) != contained:
+                return False
+            if b and contained and images[b] != images[a] and values[a] <= values[b]:
+                return False
+    return True
+
+
+def oracle_signatures(utilities, size: int) -> list:
+    """σ(A) = (max_{a∈A} U(a, s))_s, straight from the members of A."""
+    signatures = [()]
+    for bits in range(1, 1 << size):
+        members = [i for i in range(size) if bits >> i & 1]
+        signatures.append(tuple(max(row[i] for i in members) for row in utilities))
+    return signatures
+
+
+def oracle_signatures_ok(values, images, signatures) -> bool:
+    """Signatures separate exactly the closures, menus sharing a signature
+    share a utility, and the utility of achieved signatures is strictly
+    increasing in the product order, each checked on every pair (O(4^n))."""
+    full = len(values) - 1
+    by_signature = {}
+    for a in range(1, full + 1):
+        if by_signature.setdefault(signatures[a], values[a]) != values[a]:
+            return False
+        for b in range(1, full + 1):
+            if (signatures[a] == signatures[b]) != (images[a] == images[b]):
+                return False
+    for sig_a, value_a in by_signature.items():
+        for sig_b, value_b in by_signature.items():
+            dominates = all(x >= y for x, y in zip(sig_a, sig_b))
+            if dominates and sig_a != sig_b and value_a <= value_b:
+                return False
+    return True
+
+
+def oracle_ranks_ok(by_signature, ranks) -> bool:
+    """rank σ ≥ rank σ' ⟺ U-value σ ≥ U-value σ', on every pair."""
+    return all(
+        (ranks[sig_a] >= ranks[sig_b]) == (value_a >= value_b)
+        for sig_a, value_a in by_signature.items()
+        for sig_b, value_b in by_signature.items()
+    )
+
+
+def oracle_additive_ok(
+    preference: MenuPreference, representation: AdditiveRepresentation
+) -> bool:
+    """Literal sum-of-maxes evaluation equals U on every nonempty menu."""
+    ground = preference.ground
+    return all(
+        representation.evaluate(ground.mask(bits)) == preference.values[bits]
+        for bits in range(1, ground.full_bits + 1)
     )
 
 

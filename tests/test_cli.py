@@ -1,10 +1,22 @@
 """End-to-end command behavior: exit codes, payloads, files, determinism."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from closureops import complexity_profile, kreps_representation
+import closureops
+from closureops import (
+    WitnessVerificationFailed,
+    complexity_profile,
+    kreps_representation,
+    menus,
+)
 from closureops.cli import main
 from closureops.jsonio import (
     kreps_doc,
@@ -19,6 +31,8 @@ from conftest import (
     animals_topology,
     bob_preference,
     crown_topology,
+    random_weak_order,
+    sum_of_maxes,
     fork_topology,
     ground,
     topo,
@@ -321,6 +335,63 @@ def test_menu_rep_rejects_axiom_violations_with_a_report(tmp_path, capsys):
     assert payload["flexibility_witnesses"] == [
         {"menu": ["a", "b"], "submenu": ["a"]}
     ]
+
+
+def test_oversized_rational_is_malformed_and_rejected_quickly(tmp_path, capsys):
+    doc = _pref_doc(alice_preference())
+    doc["utilities"][0]["value"] = "1e1000000"
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "menu-rep", "--preference", path, "--style", "kreps")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_internal_verification_failure_exits_3_with_an_error_document(
+    tmp_path, capsys, monkeypatch
+):
+    def planted(*args):
+        raise WitnessVerificationFailed("planted failure")
+
+    monkeypatch.setattr(menus, "_check_ranks", planted)
+    path = _write(tmp_path, "p.json", _pref_doc(bob_preference()))
+    code, out, err = _run(capsys, "menu-rep", "--preference", path, "--style", "kreps")
+    assert code == 3
+    assert "internal error" in err and "planted failure" in err
+    assert json.loads(out) == {"error": "planted failure", "internal": True}
+
+
+def test_stdout_is_identical_under_different_hash_seeds(tmp_path):
+    g = ground("vwxyz")
+    rng = random.Random(5)
+    valid = sum_of_maxes(g, [random_weak_order(rng, g) for _ in range(3)])
+    invalid_doc = _pref_doc(valid)
+    invalid_doc["utilities"][0]["value"] = "100"  # {v} beats its supersets
+    files = {
+        "valid": _write(tmp_path, "valid.json", _pref_doc(valid)),
+        "invalid": _write(tmp_path, "invalid.json", invalid_doc),
+        "crown": _write(tmp_path, "crown.json", topology_doc(crown_topology())),
+    }
+    calls = [
+        (["menu-rep", "--preference", files["valid"], "--style", "kreps"], 0),
+        (["menu-rep", "--preference", files["valid"], "--style", "additive"], 0),
+        (["menu-rep", "--preference", files["invalid"], "--style", "kreps"], 1),
+        (["complexity", "--topology", files["crown"]], 0),
+    ]
+    src = str(Path(closureops.__file__).resolve().parents[1])
+    outputs = {}
+    for hash_seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for i, (argv, expected_code) in enumerate(calls):
+            done = subprocess.run(
+                [sys.executable, "-m", "closureops.cli", *argv],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert done.returncode == expected_code and done.stdout
+            outputs.setdefault(i, set()).add(done.stdout)
+    assert all(len(seen) == 1 for seen in outputs.values())
 
 
 # ----------------------------------------------------------- mobius and hasse

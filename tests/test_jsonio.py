@@ -19,6 +19,7 @@ from closureops import (
     validate_closure,
 )
 from closureops.jsonio import (
+    MAX_RATIONAL_DIGITS,
     additive_doc,
     axioms_doc,
     binary_doc,
@@ -64,6 +65,7 @@ def test_fraction_parsing_accepts_exact_forms():
     assert fraction_from("3/2", "v") == Fraction(3, 2)
     assert fraction_from("1.5", "v") == Fraction(3, 2)
     assert fraction_from("-7", "v") == Fraction(-7)
+    assert fraction_from("1.25e3", "v") == Fraction(1250)
     assert fraction_str(Fraction(3, 2)) == "3/2"
     assert fraction_str(Fraction(4, 2)) == "2"
     assert fraction_from(fraction_str(Fraction(-5, 3)), "v") == Fraction(-5, 3)
@@ -71,6 +73,17 @@ def test_fraction_parsing_accepts_exact_forms():
 
 def test_fraction_parsing_rejects_inexact_or_malformed():
     for bad in (0.5, True, None, [], "abc", "1/0"):
+        with pytest.raises(SchemaError):
+            fraction_from(bad, "v")
+
+
+def test_fraction_parsing_bounds_digits_and_exponent():
+    limit = MAX_RATIONAL_DIGITS
+    assert fraction_from("1e" + str(limit), "v") == Fraction(10) ** limit
+    assert fraction_from("-1E-" + str(limit), "v") == -Fraction(1, 10**limit)
+    assert fraction_from("7" * limit, "v") == int("7" * limit)
+    for bad in ("1e1000000", "1e" + str(limit + 1), "1e-" + str(limit + 1),
+                "7" * (limit + 1), "1/" + "3" * limit, "1e" + "9" * 5000):
         with pytest.raises(SchemaError):
             fraction_from(bad, "v")
 

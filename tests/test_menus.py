@@ -1,26 +1,49 @@
 """Menu preferences, axiom checks, and state-space representations."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closureops import (
+    AdditiveRepresentation,
+    AdditiveState,
     AxiomsViolated,
     DoesNotRespect,
+    FinitePoset,
     GroundSetMismatch,
+    Labeling,
     MenuPreference,
+    WitnessVerificationFailed,
     additive_representation,
     check_axioms,
     kreps_operator,
     kreps_representation,
     respects,
 )
+from closureops.cli import main
+from closureops.menus import (
+    _check_additive_states,
+    _check_kreps_consequences,
+    _check_ranks,
+    _check_signatures,
+    _signatures,
+)
 from conftest import (
     XYZ,
     alice_preference,
     bob_preference,
     ground,
+    oracle_additive_ok,
+    oracle_axioms,
+    oracle_kreps_consequences,
+    oracle_ranks_ok,
+    oracle_signatures,
+    oracle_signatures_ok,
     order,
     random_operator,
     random_weak_order,
@@ -285,3 +308,226 @@ def test_additive_keeps_zero_weight_states():
     assert rep.positive_states[0].weight == Fraction(0)
     assert rep.negative_states[0].weight == Fraction(2)
     assert rep.evaluate(sub(g, "a")) == Fraction(2)
+
+
+# ------------------------------------------- fast checks against the oracles
+
+
+def _passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except WitnessVerificationFailed:
+        return False
+    return True
+
+
+def _random_utilities(rng: random.Random, g) -> MenuPreference:
+    """One of three recipes, so that every outcome of the axioms occurs:
+    small random integers (flexibility mostly fails), sums of nonnegative
+    increments over submenus (flexible; submodular or not), and sums of maxes
+    (both axioms hold); the last two get one menu nudged by ±1 half the time.
+    """
+    full = g.full_bits
+    recipe = rng.randrange(3)
+    if recipe == 0:
+        values = [None] + [Fraction(rng.randrange(3)) for _ in range(full)]
+    elif recipe == 1:
+        bumps = [rng.randrange(2) for _ in range(full + 1)]
+        values = [None] + [
+            Fraction(sum(bumps[b] for b in range(1, a + 1) if b & ~a == 0))
+            for a in range(1, full + 1)
+        ]
+    else:
+        orders = [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))]
+        values = list(sum_of_maxes(g, orders).values)
+    if recipe and rng.random() < 0.5:
+        values[rng.randrange(1, full + 1)] += rng.choice((-1, 1))
+    return MenuPreference(g, tuple(values))
+
+
+@given(st.integers(0, 10**9), st.integers(1, 5))
+@settings(max_examples=120, deadline=None)
+def test_check_axioms_equals_the_exhaustive_oracle(seed, n):
+    g = ground("abcde"[:n])
+    pref = _random_utilities(random.Random(seed), g)
+    assert check_axioms(pref) == oracle_axioms(pref)
+
+
+def test_axiom_recipes_reach_every_outcome():
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = ground("abcd"[: rng.randint(2, 4)])
+        pref = _random_utilities(rng, g)
+        report = check_axioms(pref)
+        assert report == oracle_axioms(pref)
+        outcomes[report.flexibility_ok, report.submodularity_ok] += 1
+    for key in [(True, True), (True, False), (False, False)]:
+        assert outcomes[key] >= 20
+
+
+def test_kreps_consequence_check_matches_its_oracle():
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = ground("abcd"[: rng.randint(2, 4)])
+        f = random_operator(rng, g)
+        images = f.tabulate_bits()
+        if rng.random() < 0.5:
+            # strictly increasing in the closure: every consequence holds
+            values = [None] + [
+                Fraction(images[a].bit_count()) for a in range(1, g.full_bits + 1)
+            ]
+        else:
+            values = list(respecting_preference(rng, f).values)
+        if rng.random() < 0.3:
+            values[rng.randrange(1, g.full_bits + 1)] += 1
+        expected = oracle_kreps_consequences(values, images)
+        assert _passes(_check_kreps_consequences, tuple(values), images) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+def test_signature_checks_match_their_oracles():
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        g = ground("abcd"[:n])
+        states = [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))]
+        utilities = [[s.class_index(x) + 1 for x in g.elements] for s in states]
+        signatures = _signatures(utilities, n)
+        assert signatures[1:] == oracle_signatures(utilities, n)[1:]
+        if rng.random() < 0.6:
+            # the operator the states generate: x ∈ f(A) iff no state ranks x
+            # above A's best
+            images = tuple(
+                [0]
+                + [
+                    sum(
+                        1 << i
+                        for i in range(n)
+                        if all(
+                            row[i] <= top for row, top in zip(utilities, signatures[a])
+                        )
+                    )
+                    for a in range(1, g.full_bits + 1)
+                ]
+            )
+        else:
+            images = random_operator(rng, g).tabulate_bits()
+        values = list(sum_of_maxes(g, states).values)
+        if rng.random() < 0.3:
+            values[rng.randrange(1, g.full_bits + 1)] += rng.choice((-1, 1))
+        expected = oracle_signatures_ok(values, images, signatures)
+        assert _passes(_check_signatures, tuple(values), images, signatures) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+def test_rank_check_matches_its_oracle():
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        by_signature = {
+            (i,): Fraction(rng.randrange(4)) for i in range(rng.randint(1, 6))
+        }
+        levels = sorted(set(by_signature.values()))
+        ranks = {sig: levels.index(value) + 1 for sig, value in by_signature.items()}
+        if rng.random() < 0.5:
+            ranks[rng.choice(list(ranks))] += rng.choice((-1, 1))
+        expected = oracle_ranks_ok(by_signature, ranks)
+        assert _passes(_check_ranks, by_signature, ranks) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+def test_additive_check_matches_literal_evaluation():
+    outcomes = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = ground("abcd"[: rng.randint(2, 4)])
+        f = random_operator(rng, g)
+        pref = respecting_preference(rng, f)
+        rep = additive_representation(pref, f)
+        positive, negative = list(rep.positive_states), list(rep.negative_states)
+        i = rng.randrange(len(positive))
+        shift = Fraction(rng.randrange(1, 3))
+        change = rng.randrange(3)
+        # shifting both states of one carrier keeps every evaluation; shifting
+        # one of them moves the evaluation of every submenu of the carrier
+        if change in (1, 2):
+            p = positive[i]
+            positive[i] = AdditiveState(p.name, p.carrier, p.weight + shift)
+        if change == 2:
+            q = negative[i]
+            negative[i] = AdditiveState(q.name, q.carrier, q.weight + shift)
+        closed = [m for m in f.closed_sets() if m.bits]
+        poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
+        utilities = {m: pref.utility(m) for m in closed}
+        expected = oracle_additive_ok(
+            pref, AdditiveRepresentation(g, tuple(positive), tuple(negative))
+        )
+        passes = _passes(_check_additive_states, poset, utilities, positive, negative)
+        assert passes == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+# ------------------------------------------------------------ large menus
+
+
+def _labeling_utility(rng: random.Random, n: int, weighted: bool):
+    """U(A) = w(f(A)) for a random labeling closure f on n elements, with w
+    the cardinality or a sum of positive rational element weights."""
+    g = ground("abcdefghijkl"[:n])
+    labels = [f"l{j}" for j in range(n)]
+    labeling = Labeling.from_names(
+        g, labels, {x: [l for l in labels if rng.random() < 0.4] for x in g.elements}
+    )
+    f = labeling.classifier()
+    images = f.tabulate_bits()
+    weight = [
+        Fraction(rng.randrange(1, 9), rng.randrange(1, 5)) if weighted else Fraction(1)
+        for _ in range(n)
+    ]
+    values = [None] + [
+        sum((weight[i] for i in range(n) if images[a] >> i & 1), Fraction(0))
+        for a in range(1, g.full_bits + 1)
+    ]
+    return MenuPreference(g, tuple(values)), f
+
+
+@pytest.mark.parametrize(
+    "n, weighted", [(10, False), (11, True), (12, False), (12, True)]
+)
+def test_menu_rep_on_large_ground_sets(tmp_path, capsys, n, weighted):
+    rng = random.Random(1000 + n)
+    pref, f = _labeling_utility(rng, n, weighted)
+    g = pref.ground
+    path = tmp_path / "pref.json"
+    path.write_text(
+        json.dumps(
+            {
+                "elements": list(g.elements),
+                "utilities": [
+                    {"menu": list(g.mask(a).members()), "value": str(pref.values[a])}
+                    for a in range(1, g.full_bits + 1)
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    closed = len(f.closed_sets())
+    assert main(["menu-rep", "--preference", str(path), "--style", "kreps"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["aggregator"]) == closed - 1
+    assert main(["menu-rep", "--preference", str(path), "--style", "additive"]) == 0
+    assert json.loads(capsys.readouterr().out)["state_count"] == 2 * (closed - 1)
+
+    kreps = kreps_representation(pref)
+    additive = additive_representation(pref, f)
+    menus = [g.mask(rng.randrange(1, g.full_bits + 1)) for _ in range(60)]
+    for a in menus:
+        assert additive.evaluate(a) == pref.utility(a)
+        for b in menus[:10]:
+            assert (kreps.evaluate(a) >= kreps.evaluate(b)) == pref.weakly_prefers(a, b)
