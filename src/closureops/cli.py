@@ -71,8 +71,20 @@ _MATH_FAILURE = (
 
 
 def _load(path: str) -> Any:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    """Parse a JSON file; input the parser cannot take is malformed input.
+
+    Besides :class:`json.JSONDecodeError`, the decoder rejects bytes that are
+    not UTF-8 (:class:`UnicodeDecodeError`), integers longer than CPython's
+    int-string limit (:class:`ValueError`) and nesting deeper than the
+    recursion limit (:class:`RecursionError`); all become :class:`SchemaError`.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path} is not readable JSON: {exc}") from None
 
 
 def _operator_from_path(path: str) -> ClosureOperator:

@@ -22,7 +22,7 @@ of inclusion.  All values are immutable; all functions are pure.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -468,6 +468,70 @@ def _validate_images(ground: GroundSet, images: tuple[int, ...]) -> ValidationRe
     )
 
 
+def _tabulate_closed(size: int, closed: Sequence[int]) -> tuple[int, ...]:
+    """The smallest closed superset of every subset of an n-element ground set.
+
+    ``closed`` lists the bit patterns of an intersection-closed family that
+    contains ∅ and X, in ascending order.  Two exact methods; the one taking
+    fewer steps, counted exactly from the family, runs:
+
+    * submask fill, Σ_{C ≠ X} 2^|C| writes (:func:`_submask_fill`), for
+      sparse families such as chains, binary generators and most labelings;
+    * superset recursion, n·2^(n−1) steps (:func:`_superset_dp`), for dense
+      families; on the discrete family the fill would take 3^n − 2^n writes.
+    """
+    full = (1 << size) - 1
+    proper = [c for c in closed if c != full]
+    if sum(1 << c.bit_count() for c in proper) <= size << (size - 1):
+        return _submask_fill(full, proper)
+    return _superset_dp(full, closed)
+
+
+def _submask_fill(full: int, proper: Sequence[int]) -> tuple[int, ...]:
+    """Start every image at X, then write each proper closed set C, in
+    descending canonical order, into every nonempty submask of C.
+
+    The closed supersets of A are written to A in descending mask order, so
+    the last write is the one of least mask value, which is the smallest
+    closed superset: it is a subset, hence no larger numerically, of every
+    other closed superset.
+    """
+    images = [full] * (full + 1)
+    images[0] = 0  # ∅ is closed
+    for c in reversed(proper):
+        sub = c
+        while sub:
+            images[sub] = c
+            sub = (sub - 1) & c
+    return tuple(images)
+
+
+def _superset_dp(full: int, closed: Sequence[int]) -> tuple[int, ...]:
+    """Images by descending recursion: f(A) = A for closed A, otherwise
+    f(A) = ⋂_{x ∉ A} f(A ∪ {x}).
+
+    For A not closed, monotonicity gives f(A) ⊆ f(A ∪ {x}) for every x, and
+    any y ∈ f(A) ∖ A has f(A ∪ {y}) = f(A), so the intersection is f(A).
+    Every A ∪ {x} has a larger mask value, so it is done before A.
+    """
+    is_closed = bytearray(full + 1)
+    for c in closed:
+        is_closed[c] = 1
+    images = [0] * (full + 1)
+    for a in range(full, -1, -1):
+        if is_closed[a]:
+            images[a] = a
+            continue
+        image = full
+        rest = full & ~a
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            image &= images[a | x]
+        images[a] = image
+    return tuple(images)
+
+
 class ClosureOperator:
     """A closure operator f: 2^X -> 2^X on a finite ground set.
 
@@ -475,6 +539,10 @@ class ClosureOperator:
     behavior: table-backed (an explicit image for every subset, validated at
     construction) and topology-backed (images computed as smallest closed
     supersets).  Equality is pointwise over all of 2^X, regardless of variant.
+
+    A topology-backed operator finds one image by a scan of its closed sets,
+    O(|S|), and :meth:`tabulate_bits` builds all 2^n images in
+    min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.
 
     Call the operator like a function: ``f(mask)`` returns the closure.
     """
@@ -527,13 +595,16 @@ class ClosureOperator:
         return self._topology.closure_bits(bits)
 
     def tabulate_bits(self) -> tuple[int, ...]:
-        """All images, indexed by subset bit pattern."""
+        """All images, indexed by subset bit pattern.
+
+        A topology-backed operator builds them from its closed sets with
+        :func:`_tabulate_closed`.
+        """
         if self._images is not None:
             return self._images
         assert self._topology is not None
-        topology = self._topology
-        return tuple(
-            topology.closure_bits(bits) for bits in range(self.ground.full_bits + 1)
+        return _tabulate_closed(
+            self.ground.size, [m.bits for m in self._topology.closed]
         )
 
     def table(self) -> dict[SubsetMask, SubsetMask]:

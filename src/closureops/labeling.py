@@ -96,26 +96,34 @@ class Labeling:
         return tuple(name for i, name in enumerate(self.labels) if i in indices)
 
     def classifier(self) -> ClosureOperator:
-        """The closure operator induced by this labeling."""
+        """The closure operator induced by this labeling.
+
+        The common labels of a nonempty A are built from those of A minus its
+        lowest element x: common(A) = common(A ∖ {x}) ∩ Φ(x), with
+        common(∅) = L.  Each distinct common-label set is turned into its
+        extent {y : common ⊆ Φ(y)} once.
+        """
         ground = self.ground
         label_bits = [0] * ground.size
         for i, indices in enumerate(self.phi):
             for j in indices:
                 label_bits[i] |= 1 << j
-        all_labels = (1 << len(self.labels)) - 1
-        images = [0]
-        for bits in range(1, ground.full_bits + 1):
-            common = all_labels
-            rest = bits
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                common &= label_bits[i]
-            image = 0
-            for i in range(ground.size):
-                if common & ~label_bits[i] == 0:
-                    image |= 1 << i
-            images.append(image)
+        size = ground.full_bits + 1
+        common = [(1 << len(self.labels)) - 1] * size
+        images = [0] * size
+        extents: dict[int, int] = {}
+        for bits in range(1, size):
+            low = bits & -bits
+            labels = common[bits ^ low] & label_bits[low.bit_length() - 1]
+            common[bits] = labels
+            image = extents.get(labels)
+            if image is None:
+                image = 0
+                for i, row in enumerate(label_bits):
+                    if labels & ~row == 0:
+                        image |= 1 << i
+                extents[labels] = image
+            images[bits] = image
         return ClosureOperator._from_images(ground, tuple(images))
 
     def __repr__(self) -> str:

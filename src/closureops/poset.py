@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import SubsetMask, Topology
-from .errors import InvalidOrderRelation
+from .errors import GroundSetMismatch, InvalidOrderRelation
 
 __all__ = [
     "FinitePoset",
@@ -155,8 +155,37 @@ class FinitePoset:
 
     @classmethod
     def from_masks(cls, masks: Sequence[SubsetMask]) -> FinitePoset:
-        """The inclusion order on a family of subsets (kept in given order)."""
-        return cls.from_leq(tuple(masks), lambda a, b: a <= b)
+        """The inclusion order on a family of subsets (kept in given order).
+
+        Works on raw bits: column e is the set of items containing element e,
+        and an item's row, the items that contain it, is the AND of the
+        columns of its members, O(Σ|A|) big-int ANDs in all.  Raises
+        :class:`GroundSetMismatch` unless all subsets share one ground set.
+        """
+        masks = tuple(masks)
+        if not masks:
+            return cls((), ())
+        ground = masks[0].ground
+        columns = [0] * ground.size
+        for i, mask in enumerate(masks):
+            if mask.ground != ground:
+                raise GroundSetMismatch("subsets live in different ground sets")
+            rest = mask.bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                columns[low.bit_length() - 1] |= 1 << i
+        every = (1 << len(masks)) - 1
+        rows = []
+        for mask in masks:
+            row = every
+            rest = mask.bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row &= columns[low.bit_length() - 1]
+            rows.append(row)
+        return cls(masks, tuple(rows))
 
     @classmethod
     def from_topology(cls, topology: Topology) -> FinitePoset:

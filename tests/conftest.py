@@ -18,6 +18,7 @@ from closureops import (
     BinaryClassifier,
     ClosureOperator,
     FinitePoset,
+    GenerationReport,
     GroundSet,
     Labeling,
     MenuPreference,
@@ -172,6 +173,45 @@ def random_operator(rng: random.Random, g: GroundSet) -> ClosureOperator:
     return random_topology(rng, g).operator()
 
 
+def random_family_bits(rng: random.Random, n: int) -> list[int]:
+    """The intersection closure of random picks, plus ∅, in ascending order.
+
+    Picks are random subsets or, for dense families, complements of one or
+    two elements; their number ranges from one to a few hundred, so the
+    families run from chains of a few sets to most of 2^X.
+    """
+    full = (1 << n) - 1
+    co_small = rng.random() < 0.4
+    family = {full}
+    for _ in range(rng.choice((1, 2, 3, 5, 8, 13, 21, 34, 55, 144, 377))):
+        if co_small:
+            pick = full & ~(1 << rng.randrange(n) | 1 << rng.randrange(n))
+        else:
+            pick = rng.getrandbits(n)
+        family |= {pick & other for other in family}
+    family.add(0)
+    return sorted(family)
+
+
+def chain_bits(rng: random.Random, n: int) -> list[int]:
+    """A random chain ∅ ⊂ B_1 ⊂ … ⊂ X with 1 to n − 1 proper links."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    links = [sum(1 << order[i] for i in range(cut)) for cut in cuts]
+    return [0, *links, (1 << n) - 1]
+
+
+def crown_bits(n: int) -> list[int]:
+    """∅, the singletons, the cyclic pairs {x_i, x_(i+1)} and X (n ≥ 4).
+
+    Ordered by inclusion the proper part is a crown: MNWO = MNBC =
+    width = n and depth 3.
+    """
+    pairs = [1 << i | 1 << (i + 1) % n for i in range(n)]
+    return sorted({0, (1 << n) - 1, *(1 << i for i in range(n)), *pairs})
+
+
 def random_weak_order(rng: random.Random, g: GroundSet) -> WeakOrder:
     names = list(g.elements)
     rng.shuffle(names)
@@ -290,6 +330,70 @@ def brute_meet_reducible(topology: Topology, mask: SubsetMask) -> bool:
     return any(
         (a.bits & b.bits) == mask.bits for a in strict for b in strict
     )
+
+
+def oracle_scan_images(full: int, closed) -> tuple[int, ...]:
+    """Every image as the first closed superset in ascending mask order,
+    found by a scan of the closed sets per subset (O(2^n·|S|))."""
+    ordered = sorted(closed)
+    return tuple(
+        next(c for c in ordered if bits & ~c == 0) for bits in range(full + 1)
+    )
+
+
+def oracle_check_generation(
+    f: ClosureOperator, generators
+) -> GenerationReport:
+    """The two conditions and the pointwise equation on full tables, every
+    image read one subset at a time."""
+    ground = f.ground
+    full = ground.full_bits
+    topology = f.closed_sets()
+    condition1 = []
+    for position, g in enumerate(generators):
+        for closed in g.closed_sets():
+            if not topology.contains_bits(closed.bits):
+                condition1.append((position, closed))
+    tables = [[g.image_bits(bits) for bits in range(full + 1)] for g in generators]
+    condition2 = []
+    for closed in topology:
+        if not closed.bits:
+            continue
+        for i in range(ground.size):
+            x = 1 << i
+            if not closed.bits & x and all(t[closed.bits] & x for t in tables):
+                condition2.append((closed, ground.elements[i]))
+    pointwise = True
+    for bits in range(full + 1):
+        image = full if bits else 0
+        for t in tables:
+            image &= t[bits]
+        pointwise = pointwise and image == f.image_bits(bits)
+    return GenerationReport(tuple(condition1), tuple(condition2), pointwise)
+
+
+def oracle_from_masks(masks) -> FinitePoset:
+    """The inclusion order by one ``SubsetMask.__le__`` call per pair."""
+    return FinitePoset.from_leq(tuple(masks), lambda a, b: a <= b)
+
+
+def oracle_classifier_images(labeling: Labeling) -> tuple[int, ...]:
+    """The induced images, each from the common labels of its own members."""
+    ground = labeling.ground
+    label_bits = [sum(1 << j for j in labels) for labels in labeling.phi]
+    all_labels = (1 << len(labeling.labels)) - 1
+    images = [0]
+    for bits in range(1, ground.full_bits + 1):
+        common = all_labels
+        for i in range(ground.size):
+            if bits >> i & 1:
+                common &= label_bits[i]
+        image = 0
+        for i in range(ground.size):
+            if common & ~label_bits[i] == 0:
+                image |= 1 << i
+        images.append(image)
+    return tuple(images)
 
 
 def oracle_axioms(preference: MenuPreference) -> AxiomReport:

@@ -30,6 +30,8 @@ from conftest import (
     animals_labeling,
     animals_topology,
     bob_preference,
+    chain_bits,
+    crown_bits,
     crown_topology,
     random_weak_order,
     sum_of_maxes,
@@ -121,6 +123,28 @@ def test_unreadable_or_invalid_input_is_malformed(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     code, _, err = _run(capsys, "validate", "--table", str(bad))
     assert code == 2 and "invalid JSON" in err
+
+
+def _malformed_json(path: Path, case: str) -> None:
+    if case == "long-integer":  # beyond CPython's int-string limit
+        text = '{"elements": ["a"], "utilities": [{"menu": ["a"], "value": %s}]}'
+        path.write_text(text % ("7" * 5000), encoding="utf-8")
+    elif case == "not-utf-8":
+        path.write_bytes(b'{"elements": ["\xff"]}')
+    else:
+        path.write_text("[" * 100_000, encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["long-integer", "not-utf-8", "deep-nesting"])
+def test_json_the_parser_cannot_take_is_malformed(tmp_path, capsys, case):
+    path = tmp_path / "p.json"
+    _malformed_json(path, case)
+    code, out, err = _run(
+        capsys, "menu-rep", "--preference", str(path), "--style", "kreps"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_errors_exit_with_code_two(capsys):
@@ -461,3 +485,66 @@ def test_out_flag_also_captures_failure_reports(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["ok"] is False
+
+
+# ------------------------------------------------------------ large ground sets
+
+
+def _closed_sets_of_extents(extents, full):
+    family = {full}
+    for extent in extents:
+        family |= {extent & other for other in family}
+    return family | {0}
+
+
+def _topology_file(tmp_path, capsys, family, n):
+    names = [f"e{i:02d}" for i in range(n)]
+    if family == "chain":
+        bits = chain_bits(random.Random(n), n)
+    elif family == "crown":
+        bits = crown_bits(n)
+    else:  # a random labeling, closed through `topology --from-labels`
+        rng = random.Random(n)
+        extents = [rng.getrandbits(n) for _ in range(n)]
+        labels = [f"l{j}" for j in range(n)]
+        doc = {
+            "elements": names,
+            "labels": labels,
+            "phi": {
+                name: [labels[j] for j, e in enumerate(extents) if e >> i & 1]
+                for i, name in enumerate(names)
+            },
+        }
+        path = _write(tmp_path, "labels.json", doc)
+        code, out, _ = _run(capsys, "topology", "--from-labels", path)
+        assert code == 0
+        bits = _closed_sets_of_extents(extents, (1 << n) - 1)
+        closed = json.loads(out)["closed_sets"]
+        assert {sum(1 << names.index(x) for x in c) for c in closed} == bits
+        return _write(tmp_path, "t.json", json.loads(out)), len(bits)
+    doc = {
+        "elements": names,
+        "closed_sets": [[x for i, x in enumerate(names) if b >> i & 1] for b in bits],
+    }
+    return _write(tmp_path, "t.json", doc), len(bits)
+
+
+@pytest.mark.parametrize("family, n", [("chain", 20), ("crown", 18), ("labeling", 18)])
+def test_complexity_and_decompose_on_large_ground_sets(tmp_path, capsys, family, n):
+    path, closed = _topology_file(tmp_path, capsys, family, n)
+    code, out, _ = _run(capsys, "complexity", "--topology", path)
+    assert code == 0
+    profile = json.loads(out)
+    assert profile["class_count"] == closed - 1
+    if family == "chain":
+        assert profile["mnwo"] == 1 and profile["width_s"] == 1
+    if family == "crown":
+        assert profile["mnwo"] == profile["mnbc"] == profile["width_s"] == n
+        assert profile["depth_s"] == 3
+    for kind, measure in (("weak-orders", "mnwo"), ("binary", "mnbc")):
+        code, out, _ = _run(capsys, "decompose", "--topology", path, "--kind", kind)
+        assert code == 0
+        report = json.loads(out)
+        assert report["count"] == profile[measure]
+        assert report["verification"]["generates"] is True
+        assert report["verification"]["pointwise_equal"] is True

@@ -1,6 +1,8 @@
 """Complexity measures: meet-irreducibles, MNWO/MNBC, comparisons, oracles."""
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,11 @@ from closureops import (
     GroundSet,
     GroundSetMismatch,
     GroundSetTooLarge,
+    WitnessVerificationFailed,
     check_generation,
+    complexity,
     complexity_profile,
+    intersect_generate,
     meet_irreducibles,
     more_complex,
     oracle_mnbc,
@@ -29,8 +34,10 @@ from conftest import (
     ground,
     iter_topologies,
     order,
+    random_binary,
     random_operator,
     random_topology,
+    random_weak_order,
     sub,
     tall_chain_topology,
     topo,
@@ -205,6 +212,46 @@ def test_profile_witnesses_regenerate_the_operator():
         assert bc_report.generates and bc_report.pointwise_equal
         assert len(profile.weak_order_witness) == profile.mnwo
         assert len(profile.binary_witness) == profile.mnbc
+
+
+def test_closed_set_verification_agrees_with_check_generation():
+    outcomes = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = GroundSet(tuple("abcdef"[: rng.randint(2, 6)]))
+        gens = [
+            random_weak_order(rng, g).operator() if rng.random() < 0.5
+            else random_binary(rng, g).operator()
+            for _ in range(rng.randrange(0, 5))
+        ]
+        if seed % 2:
+            f = intersect_generate(g, gens).closed_sets().operator()
+        else:
+            f = random_operator(rng, g)
+        verified = complexity._generates_at_closed_sets(f.closed_sets(), gens)
+        report = check_generation(f, gens)
+        assert verified == report.generates == report.pointwise_equal
+        outcomes[verified] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+@pytest.mark.parametrize(
+    "field, message", [("p_of_f", "weak-order witness"), ("b_of_f", "binary witness")]
+)
+def test_profile_rejects_a_witness_that_does_not_generate(monkeypatch, field, message):
+    real = complexity.meet_irreducibles
+
+    def short_of_one(topology):
+        irreducibles = real(topology)
+        members = getattr(irreducibles, field)
+        dropped = members[len(members) // 2]
+        return dataclasses.replace(
+            irreducibles, **{field: tuple(m for m in members if m != dropped)}
+        )
+
+    monkeypatch.setattr(complexity, "meet_irreducibles", short_of_one)
+    with pytest.raises(WitnessVerificationFailed, match=message):
+        complexity_profile(fork_topology().operator())
 
 
 @given(st.integers(0, 10**9), st.integers(2, 4))

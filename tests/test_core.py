@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from closureops import (
     MAX_ELEMENTS,
+    core,
     ClosureOperator,
     ForeignMask,
     GroundSet,
@@ -24,9 +25,13 @@ from closureops import (
 from conftest import (
     ABCD,
     brute_depth,
+    chain_bits,
     closure_by_common_supersets,
+    crown_bits,
     ground,
     iter_topologies,
+    oracle_scan_images,
+    random_family_bits,
     random_topology,
     sub,
     topo,
@@ -411,3 +416,53 @@ def test_operator_call_is_idempotent_and_extensive():
         image = f(m)
         assert m <= image
         assert f(image) == image
+
+
+def _count_methods(monkeypatch) -> dict:
+    """Count which tabulation method :func:`core._tabulate_closed` picks."""
+    taken = {"fill": 0, "dp": 0}
+    for key, name in (("fill", "_submask_fill"), ("dp", "_superset_dp")):
+        method = getattr(core, name)
+
+        def counted(*args, key=key, method=method):
+            taken[key] += 1
+            return method(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    return taken
+
+
+def test_tabulation_matches_the_scan_on_random_families(monkeypatch):
+    fill, dp = core._submask_fill, core._superset_dp
+    taken = _count_methods(monkeypatch)
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        bits = random_family_bits(rng, n)
+        full = (1 << n) - 1
+        expected = oracle_scan_images(full, bits)
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        assert Topology.from_bits(g, bits).operator().tabulate_bits() == expected
+        assert fill(full, bits[:-1]) == expected
+        assert dp(full, bits) == expected
+    assert taken["fill"] >= 20 and taken["dp"] >= 20
+
+
+@pytest.mark.parametrize("family, n", [("chain", 18), ("crown", 16), ("crown", 17)])
+def test_tabulation_matches_the_scan_on_large_sparse_families(monkeypatch, family, n):
+    bits = chain_bits(random.Random(n), n) if family == "chain" else crown_bits(n)
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    taken = _count_methods(monkeypatch)
+    images = Topology.from_bits(g, bits).operator().tabulate_bits()
+    assert images == oracle_scan_images(g.full_bits, bits)
+    assert taken == {"fill": 1, "dp": 0}
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_tabulation_of_large_discrete_families_is_the_identity(monkeypatch, n):
+    # Every subset is closed, so the scan returns each subset itself; a
+    # Topology of 2^n sets is not built because its validation is |S|^2.
+    taken = _count_methods(monkeypatch)
+    full = (1 << n) - 1
+    assert core._tabulate_closed(n, range(full + 1)) == tuple(range(full + 1))
+    assert taken == {"fill": 0, "dp": 1}

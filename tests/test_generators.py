@@ -1,6 +1,7 @@
 """Weak orders, binary classifiers, and generation by intersection."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from closureops import (
     BadEndpoints,
     BinaryClassifier,
+    ClosureOperator,
     GroundSet,
     GroundSetMismatch,
     NotAChain,
@@ -25,6 +27,7 @@ from conftest import (
     chain_topology,
     fork_topology,
     ground,
+    oracle_check_generation,
     order,
     random_binary,
     random_operator,
@@ -289,6 +292,50 @@ def test_two_condition_check_agrees_with_pointwise_equality(seed, size):
     report = check_generation(f, gens)
     assert report.generates == report.pointwise_equal
     assert report.pointwise_equal == (intersect_generate(g, gens) == f)
+
+
+def _random_generators(rng: random.Random, g: GroundSet) -> list:
+    """Zero to four generators: weak orders, binary classifiers, and random
+    operators, both topology-backed and table-backed."""
+    generators = []
+    for _ in range(rng.randrange(0, 5)):
+        kind = rng.randrange(4 if g.size > 1 else 3)
+        if kind == 0:
+            generators.append(random_weak_order(rng, g).operator())
+        elif kind == 1:
+            generators.append(random_operator(rng, g))
+        elif kind == 2:
+            table = random_operator(rng, g).table()
+            generators.append(ClosureOperator.from_table(g, table))
+        else:
+            generators.append(random_binary(rng, g).operator())
+    return generators
+
+
+@given(st.integers(0, 10**9), st.integers(1, 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_generation_check_equals_the_full_table_oracle(seed, size, intersect):
+    rng = random.Random(seed)
+    g = GroundSet(tuple("abcdef"[:size]))
+    gens = _random_generators(rng, g)
+    f = intersect_generate(g, gens) if intersect else random_operator(rng, g)
+    report = check_generation(f, gens)
+    assert report == oracle_check_generation(f, gens)
+    if intersect:
+        assert report.generates and report.pointwise_equal
+
+
+def test_generation_check_reaches_both_outcomes():
+    outcomes = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = GroundSet(tuple("abcdef"[: rng.randint(2, 6)]))
+        gens = _random_generators(rng, g)
+        f = intersect_generate(g, gens) if seed % 2 else random_operator(rng, g)
+        report = check_generation(f, gens)
+        assert report == oracle_check_generation(f, gens)
+        outcomes[report.generates] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
 
 
 # ---------------------------------------------------------------- enumeration

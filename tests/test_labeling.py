@@ -22,6 +22,7 @@ from conftest import (
     fork_topology,
     ground,
     iter_topologies,
+    oracle_classifier_images,
     random_operator,
     sub,
     topo,
@@ -153,6 +154,20 @@ def test_both_labelings_reconstruct_random_operators(seed, size):
     f = random_operator(random.Random(seed), GroundSet(tuple("abcdef"[:size])))
     assert canonical_labeling(f).classifier() == f
     assert minimal_labeling(f).classifier() == f
+
+
+def test_classifier_matches_the_per_subset_oracle():
+    for seed in range(150):
+        rng = random.Random(seed)
+        g = GroundSet(tuple("abcdefgh"[: rng.randint(1, 8)]))
+        labels = tuple(f"L{j}" for j in range(rng.randint(0, 10)))
+        density = rng.random()
+        phi = tuple(
+            frozenset(j for j in range(len(labels)) if rng.random() < density)
+            for _ in g.elements
+        )
+        lab = Labeling(g, labels, phi)
+        assert lab.classifier().tabulate_bits() == oracle_classifier_images(lab)
 
 
 def _all_labelings(g: GroundSet, label_count: int):

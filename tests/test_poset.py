@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closureops import ChainCover, FinitePoset, InvalidOrderRelation, to_dot
+from closureops import (
+    ChainCover,
+    FinitePoset,
+    GroundSetMismatch,
+    InvalidOrderRelation,
+    to_dot,
+)
 from conftest import (
     brute_poset_width,
     ground,
+    oracle_from_masks,
+    random_family_bits,
     random_fraction,
     random_poset,
     sub,
@@ -97,6 +105,26 @@ def test_from_masks_keeps_order_and_inclusion():
     assert p.items == masks
     assert p.leq(masks[0], masks[1])
     assert not p.leq(masks[0], masks[2])
+
+
+def test_from_masks_matches_the_pairwise_oracle():
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        g = ground("abcdefgh"[:n])
+        masks = [g.mask(b) for b in random_family_bits(rng, n)]
+        rng.shuffle(masks)
+        assert FinitePoset.from_masks(masks) == oracle_from_masks(masks)
+    assert FinitePoset.from_masks(()) == oracle_from_masks(())
+
+
+def test_from_masks_rejects_mixed_ground_sets():
+    masks = (sub(ground("ab"), "a"), sub(ground("xy"), "x"))
+    for family in (masks, masks[::-1]):
+        with pytest.raises(GroundSetMismatch):
+            oracle_from_masks(family)
+        with pytest.raises(GroundSetMismatch):
+            FinitePoset.from_masks(family)
 
 
 def test_from_topology_uses_canonical_closed_order():
