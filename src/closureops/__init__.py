@@ -39,7 +39,6 @@ from .core import (
     SubsetMask,
     Topology,
     ValidationReport,
-    operator_from_topology,
     validate_closure,
 )
 from .errors import (
@@ -72,7 +71,6 @@ from .generators import (
 from .labeling import (
     Labeling,
     canonical_labeling,
-    classifier_from_labeling,
     minimal_labeling,
 )
 from .menus import (
@@ -101,7 +99,6 @@ __all__ = [
     "ValidationReport",
     "ClosureOperator",
     "validate_closure",
-    "operator_from_topology",
     # poset
     "FinitePoset",
     "ChainCover",
@@ -127,7 +124,6 @@ __all__ = [
     "oracle_mnbc",
     # labeling
     "Labeling",
-    "classifier_from_labeling",
     "canonical_labeling",
     "minimal_labeling",
     # menus

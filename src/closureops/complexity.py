@@ -138,7 +138,7 @@ def _generates_at_closed_sets(
     """Whether the generators intersect to the operator of ``topology``,
     decided by both generation conditions at its closed sets."""
     condition1, condition2 = _generation_witnesses(
-        topology, generators, [g.image_bits for g in generators]
+        topology, generators, [g.closed_sets().closure_bits for g in generators]
     )
     return not condition1 and not condition2
 

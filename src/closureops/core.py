@@ -44,7 +44,6 @@ __all__ = [
     "ValidationReport",
     "ClosureOperator",
     "validate_closure",
-    "operator_from_topology",
 ]
 
 #: Hard cap on ground-set size: every algorithm here enumerates subsets of X at
@@ -342,7 +341,7 @@ class Topology:
 
     def operator(self) -> ClosureOperator:
         """The closure operator whose closed sets are exactly this family."""
-        return ClosureOperator._from_topology(self)
+        return ClosureOperator(self)
 
     def __repr__(self) -> str:
         sets = ", ".join(m.label() for m in self.closed)
@@ -535,30 +534,28 @@ def _superset_dp(full: int, closed: Sequence[int]) -> tuple[int, ...]:
 class ClosureOperator:
     """A closure operator f: 2^X -> 2^X on a finite ground set.
 
-    Instances are immutable and come in two storage variants with identical
-    behavior: table-backed (an explicit image for every subset, validated at
-    construction) and topology-backed (images computed as smallest closed
-    supersets).  Equality is pointwise over all of 2^X, regardless of variant.
-
-    A topology-backed operator finds one image by a scan of its closed sets,
-    O(|S|), and :meth:`tabulate_bits` builds all 2^n images in
-    min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.
+    An instance holds its closed sets S(f), which determine f, and caches the
+    table of all 2^n images the first time it is needed.  From closed sets the
+    table is built by :func:`_tabulate_closed` in
+    min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps; an operator built from images
+    starts with them cached.  Instances are immutable up to that cache.
+    Equality compares closed sets, so it builds no table.
 
     Call the operator like a function: ``f(mask)`` returns the closure.
     """
 
     __slots__ = ("ground", "_images", "_topology")
 
-    def __init__(self, ground: GroundSet, images, topology) -> None:
-        self.ground = ground
-        self._images: tuple[int, ...] | None = images
-        self._topology: Topology | None = topology
+    def __init__(self, topology: Topology) -> None:
+        self.ground = topology.ground
+        self._topology = topology
+        self._images: tuple[int, ...] | None = None
 
     @classmethod
     def from_table(
         cls, ground: GroundSet, table: Mapping[SubsetMask, SubsetMask]
     ) -> ClosureOperator:
-        """Build a table-backed operator, validating the closure axioms.
+        """Build an operator from a full table, validating the closure axioms.
 
         Raises :class:`InvalidClosureTable` (carrying the full
         :class:`ValidationReport`) if any axiom fails.
@@ -567,20 +564,16 @@ class ClosureOperator:
         report = _validate_images(ground, images)
         if not report.ok:
             raise InvalidClosureTable(report)
-        return cls(ground, images, None)
+        return cls._from_images(ground, images)
 
     @classmethod
     def _from_images(cls, ground: GroundSet, images: tuple[int, ...]) -> ClosureOperator:
-        """Trusted constructor for images known to satisfy the axioms."""
-        return cls(ground, images, None)
-
-    @classmethod
-    def _from_topology(cls, topology: Topology) -> ClosureOperator:
-        return cls(topology.ground, None, topology)
-
-    @property
-    def is_table_backed(self) -> bool:
-        return self._images is not None
+        """Trusted constructor for images known to satisfy the axioms: S(f) is
+        the set of their fixed points, and the images become the cached table."""
+        fixed = [bits for bits, img in enumerate(images) if bits == img]
+        operator = cls(Topology.from_bits(ground, fixed))
+        operator._images = images
+        return operator
 
     def __call__(self, mask: SubsetMask) -> SubsetMask:
         if mask.ground != self.ground:
@@ -588,24 +581,16 @@ class ClosureOperator:
         return self.ground.mask(self.image_bits(mask.bits))
 
     def image_bits(self, bits: int) -> int:
-        """Closure of a raw bit pattern (fast path for inner loops)."""
-        if self._images is not None:
-            return self._images[bits]
-        assert self._topology is not None
-        return self._topology.closure_bits(bits)
+        """Closure of a raw bit pattern, read from the image table."""
+        return self.tabulate_bits()[bits]
 
     def tabulate_bits(self) -> tuple[int, ...]:
-        """All images, indexed by subset bit pattern.
-
-        A topology-backed operator builds them from its closed sets with
-        :func:`_tabulate_closed`.
-        """
-        if self._images is not None:
-            return self._images
-        assert self._topology is not None
-        return _tabulate_closed(
-            self.ground.size, [m.bits for m in self._topology.closed]
-        )
+        """All images, indexed by subset bit pattern, built once."""
+        if self._images is None:
+            self._images = _tabulate_closed(
+                self.ground.size, [m.bits for m in self._topology.closed]
+            )
+        return self._images
 
     def table(self) -> dict[SubsetMask, SubsetMask]:
         """The operator as an explicit mask-keyed table, in canonical order."""
@@ -616,35 +601,17 @@ class ClosureOperator:
 
     def closed_sets(self) -> Topology:
         """The topology S(f) = {A : f(A) = A} of this operator."""
-        if self._topology is not None:
-            return self._topology
-        assert self._images is not None
-        fixed = [bits for bits, img in enumerate(self._images) if bits == img]
-        return Topology.from_bits(self.ground, fixed)
+        return self._topology
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosureOperator):
             return NotImplemented
-        if self.ground != other.ground:
-            return False
-        return self.tabulate_bits() == other.tabulate_bits()
+        return self._topology == other._topology
 
-    __hash__ = None  # pointwise equality is too expensive for hashing
+    __hash__ = None  # unhashable; hash closed_sets() instead
 
     def __repr__(self) -> str:
-        kind = "table" if self.is_table_backed else "topology"
         return (
-            f"ClosureOperator({kind}-backed on "
-            f"{{{','.join(self.ground.elements)}}})"
+            f"ClosureOperator(on {{{','.join(self.ground.elements)}}}, "
+            f"{len(self._topology)} closed sets)"
         )
-
-
-def operator_from_topology(topology: Topology) -> ClosureOperator:
-    """The unique closure operator whose closed sets are ``topology``.
-
-    This is the smallest-closed-superset map A ↦ ⋂{B ∈ S : A ⊆ B}; together
-    with :meth:`ClosureOperator.closed_sets` it establishes the bijection
-    between closure operators and intersection-closed families containing
-    ∅ and X.
-    """
-    return topology.operator()

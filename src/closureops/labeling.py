@@ -31,7 +31,6 @@ from .complexity import meet_irreducibles
 
 __all__ = [
     "Labeling",
-    "classifier_from_labeling",
     "canonical_labeling",
     "minimal_labeling",
 ]
@@ -132,11 +131,6 @@ class Labeling:
             for element in self.ground
         )
         return f"Labeling({parts})"
-
-
-def classifier_from_labeling(labeling: Labeling) -> ClosureOperator:
-    """The closure operator induced by a labeling; see :meth:`Labeling.classifier`."""
-    return labeling.classifier()
 
 
 def canonical_labeling(f: ClosureOperator) -> Labeling:

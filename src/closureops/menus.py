@@ -635,7 +635,7 @@ def additive_representation(
         raise DoesNotRespect(witness)
     ground = preference.ground
     closed = [m for m in f.closed_sets() if m.bits]
-    reversed_poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
+    reversed_poset = FinitePoset.from_masks(closed).dual()
     utilities = {m: preference.utility(m) for m in closed}
     weights = reversed_poset.mobius_invert(utilities)
     positive = []

@@ -14,7 +14,6 @@ from closureops import (
     Labeling,
     check_axioms,
     check_generation,
-    classifier_from_labeling,
     complexity_profile,
     canonical_labeling,
     intersect_generate,
@@ -24,7 +23,6 @@ from closureops import (
     additive_representation,
     meet_irreducibles,
     minimal_labeling,
-    operator_from_topology,
     oracle_mnbc,
     oracle_mnwo,
     respects,
@@ -75,7 +73,7 @@ def _all_labelings(g, label_count):
 
 def test_criterion_01_reference_labeling_pipeline():
     g = ground(ABCD)
-    f = classifier_from_labeling(animals_labeling())
+    f = animals_labeling().classifier()
 
     # The induced closed-set family, exactly.
     assert f.closed_sets() == animals_topology()
@@ -153,9 +151,9 @@ def test_criterion_01_reference_labeling_pipeline():
         assert {carriers[n] for n in listing[x]} == {
             hand_carriers[n] for n in hand_listing[x]
         }
-    assert classifier_from_labeling(canon) == f
+    assert canon.classifier() == f
     hand = Labeling.from_names(g, canon.labels, hand_listing)
-    assert classifier_from_labeling(hand) == f
+    assert hand.classifier() == f
 
 
 def test_criterion_02_complexity_table_of_four_classifiers():
@@ -395,7 +393,7 @@ def test_criterion_10_constructor_and_labeling_property_suite():
             f = t.operator()
             assert validate_closure(g, f.table()).ok
             assert f.closed_sets() == t
-            assert operator_from_topology(f.closed_sets()) == f
+            assert f.closed_sets().operator() == f
 
     # Random families on five and six elements: same properties.
     for n in (5, 6):
@@ -405,7 +403,7 @@ def test_criterion_10_constructor_and_labeling_property_suite():
             f = t.operator()
             assert validate_closure(g, f.table()).ok
             assert f.closed_sets() == t
-            assert operator_from_topology(f.closed_sets()) == f
+            assert f.closed_sets().operator() == f
 
     # Labelings: exhaustively up to three elements and two labels, randomly
     # up to six elements, the induced classifier always passes validation.
@@ -413,7 +411,7 @@ def test_criterion_10_constructor_and_labeling_property_suite():
         g = ground(LETTERS[:n])
         for k in range(3):
             for lab in _all_labelings(g, k):
-                f = classifier_from_labeling(lab)
+                f = lab.classifier()
                 assert validate_closure(g, f.table()).ok
     for _ in range(60):
         n = rng.randint(2, 6)
@@ -424,7 +422,7 @@ def test_criterion_10_constructor_and_labeling_property_suite():
             frozenset(i for i in range(k) if rng.random() < 0.5)
             for _ in range(n)
         )
-        f = classifier_from_labeling(Labeling(g, labels, phi))
+        f = Labeling(g, labels, phi).classifier()
         assert validate_closure(g, f.table()).ok
 
     # Intersections of random generators stay within the closure axioms.
@@ -446,16 +444,16 @@ def test_criterion_10_constructor_and_labeling_property_suite():
         g = ground(LETTERS[:n])
         for t in iter_topologies(g):
             f = t.operator()
-            assert classifier_from_labeling(canonical_labeling(f)) == f
+            assert canonical_labeling(f).classifier() == f
             small = minimal_labeling(f)
-            assert classifier_from_labeling(small) == f
+            assert small.classifier() == f
             assert len(small.labels) == len(meet_irreducibles(t).b_of_f)
     for _ in range(40):
         n = rng.randint(4, 6)
         g = ground(LETTERS[:n])
         f = random_operator(rng, g)
         small = minimal_labeling(f)
-        assert classifier_from_labeling(small) == f
+        assert small.classifier() == f
         assert len(small.labels) == complexity_profile(f).mnbc
 
     # Lower bound: on up to three elements, no labeling with fewer labels
@@ -467,6 +465,6 @@ def test_criterion_10_constructor_and_labeling_property_suite():
             needed = len(meet_irreducibles(t).b_of_f)
             for k in range(needed):
                 assert all(
-                    classifier_from_labeling(lab) != f
+                    lab.classifier() != f
                     for lab in _all_labelings(g, k)
                 )

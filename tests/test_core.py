@@ -20,10 +20,12 @@ from closureops import (
     NotClosed,
     NotIntersectionClosed,
     Topology,
+    complexity_profile,
     validate_closure,
 )
 from conftest import (
     ABCD,
+    animals_labeling,
     brute_depth,
     chain_bits,
     closure_by_common_supersets,
@@ -361,7 +363,6 @@ def test_validator_agrees_with_all_pairs_check(images):
 def test_operator_from_valid_table():
     t = topo(ground("abc"), "", "a", "ab", "abc")
     f = ClosureOperator.from_table(t.ground, t.operator().table())
-    assert f.is_table_backed
     assert f(sub(t.ground, "b")) == sub(t.ground, "ab")
     assert f.closed_sets() == t
 
@@ -374,15 +375,16 @@ def test_operator_from_invalid_table_carries_report():
     assert err.value.report.extensivity
 
 
-def test_operator_equality_is_pointwise_across_variants():
+def test_operator_equality_compares_closed_sets(monkeypatch):
     t = topo(ground("abc"), "", "a", "ab", "abc")
+    by_table = ClosureOperator.from_table(t.ground, t.operator().table())
+    taken = _count_methods(monkeypatch)
     by_topology = t.operator()
-    by_table = ClosureOperator.from_table(t.ground, by_topology.table())
-    assert not by_topology.is_table_backed and by_table.is_table_backed
     assert by_topology == by_table
     other = topo(ground("abc"), "", "b", "ab", "abc").operator()
     assert by_topology != other
     assert by_topology != topo(ground("xyz"), "", "x", "xy", "xyz").operator()
+    assert taken == {"fill": 0, "dp": 0}
     assert ClosureOperator.__hash__ is None
 
 
@@ -430,6 +432,40 @@ def _count_methods(monkeypatch) -> dict:
 
         monkeypatch.setattr(core, name, counted)
     return taken
+
+
+def test_operator_tabulates_once(monkeypatch):
+    g = ground(ABCD)
+    f = topo(g, "", "a", "b", "ab", "abc", "abcd").operator()
+    taken = _count_methods(monkeypatch)
+    images = f.tabulate_bits()
+    assert f.tabulate_bits() is images
+    assert [f.image_bits(b) for b in range(16)] == list(images)
+    assert f(sub(g, "c")) == sub(g, "abc")
+    assert sum(taken.values()) == 1
+
+
+def test_operator_from_images_keeps_them(monkeypatch):
+    taken = _count_methods(monkeypatch)
+    f = animals_labeling().classifier()
+    images = f.tabulate_bits()
+    assert f.image_bits(0b0011) == images[0b0011]
+    fixed = [b for b, i in enumerate(images) if b == i]
+    assert f.closed_sets() == Topology.from_bits(f.ground, fixed)
+    assert taken == {"fill": 0, "dp": 0}
+
+
+@pytest.mark.parametrize("family, n", [("chain", 18), ("crown", 16)])
+def test_complexity_profile_builds_no_image_table(monkeypatch, family, n):
+    bits = chain_bits(random.Random(n), n) if family == "chain" else crown_bits(n)
+    f = Topology.from_bits(GroundSet(tuple(f"e{i}" for i in range(n))), bits).operator()
+    taken = _count_methods(monkeypatch)
+    profile = complexity_profile(f)
+    assert taken == {"fill": 0, "dp": 0}
+    if family == "chain":
+        assert (profile.mnwo, profile.mnbc) == (1, len(bits) - 2)
+    else:
+        assert (profile.mnwo, profile.mnbc) == (n, n)
 
 
 def test_tabulation_matches_the_scan_on_random_families(monkeypatch):

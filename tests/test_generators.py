@@ -296,7 +296,7 @@ def test_two_condition_check_agrees_with_pointwise_equality(seed, size):
 
 def _random_generators(rng: random.Random, g: GroundSet) -> list:
     """Zero to four generators: weak orders, binary classifiers, and random
-    operators, both topology-backed and table-backed."""
+    operators, built from closed sets and from tables."""
     generators = []
     for _ in range(rng.randrange(0, 5)):
         kind = rng.randrange(4 if g.size > 1 else 3)

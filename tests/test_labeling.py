@@ -11,7 +11,6 @@ from closureops import (
     GroundSet,
     Labeling,
     canonical_labeling,
-    classifier_from_labeling,
     complexity_profile,
     minimal_labeling,
 )
@@ -68,11 +67,6 @@ def test_animals_classifier_closes_menus_by_shared_labels():
     assert f(sub(g, "bc")) == g.full  # no shared label
     assert f(sub(g, "cd")) == g.full
     assert f.closed_sets() == animals_topology()
-
-
-def test_classifier_function_matches_method():
-    lab = animals_labeling()
-    assert classifier_from_labeling(lab) == lab.classifier()
 
 
 def test_unlabeled_elements_collapse_to_the_full_set():
