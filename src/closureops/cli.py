@@ -287,27 +287,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvalidClosureTable as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write(jsonio.validation_doc(exc.report), args.out)
-        return 1
+        payload, code = jsonio.validation_doc(exc.report), 1
     except AxiomsViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write(jsonio.axioms_doc(exc.report), args.out)
-        return 1
+        payload, code = jsonio.axioms_doc(exc.report), 1
     except DoesNotRespect as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write(
-            {"error": str(exc), "witness": jsonio.subset_doc(exc.witness)}, args.out
-        )
-        return 1
+        payload = {"error": str(exc), "witness": jsonio.subset_doc(exc.witness)}
+        code = 1
     except _MATH_FAILURE as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write({"error": str(exc)}, args.out)
-        return 1
+        payload, code = {"error": str(exc)}, 1
     except WitnessVerificationFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        _write({"error": str(exc), "internal": True}, args.out)
-        return 3
-    _write(payload, args.out)
+        payload, code = {"error": str(exc), "internal": True}, 3
+    try:
+        _write(payload, args.out)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

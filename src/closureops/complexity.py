@@ -27,12 +27,12 @@ generation conditions evaluated at the closed sets of f only:
 2. for every nonempty closed A of f, (⋂_i g_i(A)) ∖ A is empty, with g_i(A)
    read from g_i's own closed sets.
 
-Together they prove ⋂_i g_i = f, as the full-table check in
-:func:`~closureops.generators.check_generation` would.  By 1, g_i(A) is closed
-in g_i, hence in f, and contains A, so g_i(A) ⊇ f(A) for every A and
-⋂_i g_i ⊇ f.  By 2 and extensivity, ⋂_i g_i(A) = A at every nonempty closed A.
-Any nonempty B has B ⊆ f(B), a nonempty closed set, so monotonicity of each
-g_i gives ⋂_i g_i(B) ⊆ ⋂_i g_i(f(B)) = f(B); and both sides map ∅ to ∅.  The
+Together they prove ⋂_i g_i = f (:func:`~closureops.generators.check_generation`
+evaluates them and proves the converse).  By 1, g_i(A) is closed in g_i,
+hence in f, and contains A, so g_i(A) ⊇ f(A) for every A and ⋂_i g_i ⊇ f.
+By 2 and extensivity, ⋂_i g_i(A) = A at every nonempty closed A.  Any
+nonempty B has B ⊆ f(B), a nonempty closed set, so monotonicity of each g_i
+gives ⋂_i g_i(B) ⊆ ⋂_i g_i(f(B)) = f(B); and both sides map ∅ to ∅.  The
 check reads |S(f)| images per generator and builds no 2^n table.
 
 :func:`oracle_mnwo` and :func:`oracle_mnbc` recompute both measures by brute
@@ -45,16 +45,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import ClosureOperator, GroundSet, SubsetMask, Topology
 from .errors import GroundSetMismatch, GroundSetTooLarge, WitnessVerificationFailed
-from .generators import (
-    BinaryClassifier,
-    WeakOrder,
-    _generation_witnesses,
-    iter_weak_orders,
-)
+from .generators import BinaryClassifier, WeakOrder, check_generation, iter_weak_orders
 from .poset import FinitePoset
 
 __all__ = [
@@ -132,17 +126,6 @@ class ComplexityProfile:
     irreducibles: IrreducibleSet
 
 
-def _generates_at_closed_sets(
-    topology: Topology, generators: Sequence[ClosureOperator]
-) -> bool:
-    """Whether the generators intersect to the operator of ``topology``,
-    decided by both generation conditions at its closed sets."""
-    condition1, condition2 = _generation_witnesses(
-        topology, generators, [g.closed_sets().closure_bits for g in generators]
-    )
-    return not condition1 and not condition2
-
-
 def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
     """Compute both complexity measures of f together with optimal witnesses.
 
@@ -167,9 +150,9 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
             masks.append(ground.full)
         weak_orders.append(WeakOrder.from_chain(masks))
     binary = tuple(BinaryClassifier(cutoff) for cutoff in irreducibles.b_of_f)
-    if not _generates_at_closed_sets(topology, [w.operator() for w in weak_orders]):
+    if not check_generation(f, [w.operator() for w in weak_orders]).generates:
         raise WitnessVerificationFailed("weak-order witness does not generate f")
-    if not _generates_at_closed_sets(topology, [b.operator() for b in binary]):
+    if not check_generation(f, [b.operator() for b in binary]).generates:
         raise WitnessVerificationFailed("binary witness does not generate f")
     width_s = FinitePoset.from_topology(topology).min_chain_cover().width
     return ComplexityProfile(

@@ -13,12 +13,10 @@ Two families of primitive closure operators generate everything:
   C, and everything else to X, so S(f_C) = {∅, C, X}.
 
 A family g_1, …, g_k *generates* f when f(A) = ⋂_i g_i(A) for every A.
-:func:`check_generation` tests this through two structural conditions — every
-S(g_i) ⊆ S(f), and every x ∉ A ∈ S(f) is excluded by some g_i — and also
-cross-checks the pointwise intersection directly; the two routes always agree,
-and the report keeps them separate so tests can confirm it.  The two
-conditions alone need g_i only at the closed sets of f, which is how
-:func:`~closureops.complexity.complexity_profile` verifies its witnesses.
+:func:`check_generation` decides this through two structural conditions —
+every S(g_i) ⊆ S(f), and every x ∉ A ∈ S(f) is excluded by some g_i — which
+hold exactly when the equation does.  They read g_i only at the closed sets
+of f, so the check builds no 2^n table.
 
 The intersection of an *empty* family is, by the usual convention, the trivial
 operator (∅ ↦ ∅, everything else ↦ X); an empty generator list is therefore
@@ -27,7 +25,7 @@ accepted exactly for the trivial operator.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_
@@ -237,18 +235,6 @@ def _trivial_images(ground: GroundSet) -> tuple[int, ...]:
     return tuple(0 if bits == 0 else full for bits in range(full + 1))
 
 
-def _intersect_tables(
-    ground: GroundSet, tables: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Pointwise intersection of image tables; the trivial images if none."""
-    if not tables:
-        return _trivial_images(ground)
-    images = tables[0]
-    for table in tables[1:]:
-        images = tuple(map(and_, images, table))
-    return images
-
-
 def intersect_generate(
     ground: GroundSet, operators: Sequence[ClosureOperator]
 ) -> ClosureOperator:
@@ -261,7 +247,10 @@ def intersect_generate(
     for g in operators:
         if g.ground != ground:
             raise GroundSetMismatch("generator lives in a different ground set")
-    images = _intersect_tables(ground, [g.tabulate_bits() for g in operators])
+    tables = [g.tabulate_bits() for g in operators]
+    images = tables[0] if tables else _trivial_images(ground)
+    for table in tables[1:]:
+        images = tuple(map(and_, images, table))
     return ClosureOperator._from_images(ground, images)
 
 
@@ -272,9 +261,8 @@ class GenerationReport:
     Condition 1: every closed set of every generator is closed under f.
     Condition 2: for every nonempty closed set A of f and every x ∉ A, some
     generator excludes x from its closure of A.  Both conditions together are
-    equivalent to the pointwise equation; :attr:`pointwise_equal` records the
-    direct check of that equation so the two routes can be compared.  The
-    check tabulates f and each generator once, 2^n images per table.
+    equivalent to the pointwise equation (proof at :func:`check_generation`),
+    so :attr:`pointwise_equal` is set from them.
 
     Attributes:
         condition1_witnesses: pairs (generator position, closed set ∉ S(f)).
@@ -300,62 +288,51 @@ class GenerationReport:
         return self.condition1_ok and self.condition2_ok
 
 
-def _generation_witnesses(
-    topology: Topology,
-    generators: Sequence[ClosureOperator],
-    images: Sequence[Callable[[int], int]],
-) -> tuple[tuple[tuple[int, SubsetMask], ...], tuple[tuple[SubsetMask, str], ...]]:
-    """The witness lists of both conditions against S(f) = ``topology``.
+def check_generation(
+    f: ClosureOperator, generators: Sequence[ClosureOperator]
+) -> GenerationReport:
+    """Test whether the generators intersect to f; see :class:`GenerationReport`.
 
-    ``images[i]`` maps a bit pattern A to g_i(A); it is read only at the
-    nonempty closed sets of f.  Condition 1 lists (i, C) for the closed sets
-    C of g_i outside S(f), by position, then in g_i's canonical order.
-    Condition 2 lists (A, x) for the nonempty closed A of f in canonical
-    order and the elements x of (⋂_i g_i(A)) ∖ A in ground order.
+    Both conditions are read at the closed sets of f only, g_i(A) coming
+    from g_i's own closed sets, so the check reads |S(f)| images per
+    generator.  Condition 1 lists (i, C) for the closed sets C of g_i outside
+    S(f), by position, then in g_i's canonical order.  Condition 2 lists
+    (A, x) for the nonempty closed A of f in canonical order and the elements
+    x of (⋂_i g_i(A)) ∖ A in ground order.
+
+    The conditions hold iff ⋂_i g_i = f.  "If" is proved in
+    :mod:`closureops.complexity`.  "Only if": a closed C of g_i has
+    f(C) = ⋂_j g_j(C) ⊆ g_i(C) = C, so C ∈ S(f); and a nonempty closed A of
+    f has ⋂_i g_i(A) = f(A) = A, so nothing is left to list.
     """
+    ground = f.ground
+    for g in generators:
+        if g.ground != ground:
+            raise GroundSetMismatch("generator lives in a different ground set")
+    topology = f.closed_sets()
     condition1 = tuple(
         (position, closed)
         for position, g in enumerate(generators)
         for closed in g.closed_sets()
         if not topology.contains_bits(closed.bits)
     )
-    ground = topology.ground
+    readers = [g.closed_sets().closure_bits for g in generators]
     condition2: list[tuple[SubsetMask, str]] = []
     for closed in topology:
         if not closed.bits:
             continue
         kept = ground.full_bits
-        for image in images:
+        for image in readers:
             kept &= image(closed.bits)
         kept &= ~closed.bits
         while kept:
             x = kept & -kept
             kept ^= x
             condition2.append((closed, ground.elements[x.bit_length() - 1]))
-    return condition1, tuple(condition2)
-
-
-def check_generation(
-    f: ClosureOperator, generators: Sequence[ClosureOperator]
-) -> GenerationReport:
-    """Test whether the generators intersect to f; see :class:`GenerationReport`.
-
-    f and every generator are tabulated once; the tables serve both the
-    witness lists and the literal pointwise comparison.
-    """
-    ground = f.ground
-    for g in generators:
-        if g.ground != ground:
-            raise GroundSetMismatch("generator lives in a different ground set")
-    f_images = f.tabulate_bits()
-    tables = [g.tabulate_bits() for g in generators]
-    condition1, condition2 = _generation_witnesses(
-        f.closed_sets(), generators, [t.__getitem__ for t in tables]
-    )
     return GenerationReport(
         condition1_witnesses=condition1,
-        condition2_witnesses=condition2,
-        pointwise_equal=_intersect_tables(ground, tables) == f_images,
+        condition2_witnesses=tuple(condition2),
+        pointwise_equal=not condition1 and not condition2,
     )
 
 

@@ -26,10 +26,11 @@ constructs two state-space representations:
   ranking achieved signatures; U(A) ≥ U(B) iff rank σ(A) ≥ rank σ(B).
 
 * :func:`additive_representation` — for any closure operator f the preference
-  respects: Möbius inversion of U over the closed sets under reversed
-  inclusion yields weights h with U(A) = Σ{h(B) : A ⊆ B ∈ S(f)}; splitting
-  h = h⁺ − h⁻ gives 2·(|S(f)|−1) states, each carrying a closed set B and a
-  per-element utility (−weight inside B, 0 outside), whose
+  respects: the superset Möbius transform of U over all menus (Yates's
+  algorithm, O(n·2^n)) yields weights h with U(A) = Σ{h(B) : A ⊆ B}, and h
+  vanishes off S(f) exactly when U respects f; splitting h = h⁺ − h⁻ on the
+  nonempty closed sets gives 2·(|S(f)|−1) states, each carrying a closed set
+  B and a per-element utility (−weight inside B, 0 outside), whose
   sum-of-maxes evaluation reproduces U exactly — in exact rational arithmetic.
 
 Everything is verified at construction; verification failures for
@@ -54,7 +55,6 @@ from .errors import (
     WitnessVerificationFailed,
 )
 from .generators import WeakOrder
-from .poset import FinitePoset
 
 __all__ = [
     "MenuPreference",
@@ -589,22 +589,41 @@ class AdditiveRepresentation:
         return total
 
 
+def _superset_transform(values: list[Fraction], *, inverse: bool) -> list[Fraction]:
+    """The superset zeta transform A ↦ Σ{values[B] : A ⊆ B}, or with
+    ``inverse`` its Möbius inverse, in place over all 2^n menus: one pass per
+    element (Yates), skipping zero terms."""
+    step = 1
+    while step < len(values):
+        for block in range(0, len(values), 2 * step):
+            for a in range(block, block + step):
+                term = values[a + step]
+                if term:
+                    values[a] = values[a] - term if inverse else values[a] + term
+        step *= 2
+    return values
+
+
 def _check_additive_states(
-    reversed_poset: FinitePoset,
-    utilities: Mapping[SubsetMask, Fraction],
+    preference: MenuPreference,
     positive: list[AdditiveState],
     negative: list[AdditiveState],
 ) -> None:
-    """Verify that the states' sum-of-maxes evaluation equals ``utilities`` on
-    every closed set: the down-set sums, under reversed inclusion, of the net
-    weights w⁻ − w⁺ that the paired states carry.  See
-    :func:`additive_representation` for why this covers every menu."""
-    nets = {p.carrier: n.weight - p.weight for p, n in zip(positive, negative)}
-    evaluated = reversed_poset.sum_below(nets)
-    for m, value in utilities.items():
-        if evaluated[m] != value:
+    """Verify that the states' sum-of-maxes evaluation equals U on every
+    nonempty menu, in O(n·2^n).  A state with carrier B and weight w ≥ 0 has
+    max_{a∈A} U(a, s) = −w if A ⊆ B and 0 otherwise, so the evaluation of A
+    is the superset sum at A of the net weights (negative minus positive)."""
+    ground = preference.ground
+    nets = [Fraction(0)] * (ground.full_bits + 1)
+    for state in positive:
+        nets[state.carrier.bits] -= state.weight
+    for state in negative:
+        nets[state.carrier.bits] += state.weight
+    evaluated = _superset_transform(nets, inverse=False)
+    for bits in range(1, ground.full_bits + 1):
+        if evaluated[bits] != preference.values[bits]:
             raise WitnessVerificationFailed(
-                f"additive evaluation differs from U at {m.label()}"
+                f"additive evaluation differs from U at {ground.mask(bits).label()}"
             )
 
 
@@ -614,41 +633,42 @@ def additive_representation(
     """Additive states for a preference that respects f; see
     :class:`AdditiveRepresentation`.
 
-    Möbius inversion runs on the nonempty closed sets under *reversed*
-    inclusion (so supersets lie below), giving weights h with
-    U(A) = Σ{h(B) : A ⊆ B ∈ S(f)}.  Raises :class:`DoesNotRespect` if
-    U(A) ≠ U(f(A)) somewhere.
-
-    That the finished representation reproduces U on every nonempty menu is
-    verified exactly, in O(2^n) plus one down-set sum over the closed sets.
-    A state with carrier B and weight w ≥ 0 has max_{a∈A} U(a, s) = −w if
-    A ⊆ B and 0 otherwise, so the sum-of-maxes evaluation of A is
-    Σ{w⁻(B) − w⁺(B) : A ⊆ B ∈ S(f)}, w⁻ and w⁺ the weights of B's negative
-    and positive states.  B is closed, so A ⊆ B ⟺ f(A) ⊆ B and the
-    evaluation of A is that of f(A).  Hence it suffices that the down-set sums
-    of w⁻ − w⁺, read back from the states, equal U on the closed sets
-    (checked here) and that U(A) = U(f(A)) (checked by :func:`respects`).
+    The weights h are the superset Möbius transform of U (U(∅) taken as 0),
+    so U(A) = Σ{h(B) : A ⊆ B} for every nonempty A; n·2^(n−1) subtractions.
+    h vanishes on the nonempty menus outside S(f) iff U respects f.  If U
+    respects f, U(A) = U(f(A)) sums the Möbius weights over the closed sets
+    B ⊇ f(A), which are the closed B ⊇ A, so by uniqueness of the transform
+    those weights are h.  Conversely, if h vanishes off S(f), U(A) sums h over
+    the closed B ⊇ A, which are the closed B ⊇ f(A), and equals U(f(A)).
+    Otherwise :class:`DoesNotRespect` names the witness :func:`respects`
+    finds.  The finished states are verified against U on every nonempty menu
+    by :func:`_check_additive_states`.
     """
-    ok, witness = respects(preference, f)
-    if not ok:
-        assert witness is not None
-        raise DoesNotRespect(witness)
+    if preference.ground != f.ground:
+        raise GroundSetMismatch("preference and operator use different ground sets")
     ground = preference.ground
-    closed = [m for m in f.closed_sets() if m.bits]
-    reversed_poset = FinitePoset.from_masks(closed).dual()
-    utilities = {m: preference.utility(m) for m in closed}
-    weights = reversed_poset.mobius_invert(utilities)
+    topology = f.closed_sets()
+    weights = _superset_transform([Fraction(0), *preference.values[1:]], inverse=True)
+    if any(
+        weights[bits] and not topology.contains_bits(bits)
+        for bits in range(1, ground.full_bits + 1)
+    ):
+        ok, witness = respects(preference, f)
+        if ok:
+            raise WitnessVerificationFailed("weights off S(f) although U respects f")
+        raise DoesNotRespect(witness)
     positive = []
     negative = []
+    closed = [m for m in topology if m.bits]
     for i, m in enumerate(closed):
-        h = weights[m]
+        h = weights[m.bits]
         positive.append(
             AdditiveState(name=f"p{i + 1}", carrier=m, weight=max(Fraction(0), -h))
         )
         negative.append(
             AdditiveState(name=f"n{i + 1}", carrier=m, weight=max(Fraction(0), h))
         )
-    _check_additive_states(reversed_poset, utilities, positive, negative)
+    _check_additive_states(preference, positive, negative)
     return AdditiveRepresentation(
         ground=ground,
         positive_states=tuple(positive),

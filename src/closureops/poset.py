@@ -1,12 +1,14 @@
 """Finite posets: Hasse diagrams, minimum chain covers, Möbius inversion.
 
-The poset algorithms back two very different consumers: complexity measures
-(width of a family of subsets under inclusion, computed through a minimum chain
-cover) and additive menu representations (Möbius inversion of a utility over a
-reversed inclusion order, in exact rational arithmetic).  Everything is
-deterministic: items keep their construction order, algorithms scan neighbors
-in that order, and all outputs are canonically sorted, so equal inputs produce
-byte-equal outputs.
+The poset algorithms back the complexity measures (width of a family of
+subsets under inclusion, computed through a minimum chain cover) and the
+``hasse`` and ``mobius`` reports on a closed-set lattice; zeta sums and Möbius
+inversion over an arbitrary finite order are exact, in rational arithmetic.
+(Additive menu representations need these only over the Boolean lattice of
+all menus, where :mod:`closureops.menus` runs Yates's transform instead.)
+Everything is deterministic: items keep their construction order, algorithms
+scan neighbors in that order, and all outputs are canonically sorted, so
+equal inputs produce byte-equal outputs.
 
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in

@@ -495,6 +495,16 @@ def oracle_additive_ok(
     )
 
 
+def oracle_additive_weights(
+    preference: MenuPreference, f: ClosureOperator
+) -> dict[SubsetMask, Fraction]:
+    """The weights h with U(A) = Σ{h(B) : A ⊆ B ∈ S(f)}, by Möbius inversion
+    over the nonempty closed sets under reversed inclusion (O(|S|²))."""
+    closed = [m for m in f.closed_sets() if m.bits]
+    reversed_poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
+    return reversed_poset.mobius_invert({m: preference.utility(m) for m in closed})
+
+
 def iter_topologies(g: GroundSet):
     """Every intersection-closed family containing ∅ and X (small grounds only)."""
     assert g.size <= 4, "enumeration is doubly exponential in the ground size"

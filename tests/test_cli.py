@@ -487,6 +487,24 @@ def test_out_flag_also_captures_failure_reports(tmp_path, capsys):
     assert json.loads(target.read_text(encoding="utf-8"))["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["complexity", "--topology"], topology_doc(fork_topology())),
+        (["validate", "--table"], BROKEN_TABLE),
+    ],
+    ids=["success", "math-failure"],
+)
+def test_out_flag_to_an_unwritable_path_is_malformed(tmp_path, capsys, argv, doc):
+    src = _write(tmp_path, "t.json", doc)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _run(capsys, "--out", str(target), *argv, src)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: cannot write the report:")
+    assert not target.parent.exists()
+
+
 # ------------------------------------------------------------ large ground sets
 
 

@@ -1,5 +1,6 @@
 """Ground sets, subset masks, topologies, validation, and operators."""
 
+import json
 import random
 
 import pytest
@@ -20,9 +21,12 @@ from closureops import (
     NotClosed,
     NotIntersectionClosed,
     Topology,
+    check_generation,
     complexity_profile,
     validate_closure,
 )
+from closureops.cli import main
+from closureops.jsonio import topology_doc
 from conftest import (
     ABCD,
     animals_labeling,
@@ -456,11 +460,20 @@ def test_operator_from_images_keeps_them(monkeypatch):
 
 
 @pytest.mark.parametrize("family, n", [("chain", 18), ("crown", 16)])
-def test_complexity_profile_builds_no_image_table(monkeypatch, family, n):
+def test_complexity_profile_builds_no_image_table(
+    monkeypatch, tmp_path, capsys, family, n
+):
     bits = chain_bits(random.Random(n), n) if family == "chain" else crown_bits(n)
-    f = Topology.from_bits(GroundSet(tuple(f"e{i}" for i in range(n))), bits).operator()
+    topology = Topology.from_bits(GroundSet(tuple(f"e{i}" for i in range(n))), bits)
+    f = topology.operator()
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(topology_doc(topology)), encoding="utf-8")
     taken = _count_methods(monkeypatch)
     profile = complexity_profile(f)
+    for witness in (profile.weak_order_witness, profile.binary_witness):
+        assert check_generation(f, [w.operator() for w in witness]).pointwise_equal
+    assert main(["decompose", "--topology", str(path), "--kind", "binary"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == profile.mnbc
     assert taken == {"fill": 0, "dp": 0}
     if family == "chain":
         assert (profile.mnwo, profile.mnbc) == (1, len(bits) - 2)

@@ -14,7 +14,6 @@ from closureops import (
     AdditiveState,
     AxiomsViolated,
     DoesNotRespect,
-    FinitePoset,
     GroundSetMismatch,
     Labeling,
     MenuPreference,
@@ -39,6 +38,7 @@ from conftest import (
     bob_preference,
     ground,
     oracle_additive_ok,
+    oracle_additive_weights,
     oracle_axioms,
     oracle_kreps_consequences,
     oracle_ranks_ok,
@@ -282,6 +282,9 @@ def test_additive_requires_a_respected_operator():
     with pytest.raises(DoesNotRespect) as err:
         additive_representation(alice_preference(), trivial)
     assert err.value.witness == sub(g, "y")
+    foreign = topo(ground("ab"), "", "ab").operator()
+    with pytest.raises(GroundSetMismatch):
+        additive_representation(alice_preference(), foreign)
 
 
 def test_additive_on_random_respecting_pairs():
@@ -462,16 +465,84 @@ def test_additive_check_matches_literal_evaluation():
         if change == 2:
             q = negative[i]
             negative[i] = AdditiveState(q.name, q.carrier, q.weight + shift)
-        closed = [m for m in f.closed_sets() if m.bits]
-        poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
-        utilities = {m: pref.utility(m) for m in closed}
         expected = oracle_additive_ok(
             pref, AdditiveRepresentation(g, tuple(positive), tuple(negative))
         )
-        passes = _passes(_check_additive_states, poset, utilities, positive, negative)
+        passes = _passes(_check_additive_states, pref, positive, negative)
         assert passes == expected
         outcomes[expected] += 1
     assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+def _weights(rep: AdditiveRepresentation) -> dict:
+    """h(B) = w⁻(B) − w⁺(B), read back from the paired states."""
+    return {
+        p.carrier: n.weight - p.weight
+        for p, n in zip(rep.positive_states, rep.negative_states)
+    }
+
+
+def test_additive_weights_match_the_reversed_poset_oracle():
+    for seed in range(80):
+        rng = random.Random(seed)
+        g = ground("abcdef"[: rng.randint(1, 6)])
+        f = random_operator(rng, g)
+        pref = respecting_preference(rng, f)
+        rep = additive_representation(pref, f)
+        assert _weights(rep) == oracle_additive_weights(pref, f)
+        assert [p.carrier for p in rep.positive_states] == [
+            m for m in f.closed_sets() if m
+        ]
+
+
+def test_additive_rejection_names_the_witness_of_respects():
+    outcomes = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        g = ground("abcdef"[: rng.randint(2, 6)])
+        f = random_operator(rng, g)
+        values = list(respecting_preference(rng, f).values)
+        if rng.random() < 0.7:
+            values[rng.randrange(1, g.full_bits + 1)] += rng.choice((-1, 1))
+        pref = MenuPreference(g, tuple(values))
+        ok, witness = respects(pref, f)
+        if ok:
+            additive_representation(pref, f)
+        else:
+            with pytest.raises(DoesNotRespect) as err:
+                additive_representation(pref, f)
+            assert err.value.witness == witness
+        outcomes[ok] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def _menu_size_preference(n: int) -> MenuPreference:
+    """U(A) = |A|: every menu is its own closure, so |S(f)| = 2^n."""
+    g = ground("abcdefghijkl"[:n])
+    return MenuPreference(
+        g, (None, *(Fraction(bits.bit_count()) for bits in range(1, g.full_bits + 1)))
+    )
+
+
+def test_additive_weights_match_the_oracle_when_every_menu_is_closed():
+    pref = _menu_size_preference(8)
+    f = kreps_operator(pref)
+    assert len(f.closed_sets()) == 2**8
+    assert _weights(additive_representation(pref, f)) == oracle_additive_weights(
+        pref, f
+    )
+
+
+def test_additive_on_twelve_elements_when_every_menu_is_closed():
+    # The reversed-poset route is quadratic in |S(f)| = 4096 here.
+    pref = _menu_size_preference(12)
+    g = pref.ground
+    rep = additive_representation(pref, kreps_operator(pref))
+    assert rep.state_count == 2 * (2**12 - 1)
+    rng = random.Random(12)
+    for _ in range(8):
+        menu = g.mask(rng.randrange(1, g.full_bits + 1))
+        assert rep.evaluate(menu) == pref.utility(menu)
 
 
 # ------------------------------------------------------------ large menus
