@@ -16,7 +16,9 @@ and exits with:
   document.
 
 Diagnostics go to stderr; stdout carries only the report.  Output is
-deterministic: equal inputs produce byte-equal output.
+deterministic: equal inputs produce byte-equal output.  A JSON report is the
+text of ``json.dumps(report, indent=2, ensure_ascii=False)`` plus a newline,
+rendered by :mod:`closureops.jsonio` without building the document.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _operator_from_path(path: str) -> ClosureOperator:
     )
 
 
-def _run_validate(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
     ground, table = jsonio.operator_table_from(_load(args.table))
     report = validate_closure(ground, table)
     if not report.ok:
@@ -109,7 +111,7 @@ def _run_validate(args: argparse.Namespace) -> tuple[Any, int]:
     return jsonio.validation_doc(report), 0 if report.ok else 1
 
 
-def _run_topology(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_topology(args: argparse.Namespace) -> tuple[str, int]:
     if args.from_table:
         ground, table = jsonio.operator_table_from(_load(args.from_table))
         operator = ClosureOperator.from_table(ground, table)
@@ -125,80 +127,73 @@ def _run_topology(args: argparse.Namespace) -> tuple[Any, int]:
     return jsonio.topology_doc(operator.closed_sets()), 0
 
 
-def _run_complexity(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_complexity(args: argparse.Namespace) -> tuple[str, int]:
     operator = jsonio.topology_from(_load(args.topology)).operator()
     return jsonio.profile_doc(complexity_profile(operator)), 0
 
 
-def _run_decompose(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_decompose(args: argparse.Namespace) -> tuple[str, int]:
     operator = jsonio.topology_from(_load(args.topology)).operator()
     profile = complexity_profile(operator)
     if args.kind == "weak-orders":
         generators = profile.weak_order_witness
-        documents = [jsonio.weak_order_doc(w) for w in generators]
     else:
         generators = profile.binary_witness
-        documents = [jsonio.binary_doc(b) for b in generators]
     report = check_generation(operator, [g.operator() for g in generators])
-    return {
-        "elements": list(operator.ground.elements),
-        "kind": args.kind,
-        "count": len(documents),
-        "generators": documents,
-        "verification": jsonio.generation_doc(report),
-    }, 0
+    return jsonio.decomposition_doc(operator.ground, args.kind, generators, report), 0
 
 
-def _run_labels(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_labels(args: argparse.Namespace) -> tuple[str, int]:
     operator = jsonio.topology_from(_load(args.topology)).operator()
     labeling = minimal_labeling(operator) if args.minimal else canonical_labeling(operator)
     return jsonio.labeling_doc(labeling), 0
 
 
-def _run_menu_rep(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_menu_rep(args: argparse.Namespace) -> tuple[str, int]:
     preference = jsonio.preference_from(_load(args.preference))
     menus_checked = preference.ground.full_bits
     if args.style == "kreps":
         if args.operator:
             raise SchemaError("--operator only applies to --style additive")
         representation = kreps_representation(preference)
-        document = jsonio.kreps_doc(representation)
-        document["verification"] = {
+        verification = {
             "axioms_ok": True,
             "signature_sound": True,
             "represents_preference": True,
             "menus_checked": menus_checked,
         }
-        return document, 0
+        document = jsonio.kreps_doc(representation)
+        return jsonio.verified_doc(document, jsonio.flat_doc(verification)), 0
     if args.operator:
         operator = _operator_from_path(args.operator)
     else:
         operator = kreps_operator(preference)
     representation = additive_representation(preference, operator)
-    document = jsonio.additive_doc(representation)
-    document["verification"] = {
+    verification = {
         "respects_operator": True,
         "exact_reproduction": True,
         "menus_checked": menus_checked,
     }
-    return document, 0
+    document = jsonio.additive_doc(representation)
+    return jsonio.verified_doc(document, jsonio.flat_doc(verification)), 0
 
 
-def _run_mobius(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_mobius(args: argparse.Namespace) -> tuple[str, int]:
     topology = jsonio.topology_from(_load(args.topology))
     table = FinitePoset.from_topology(topology).mobius()
     return jsonio.mobius_doc(topology, table), 0
 
 
-def _run_hasse(args: argparse.Namespace) -> tuple[Any, int]:
+def _run_hasse(args: argparse.Namespace) -> tuple[str, int]:
     topology = jsonio.topology_from(_load(args.topology))
     poset = FinitePoset.from_topology(topology)
     if args.dot:
-        return to_dot(poset), 0
+        return to_dot(poset).removesuffix("\n"), 0  # _write adds the last newline
     return jsonio.hasse_doc(topology, poset.hasse()), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``closureops`` command line."""
     parser = argparse.ArgumentParser(
         prog="closureops",
         description="Finite closure operators: validation, topologies, "
@@ -259,11 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(payload: Any, out: str | None) -> None:
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+def _write(report: str, out: str | None) -> None:
+    text = report + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -271,11 +263,18 @@ def _write(payload: Any, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser per process, built on the first call rather than at import;
+    # argparse keeps no state from one parse to the next.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        payload, code = args.run(args)
+        report, code = args.run(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
@@ -287,22 +286,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvalidClosureTable as exc:
         print(f"error: {exc}", file=sys.stderr)
-        payload, code = jsonio.validation_doc(exc.report), 1
+        report, code = jsonio.validation_doc(exc.report), 1
     except AxiomsViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
-        payload, code = jsonio.axioms_doc(exc.report), 1
+        report, code = jsonio.axioms_doc(exc.report), 1
     except DoesNotRespect as exc:
         print(f"error: {exc}", file=sys.stderr)
-        payload = {"error": str(exc), "witness": jsonio.subset_doc(exc.witness)}
+        report = jsonio.flat_doc({"error": str(exc), "witness": exc.witness})
         code = 1
     except _MATH_FAILURE as exc:
         print(f"error: {exc}", file=sys.stderr)
-        payload, code = {"error": str(exc)}, 1
+        report, code = jsonio.flat_doc({"error": str(exc)}), 1
     except WitnessVerificationFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        payload, code = {"error": str(exc), "internal": True}, 3
+        report, code = jsonio.flat_doc({"error": str(exc), "internal": True}), 3
     try:
-        _write(payload, args.out)
+        _write(report, args.out)
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2

@@ -24,13 +24,24 @@ Formats (subsets are always arrays of element names, in ground-set order):
 Utilities are exact rationals: JSON strings (``"3/2"``, ``"1.5"``) or integers.
 Floats are rejected — binary floating point is not exact.
 
-Emitters return plain dicts/lists with deterministic key and element order,
-so serializing equal values yields byte-equal JSON.
+Element and label names must be encodable as UTF-8: a lone surrogate, which
+JSON's ``\\ud800`` escape can carry, is a :class:`SchemaError`.
+
+Emitters (``*_doc``) return the report as text, byte-identical to
+``json.dumps(doc, indent=2, ensure_ascii=False)`` of the document they
+describe, with deterministic key and element order, so equal values yield
+byte-equal reports.  They render straight to text instead of building the
+document: each element name is escaped once per report, each subset's name
+array once per indentation depth, and each object from a ``%``-template of
+its fixed keys.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring as _string
 from typing import Any
 
 from .complexity import ComplexityProfile
@@ -75,6 +86,9 @@ __all__ = [
     "additive_doc",
     "mobius_doc",
     "hasse_doc",
+    "decomposition_doc",
+    "flat_doc",
+    "verified_doc",
     "fraction_str",
     "fraction_from",
     "MAX_RATIONAL_DIGITS",
@@ -100,6 +114,17 @@ def _name_list(value: Any, what: str) -> list[str]:
     names = _require_list(value, what)
     for name in names:
         _require(isinstance(name, str), f"{what} must contain strings")
+    return names
+
+
+def _encodable(names: list[str], what: str) -> list[str]:
+    """The names, if UTF-8 can encode every one (no lone surrogates), so a
+    report naming them can be written."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{what} must be encodable as UTF-8, got {name!r}") from None
     return names
 
 
@@ -154,7 +179,7 @@ def fraction_from(value: Any, what: str) -> Fraction:
 def ground_from(doc: Any) -> GroundSet:
     doc = _require_dict(doc, "ground set document")
     _require("elements" in doc, 'ground set document needs an "elements" array')
-    names = _name_list(doc["elements"], '"elements"')
+    names = _encodable(_name_list(doc["elements"], '"elements"'), '"elements"')
     try:
         return GroundSet(tuple(names))
     except ValueError as exc:
@@ -234,7 +259,7 @@ def labeling_from(doc: Any) -> Labeling:
     doc = _require_dict(doc, "labeling document")
     _require("labels" in doc, 'labeling document needs a "labels" array')
     _require("phi" in doc, 'labeling document needs a "phi" object')
-    labels = _name_list(doc["labels"], '"labels"')
+    labels = _encodable(_name_list(doc["labels"], '"labels"'), '"labels"')
     phi = _require_dict(doc["phi"], '"phi"')
     if "elements" in doc:
         element_names = _name_list(doc["elements"], '"elements"')
@@ -244,6 +269,7 @@ def labeling_from(doc: Any) -> Labeling:
         )
     else:
         element_names = list(phi)
+    _encodable(element_names, "element names")
     try:
         ground = GroundSet(tuple(element_names))
     except ValueError as exc:
@@ -284,169 +310,331 @@ def preference_from(doc: Any) -> MenuPreference:
 
 
 # ---------------------------------------------------------------- emitting
+#
+# Every emitter returns the text ``json.dumps(doc, indent=2,
+# ensure_ascii=False)`` would give for its document, built directly: a value
+# whose opening bracket sits at indentation depth d has its members on lines
+# indented d + 1 levels and its closing bracket on a line indented d levels.
 
 
-def subset_doc(mask: SubsetMask) -> list[str]:
-    return list(mask.members())
+def _block(opening: str, items: list[str], closing: str, depth: int) -> str:
+    """Items already rendered at ``depth + 1``, in brackets opening at ``depth``."""
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
 
 
-def topology_doc(topology: Topology) -> dict:
-    return {
-        "elements": list(topology.ground.elements),
-        "closed_sets": [subset_doc(m) for m in topology.closed],
-    }
+def _array(items: list[str], depth: int) -> str:
+    return _block("[", items, "]", depth)
 
 
-def validation_doc(report: ValidationReport) -> dict:
-    return {
-        "elements": list(report.ground.elements),
-        "ok": report.ok,
-        "fixes_empty": report.fixes_empty,
-        "violations": {
-            "extensivity": [subset_doc(m) for m in report.extensivity],
-            "idempotence": [subset_doc(m) for m in report.idempotence],
-            "monotonicity": [
-                {"lower": subset_doc(a), "upper": subset_doc(b)}
-                for a, b in report.monotonicity
+def _object(fields: list[tuple[str, str]], depth: int) -> str:
+    """An object from (escaped key, rendered value) pairs."""
+    return _block("{", [key + ": " + value for key, value in fields], "}", depth)
+
+
+@functools.cache
+def _template(keys: tuple[str, ...], depth: int) -> str:
+    """``%``-template of an object with these keys opening at ``depth``; each
+    ``%s`` takes a value rendered at ``depth + 1``.  Keys are fixed field
+    names, never data, so they hold no ``%``."""
+    return _object([(_string(key), "%s") for key in keys], depth)
+
+
+def _nest(text: str, depth: int) -> str:
+    """A document rendered at depth 0, re-indented to open at ``depth``.
+
+    Exact because rendered strings escape every newline they hold."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _strings(values: Iterable[str], depth: int) -> str:
+    return _array([_string(value) for value in values], depth)
+
+
+def _ints(values: Iterable[int], depth: int) -> str:
+    return _array([str(value) for value in values], depth)
+
+
+_BOOL = ("false", "true")
+
+
+def _scalar(value: bool | int | str) -> str:
+    if isinstance(value, bool):
+        return _BOOL[value]
+    if isinstance(value, int):
+        return str(value)
+    return _string(value)
+
+
+class _Writer:
+    """Renders the subsets of one report over one ground set: each element
+    name is escaped once, and each subset's name array once per depth."""
+
+    __slots__ = ("names", "_arrays")
+
+    def __init__(self, ground: GroundSet | None = None) -> None:
+        # Without a ground set, the names come from the first subset rendered.
+        self.names = None if ground is None else [_string(name) for name in ground]
+        self._arrays: dict[tuple[int, int], str] = {}
+
+    def elements(self, depth: int) -> str:
+        return _array(self.names, depth)
+
+    def subset(self, mask: SubsetMask, depth: int) -> str:
+        key = (mask.bits, depth)
+        text = self._arrays.get(key)
+        if text is None:
+            if self.names is None:
+                self.names = [_string(name) for name in mask.ground]
+            bits = mask.bits
+            members = [name for i, name in enumerate(self.names) if bits >> i & 1]
+            text = self._arrays[key] = _array(members, depth)
+        return text
+
+    def subsets(self, masks: Iterable[SubsetMask], depth: int) -> str:
+        return _array([self.subset(mask, depth + 1) for mask in masks], depth)
+
+    def weak_order(self, order: WeakOrder, depth: int) -> str:
+        return _template(("classes_worst_first",), depth) % self.subsets(
+            order.classes, depth + 1
+        )
+
+    def binary(self, classifier: BinaryClassifier, depth: int) -> str:
+        return _template(("cutoff",), depth) % self.subset(classifier.cutoff, depth + 1)
+
+
+def subset_doc(mask: SubsetMask) -> str:
+    """A subset: the array of its member names, in ground-set order."""
+    return _Writer(mask.ground).subset(mask, 0)
+
+
+def topology_doc(topology: Topology) -> str:
+    writer = _Writer(topology.ground)
+    return _template(("elements", "closed_sets"), 0) % (
+        writer.elements(1),
+        writer.subsets(topology.closed, 1),
+    )
+
+
+def validation_doc(report: ValidationReport) -> str:
+    writer = _Writer(report.ground)
+    subset = writer.subset
+    pair = _template(("lower", "upper"), 3)
+    violations = _template(("extensivity", "idempotence", "monotonicity"), 1) % (
+        writer.subsets(report.extensivity, 2),
+        writer.subsets(report.idempotence, 2),
+        _array([pair % (subset(a, 4), subset(b, 4)) for a, b in report.monotonicity], 2),
+    )
+    return _template(("elements", "ok", "fixes_empty", "violations", "summary"), 0) % (
+        writer.elements(1),
+        _BOOL[report.ok],
+        _BOOL[report.fixes_empty],
+        violations,
+        _strings(report.summary(), 1),
+    )
+
+
+def weak_order_doc(order: WeakOrder) -> str:
+    return _Writer(order.ground).weak_order(order, 0)
+
+
+def binary_doc(classifier: BinaryClassifier) -> str:
+    return _Writer(classifier.cutoff.ground).binary(classifier, 0)
+
+
+def profile_doc(profile: ComplexityProfile) -> str:
+    writer = _Writer(profile.irreducibles.topology.ground)
+    keys = ("elements", "class_count", "depth_s", "width_s", "mnwo", "mnbc",
+            "p_of_f", "b_of_f", "weak_order_witness", "binary_witness")
+    return _template(keys, 0) % (
+        writer.elements(1),
+        profile.class_count,
+        profile.depth_s,
+        profile.width_s,
+        profile.mnwo,
+        profile.mnbc,
+        writer.subsets(profile.irreducibles.p_of_f, 1),
+        writer.subsets(profile.irreducibles.b_of_f, 1),
+        _array([writer.weak_order(w, 2) for w in profile.weak_order_witness], 1),
+        _array([writer.binary(b, 2) for b in profile.binary_witness], 1),
+    )
+
+
+def generation_doc(report: GenerationReport) -> str:
+    subset = _Writer().subset
+    first = _template(("generator", "closed_set"), 2)
+    second = _template(("closed_set", "element"), 2)
+    keys = ("generates", "condition1_ok", "condition1_witnesses", "condition2_ok",
+            "condition2_witnesses", "pointwise_equal")
+    return _template(keys, 0) % (
+        _BOOL[report.generates],
+        _BOOL[report.condition1_ok],
+        _array([first % (i, subset(m, 3)) for i, m in report.condition1_witnesses], 1),
+        _BOOL[report.condition2_ok],
+        _array(
+            [second % (subset(m, 3), _string(x)) for m, x in report.condition2_witnesses],
+            1,
+        ),
+        _BOOL[report.pointwise_equal],
+    )
+
+
+def labeling_doc(labeling: Labeling) -> str:
+    writer = _Writer(labeling.ground)
+    labels = [_string(label) for label in labeling.labels]
+    phi = [
+        (name, _array([labels[i] for i in sorted(indices)], 2))
+        for name, indices in zip(writer.names, labeling.phi)
+    ]
+    return _template(("elements", "labels", "phi"), 0) % (
+        writer.elements(1),
+        _array(labels, 1),
+        _object(phi, 1),
+    )
+
+
+def axioms_doc(report: AxiomReport) -> str:
+    subset = _Writer().subset
+    pair = _template(("menu", "submenu"), 2)
+    triple = _template(("a", "b", "c"), 2)
+    keys = ("ok", "flexibility_ok", "flexibility_witnesses", "submodularity_ok",
+            "submodularity_witnesses", "summary")
+    return _template(keys, 0) % (
+        _BOOL[report.ok],
+        _BOOL[report.flexibility_ok],
+        _array([pair % (subset(a, 3), subset(b, 3)) for a, b in report.flexibility_witnesses], 1),
+        _BOOL[report.submodularity_ok],
+        _array(
+            [
+                triple % (subset(a, 3), subset(b, 3), subset(c, 3))
+                for a, b, c in report.submodularity_witnesses
             ],
-        },
-        "summary": report.summary(),
-    }
+            1,
+        ),
+        _strings(report.summary(), 1),
+    )
 
 
-def weak_order_doc(order: WeakOrder) -> dict:
-    return {"classes_worst_first": [subset_doc(c) for c in order.classes]}
-
-
-def binary_doc(classifier: BinaryClassifier) -> dict:
-    return {"cutoff": subset_doc(classifier.cutoff)}
-
-
-def profile_doc(profile: ComplexityProfile) -> dict:
-    ground = profile.irreducibles.topology.ground
-    return {
-        "elements": list(ground.elements),
-        "class_count": profile.class_count,
-        "depth_s": profile.depth_s,
-        "width_s": profile.width_s,
-        "mnwo": profile.mnwo,
-        "mnbc": profile.mnbc,
-        "p_of_f": [subset_doc(m) for m in profile.irreducibles.p_of_f],
-        "b_of_f": [subset_doc(m) for m in profile.irreducibles.b_of_f],
-        "weak_order_witness": [weak_order_doc(w) for w in profile.weak_order_witness],
-        "binary_witness": [binary_doc(b) for b in profile.binary_witness],
-    }
-
-
-def generation_doc(report: GenerationReport) -> dict:
-    return {
-        "generates": report.generates,
-        "condition1_ok": report.condition1_ok,
-        "condition1_witnesses": [
-            {"generator": position, "closed_set": subset_doc(m)}
-            for position, m in report.condition1_witnesses
-        ],
-        "condition2_ok": report.condition2_ok,
-        "condition2_witnesses": [
-            {"closed_set": subset_doc(m), "element": name}
-            for m, name in report.condition2_witnesses
-        ],
-        "pointwise_equal": report.pointwise_equal,
-    }
-
-
-def labeling_doc(labeling: Labeling) -> dict:
-    return {
-        "elements": list(labeling.ground.elements),
-        "labels": list(labeling.labels),
-        "phi": {
-            element: list(labeling.label_set(element))
-            for element in labeling.ground
-        },
-    }
-
-
-def axioms_doc(report: AxiomReport) -> dict:
-    return {
-        "ok": report.ok,
-        "flexibility_ok": report.flexibility_ok,
-        "flexibility_witnesses": [
-            {"menu": subset_doc(a), "submenu": subset_doc(b)}
-            for a, b in report.flexibility_witnesses
-        ],
-        "submodularity_ok": report.submodularity_ok,
-        "submodularity_witnesses": [
-            {"a": subset_doc(a), "b": subset_doc(b), "c": subset_doc(c)}
-            for a, b, c in report.submodularity_witnesses
-        ],
-        "summary": report.summary(),
-    }
-
-
-def kreps_doc(representation: KrepsRepresentation) -> dict:
-    ground = representation.ground
+def kreps_doc(representation: KrepsRepresentation) -> str:
+    writer = _Writer(representation.ground)
+    count = representation.state_count
+    state = _template(("state", "classes_worst_first"), 2)
+    entry = _template(("signature", "rank"), 2)
     aggregator = sorted(
         representation.ranks.items(), key=lambda item: (item[1], item[0])
     )
-    return {
-        "elements": list(ground.elements),
-        "style": "kreps",
-        "state_count": representation.state_count,
-        "states": [
-            {"state": f"s{i + 1}", **weak_order_doc(order)}
-            for i, order in enumerate(representation.states)
-        ],
-        "state_utilities": {
-            element: [
-                representation.state_utility(element, s)
-                for s in range(representation.state_count)
-            ]
-            for element in ground
-        },
-        "aggregator": [
-            {"signature": list(signature), "rank": rank}
-            for signature, rank in aggregator
-        ],
-    }
+    utilities = [
+        (name, _ints([representation.state_utility(element, s) for s in range(count)], 2))
+        for name, element in zip(writer.names, representation.ground)
+    ]
+    keys = ("elements", "style", "state_count", "states", "state_utilities", "aggregator")
+    return _template(keys, 0) % (
+        writer.elements(1),
+        _string("kreps"),
+        count,
+        _array(
+            [
+                state % (_string(f"s{i + 1}"), writer.subsets(order.classes, 3))
+                for i, order in enumerate(representation.states)
+            ],
+            1,
+        ),
+        _object(utilities, 1),
+        _array([entry % (_ints(sig, 3), rank) for sig, rank in aggregator], 1),
+    )
 
 
-def additive_doc(representation: AdditiveRepresentation) -> dict:
-    def states(side: tuple) -> list[dict]:
-        return [
-            {
-                "state": state.name,
-                "closed_set": subset_doc(state.carrier),
-                "weight": fraction_str(state.weight),
-            }
-            for state in side
-        ]
+def additive_doc(representation: AdditiveRepresentation) -> str:
+    writer = _Writer(representation.ground)
+    state = _template(("state", "closed_set", "weight"), 2)
 
-    return {
-        "elements": list(representation.ground.elements),
-        "style": "additive",
-        "state_count": representation.state_count,
-        "positive_states": states(representation.positive_states),
-        "negative_states": states(representation.negative_states),
-    }
+    def states(side: tuple) -> str:
+        return _array(
+            [
+                state % (
+                    _string(s.name),
+                    writer.subset(s.carrier, 3),
+                    _string(fraction_str(s.weight)),
+                )
+                for s in side
+            ],
+            1,
+        )
+
+    keys = ("elements", "style", "state_count", "positive_states", "negative_states")
+    return _template(keys, 0) % (
+        writer.elements(1),
+        _string("additive"),
+        representation.state_count,
+        states(representation.positive_states),
+        states(representation.negative_states),
+    )
 
 
-def mobius_doc(topology: Topology, table: MobiusTable) -> dict:
-    return {
-        "elements": list(topology.ground.elements),
-        "closed_sets": [subset_doc(m) for m in topology.closed],
-        "entries": [
-            {"from": subset_doc(x), "to": subset_doc(y), "mu": value}
-            for x, y, value in table.pairs()
-        ],
-    }
+def mobius_doc(topology: Topology, table: MobiusTable) -> str:
+    writer = _Writer(topology.ground)
+    subset = writer.subset
+    entry = _template(("from", "to", "mu"), 2)
+    return _template(("elements", "closed_sets", "entries"), 0) % (
+        writer.elements(1),
+        writer.subsets(topology.closed, 1),
+        _array([entry % (subset(x, 3), subset(y, 3), mu) for x, y, mu in table.pairs()], 1),
+    )
 
 
 def hasse_doc(
     topology: Topology, covers: tuple[tuple[SubsetMask, SubsetMask], ...]
-) -> dict:
-    return {
-        "elements": list(topology.ground.elements),
-        "edges": [
-            {"lower": subset_doc(a), "upper": subset_doc(b)} for a, b in covers
+) -> str:
+    writer = _Writer(topology.ground)
+    subset = writer.subset
+    edge = _template(("lower", "upper"), 2)
+    return _template(("elements", "edges"), 0) % (
+        writer.elements(1),
+        _array([edge % (subset(a, 3), subset(b, 3)) for a, b in covers], 1),
+    )
+
+
+def decomposition_doc(
+    ground: GroundSet,
+    kind: str,
+    generators: Sequence[WeakOrder | BinaryClassifier],
+    report: GenerationReport,
+) -> str:
+    """The generators of a decomposition, each as its own document, with the
+    :func:`generation_doc` of their check as the ``verification`` block."""
+    documents = [
+        weak_order_doc(g) if isinstance(g, WeakOrder) else binary_doc(g)
+        for g in generators
+    ]
+    base = _template(("elements", "kind", "count", "generators"), 0) % (
+        _Writer(ground).elements(1),
+        _string(kind),
+        len(documents),
+        _array([_nest(document, 2) for document in documents], 1),
+    )
+    return verified_doc(base, generation_doc(report))
+
+
+def flat_doc(fields: Mapping[str, bool | int | str | SubsetMask]) -> str:
+    """An object of booleans, integers, strings and subsets, in the given key
+    order: the error documents and the ``menu-rep`` verification blocks."""
+    return _object(
+        [
+            (
+                _string(key),
+                _nest(subset_doc(value), 1)
+                if isinstance(value, SubsetMask)
+                else _scalar(value),
+            )
+            for key, value in fields.items()
         ],
-    }
+        0,
+    )
+
+
+def verified_doc(document: str, verification: str) -> str:
+    """A report object with the document ``verification`` appended to it as
+    its last field, ``"verification"``."""
+    return document[:-2] + ',\n  "verification": ' + _nest(verification, 1) + "\n}"

@@ -580,12 +580,20 @@ class AdditiveRepresentation:
             raise GroundSetMismatch("menu lives in a different ground set")
         if not menu:
             raise ValueError("the empty menu is outside the representation")
-        names = menu.members()
-        total = Fraction(0)
+        members = [i for i in range(self.ground.size) if menu.bits >> i & 1]
+        zero = Fraction(0)
+
+        def best(state: AdditiveState) -> Fraction:
+            # max over the members of U(a, s): −weight inside the carrier, 0 outside
+            inside, outside = -state.weight, zero
+            carrier = state.carrier.bits
+            return max(inside if carrier >> i & 1 else outside for i in members)
+
+        total = zero
         for state in self.positive_states:
-            total += max(state.utility(a) for a in names)
+            total += best(state)
         for state in self.negative_states:
-            total -= max(state.utility(a) for a in names)
+            total -= best(state)
         return total
 
 

@@ -17,13 +17,17 @@ from closureops import (
     AxiomReport,
     BinaryClassifier,
     ClosureOperator,
+    ComplexityProfile,
     FinitePoset,
     GenerationReport,
     GroundSet,
+    KrepsRepresentation,
     Labeling,
     MenuPreference,
+    MobiusTable,
     SubsetMask,
     Topology,
+    ValidationReport,
     WeakOrder,
 )
 
@@ -503,6 +507,219 @@ def oracle_additive_weights(
     closed = [m for m in f.closed_sets() if m.bits]
     reversed_poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
     return reversed_poset.mobius_invert({m: preference.utility(m) for m in closed})
+
+
+def oracle_evaluate(
+    representation: AdditiveRepresentation, menu: SubsetMask
+) -> Fraction:
+    """Sum-of-maxes evaluation through each state's named utility."""
+    names = menu.members()
+    total = Fraction(0)
+    for state in representation.positive_states:
+        total += max(state.utility(a) for a in names)
+    for state in representation.negative_states:
+        total -= max(state.utility(a) for a in names)
+    return total
+
+
+# ---------------------------------------------- report documents as dicts
+#
+# The documents the ``jsonio`` emitters describe, built as plain dicts and
+# lists: ``json.dumps(oracle_*_doc(x), indent=2, ensure_ascii=False)`` is the
+# text the matching ``*_doc`` must return.
+
+
+def oracle_subset_doc(mask: SubsetMask) -> list[str]:
+    return list(mask.members())
+
+
+def oracle_topology_doc(topology: Topology) -> dict:
+    return {
+        "elements": list(topology.ground.elements),
+        "closed_sets": [oracle_subset_doc(m) for m in topology.closed],
+    }
+
+
+def oracle_validation_doc(report: ValidationReport) -> dict:
+    return {
+        "elements": list(report.ground.elements),
+        "ok": report.ok,
+        "fixes_empty": report.fixes_empty,
+        "violations": {
+            "extensivity": [oracle_subset_doc(m) for m in report.extensivity],
+            "idempotence": [oracle_subset_doc(m) for m in report.idempotence],
+            "monotonicity": [
+                {"lower": oracle_subset_doc(a), "upper": oracle_subset_doc(b)}
+                for a, b in report.monotonicity
+            ],
+        },
+        "summary": report.summary(),
+    }
+
+
+def oracle_weak_order_doc(order: WeakOrder) -> dict:
+    return {"classes_worst_first": [oracle_subset_doc(c) for c in order.classes]}
+
+
+def oracle_binary_doc(classifier: BinaryClassifier) -> dict:
+    return {"cutoff": oracle_subset_doc(classifier.cutoff)}
+
+
+def oracle_profile_doc(profile: ComplexityProfile) -> dict:
+    ground = profile.irreducibles.topology.ground
+    return {
+        "elements": list(ground.elements),
+        "class_count": profile.class_count,
+        "depth_s": profile.depth_s,
+        "width_s": profile.width_s,
+        "mnwo": profile.mnwo,
+        "mnbc": profile.mnbc,
+        "p_of_f": [oracle_subset_doc(m) for m in profile.irreducibles.p_of_f],
+        "b_of_f": [oracle_subset_doc(m) for m in profile.irreducibles.b_of_f],
+        "weak_order_witness": [
+            oracle_weak_order_doc(w) for w in profile.weak_order_witness
+        ],
+        "binary_witness": [oracle_binary_doc(b) for b in profile.binary_witness],
+    }
+
+
+def oracle_generation_doc(report: GenerationReport) -> dict:
+    return {
+        "generates": report.generates,
+        "condition1_ok": report.condition1_ok,
+        "condition1_witnesses": [
+            {"generator": position, "closed_set": oracle_subset_doc(m)}
+            for position, m in report.condition1_witnesses
+        ],
+        "condition2_ok": report.condition2_ok,
+        "condition2_witnesses": [
+            {"closed_set": oracle_subset_doc(m), "element": name}
+            for m, name in report.condition2_witnesses
+        ],
+        "pointwise_equal": report.pointwise_equal,
+    }
+
+
+def oracle_labeling_doc(labeling: Labeling) -> dict:
+    return {
+        "elements": list(labeling.ground.elements),
+        "labels": list(labeling.labels),
+        "phi": {
+            element: list(labeling.label_set(element))
+            for element in labeling.ground
+        },
+    }
+
+
+def oracle_axioms_doc(report: AxiomReport) -> dict:
+    return {
+        "ok": report.ok,
+        "flexibility_ok": report.flexibility_ok,
+        "flexibility_witnesses": [
+            {"menu": oracle_subset_doc(a), "submenu": oracle_subset_doc(b)}
+            for a, b in report.flexibility_witnesses
+        ],
+        "submodularity_ok": report.submodularity_ok,
+        "submodularity_witnesses": [
+            {
+                "a": oracle_subset_doc(a),
+                "b": oracle_subset_doc(b),
+                "c": oracle_subset_doc(c),
+            }
+            for a, b, c in report.submodularity_witnesses
+        ],
+        "summary": report.summary(),
+    }
+
+
+def oracle_kreps_doc(representation: KrepsRepresentation) -> dict:
+    ground = representation.ground
+    aggregator = sorted(
+        representation.ranks.items(), key=lambda item: (item[1], item[0])
+    )
+    return {
+        "elements": list(ground.elements),
+        "style": "kreps",
+        "state_count": representation.state_count,
+        "states": [
+            {"state": f"s{i + 1}", **oracle_weak_order_doc(order)}
+            for i, order in enumerate(representation.states)
+        ],
+        "state_utilities": {
+            element: [
+                representation.state_utility(element, s)
+                for s in range(representation.state_count)
+            ]
+            for element in ground
+        },
+        "aggregator": [
+            {"signature": list(signature), "rank": rank}
+            for signature, rank in aggregator
+        ],
+    }
+
+
+def oracle_additive_doc(representation: AdditiveRepresentation) -> dict:
+    def states(side: tuple) -> list[dict]:
+        return [
+            {
+                "state": state.name,
+                "closed_set": oracle_subset_doc(state.carrier),
+                "weight": str(state.weight),
+            }
+            for state in side
+        ]
+
+    return {
+        "elements": list(representation.ground.elements),
+        "style": "additive",
+        "state_count": representation.state_count,
+        "positive_states": states(representation.positive_states),
+        "negative_states": states(representation.negative_states),
+    }
+
+
+def oracle_mobius_doc(topology: Topology, table: MobiusTable) -> dict:
+    return {
+        "elements": list(topology.ground.elements),
+        "closed_sets": [oracle_subset_doc(m) for m in topology.closed],
+        "entries": [
+            {"from": oracle_subset_doc(x), "to": oracle_subset_doc(y), "mu": value}
+            for x, y, value in table.pairs()
+        ],
+    }
+
+
+def oracle_hasse_doc(topology: Topology, covers) -> dict:
+    return {
+        "elements": list(topology.ground.elements),
+        "edges": [
+            {"lower": oracle_subset_doc(a), "upper": oracle_subset_doc(b)}
+            for a, b in covers
+        ],
+    }
+
+
+def oracle_decomposition_doc(
+    ground: GroundSet, kind: str, generators, report: GenerationReport
+) -> dict:
+    return {
+        "elements": list(ground.elements),
+        "kind": kind,
+        "count": len(generators),
+        "generators": [
+            oracle_weak_order_doc(g) if isinstance(g, WeakOrder) else oracle_binary_doc(g)
+            for g in generators
+        ],
+        "verification": oracle_generation_doc(report),
+    }
+
+
+def oracle_flat_doc(fields: dict) -> dict:
+    return {
+        key: oracle_subset_doc(value) if isinstance(value, SubsetMask) else value
+        for key, value in fields.items()
+    }
 
 
 def iter_topologies(g: GroundSet):

@@ -12,18 +12,21 @@ import pytest
 
 import closureops
 from closureops import (
+    DoesNotRespect,
+    FinitePoset,
+    NotIntersectionClosed,
+    Topology,
     WitnessVerificationFailed,
+    additive_representation,
+    check_generation,
+    cli,
     complexity_profile,
+    jsonio,
     kreps_representation,
     menus,
+    to_dot,
 )
-from closureops.cli import main
-from closureops.jsonio import (
-    kreps_doc,
-    labeling_doc,
-    profile_doc,
-    topology_doc,
-)
+from closureops.cli import build_parser, main
 from closureops.labeling import canonical_labeling, minimal_labeling
 from conftest import (
     alice_preference,
@@ -37,6 +40,15 @@ from conftest import (
     sum_of_maxes,
     fork_topology,
     ground,
+    oracle_additive_doc,
+    oracle_decomposition_doc,
+    oracle_flat_doc,
+    oracle_hasse_doc,
+    oracle_kreps_doc,
+    oracle_labeling_doc,
+    oracle_mobius_doc,
+    oracle_profile_doc,
+    oracle_topology_doc,
     topo,
 )
 
@@ -171,14 +183,14 @@ def test_topology_from_table(tmp_path, capsys):
         capsys, "topology", "--from-table", _write(tmp_path, "t.json", doc)
     )
     assert code == 0
-    assert json.loads(out) == topology_doc(fork_topology())
+    assert json.loads(out) == oracle_topology_doc(fork_topology())
 
 
 def test_topology_from_labels(tmp_path, capsys):
-    path = _write(tmp_path, "lab.json", labeling_doc(animals_labeling()))
+    path = _write(tmp_path, "lab.json", oracle_labeling_doc(animals_labeling()))
     code, out, _ = _run(capsys, "topology", "--from-labels", path)
     assert code == 0
-    assert json.loads(out) == topology_doc(animals_topology())
+    assert json.loads(out) == oracle_topology_doc(animals_topology())
 
 
 def test_topology_from_generators(tmp_path, capsys):
@@ -189,7 +201,7 @@ def test_topology_from_generators(tmp_path, capsys):
     path = _write(tmp_path, "gen.json", doc)
     code, out, _ = _run(capsys, "topology", "--from-generators", path)
     assert code == 0
-    assert json.loads(out) == topology_doc(fork_topology())
+    assert json.loads(out) == oracle_topology_doc(fork_topology())
 
 
 def test_topology_sources_are_mutually_exclusive(tmp_path, capsys):
@@ -212,10 +224,10 @@ def test_topology_from_broken_table_fails_mathematically(tmp_path, capsys):
 
 
 def test_complexity_profile_payload(tmp_path, capsys):
-    path = _write(tmp_path, "t.json", topology_doc(fork_topology()))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
     code, out, _ = _run(capsys, "complexity", "--topology", path)
     assert code == 0
-    expected = profile_doc(complexity_profile(fork_topology().operator()))
+    expected = oracle_profile_doc(complexity_profile(fork_topology().operator()))
     assert json.loads(out) == expected
 
 
@@ -232,7 +244,7 @@ def test_complexity_rejects_a_non_intersection_closed_family(tmp_path, capsys):
 
 
 def test_decompose_into_weak_orders(tmp_path, capsys):
-    path = _write(tmp_path, "t.json", topology_doc(crown_topology()))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
     code, out, _ = _run(capsys, "decompose", "--topology", path, "--kind", "weak-orders")
     assert code == 0
     payload = json.loads(out)
@@ -248,7 +260,7 @@ def test_decompose_into_weak_orders(tmp_path, capsys):
 
 
 def test_decompose_into_binary_classifiers(tmp_path, capsys):
-    path = _write(tmp_path, "t.json", topology_doc(fork_topology()))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
     code, out, _ = _run(capsys, "decompose", "--topology", path, "--kind", "binary")
     assert code == 0
     payload = json.loads(out)
@@ -261,14 +273,14 @@ def test_decompose_into_binary_classifiers(tmp_path, capsys):
 
 
 def test_labels_canonical_and_minimal(tmp_path, capsys):
-    path = _write(tmp_path, "t.json", topology_doc(fork_topology()))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
     f = fork_topology().operator()
     code, out, _ = _run(capsys, "labels", "--topology", path, "--canonical")
     assert code == 0
-    assert json.loads(out) == labeling_doc(canonical_labeling(f))
+    assert json.loads(out) == oracle_labeling_doc(canonical_labeling(f))
     code, out, _ = _run(capsys, "labels", "--topology", path, "--minimal")
     assert code == 0
-    assert json.loads(out) == labeling_doc(minimal_labeling(f))
+    assert json.loads(out) == oracle_labeling_doc(minimal_labeling(f))
     with pytest.raises(SystemExit):
         main(["labels", "--topology", path, "--canonical", "--minimal"])
     capsys.readouterr()
@@ -282,7 +294,7 @@ def test_menu_rep_kreps_for_bob(tmp_path, capsys):
     code, out, _ = _run(capsys, "menu-rep", "--preference", path, "--style", "kreps")
     assert code == 0
     payload = json.loads(out)
-    expected = kreps_doc(kreps_representation(bob_preference()))
+    expected = oracle_kreps_doc(kreps_representation(bob_preference()))
     expected["verification"] = {
         "axioms_ok": True,
         "signature_sound": True,
@@ -294,7 +306,7 @@ def test_menu_rep_kreps_for_bob(tmp_path, capsys):
 
 def test_menu_rep_kreps_rejects_an_operator_argument(tmp_path, capsys):
     pref = _write(tmp_path, "p.json", _pref_doc(bob_preference()))
-    top = _write(tmp_path, "t.json", topology_doc(fork_topology()))
+    top = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
     code, out, err = _run(
         capsys,
         "menu-rep", "--preference", pref, "--style", "kreps", "--operator", top,
@@ -318,7 +330,7 @@ def test_menu_rep_additive_with_an_explicit_operator(tmp_path, capsys):
     pref = _write(tmp_path, "p.json", _pref_doc(alice_preference()))
     # The identity operator is respected by every preference.
     identity = topo(g, "", "x", "y", "z", "xy", "xz", "yz", "xyz")
-    top = _write(tmp_path, "t.json", topology_doc(identity))
+    top = _write(tmp_path, "t.json", oracle_topology_doc(identity))
     code, out, _ = _run(
         capsys,
         "menu-rep", "--preference", pref, "--style", "additive", "--operator", top,
@@ -330,7 +342,7 @@ def test_menu_rep_additive_with_an_explicit_operator(tmp_path, capsys):
 def test_menu_rep_additive_reports_disrespected_operators(tmp_path, capsys):
     g = ground("xyz")
     pref = _write(tmp_path, "p.json", _pref_doc(alice_preference()))
-    top = _write(tmp_path, "t.json", topology_doc(topo(g, "", "xyz")))
+    top = _write(tmp_path, "t.json", oracle_topology_doc(topo(g, "", "xyz")))
     code, out, err = _run(
         capsys,
         "menu-rep", "--preference", pref, "--style", "additive", "--operator", top,
@@ -395,7 +407,7 @@ def test_stdout_is_identical_under_different_hash_seeds(tmp_path):
     files = {
         "valid": _write(tmp_path, "valid.json", _pref_doc(valid)),
         "invalid": _write(tmp_path, "invalid.json", invalid_doc),
-        "crown": _write(tmp_path, "crown.json", topology_doc(crown_topology())),
+        "crown": _write(tmp_path, "crown.json", oracle_topology_doc(crown_topology())),
     }
     calls = [
         (["menu-rep", "--preference", files["valid"], "--style", "kreps"], 0),
@@ -423,7 +435,7 @@ def test_stdout_is_identical_under_different_hash_seeds(tmp_path):
 
 def test_mobius_payload(tmp_path, capsys):
     t = topo(ground("ab"), "", "a", "ab")
-    path = _write(tmp_path, "t.json", topology_doc(t))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(t))
     code, out, _ = _run(capsys, "mobius", "--topology", path)
     assert code == 0
     payload = json.loads(out)
@@ -432,7 +444,7 @@ def test_mobius_payload(tmp_path, capsys):
 
 
 def test_hasse_json_payload(tmp_path, capsys):
-    path = _write(tmp_path, "t.json", topology_doc(animals_topology()))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(animals_topology()))
     code, out, _ = _run(capsys, "hasse", "--topology", path)
     assert code == 0
     payload = json.loads(out)
@@ -442,7 +454,7 @@ def test_hasse_json_payload(tmp_path, capsys):
 
 def test_hasse_dot_output_is_exact(tmp_path, capsys):
     t = topo(ground("ab"), "", "a", "ab")
-    path = _write(tmp_path, "t.json", topology_doc(t))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(t))
     code, out, _ = _run(capsys, "hasse", "--topology", path, "--dot")
     assert code == 0
     assert out == (
@@ -457,11 +469,143 @@ def test_hasse_dot_output_is_exact(tmp_path, capsys):
     )
 
 
+# ---------------------------------------------------------------- report bytes
+
+# Element names that stress escaping: a quote, a backslash, a newline, a raw
+# line separator, and the template sequence "%s".
+AWKWARD = ("a\"", "b\\", "c\n", "é\u2028", "%s")
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_every_report_is_json_dumps_of_its_document(tmp_path, capsys, monkeypatch):
+    g = ground(AWKWARD)
+    t = Topology.from_bits(g, [0, 0b1, 0b11, 0b101, 0b11111])
+    f = t.operator()
+    poset = FinitePoset.from_topology(t)
+    profile = complexity_profile(f)
+    binary = profile.binary_witness
+    check = check_generation(f, [b.operator() for b in binary])
+    pref = sum_of_maxes(g, [random_weak_order(random.Random(i), g) for i in range(2)])
+    top = _write(tmp_path, "t.json", oracle_topology_doc(t))
+    pref_path = _write(tmp_path, "p.json", _pref_doc(pref))
+    kreps = kreps_representation(pref)
+    additive = additive_representation(pref, menus.kreps_operator(pref))
+    menus_checked = g.full_bits
+    expected = [
+        (["complexity", "--topology", top], oracle_profile_doc(profile)),
+        (["mobius", "--topology", top], oracle_mobius_doc(t, poset.mobius())),
+        (["hasse", "--topology", top], oracle_hasse_doc(t, poset.hasse())),
+        (["labels", "--topology", top, "--minimal"],
+         oracle_labeling_doc(minimal_labeling(f))),
+        (["decompose", "--topology", top, "--kind", "binary"],
+         oracle_decomposition_doc(g, "binary", binary, check)),
+        (["menu-rep", "--preference", pref_path, "--style", "kreps"],
+         {**oracle_kreps_doc(kreps), "verification": {
+             "axioms_ok": True, "signature_sound": True,
+             "represents_preference": True, "menus_checked": menus_checked}}),
+        (["menu-rep", "--preference", pref_path, "--style", "additive"],
+         {**oracle_additive_doc(additive), "verification": {
+             "respects_operator": True, "exact_reproduction": True,
+             "menus_checked": menus_checked}}),
+    ]
+    for argv, doc in expected:
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0, argv
+        assert out == _dumps(doc), argv
+    code, out, _ = _run(capsys, "hasse", "--topology", top, "--dot")
+    assert code == 0 and out == to_dot(poset)
+
+    # The error documents of exit codes 1 and 3.
+    coarse = Topology.from_bits(g, [0, g.full_bits])
+    trivial = _write(tmp_path, "trivial.json", oracle_topology_doc(coarse))
+    with pytest.raises(DoesNotRespect) as refused:
+        additive_representation(pref, coarse.operator())
+    broken = {"elements": list(AWKWARD),
+              "closed_sets": [[], list(AWKWARD[:2]), list(AWKWARD[1:3]), list(AWKWARD)]}
+    with pytest.raises(NotIntersectionClosed) as not_closed:
+        jsonio.topology_from(broken)
+    failures = [
+        (["menu-rep", "--preference", pref_path, "--style", "additive",
+          "--operator", trivial],
+         {"error": str(refused.value), "witness": refused.value.witness}),
+        (["complexity", "--topology", _write(tmp_path, "broken.json", broken)],
+         {"error": str(not_closed.value)}),
+    ]
+    for argv, fields in failures:
+        code, out, _ = _run(capsys, *argv)
+        assert code == 1, argv
+        assert out == _dumps(oracle_flat_doc(fields)), argv
+
+    def planted(*args):
+        raise WitnessVerificationFailed("planted \"%s\" failure \u2028 in " + AWKWARD[1])
+
+    monkeypatch.setattr(menus, "_check_ranks", planted)
+    code, out, _ = _run(capsys, "menu-rep", "--preference", pref_path, "--style", "kreps")
+    assert code == 3
+    assert out == _dumps({"error": "planted \"%s\" failure \u2028 in b\\", "internal": True})
+
+
+LONE_SURROGATE = {
+    "elements": ["a", "\ud800"],
+    "closed_sets": [[], ["a"], ["a", "\ud800"]],
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_a_name_utf8_cannot_encode_is_malformed(tmp_path, capsys, to_file):
+    path = _write(tmp_path, "t.json", LONE_SURROGATE)
+    target = tmp_path / "report.json"
+    argv = ["--out", str(target)] if to_file else []
+    code, out, err = _run(capsys, *argv, "complexity", "--topology", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+    assert not target.exists()
+
+
+def test_one_parser_serves_every_call_without_leaking_arguments(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    top = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
+    pref = _write(tmp_path, "p.json", _pref_doc(bob_preference()))
+    target = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["--out", str(target), "complexity"])  # --topology is missing
+    assert err.value.code == 2
+    assert not target.exists()
+    capsys.readouterr()
+    code, out, _ = _run(capsys, "--out", str(target), "complexity", "--topology", top)
+    assert code == 0 and out == ""
+    written = target.read_text(encoding="utf-8")
+    target.unlink()
+    code, out, _ = _run(capsys, "complexity", "--topology", top)
+    assert code == 0 and out == written  # the previous --out is gone
+    assert not target.exists()
+    code, out, _ = _run(capsys, "menu-rep", "--preference", pref, "--style", "kreps")
+    assert code == 0 and json.loads(out)["style"] == "kreps"
+    code, dot, _ = _run(capsys, "hasse", "--topology", top, "--dot")
+    code, out, _ = _run(capsys, "hasse", "--topology", top)
+    assert dot.startswith("digraph") and json.loads(out)["edges"]  # --dot is gone
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
 # ------------------------------------------------------- output file handling
 
 
 def test_out_flag_writes_the_same_bytes_as_stdout(tmp_path, capsys):
-    src = _write(tmp_path, "t.json", topology_doc(fork_topology()))
+    src = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
     code, out, _ = _run(capsys, "complexity", "--topology", src)
     assert code == 0
     first = tmp_path / "one.json"
@@ -490,7 +634,7 @@ def test_out_flag_also_captures_failure_reports(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, doc",
     [
-        (["complexity", "--topology"], topology_doc(fork_topology())),
+        (["complexity", "--topology"], oracle_topology_doc(fork_topology())),
         (["validate", "--table"], BROKEN_TABLE),
     ],
     ids=["success", "math-failure"],

@@ -26,7 +26,6 @@ from closureops import (
     validate_closure,
 )
 from closureops.cli import main
-from closureops.jsonio import topology_doc
 from conftest import (
     ABCD,
     animals_labeling,
@@ -37,6 +36,7 @@ from conftest import (
     ground,
     iter_topologies,
     oracle_scan_images,
+    oracle_topology_doc,
     random_family_bits,
     random_topology,
     sub,
@@ -467,7 +467,7 @@ def test_complexity_profile_builds_no_image_table(
     topology = Topology.from_bits(GroundSet(tuple(f"e{i}" for i in range(n))), bits)
     f = topology.operator()
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(topology_doc(topology)), encoding="utf-8")
+    path.write_text(json.dumps(oracle_topology_doc(topology)), encoding="utf-8")
     taken = _count_methods(monkeypatch)
     profile = complexity_profile(f)
     for witness in (profile.weak_order_witness, profile.binary_witness):

@@ -1,16 +1,24 @@
 """JSON wire formats: strict parsing, deterministic emission, round trips."""
 
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closureops import (
     BinaryClassifier,
     FinitePoset,
     ForeignMask,
+    GroundSet,
+    Labeling,
+    MenuPreference,
     NotIntersectionClosed,
     SchemaError,
+    Topology,
     additive_representation,
     check_axioms,
     check_generation,
@@ -24,6 +32,8 @@ from closureops.jsonio import (
     axioms_doc,
     binary_doc,
     binary_from,
+    decomposition_doc,
+    flat_doc,
     fraction_from,
     fraction_str,
     generation_doc,
@@ -42,20 +52,48 @@ from closureops.jsonio import (
     topology_doc,
     topology_from,
     validation_doc,
+    verified_doc,
     weak_order_doc,
     weak_order_from,
 )
+from closureops.labeling import canonical_labeling, minimal_labeling
 from conftest import (
     ABCD,
     animals_labeling,
     bob_preference,
     fork_topology,
     ground,
+    oracle_additive_doc,
+    oracle_axioms_doc,
+    oracle_binary_doc,
+    oracle_decomposition_doc,
+    oracle_flat_doc,
+    oracle_generation_doc,
+    oracle_hasse_doc,
+    oracle_kreps_doc,
+    oracle_labeling_doc,
+    oracle_mobius_doc,
+    oracle_profile_doc,
+    oracle_subset_doc,
+    oracle_topology_doc,
+    oracle_validation_doc,
+    oracle_weak_order_doc,
     order,
+    random_binary,
+    random_fraction,
+    random_topology,
+    random_weak_order,
+    respecting_preference,
     sub,
+    sum_of_maxes,
     tall_chain_topology,
     topo,
 )
+
+
+def _text(doc) -> str:
+    """The report text every emitter must return for ``doc``."""
+    return json.dumps(doc, indent=2, ensure_ascii=False)
 
 # ----------------------------------------------------------------- fractions
 
@@ -100,6 +138,7 @@ def test_ground_set_document():
         {"elements": [1]},
         {"elements": ["a", "a"]},
         {"elements": []},
+        {"elements": ["a", "\ud800"]},  # a lone surrogate: UTF-8 cannot encode it
         {},
     ):
         with pytest.raises(SchemaError):
@@ -117,7 +156,9 @@ def test_subset_parsing_rejects_unknown_names():
 
 def test_topology_document_round_trip():
     t = fork_topology()
-    doc = topology_doc(t)
+    text = topology_doc(t)
+    doc = json.loads(text)
+    assert text == _text(doc)
     assert doc == {
         "elements": ["a", "b", "c", "d"],
         "closed_sets": [
@@ -129,7 +170,7 @@ def test_topology_document_round_trip():
         ],
     }
     assert topology_from(doc) == t
-    assert topology_doc(topology_from(doc)) == doc
+    assert topology_doc(topology_from(doc)) == text
 
 
 def test_topology_document_distinguishes_malformed_from_wrong():
@@ -150,7 +191,7 @@ def test_operator_table_document():
     doc = {
         "elements": ["a", "b"],
         "map": [
-            {"from": subset_doc(k), "to": subset_doc(v)}
+            {"from": oracle_subset_doc(k), "to": oracle_subset_doc(v)}
             for k, v in f.table().items()
         ],
     }
@@ -167,8 +208,8 @@ def test_operator_table_document():
 def test_weak_order_document_round_trip():
     g = ground(ABCD)
     wo = order(g, "cd", "b", "a")
-    doc = weak_order_doc(wo)
-    assert doc == {"classes_worst_first": [["c", "d"], ["b"], ["a"]]}
+    doc = {"classes_worst_first": [["c", "d"], ["b"], ["a"]]}
+    assert weak_order_doc(wo) == _text(doc)
     assert weak_order_from(g, doc) == wo
     with pytest.raises(SchemaError):
         weak_order_from(g, {"classes_worst_first": [["a"]]})  # not a partition
@@ -179,8 +220,8 @@ def test_weak_order_document_round_trip():
 def test_binary_document_round_trip():
     g = ground(ABCD)
     clf = BinaryClassifier(sub(g, "ab"))
-    doc = binary_doc(clf)
-    assert doc == {"cutoff": ["a", "b"]}
+    doc = {"cutoff": ["a", "b"]}
+    assert binary_doc(clf) == _text(doc)
     assert binary_from(g, doc) == clf
     with pytest.raises(SchemaError):
         binary_from(g, {"cutoff": ["a", "b", "c", "d"]})  # improper cutoff
@@ -203,7 +244,9 @@ def test_generators_document():
 
 def test_labeling_document_round_trip():
     lab = animals_labeling()
-    doc = labeling_doc(lab)
+    text = labeling_doc(lab)
+    doc = json.loads(text)
+    assert text == _text(doc)
     assert doc["elements"] == ["a", "b", "c", "d"]
     assert doc["labels"] == [
         "dog", "cat", "black", "white", "female", "male", "car",
@@ -211,7 +254,7 @@ def test_labeling_document_round_trip():
     assert doc["phi"]["a"] == ["dog", "black", "female"]
     parsed = labeling_from(doc)
     assert parsed == lab
-    assert labeling_doc(parsed) == doc
+    assert labeling_doc(parsed) == text
 
 
 def test_labeling_document_without_elements_uses_phi_order():
@@ -230,6 +273,13 @@ def test_labeling_document_errors():
         )  # phi does not match elements
     with pytest.raises(SchemaError):
         labeling_from({"labels": []})
+    for doc in (
+        {"labels": ["\udfff"], "phi": {"a": []}},
+        {"labels": [], "phi": {"a": [], "\ud800": []}},
+        {"elements": ["\ud800"], "labels": [], "phi": {"\ud800": []}},
+    ):
+        with pytest.raises(SchemaError, match="UTF-8"):
+            labeling_from(doc)
 
 
 def test_preference_document_round_trip():
@@ -279,7 +329,9 @@ def test_preference_document_errors():
 def test_validation_document_structure():
     g = ground("ab")
     table = {g.mask(b): g.mask(i) for b, i in enumerate([0, 1, 2, 1])}
-    doc = validation_doc(validate_closure(g, table))
+    text = validation_doc(validate_closure(g, table))
+    doc = json.loads(text)
+    assert text == _text(doc)
     assert doc["ok"] is False
     assert doc["fixes_empty"] is True
     assert doc["violations"]["extensivity"] == [["a", "b"]]
@@ -290,8 +342,8 @@ def test_validation_document_structure():
 
 
 def test_profile_document_for_the_fork():
-    doc = profile_doc(complexity_profile(fork_topology().operator()))
-    assert doc == {
+    text = profile_doc(complexity_profile(fork_topology().operator()))
+    assert text == _text({
         "elements": ["a", "b", "c", "d"],
         "class_count": 4,
         "depth_s": 3,
@@ -305,7 +357,7 @@ def test_profile_document_for_the_fork():
             {"classes_worst_first": [["a", "c"], ["b", "d"]]},
         ],
         "binary_witness": [{"cutoff": ["a", "b"]}, {"cutoff": ["a", "c"]}],
-    }
+    })
 
 
 def test_generation_document_for_a_failing_family():
@@ -315,8 +367,8 @@ def test_generation_document_for_a_failing_family():
         BinaryClassifier(sub(g, "a")).operator(),
         BinaryClassifier(sub(g, "ab")).operator(),
     )
-    doc = generation_doc(check_generation(f, gens))
-    assert doc == {
+    text = generation_doc(check_generation(f, gens))
+    assert text == _text({
         "generates": False,
         "condition1_ok": True,
         "condition1_witnesses": [],
@@ -325,7 +377,7 @@ def test_generation_document_for_a_failing_family():
             {"closed_set": ["a", "b", "c"], "element": "d"}
         ],
         "pointwise_equal": False,
-    }
+    })
 
 
 def test_axioms_document_for_a_flexibility_violation():
@@ -340,15 +392,17 @@ def test_axioms_document_for_a_flexibility_violation():
             ],
         }
     )
-    doc = axioms_doc(check_axioms(pref))
+    text = axioms_doc(check_axioms(pref))
+    doc = json.loads(text)
+    assert text == _text(doc)
     assert doc["ok"] is False and doc["flexibility_ok"] is False
     assert {"menu": ["a", "b"], "submenu": ["a"]} in doc["flexibility_witnesses"]
     assert doc["submodularity_ok"] is True
 
 
 def test_kreps_document_for_bob():
-    doc = kreps_doc(kreps_representation(bob_preference()))
-    assert doc == {
+    text = kreps_doc(kreps_representation(bob_preference()))
+    assert text == _text({
         "elements": ["x", "y", "z"],
         "style": "kreps",
         "state_count": 2,
@@ -363,7 +417,7 @@ def test_kreps_document_for_bob():
             {"signature": [2, 1], "rank": 2},
             {"signature": [2, 2], "rank": 3},
         ],
-    }
+    })
 
 
 def test_additive_document_for_a_constant_preference():
@@ -379,7 +433,7 @@ def test_additive_document_for_a_constant_preference():
         }
     )
     rep = additive_representation(pref, topo(g, "", "ab").operator())
-    assert additive_doc(rep) == {
+    assert additive_doc(rep) == _text({
         "elements": ["a", "b"],
         "style": "additive",
         "state_count": 2,
@@ -389,13 +443,13 @@ def test_additive_document_for_a_constant_preference():
         "negative_states": [
             {"state": "n1", "closed_set": ["a", "b"], "weight": "2"}
         ],
-    }
+    })
 
 
 def test_mobius_document_for_a_chain():
     t = topo(ground("ab"), "", "a", "ab")
-    doc = mobius_doc(t, FinitePoset.from_topology(t).mobius())
-    assert doc == {
+    text = mobius_doc(t, FinitePoset.from_topology(t).mobius())
+    assert text == _text({
         "elements": ["a", "b"],
         "closed_sets": [[], ["a"], ["a", "b"]],
         "entries": [
@@ -406,27 +460,136 @@ def test_mobius_document_for_a_chain():
             {"from": ["a"], "to": ["a", "b"], "mu": -1},
             {"from": ["a", "b"], "to": ["a", "b"], "mu": 1},
         ],
-    }
+    })
 
 
 def test_hasse_document_for_a_chain():
     t = topo(ground("ab"), "", "a", "ab")
     covers = FinitePoset.from_topology(t).hasse()
-    assert hasse_doc(t, covers) == {
+    assert hasse_doc(t, covers) == _text({
         "elements": ["a", "b"],
         "edges": [
             {"lower": [], "upper": ["a"]},
             {"lower": ["a"], "upper": ["a", "b"]},
         ],
-    }
+    })
 
 
 def test_emission_is_byte_deterministic():
     t = fork_topology()
-    once = json.dumps(topology_doc(t), ensure_ascii=False)
-    again = json.dumps(topology_doc(topology_from(topology_doc(t))), ensure_ascii=False)
-    assert once == again
+    assert topology_doc(t) == topology_doc(topology_from(json.loads(topology_doc(t))))
     lab = animals_labeling()
-    assert json.dumps(labeling_doc(lab)) == json.dumps(
-        labeling_doc(labeling_from(labeling_doc(lab)))
+    assert labeling_doc(lab) == labeling_doc(labeling_from(json.loads(labeling_doc(lab))))
+
+
+# ------------------------------------------------ byte identity with json.dumps
+
+# Names that stress string escaping: quotes, backslashes, control characters,
+# the line separators JSON leaves raw, non-ASCII text, and the template
+# character ``%``.
+_AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\u2028", "\u2029",
+            "é", "∅", "日", "😀", "%", "s", "{", ",", "\x7f"]
+NAMES = st.text(
+    st.one_of(st.sampled_from(_AWKWARD), st.characters(blacklist_categories=("Cs",))),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _reports(names, labels, seed, trivial):
+    """(text, oracle document) for every emitter, on one random ground set."""
+    rng = random.Random(seed)
+    g = GroundSet(tuple(names))
+    full = g.full_bits
+    t = Topology.from_bits(g, (0, full)) if trivial else random_topology(rng, g)
+    f = t.operator()
+    poset = FinitePoset.from_topology(t)
+    profile = complexity_profile(f)
+    generators = [random_weak_order(rng, g) for _ in range(2)]
+    if g.size > 1:
+        generators.append(random_binary(rng, g))
+    generation = check_generation(f, [x.operator() for x in generators])
+    table = {g.mask(b): g.mask(rng.randrange(full + 1)) for b in range(full + 1)}
+    validation = validate_closure(g, table)
+    noise = MenuPreference(g, (None, *(random_fraction(rng) for _ in range(full))))
+    axioms = check_axioms(noise)
+    kreps = kreps_representation(
+        sum_of_maxes(g, [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))])
     )
+    additive = additive_representation(respecting_preference(rng, f), f)
+    labeling = Labeling.from_names(
+        g, labels, {x: [lab for lab in labels if rng.random() < 0.5] for x in names}
+    )
+    witness = g.mask(rng.randrange(full + 1))
+    message = "no closed superset: " + witness.label()
+    kreps_check = {"axioms_ok": True, "signature_sound": True,
+                   "represents_preference": True, "menus_checked": full}
+    additive_check = {"respects_operator": True, "exact_reproduction": True,
+                      "menus_checked": full}
+    decomposition = check_generation(f, [w.operator() for w in profile.weak_order_witness])
+    cases = [(subset_doc(m), oracle_subset_doc(m)) for m in (g.empty, g.full, witness)]
+    cases += [
+        (topology_doc(t), oracle_topology_doc(t)),
+        (validation_doc(validation), oracle_validation_doc(validation)),
+        (profile_doc(profile), oracle_profile_doc(profile)),
+        (generation_doc(generation), oracle_generation_doc(generation)),
+        (labeling_doc(labeling), oracle_labeling_doc(labeling)),
+        (labeling_doc(canonical_labeling(f)), oracle_labeling_doc(canonical_labeling(f))),
+        (labeling_doc(minimal_labeling(f)), oracle_labeling_doc(minimal_labeling(f))),
+        (axioms_doc(axioms), oracle_axioms_doc(axioms)),
+        (kreps_doc(kreps), oracle_kreps_doc(kreps)),
+        (additive_doc(additive), oracle_additive_doc(additive)),
+        (mobius_doc(t, poset.mobius()), oracle_mobius_doc(t, poset.mobius())),
+        (hasse_doc(t, poset.hasse()), oracle_hasse_doc(t, poset.hasse())),
+        (
+            decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),
+            oracle_decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),
+        ),
+        (
+            decomposition_doc(g, "binary", generators, generation),
+            oracle_decomposition_doc(g, "binary", generators, generation),
+        ),
+        (
+            verified_doc(kreps_doc(kreps), flat_doc(kreps_check)),
+            {**oracle_kreps_doc(kreps), "verification": kreps_check},
+        ),
+        (
+            verified_doc(additive_doc(additive), flat_doc(additive_check)),
+            {**oracle_additive_doc(additive), "verification": additive_check},
+        ),
+    ]
+    cases += [(weak_order_doc(w), oracle_weak_order_doc(w)) for w in generators[:2]]
+    cases += [(binary_doc(b), oracle_binary_doc(b)) for b in generators[2:]]
+    # The error documents of exit codes 1 and 3.
+    for fields in (
+        {"error": message},
+        {"error": message, "witness": witness},
+        {"error": message, "internal": True},
+    ):
+        cases.append((flat_doc(fields), oracle_flat_doc(fields)))
+    return cases
+
+
+@given(
+    st.lists(NAMES, min_size=1, max_size=5, unique=True),
+    st.lists(NAMES, max_size=4, unique=True),
+    st.integers(0, 10**9),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_emitter_is_byte_identical_to_json_dumps(names, labels, seed, trivial):
+    for text, doc in _reports(names, labels, seed, trivial):
+        assert text == _text(doc)
+
+
+def test_byte_identity_covers_empty_lists_and_rationals():
+    """Two fixed draws reach the edge cases the property test is meant to
+    cover: the trivial topology {∅, X}, empty arrays and rational weights."""
+    names = ["a", "é\u2028"]
+    cases = _reports(names, ["L"], 3, trivial=True) + _reports(names, [], 0, trivial=False)
+    assert all(text == _text(doc) for text, doc in cases)
+    texts = [text for text, _ in cases]
+    trivial = json.dumps([[], names], indent=2, ensure_ascii=False)
+    assert any(f'"closed_sets": {trivial.replace(chr(10), chr(10) + "  ")}' in t for t in texts)
+    assert any(": []" in text for text in texts)
+    assert any(re.search(r'"weight": "-?[0-9]+/[0-9]+"', text) for text in texts)

@@ -40,11 +40,13 @@ from conftest import (
     oracle_additive_ok,
     oracle_additive_weights,
     oracle_axioms,
+    oracle_evaluate,
     oracle_kreps_consequences,
     oracle_ranks_ok,
     oracle_signatures,
     oracle_signatures_ok,
     order,
+    random_fraction,
     random_operator,
     random_weak_order,
     respecting_preference,
@@ -298,6 +300,30 @@ def test_additive_on_random_respecting_pairs():
         for m in g.subsets():
             if m:
                 assert rep.evaluate(m) == pref.utility(m)
+
+
+@given(st.integers(0, 10**9), st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_additive_evaluation_equals_the_named_oracle(seed, n):
+    """Evaluation by carrier bits equals evaluation through each state's
+    named utility, on random states (any carriers, weights of either sign)
+    and on built representations, at every nonempty menu."""
+    rng = random.Random(seed)
+    g = ground("abcdef"[:n])
+
+    def states(prefix):
+        return tuple(
+            AdditiveState(f"{prefix}{i + 1}", g.mask(rng.randrange(g.full_bits + 1)),
+                          random_fraction(rng))
+            for i in range(rng.randrange(6))
+        )
+
+    f = random_operator(rng, g)
+    built = additive_representation(respecting_preference(rng, f), f)
+    for rep in (AdditiveRepresentation(g, states("p"), states("n")), built):
+        for bits in range(1, g.full_bits + 1):
+            menu = g.mask(bits)
+            assert rep.evaluate(menu) == oracle_evaluate(rep, menu)
 
 
 def test_additive_keeps_zero_weight_states():
