@@ -16,10 +16,13 @@ that for the generators of :mod:`closureops.generators`:
 A closed set A is *meet-irreducible* when it is not the intersection of its
 strict closed supersets (the ground set X, with no strict supersets, counts).
 Every closed set is the intersection of the meet-irreducibles above it, which
-is why these sets alone decide both measures.
+is why these sets alone decide both measures.  So P(f) is the closed sets
+with at most one upper cover: if C alone covers A, every strict superset
+contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A.
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
+One poset of S(f) gives P(f), the width and the depth.
 Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
 
@@ -85,20 +88,28 @@ class IrreducibleSet:
 
 def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`."""
+    return _irreducibles(topology, FinitePoset.from_topology(topology))
+
+
+def _irreducibles(topology: Topology, poset: FinitePoset) -> IrreducibleSet:
+    """P(f) and B(f), read from the upper covers of S(f) (module docstring)."""
+    covers = poset.upper_covers()
+    p = tuple(a for a, row in zip(topology.closed, covers) if row & (row - 1) == 0)
     full = topology.ground.full_bits
-    p: list[SubsetMask] = []
-    for a in topology:
-        if a.bits == full:
-            p.append(a)  # X has no strict supersets; it is never a meet
-            continue
-        meet = full
-        for b in topology:
-            if b.bits != a.bits and a.bits & ~b.bits == 0:
-                meet &= b.bits
-        if meet != a.bits:
-            p.append(a)
     b_of_f = tuple(m for m in p if m.bits not in (0, full))
-    return IrreducibleSet(topology=topology, p_of_f=tuple(p), b_of_f=b_of_f)
+    return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
+
+
+def _depth(poset: FinitePoset) -> int:
+    """Longest chain of nonempty closed sets: the longest path of covers from
+    ∅ to X, relaxed in the canonical order of S(f), which extends inclusion."""
+    longest = [0] * poset.size
+    for i, row in enumerate(poset.upper_covers()):
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            longest[j] = max(longest[j], longest[i] + 1)
+    return longest[-1]
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,8 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
     """
     ground = f.ground
     topology = f.closed_sets()
-    irreducibles = meet_irreducibles(topology)
+    s_poset = FinitePoset.from_topology(topology)
+    irreducibles = _irreducibles(topology, s_poset)
     p_poset = FinitePoset.from_masks(irreducibles.p_of_f)
     cover = p_poset.min_chain_cover()
     weak_orders = []
@@ -154,12 +166,11 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
         raise WitnessVerificationFailed("weak-order witness does not generate f")
     if not check_generation(f, [b.operator() for b in binary]).generates:
         raise WitnessVerificationFailed("binary witness does not generate f")
-    width_s = FinitePoset.from_topology(topology).min_chain_cover().width
     return ComplexityProfile(
         mnwo=cover.width,
         mnbc=len(binary),
-        width_s=width_s,
-        depth_s=topology.depth(),
+        width_s=s_poset.min_chain_cover().width,
+        depth_s=_depth(s_poset),
         class_count=len(topology) - 1,
         weak_order_witness=tuple(weak_orders),
         binary_witness=binary,

@@ -11,8 +11,9 @@ family S induces the unique closure operator
 so closure operators and these families ("topologies" below, by loose analogy)
 are two encodings of the same object.  This module provides both encodings,
 conversion in both directions, closure-axiom validation with complete witness
-reports, and the lattice structure of a topology (meet = intersection,
-join = closure of the union, depth = longest chain of nonempty closed sets).
+reports, and the lattice operations of a topology (meet = intersection, join
+= closure of the union); its covers, width and depth are read from the poset
+:meth:`closureops.poset.FinitePoset.from_topology` builds.
 
 Subsets are machine words: a :class:`SubsetMask` stores one bit per element of
 its :class:`GroundSet`, which caps ground sets at 20 elements and makes the
@@ -320,24 +321,6 @@ class Topology:
     def _require_closed(self, mask: SubsetMask) -> None:
         if mask not in self:
             raise NotClosed(f"{mask.label()} is not a closed set of this topology")
-
-    def depth(self) -> int:
-        """Length of the longest chain of *nonempty* closed sets.
-
-        A single-chain topology {∅, B_1 ⊂ … ⊂ B_k = X} has depth k; the trivial
-        topology {∅, X} has depth 1.
-        """
-        nonempty = [m.bits for m in self.closed if m.bits]
-        longest: dict[int, int] = {}
-        for b in nonempty:  # ascending order: all proper subsets come first
-            best = 0
-            for a in nonempty:
-                if a == b:
-                    break
-                if a & ~b == 0:
-                    best = max(best, longest[a])
-            longest[b] = best + 1
-        return max(longest.values())
 
     def operator(self) -> ClosureOperator:
         """The closure operator whose closed sets are exactly this family."""

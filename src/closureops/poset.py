@@ -13,7 +13,10 @@ equal inputs produce byte-equal outputs.
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
 cheap word operations.  The order axioms are validated eagerly at construction,
-so malformed relations never reach the algorithms.
+so malformed relations never reach the algorithms.  That pass also keeps each
+item's upper covers, its strict up-row minus the strict up-rows of its
+members; the Hasse diagram and P(f) and depth in :mod:`closureops.complexity`
+read them, and nothing else in the package computes covers.
 """
 
 from __future__ import annotations
@@ -86,8 +89,11 @@ class MobiusTable:
     def pairs(self) -> Iterable[tuple[Hashable, Hashable, int]]:
         """All comparable pairs (x, y, μ(x, y)) in item order."""
         items = self.poset.items
-        for (i, j), value in sorted(self._mu.items()):
-            yield items[i], items[j], value
+        for i, row in enumerate(self.poset.up):
+            while row:
+                j = (row & -row).bit_length() - 1
+                row &= row - 1
+                yield items[i], items[j], self._mu[(i, j)]
 
 
 @dataclass(frozen=True, repr=False)
@@ -102,6 +108,7 @@ class FinitePoset:
     items: tuple[Hashable, ...]
     up: tuple[int, ...]
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
+    _covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
@@ -121,12 +128,15 @@ class FinitePoset:
                 raise InvalidOrderRelation("relation row refers to unknown items")
             if not self.up[i] >> i & 1:
                 raise InvalidOrderRelation(f"reflexivity fails at {items[i]!r}")
+        covers = []
         for i in range(n):
             row = self.up[i]
-            rest = row & ~(1 << i)
+            strict = rest = row & ~(1 << i)
+            above = 0
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
+                above |= self.up[j] & ~(1 << j)
                 if self.up[j] >> i & 1:
                     raise InvalidOrderRelation(
                         f"antisymmetry fails at ({items[i]!r}, {items[j]!r})"
@@ -137,6 +147,8 @@ class FinitePoset:
                         f"transitivity fails: {items[i]!r} ≤ {items[j]!r} ≤ "
                         f"{items[k]!r} but not {items[i]!r} ≤ {items[k]!r}"
                     )
+            covers.append(strict & ~above)
+        object.__setattr__(self, "_covers", tuple(covers))
 
     @classmethod
     def from_leq(
@@ -222,14 +234,9 @@ class FinitePoset:
     def _strict_up(self) -> list[int]:
         return [self.up[i] & ~(1 << i) for i in range(self.size)]
 
-    def _strict_down(self) -> list[int]:
-        down = [0] * self.size
-        for i, row in enumerate(self._strict_up()):
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                down[j] |= 1 << i
-        return down
+    def upper_covers(self) -> tuple[int, ...]:
+        """Per item, a bitmask of the items that cover it."""
+        return self._covers
 
     def hasse(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """The covering pairs (a, b): a < b with nothing strictly between.
@@ -237,17 +244,13 @@ class FinitePoset:
         These are the arrows of the Hasse diagram, ordered by item index of the
         lower item, then of the upper.
         """
-        strict_up = self._strict_up()
-        strict_down = self._strict_down()
-        covers = []
-        for i in range(self.size):
-            row = strict_up[i]
+        edges = []
+        for i, row in enumerate(self._covers):
             while row:
                 j = (row & -row).bit_length() - 1
                 row &= row - 1
-                if strict_up[i] & strict_down[j] == 0:
-                    covers.append((self.items[i], self.items[j]))
-        return tuple(covers)
+                edges.append((self.items[i], self.items[j]))
+        return tuple(edges)
 
     def min_chain_cover(self) -> ChainCover:
         """A minimum chain cover with a maximum antichain certificate.
@@ -330,15 +333,16 @@ class FinitePoset:
             chains.append(tuple(chain))
         return ChainCover(chains=tuple(chains), antichain=antichain)
 
-    def _topo_order(self) -> list[int]:
-        """A linear extension: ascending count of items weakly below."""
-        down = self._strict_down()
-        return sorted(range(self.size), key=lambda i: (down[i].bit_count(), i))
-
     def mobius(self) -> MobiusTable:
         """The Möbius function on all comparable pairs, as exact integers."""
-        order = self._topo_order()
-        strict_down = self._strict_down()
+        strict_down = [0] * self.size
+        for i, row in enumerate(self._strict_up()):
+            while row:
+                j = (row & -row).bit_length() - 1
+                row &= row - 1
+                strict_down[j] |= 1 << i
+        # a linear extension: ascending count of items strictly below
+        order = sorted(range(self.size), key=lambda i: (strict_down[i].bit_count(), i))
         mu: dict[tuple[int, int], int] = {}
         for x in range(self.size):
             row = self.up[x]

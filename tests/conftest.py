@@ -265,6 +265,21 @@ def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FinitePoset:
     return FinitePoset(tuple(range(n)), tuple(up))
 
 
+def permuted_poset(rng: random.Random, poset: FinitePoset) -> FinitePoset:
+    """The same order with its items listed in a random order, so that item
+    order need not be a linear extension."""
+    perm = list(range(poset.size))
+    rng.shuffle(perm)
+    rows = []
+    for old in perm:
+        row = 0
+        for new, other in enumerate(perm):
+            if poset.up[old] >> other & 1:
+                row |= 1 << new
+        rows.append(row)
+    return FinitePoset(tuple(poset.items[old] for old in perm), tuple(rows))
+
+
 # ------------------------------------------------------------------ oracles
 
 
@@ -379,6 +394,29 @@ def oracle_check_generation(
 def oracle_from_masks(masks) -> FinitePoset:
     """The inclusion order by one ``SubsetMask.__le__`` call per pair."""
     return FinitePoset.from_leq(tuple(masks), lambda a, b: a <= b)
+
+
+def oracle_hasse(poset: FinitePoset) -> tuple[tuple, ...]:
+    """Covering pairs by the strict-up/strict-down test: i < j is a cover iff
+    no item lies strictly above i and strictly below j; ordered by the index
+    of the lower item, then of the upper."""
+    n = poset.size
+    strict_up = [poset.up[i] & ~(1 << i) for i in range(n)]
+    strict_down = [0] * n
+    for i, row in enumerate(strict_up):
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            strict_down[j] |= 1 << i
+    covers = []
+    for i in range(n):
+        row = strict_up[i]
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            if strict_up[i] & strict_down[j] == 0:
+                covers.append((poset.items[i], poset.items[j]))
+    return tuple(covers)
 
 
 def oracle_classifier_images(labeling: Labeling) -> tuple[int, ...]:

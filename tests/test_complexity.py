@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from closureops import (
     BinaryClassifier,
+    FinitePoset,
     GroundSet,
     GroundSetMismatch,
     GroundSetTooLarge,
+    Topology,
     WitnessVerificationFailed,
     check_generation,
     complexity,
@@ -240,17 +242,17 @@ def test_closed_set_verification_agrees_with_check_generation():
     "field, message", [("p_of_f", "weak-order witness"), ("b_of_f", "binary witness")]
 )
 def test_profile_rejects_a_witness_that_does_not_generate(monkeypatch, field, message):
-    real = complexity.meet_irreducibles
+    real = complexity._irreducibles
 
-    def short_of_one(topology):
-        irreducibles = real(topology)
+    def short_of_one(topology, poset):
+        irreducibles = real(topology, poset)
         members = getattr(irreducibles, field)
         dropped = members[len(members) // 2]
         return dataclasses.replace(
             irreducibles, **{field: tuple(m for m in members if m != dropped)}
         )
 
-    monkeypatch.setattr(complexity, "meet_irreducibles", short_of_one)
+    monkeypatch.setattr(complexity, "_irreducibles", short_of_one)
     with pytest.raises(WitnessVerificationFailed, match=message):
         complexity_profile(fork_topology().operator())
 
@@ -264,6 +266,24 @@ def test_profile_widths_match_brute_force(seed, size):
     assert profile.mnwo == brute_width(profile.irreducibles.p_of_f)
     assert profile.width_s == brute_width(t.closed)
     assert profile.class_count == len(t) - 1
+
+
+def test_discrete_family_closed_forms_at_twelve_elements():
+    # Every subset is closed: P(f) is the n coatoms plus X, every one-element
+    # extension is a cover (n·2^(n−1) edges), and the depth is n.  All three
+    # are read from one poset, without the width matching.
+    n = 12
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    t = Topology.from_bits(g, range(1 << n))
+    poset = FinitePoset.from_topology(t)
+    coatoms = tuple(g.mask(g.full_bits & ~(1 << i)) for i in reversed(range(n)))
+    irreducibles = complexity._irreducibles(t, poset)
+    assert irreducibles.p_of_f == (*coatoms, g.full)
+    assert irreducibles.b_of_f == coatoms
+    edges = poset.hasse()
+    assert len(edges) == n << (n - 1) == 24_576
+    assert all((upper.bits ^ lower.bits).bit_count() == 1 for lower, upper in edges)
+    assert complexity._depth(poset) == n
 
 
 # ---------------------------------------------------------------- comparison

@@ -243,10 +243,14 @@ def test_meet_and_join():
         t.join(sub(g, "a"), sub(g, "bc"))
 
 
+def _depth_s(t: Topology) -> int:
+    return complexity_profile(t.operator()).depth_s
+
+
 def test_depth_of_reference_families():
-    assert topo(ground("ab"), "", "ab").depth() == 1
-    assert topo(ground(ABCD), "", "a", "ab", "abc", "abcd").depth() == 4
-    assert topo(ground("abc"), "", "a", "b", "c", "ab", "bc", "abc").depth() == 3
+    assert _depth_s(topo(ground("ab"), "", "ab")) == 1
+    assert _depth_s(topo(ground(ABCD), "", "a", "ab", "abc", "abcd")) == 4
+    assert _depth_s(topo(ground("abc"), "", "a", "b", "c", "ab", "bc", "abc")) == 3
 
 
 @given(st.integers(0, 10**9), st.integers(2, 6))
@@ -254,7 +258,7 @@ def test_depth_of_reference_families():
 def test_depth_matches_brute_force(seed, size):
     g = GroundSet(tuple("abcdef"[:size]))
     t = random_topology(random.Random(seed), g)
-    assert t.depth() == brute_depth(t)
+    assert _depth_s(t) == brute_depth(t)
 
 
 # ---------------------------------------------------------------- validation

@@ -12,12 +12,15 @@ from closureops import (
     FinitePoset,
     GroundSetMismatch,
     InvalidOrderRelation,
+    Topology,
     to_dot,
 )
 from conftest import (
     brute_poset_width,
     ground,
     oracle_from_masks,
+    oracle_hasse,
+    permuted_poset,
     random_family_bits,
     random_fraction,
     random_poset,
@@ -52,34 +55,43 @@ def classical_mobius(n: int) -> int:
 # --------------------------------------------------------------- validation
 
 
+def _rejects(items, rows, message):
+    with pytest.raises(InvalidOrderRelation) as caught:
+        FinitePoset(items, rows)
+    assert str(caught.value) == message
+
+
 def test_rejects_duplicate_items():
-    with pytest.raises(InvalidOrderRelation):
-        FinitePoset((1, 1), (0b11, 0b11))
+    _rejects((1, 1), (0b11, 0b11), "duplicate item 1")
 
 
 def test_rejects_wrong_row_count():
-    with pytest.raises(InvalidOrderRelation):
-        FinitePoset((1, 2), (0b11,))
+    _rejects((1, 2), (0b11,), "one relation row required per item")
 
 
 def test_rejects_rows_referring_to_unknown_items():
-    with pytest.raises(InvalidOrderRelation):
-        FinitePoset((1, 2), (0b101, 0b10))
+    _rejects((1, 2), (0b101, 0b10), "relation row refers to unknown items")
 
 
 def test_rejects_irreflexive_relation():
-    with pytest.raises(InvalidOrderRelation, match="reflexivity"):
-        FinitePoset((1, 2), (0b01, 0b01))
+    _rejects((1, 2), (0b01, 0b01), "reflexivity fails at 2")
 
 
 def test_rejects_antisymmetry_violation():
-    with pytest.raises(InvalidOrderRelation, match="antisymmetry"):
-        FinitePoset((1, 2), (0b11, 0b11))
+    _rejects((1, 2), (0b11, 0b11), "antisymmetry fails at (1, 2)")
+    _rejects((1, 2, 3), (0b001, 0b110, 0b110), "antisymmetry fails at (2, 3)")
+    _rejects(("a", "b", "c"), (0b111, 0b111, 0b100), "antisymmetry fails at ('a', 'b')")
 
 
 def test_rejects_intransitive_relation():
-    with pytest.raises(InvalidOrderRelation, match="transitivity"):
-        FinitePoset((1, 2, 3), (0b011, 0b110, 0b100))
+    _rejects(
+        (1, 2, 3), (0b011, 0b110, 0b100), "transitivity fails: 1 ≤ 2 ≤ 3 but not 1 ≤ 3"
+    )
+    _rejects(
+        ("a", "b", "c"),
+        (0b011, 0b110, 0b100),
+        "transitivity fails: 'a' ≤ 'b' ≤ 'c' but not 'a' ≤ 'c'",
+    )
 
 
 def test_index_of_unknown_item():
@@ -169,6 +181,35 @@ def test_hasse_of_boolean_cube():
 def test_hasse_skips_transitive_edges():
     p = FinitePoset.from_leq((0, 1, 2), lambda a, b: a <= b)
     assert p.hasse() == ((0, 1), (1, 2))
+
+
+def _cover_rows(poset: FinitePoset, pairs) -> tuple[int, ...]:
+    rows = [0] * poset.size
+    for lower, upper in pairs:
+        rows[poset.index(lower)] |= 1 << poset.index(upper)
+    return tuple(rows)
+
+
+def test_covers_match_the_oracle_on_random_families():
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        t = Topology.from_bits(ground("abcdefgh"[:n]), random_family_bits(rng, n))
+        p = FinitePoset.from_topology(t)
+        expected = oracle_hasse(p)
+        assert p.hasse() == expected
+        assert p.upper_covers() == _cover_rows(p, expected)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_covers_match_the_oracle_when_items_are_not_sorted(seed, n):
+    rng = random.Random(seed)
+    p = permuted_poset(rng, random_poset(rng, n, rng.choice((0.1, 0.3, 0.6))))
+    expected = oracle_hasse(p)
+    assert p.hasse() == expected
+    assert p.upper_covers() == _cover_rows(p, expected)
+    assert p.dual().hasse() == oracle_hasse(p.dual())
 
 
 # --------------------------------------------------------------- chain cover
@@ -283,7 +324,17 @@ def _check_delta(p: FinitePoset) -> None:
 @given(st.integers(0, 10**9), st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_mobius_satisfies_delta_identity(seed, n):
-    _check_delta(random_poset(random.Random(seed), n))
+    rng = random.Random(seed)
+    p = random_poset(rng, n)
+    _check_delta(p)
+    # listed in item order also when item order is not a linear extension
+    shuffled = permuted_poset(rng, p)
+    _check_delta(shuffled)
+    table = shuffled.mobius()
+    items = shuffled.items
+    assert list(table.pairs()) == [
+        (items[i], items[j], mu) for (i, j), mu in sorted(table._mu.items())
+    ]
 
 
 def test_mobius_agrees_with_dual():
