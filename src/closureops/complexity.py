@@ -22,7 +22,15 @@ contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
-One poset of S(f) gives P(f), the width and the depth.
+One poset of S(f) gives P(f), the width and the depth, all three from its
+covers.  The width is certified by Dilworth's theorem (:func:`_width_cover`):
+the largest cardinality level is an antichain, a greedy cover along the covers
+gives as many chains, and only when the two differ does the matching run,
+started from the greedy chains.  On the discrete family the bounds meet at
+C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the matching over its 3^n
+comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
+chain cover of P(f) by the matching itself, so their chains do not depend on
+which route settled the width.
 Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
 
@@ -52,7 +60,7 @@ from dataclasses import dataclass
 from .core import ClosureOperator, GroundSet, SubsetMask, Topology
 from .errors import GroundSetMismatch, GroundSetTooLarge, WitnessVerificationFailed
 from .generators import BinaryClassifier, WeakOrder, check_generation, iter_weak_orders
-from .poset import FinitePoset
+from .poset import ChainCover, FinitePoset
 
 __all__ = [
     "ORACLE_MAX_ELEMENTS",
@@ -93,21 +101,63 @@ def meet_irreducibles(topology: Topology) -> IrreducibleSet:
 
 def _irreducibles(topology: Topology, poset: FinitePoset) -> IrreducibleSet:
     """P(f) and B(f), read from the upper covers of S(f) (module docstring)."""
-    covers = poset.upper_covers()
-    p = tuple(a for a, row in zip(topology.closed, covers) if row & (row - 1) == 0)
+    covers = poset.upper_cover_indices()
+    p = tuple(a for a, above in zip(topology.closed, covers) if len(above) <= 1)
     full = topology.ground.full_bits
     b_of_f = tuple(m for m in p if m.bits not in (0, full))
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
+
+
+def _width_cover(poset: FinitePoset) -> ChainCover:
+    """A minimum chain cover of S(f), certified by Dilworth's theorem.
+
+    Closed sets of one cardinality are an antichain, so the largest level
+    bounds the width from below.  A greedy cover bounds it from above: the
+    sets, taken by ascending cardinality, each extend the first chain whose
+    top is one of their lower covers and is still free.  If the bounds meet,
+    the greedy chains and the level are the cover and its certificate.
+    Otherwise the matching of :meth:`FinitePoset.min_chain_cover` finishes
+    the job, started from the greedy links (each is a cover pair, so they
+    form a matching of the strict order).
+    """
+    items = poset.items
+    lower: list[list[int]] = [[] for _ in items]
+    for i, above in enumerate(poset.upper_cover_indices()):
+        for j in above:
+            lower[j].append(i)
+    levels: dict[int, list[int]] = {}
+    for i, mask in enumerate(items):
+        levels.setdefault(mask.bits.bit_count(), []).append(i)
+    free = bytearray(len(items))  # chain tops not yet extended
+    succ = [-1] * len(items)
+    for size in sorted(levels):
+        for i in levels[size]:
+            for j in lower[i]:
+                if free[j]:
+                    free[j] = 0
+                    succ[j] = i
+                    break
+            free[i] = 1
+    widest = max(levels.values(), key=len)
+    starts = set(range(len(items))) - set(succ)
+    if len(starts) != len(widest):
+        return poset._matched_cover((j, i) for j, i in enumerate(succ) if i >= 0)
+    chains = []
+    for i in sorted(starts):
+        chain = [items[i]]
+        while succ[i] >= 0:
+            i = succ[i]
+            chain.append(items[i])
+        chains.append(tuple(chain))
+    return ChainCover(chains=tuple(chains), antichain=tuple(items[i] for i in widest))
 
 
 def _depth(poset: FinitePoset) -> int:
     """Longest chain of nonempty closed sets: the longest path of covers from
     ∅ to X, relaxed in the canonical order of S(f), which extends inclusion."""
     longest = [0] * poset.size
-    for i, row in enumerate(poset.upper_covers()):
-        while row:
-            j = (row & -row).bit_length() - 1
-            row &= row - 1
+    for i, above in enumerate(poset.upper_cover_indices()):
+        for j in above:
             longest[j] = max(longest[j], longest[i] + 1)
     return longest[-1]
 
@@ -169,7 +219,7 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
     return ComplexityProfile(
         mnwo=cover.width,
         mnbc=len(binary),
-        width_s=s_poset.min_chain_cover().width,
+        width_s=_width_cover(s_poset).width,
         depth_s=_depth(s_poset),
         class_count=len(topology) - 1,
         weak_order_witness=tuple(weak_orders),

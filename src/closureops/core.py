@@ -15,6 +15,19 @@ reports, and the lattice operations of a topology (meet = intersection, join
 = closure of the union); its covers, width and depth are read from the poset
 :meth:`closureops.poset.FinitePoset.from_topology` builds.
 
+Intersection closure of a family S is decided by whichever of two exact
+routes takes fewer steps.  The pair loop tests |S|(|S|−1)/2 pairs.  The
+superset recursion (:func:`_superset_dp`) computes DP(A) = ⋂{C ∈ S : A ⊆ C}
+for all 2^n subsets in n·2^(n−1) steps and checks that each lies in S,
+(n + 2)·2^(n−1) steps in all.  The two agree: S is intersection-closed iff
+every DP(A) lies in S, since DP(A) is an intersection of members, and for
+members C and D the members above C ∩ D meet in C ∩ D.  On success the
+recursion's result is the closure operator's image table, which the topology
+keeps as its only image cache.  On failure the pair loop runs as well, so
+:class:`NotIntersectionClosed` names the same pair whichever route decided.
+Closed sets taken from images already known to satisfy the axioms are not
+validated again.
+
 Subsets are machine words: a :class:`SubsetMask` stores one bit per element of
 its :class:`GroundSet`, which caps ground sets at 20 elements and makes the
 canonical ordering of subsets (ascending numeric mask value) a linear extension
@@ -35,6 +48,7 @@ from .errors import (
     MissingTopBottom,
     NotClosed,
     NotIntersectionClosed,
+    WitnessVerificationFailed,
 )
 
 __all__ = [
@@ -243,7 +257,8 @@ class Topology:
     closed sets of any closure operator form such a family, and
     :meth:`closure_of` recovers the operator as the map to the smallest closed
     superset.  Construction normalizes the family to canonical (ascending mask)
-    order, drops duplicates, and validates the invariants eagerly.
+    order, drops duplicates, and validates the invariants eagerly, by the
+    cheaper of the pair loop and the superset recursion (module docstring).
 
     Attributes:
         ground: the underlying ground set.
@@ -253,6 +268,9 @@ class Topology:
     ground: GroundSet
     closed: tuple[SubsetMask, ...]
     _bitset: frozenset[int] = field(init=False, repr=False, compare=False)
+    _images: tuple[int, ...] | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for m in self.closed:
@@ -266,6 +284,15 @@ class Topology:
             raise MissingTopBottom("the empty set must be closed")
         if self.ground.full_bits not in bitset:
             raise MissingTopBottom("the full ground set must be closed")
+        size = self.ground.size
+        count = len(closed)
+        if (size + 2) << (size - 1) < count * (count - 1) // 2:
+            images = _superset_dp(self.ground.full_bits, bitset)
+            if bitset.issuperset(images):
+                object.__setattr__(self, "_images", images)
+                return
+        # The pair loop decides small families and names the first missing
+        # intersection whenever the recursion has found that one is missing.
         for i, a in enumerate(closed):
             for b in closed[i + 1 :]:
                 if a.bits & b.bits not in bitset:
@@ -274,6 +301,19 @@ class Topology:
     @classmethod
     def from_bits(cls, ground: GroundSet, bits: Iterable[int]) -> Topology:
         return cls(ground, tuple(SubsetMask(ground, b) for b in bits))
+
+    @classmethod
+    def _trusted(cls, ground: GroundSet, images: tuple[int, ...]) -> Topology:
+        """The fixed points of images already known to be a closure operator,
+        built without validation: they are intersection-closed and hold ∅ and
+        X by the axioms.  The images become the topology's table."""
+        bits = [b for b, image in enumerate(images) if b == image]
+        topology = object.__new__(cls)
+        object.__setattr__(topology, "ground", ground)
+        object.__setattr__(topology, "closed", tuple(SubsetMask(ground, b) for b in bits))
+        object.__setattr__(topology, "_bitset", frozenset(bits))
+        object.__setattr__(topology, "_images", images)
+        return topology
 
     def __len__(self) -> int:
         return len(self.closed)
@@ -304,7 +344,7 @@ class Topology:
         for m in self.closed:
             if bits & ~m.bits == 0:
                 return m.bits
-        raise AssertionError("unreachable: the full ground set is closed")
+        raise WitnessVerificationFailed("unreachable: the full ground set is closed")
 
     def meet(self, a: SubsetMask, b: SubsetMask) -> SubsetMask:
         """Lattice meet of two closed sets: their intersection."""
@@ -488,16 +528,21 @@ def _submask_fill(full: int, proper: Sequence[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _superset_dp(full: int, closed: Sequence[int]) -> tuple[int, ...]:
-    """Images by descending recursion: f(A) = A for closed A, otherwise
-    f(A) = ⋂_{x ∉ A} f(A ∪ {x}).
+def _superset_dp(full: int, family: Iterable[int]) -> tuple[int, ...]:
+    """DP(A) = ⋂ {C ∈ family : A ⊆ C} for every A, for any family of bit
+    patterns that contains X: DP(A) = A for A in the family, otherwise
+    DP(A) = ⋂_{x ∉ A} DP(A ∪ {x}).
 
-    For A not closed, monotonicity gives f(A) ⊆ f(A ∪ {x}) for every x, and
-    any y ∈ f(A) ∖ A has f(A ∪ {y}) = f(A), so the intersection is f(A).
-    Every A ∪ {x} has a larger mask value, so it is done before A.
+    A member C ⊋ A contains some A ∪ {x}, so for A outside the family the
+    members above A are exactly those above some A ∪ {x}, and the recursion
+    holds.  Every A ∪ {x} has a larger mask value, so it is done before A.
+    The family is intersection-closed iff every DP(A) lies in it: DP(A) is
+    an intersection of members, and for members C, D the members above
+    C ∩ D meet in C ∩ D itself.  Then DP is the closure operator the family
+    induces.
     """
     is_closed = bytearray(full + 1)
-    for c in closed:
+    for c in family:
         is_closed[c] = 1
     images = [0] * (full + 1)
     for a in range(full, -1, -1):
@@ -517,22 +562,22 @@ def _superset_dp(full: int, closed: Sequence[int]) -> tuple[int, ...]:
 class ClosureOperator:
     """A closure operator f: 2^X -> 2^X on a finite ground set.
 
-    An instance holds its closed sets S(f), which determine f, and caches the
-    table of all 2^n images the first time it is needed.  From closed sets the
-    table is built by :func:`_tabulate_closed` in
-    min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps; an operator built from images
-    starts with them cached.  Instances are immutable up to that cache.
-    Equality compares closed sets, so it builds no table.
+    An instance holds its closed sets S(f), which determine f.  The table of
+    all 2^n images is kept by the topology: validation by the superset
+    recursion leaves it there, an operator built from images starts with
+    them, and otherwise :func:`_tabulate_closed` builds it the first time it
+    is needed, in min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.  Instances are
+    immutable up to that cache.  Equality compares closed sets, so it builds
+    no table.
 
     Call the operator like a function: ``f(mask)`` returns the closure.
     """
 
-    __slots__ = ("ground", "_images", "_topology")
+    __slots__ = ("ground", "_topology")
 
     def __init__(self, topology: Topology) -> None:
         self.ground = topology.ground
         self._topology = topology
-        self._images: tuple[int, ...] | None = None
 
     @classmethod
     def from_table(
@@ -552,11 +597,8 @@ class ClosureOperator:
     @classmethod
     def _from_images(cls, ground: GroundSet, images: tuple[int, ...]) -> ClosureOperator:
         """Trusted constructor for images known to satisfy the axioms: S(f) is
-        the set of their fixed points, and the images become the cached table."""
-        fixed = [bits for bits, img in enumerate(images) if bits == img]
-        operator = cls(Topology.from_bits(ground, fixed))
-        operator._images = images
-        return operator
+        the set of their fixed points, and the images become the table."""
+        return cls(Topology._trusted(ground, images))
 
     def __call__(self, mask: SubsetMask) -> SubsetMask:
         if mask.ground != self.ground:
@@ -569,11 +611,11 @@ class ClosureOperator:
 
     def tabulate_bits(self) -> tuple[int, ...]:
         """All images, indexed by subset bit pattern, built once."""
-        if self._images is None:
-            self._images = _tabulate_closed(
-                self.ground.size, [m.bits for m in self._topology.closed]
-            )
-        return self._images
+        topology = self._topology
+        if topology._images is None:
+            images = _tabulate_closed(self.ground.size, [m.bits for m in topology.closed])
+            object.__setattr__(topology, "_images", images)
+        return topology._images
 
     def table(self) -> dict[SubsetMask, SubsetMask]:
         """The operator as an explicit mask-keyed table, in canonical order."""

@@ -12,11 +12,23 @@ equal inputs produce byte-equal outputs.
 
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
-cheap word operations.  The order axioms are validated eagerly at construction,
-so malformed relations never reach the algorithms.  That pass also keeps each
-item's upper covers, its strict up-row minus the strict up-rows of its
-members; the Hasse diagram and P(f) and depth in :mod:`closureops.complexity`
-read them, and nothing else in the package computes covers.
+cheap word operations.  Construction also keeps each item's upper covers, as
+index lists; the Hasse diagram and P(f), depth and width in
+:mod:`closureops.complexity` read them, and nothing else in the package
+computes covers.  Which route runs:
+
+* ``FinitePoset(items, up)`` from user data validates the order axioms
+  eagerly, so malformed relations never reach the algorithms, and takes the
+  covers as each item's strict up-row minus the strict up-rows of its members,
+  one step per comparable pair.
+* :meth:`FinitePoset.from_masks` and :meth:`FinitePoset.from_topology` build
+  inclusion orders, which are orders by construction, so they skip those
+  checks (a repeated subset is still rejected).  A topology that holds its
+  image table (validated by the superset recursion, or built from an
+  operator's images) gets its covers from a sweep of the table, about n steps
+  per closed set (:func:`_swept_covers`), and builds its rows only when
+  something reads them: they take |S|² bits, 512 MB for the discrete family
+  on 16 elements.  Any other family takes the per-pair route above.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import SubsetMask, Topology
-from .errors import GroundSetMismatch, InvalidOrderRelation
+from .errors import GroundSetMismatch, InvalidOrderRelation, WitnessVerificationFailed
 
 __all__ = [
     "FinitePoset",
@@ -57,7 +69,7 @@ class ChainCover:
 
     def __post_init__(self) -> None:
         if len(self.chains) != len(self.antichain):
-            raise AssertionError(
+            raise WitnessVerificationFailed(
                 "chain cover and antichain certificate disagree "
                 f"({len(self.chains)} chains vs {len(self.antichain)} antichain items)"
             )
@@ -108,18 +120,13 @@ class FinitePoset:
     items: tuple[Hashable, ...]
     up: tuple[int, ...]
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
-    _covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "up", tuple(self.up))
-        index: dict[Hashable, int] = {}
-        for i, item in enumerate(items):
-            if item in index:
-                raise InvalidOrderRelation(f"duplicate item {item!r}")
-            index[item] = i
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", _index_of(items))
         n = len(items)
         if len(self.up) != n:
             raise InvalidOrderRelation("one relation row required per item")
@@ -128,15 +135,12 @@ class FinitePoset:
                 raise InvalidOrderRelation("relation row refers to unknown items")
             if not self.up[i] >> i & 1:
                 raise InvalidOrderRelation(f"reflexivity fails at {items[i]!r}")
-        covers = []
         for i in range(n):
             row = self.up[i]
-            strict = rest = row & ~(1 << i)
-            above = 0
+            rest = row & ~(1 << i)
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                above |= self.up[j] & ~(1 << j)
                 if self.up[j] >> i & 1:
                     raise InvalidOrderRelation(
                         f"antisymmetry fails at ({items[i]!r}, {items[j]!r})"
@@ -147,8 +151,38 @@ class FinitePoset:
                         f"transitivity fails: {items[i]!r} ≤ {items[j]!r} ≤ "
                         f"{items[k]!r} but not {items[i]!r} ≤ {items[k]!r}"
                     )
-            covers.append(strict & ~above)
-        object.__setattr__(self, "_covers", tuple(covers))
+        object.__setattr__(self, "_covers", _covers_by_rows(self.up))
+
+    @classmethod
+    def _trusted(
+        cls,
+        items: tuple[SubsetMask, ...],
+        covers: tuple[tuple[int, ...], ...],
+        up: tuple[int, ...] | None = None,
+    ) -> FinitePoset:
+        """An inclusion order on distinct sets, built without the order
+        checks: inclusion is reflexive, antisymmetric and transitive.  Without
+        ``up`` the rows and the item index are built on first use."""
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "items", items)
+        object.__setattr__(poset, "_covers", covers)
+        if up is not None:
+            object.__setattr__(poset, "up", up)
+            object.__setattr__(poset, "_index", _index_of(items))
+        return poset
+
+    def __getattr__(self, name: str) -> object:
+        # Called only for a missing attribute of an inclusion order built
+        # from a topology's covers.  The rows take |S|² bits, and the
+        # complexity profile of a dense S(f) reads only the covers.
+        if name == "up":
+            value: object = _inclusion_rows(self.items)
+        elif name == "_index":
+            value = _index_of(self.items)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def from_leq(
@@ -171,40 +205,25 @@ class FinitePoset:
     def from_masks(cls, masks: Sequence[SubsetMask]) -> FinitePoset:
         """The inclusion order on a family of subsets (kept in given order).
 
-        Works on raw bits: column e is the set of items containing element e,
-        and an item's row, the items that contain it, is the AND of the
-        columns of its members, O(Σ|A|) big-int ANDs in all.  Raises
-        :class:`GroundSetMismatch` unless all subsets share one ground set.
+        Raises :class:`GroundSetMismatch` unless all subsets share one ground
+        set, and :class:`InvalidOrderRelation` if a subset repeats.
         """
         masks = tuple(masks)
-        if not masks:
-            return cls((), ())
-        ground = masks[0].ground
-        columns = [0] * ground.size
-        for i, mask in enumerate(masks):
-            if mask.ground != ground:
-                raise GroundSetMismatch("subsets live in different ground sets")
-            rest = mask.bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                columns[low.bit_length() - 1] |= 1 << i
-        every = (1 << len(masks)) - 1
-        rows = []
-        for mask in masks:
-            row = every
-            rest = mask.bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row &= columns[low.bit_length() - 1]
-            rows.append(row)
-        return cls(masks, tuple(rows))
+        up = _inclusion_rows(masks)
+        return cls._trusted(masks, _covers_by_rows(up), up)
 
     @classmethod
     def from_topology(cls, topology: Topology) -> FinitePoset:
-        """The inclusion order on a topology's closed sets (canonical order)."""
-        return cls.from_masks(topology.closed)
+        """The inclusion order on a topology's closed sets (canonical order).
+
+        When the topology holds its image table, the covers come from the
+        table sweep (:func:`_swept_covers`), and the rows wait until used;
+        otherwise it is :meth:`from_masks`.
+        """
+        closed = topology.closed
+        if topology._images is None:
+            return cls.from_masks(closed)
+        return cls._trusted(closed, _swept_covers([m.bits for m in closed], topology._images))
 
     @property
     def size(self) -> int:
@@ -236,6 +255,10 @@ class FinitePoset:
 
     def upper_covers(self) -> tuple[int, ...]:
         """Per item, a bitmask of the items that cover it."""
+        return tuple(sum(1 << j for j in above) for above in self._covers)
+
+    def upper_cover_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Per item, the indices of the items that cover it, ascending."""
         return self._covers
 
     def hasse(self) -> tuple[tuple[Hashable, Hashable], ...]:
@@ -244,13 +267,10 @@ class FinitePoset:
         These are the arrows of the Hasse diagram, ordered by item index of the
         lower item, then of the upper.
         """
-        edges = []
-        for i, row in enumerate(self._covers):
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                edges.append((self.items[i], self.items[j]))
-        return tuple(edges)
+        items = self.items
+        return tuple(
+            (items[i], items[j]) for i, above in enumerate(self._covers) for j in above
+        )
 
     def min_chain_cover(self) -> ChainCover:
         """A minimum chain cover with a maximum antichain certificate.
@@ -263,39 +283,46 @@ class FinitePoset:
         whose right copy is not.  Neighbor scans follow item order, so the
         result is deterministic.
         """
+        return self._matched_cover(())
+
+    def _matched_cover(self, links: Iterable[tuple[int, int]]) -> ChainCover:
+        """:meth:`min_chain_cover`, with the matching started from ``links``,
+        index pairs (i, j) with item i < item j that share no endpoint.
+
+        The breadth-first searches run on the strict up-rows as bitsets: a
+        left vertex reaches, in one AND, every right vertex of its row that
+        this search has not reached yet.  Each left vertex unmatched at the
+        start is searched once; one that finds no augmenting path never gets
+        one later (the classical invariant of Kuhn's method), so the
+        matching ends maximum.
+        """
         n = self.size
         strict_up = self._strict_up()
-        adj: list[list[int]] = []
-        for i in range(n):
-            row = strict_up[i]
-            targets = []
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                targets.append(j)
-            adj.append(targets)
         match_l = [-1] * n
         match_r = [-1] * n
-        for start in range(n):
+        for i, j in links:
+            match_l[i] = j
+            match_r[j] = i
+        every = (1 << n) - 1
+        for start in [u for u in range(n) if match_l[u] < 0]:
             parent: dict[int, int] = {}
+            unreached = every
             queue = deque([start])
-            seen_left = {start}
             goal = -1
             while queue and goal < 0:
                 u = queue.popleft()
-                for v in adj[u]:
-                    if v in parent:
-                        continue
+                row = strict_up[u] & unreached
+                unreached &= ~row
+                while row:
+                    low = row & -row
+                    row ^= low
+                    v = low.bit_length() - 1
                     parent[v] = u
                     w = match_r[v]
                     if w < 0:
                         goal = v
                         break
-                    if w not in seen_left:
-                        seen_left.add(w)
-                        queue.append(w)
-            if goal < 0:
-                continue
+                    queue.append(w)
             v = goal
             while v >= 0:
                 u = parent[v]
@@ -304,23 +331,25 @@ class FinitePoset:
                 match_r[v] = u
                 v = previous
         # König: Z = alternating reachability from unmatched left vertices.
+        # A left vertex in Z is unmatched or entered through its partner, so
+        # its row minus the right vertices already in Z holds no matched edge.
         unmatched = [u for u in range(n) if match_l[u] < 0]
-        z_left = set(unmatched)
-        z_right: set[int] = set()
+        z_left = 0
+        for u in unmatched:
+            z_left |= 1 << u
+        z_right = 0
         queue = deque(unmatched)
         while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v in z_right or match_l[u] == v:
-                    continue
-                z_right.add(v)
-                w = match_r[v]
-                if w >= 0 and w not in z_left:
-                    z_left.add(w)
+            row = strict_up[queue.popleft()] & ~z_right
+            z_right |= row
+            while row:
+                low = row & -row
+                row ^= low
+                w = match_r[low.bit_length() - 1]
+                if w >= 0 and not z_left >> w & 1:
+                    z_left |= 1 << w
                     queue.append(w)
-        antichain = tuple(
-            self.items[i] for i in range(n) if i in z_left and i not in z_right
-        )
+        antichain = z_left & ~z_right
         chains = []
         for i in range(n):
             if match_r[i] >= 0:
@@ -331,7 +360,10 @@ class FinitePoset:
                 chain.append(self.items[j])
                 j = match_l[j]
             chains.append(tuple(chain))
-        return ChainCover(chains=tuple(chains), antichain=antichain)
+        return ChainCover(
+            chains=tuple(chains),
+            antichain=tuple(self.items[i] for i in range(n) if antichain >> i & 1),
+        )
 
     def mobius(self) -> MobiusTable:
         """The Möbius function on all comparable pairs, as exact integers."""
@@ -394,6 +426,105 @@ class FinitePoset:
 
     def __repr__(self) -> str:
         return f"FinitePoset({self.size} items, {sum(r.bit_count() for r in self.up) - self.size} strict relations)"
+
+
+def _index_of(items: tuple[Hashable, ...]) -> dict[Hashable, int]:
+    index: dict[Hashable, int] = {}
+    for i, item in enumerate(items):
+        if item in index:
+            raise InvalidOrderRelation(f"duplicate item {item!r}")
+        index[item] = i
+    return index
+
+
+def _inclusion_rows(masks: tuple[SubsetMask, ...]) -> tuple[int, ...]:
+    """Per subset, the bitmask of the subsets that contain it.
+
+    Column e is the set of items containing element e, and an item's row is
+    the AND of the columns of its members, O(Σ|A|) big-int ANDs in all.
+    """
+    if not masks:
+        return ()
+    ground = masks[0].ground
+    columns = [0] * ground.size
+    for i, mask in enumerate(masks):
+        if mask.ground != ground:
+            raise GroundSetMismatch("subsets live in different ground sets")
+        rest = mask.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            columns[low.bit_length() - 1] |= 1 << i
+    every = (1 << len(masks)) - 1
+    rows = []
+    for mask in masks:
+        row = every
+        rest = mask.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row &= columns[low.bit_length() - 1]
+        rows.append(row)
+    return tuple(rows)
+
+
+def _covers_by_rows(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per item, its strict up-row minus the strict up-rows of its members:
+    one step per comparable pair."""
+    covers = []
+    for i, row in enumerate(up):
+        strict = rest = row & ~(1 << i)
+        above = 0
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            above |= up[j] & ~(1 << j)
+        rest = strict & ~above
+        indices = []
+        while rest:
+            indices.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+        covers.append(tuple(indices))
+    return tuple(covers)
+
+
+def _swept_covers(
+    closed: Sequence[int], images: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Upper covers of each closed set, read from the image table in about
+    n steps per closed set.
+
+    A closed C ⊋ A covers A iff every y ∈ C ∖ A has f(A ∪ {y}) = C.  If C
+    covers A, then A ⊊ f(A ∪ {y}) ⊆ C forces equality.  Conversely, a closed
+    D with A ⊊ D ⊆ C contains some y ∈ C ∖ A, so D ⊇ f(A ∪ {y}) = C.  Each
+    candidate C = f(A ∪ {x}) is therefore tested once, at the lowest element
+    x of C ∖ A, and C = A ∪ {x} is a cover outright.
+    """
+    full = closed[-1]
+    index = {c: i for i, c in enumerate(closed)}
+    covers = []
+    for a in closed:
+        above = []
+        rest = full & ~a
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            c = images[a | x]
+            new = c & ~a
+            if new == x:
+                above.append(index[c])
+            elif x == new & -new:
+                others = new ^ x
+                while others:
+                    y = others & -others
+                    others ^= y
+                    if images[a | y] != c:
+                        break
+                else:
+                    above.append(index[c])
+        above.sort()
+        covers.append(tuple(above))
+    return tuple(covers)
 
 
 def _default_label(item: Hashable) -> str:

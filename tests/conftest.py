@@ -10,12 +10,14 @@ without touching the code paths they check.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from closureops import (
     AdditiveRepresentation,
     AxiomReport,
     BinaryClassifier,
+    ChainCover,
     ClosureOperator,
     ComplexityProfile,
     FinitePoset,
@@ -417,6 +419,97 @@ def oracle_hasse(poset: FinitePoset) -> tuple[tuple, ...]:
             if strict_up[i] & strict_down[j] == 0:
                 covers.append((poset.items[i], poset.items[j]))
     return tuple(covers)
+
+
+def oracle_missing_intersection(bits) -> tuple[int, int] | None:
+    """The first pair (a, b) of a family, in ascending order, whose
+    intersection is missing, by testing every pair."""
+    family = sorted(set(bits))
+    present = set(family)
+    for i, a in enumerate(family):
+        for b in family[i + 1 :]:
+            if a & b not in present:
+                return a, b
+    return None
+
+
+def oracle_min_chain_cover(poset: FinitePoset) -> ChainCover:
+    """A minimum chain cover by augmenting-path matching on neighbor lists,
+    one step per comparable pair, with the antichain read by König."""
+    n = poset.size
+    adj = [
+        [j for j in range(n) if j != i and poset.up[i] >> j & 1] for i in range(n)
+    ]
+    match_l = [-1] * n
+    match_r = [-1] * n
+    for start in range(n):
+        parent: dict[int, int] = {}
+        queue = deque([start])
+        seen_left = {start}
+        goal = -1
+        while queue and goal < 0:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v in parent:
+                    continue
+                parent[v] = u
+                w = match_r[v]
+                if w < 0:
+                    goal = v
+                    break
+                if w not in seen_left:
+                    seen_left.add(w)
+                    queue.append(w)
+        v = goal
+        while v >= 0:
+            u = parent[v]
+            previous = match_l[u]
+            match_l[u] = v
+            match_r[v] = u
+            v = previous
+    unmatched = [u for u in range(n) if match_l[u] < 0]
+    z_left = set(unmatched)
+    z_right: set[int] = set()
+    queue = deque(unmatched)
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v in z_right or match_l[u] == v:
+                continue
+            z_right.add(v)
+            w = match_r[v]
+            if w >= 0 and w not in z_left:
+                z_left.add(w)
+                queue.append(w)
+    chains = []
+    for i in range(n):
+        if match_r[i] < 0:
+            chain = [poset.items[i]]
+            j = match_l[i]
+            while j >= 0:
+                chain.append(poset.items[j])
+                j = match_l[j]
+            chains.append(tuple(chain))
+    return ChainCover(
+        chains=tuple(chains),
+        antichain=tuple(
+            poset.items[i] for i in range(n) if i in z_left and i not in z_right
+        ),
+    )
+
+
+def check_chain_cover(poset: FinitePoset, cover: ChainCover) -> None:
+    """Assert that the chains partition the items, each chain rises strictly,
+    and the antichain is one of the same size."""
+    seen = [item for chain in cover.chains for item in chain]
+    assert sorted(map(repr, seen)) == sorted(map(repr, poset.items))
+    for chain in cover.chains:
+        for a, b in zip(chain, chain[1:]):
+            assert poset.leq(a, b) and a != b
+    for i, a in enumerate(cover.antichain):
+        for b in cover.antichain[i + 1 :]:
+            assert not poset.leq(a, b) and not poset.leq(b, a)
+    assert cover.width == len(cover.chains) == len(cover.antichain)
 
 
 def oracle_classifier_images(labeling: Labeling) -> tuple[int, ...]:

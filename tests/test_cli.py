@@ -12,6 +12,7 @@ import pytest
 
 import closureops
 from closureops import (
+    ChainCover,
     DoesNotRespect,
     FinitePoset,
     NotIntersectionClosed,
@@ -20,6 +21,7 @@ from closureops import (
     additive_representation,
     check_generation,
     cli,
+    complexity,
     complexity_profile,
     jsonio,
     kreps_representation,
@@ -396,6 +398,22 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
     assert code == 3
     assert "internal error" in err and "planted failure" in err
     assert json.loads(out) == {"error": "planted failure", "internal": True}
+
+
+def test_a_broken_width_certificate_exits_3(tmp_path, capsys, monkeypatch):
+    width_cover = complexity._width_cover
+
+    def broken(poset):
+        cover = width_cover(poset)
+        return ChainCover(chains=cover.chains, antichain=cover.antichain[1:])
+
+    monkeypatch.setattr(complexity, "_width_cover", broken)
+    path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
+    code, out, err = _run(capsys, "complexity", "--topology", path)
+    assert code == 3
+    message = "chain cover and antichain certificate disagree (3 chains vs 2 antichain items)"
+    assert err == f"internal error: {message}\n"
+    assert json.loads(out) == {"error": message, "internal": True}
 
 
 def test_stdout_is_identical_under_different_hash_seeds(tmp_path):

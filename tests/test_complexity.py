@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +32,14 @@ from conftest import (
     brute_meet_reducible,
     brute_width,
     chain_topology,
+    check_chain_cover,
     crown_topology,
     fork_topology,
     ground,
     iter_topologies,
     oracle_check_generation,
     order,
+    random_family_bits,
     random_binary,
     random_operator,
     random_topology,
@@ -284,6 +287,56 @@ def test_discrete_family_closed_forms_at_twelve_elements():
     assert len(edges) == n << (n - 1) == 24_576
     assert all((upper.bits ^ lower.bits).bit_count() == 1 for lower, upper in edges)
     assert complexity._depth(poset) == n
+
+
+def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
+    # width_s is certified by the largest level when the greedy cover meets
+    # it, and finished by the warm-started matching otherwise.
+    matched_cover = FinitePoset._matched_cover
+    fallbacks = Counter()
+
+    def counted(self, links):
+        fallbacks["calls"] += 1
+        return matched_cover(self, links)
+
+    monkeypatch.setattr(FinitePoset, "_matched_cover", counted)
+    routes: Counter = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        p = FinitePoset.from_topology(Topology.from_bits(g, random_family_bits(rng, n)))
+        before = fallbacks["calls"]
+        cover = complexity._width_cover(p)
+        routes["fallback" if fallbacks["calls"] > before else "certified"] += 1
+        check_chain_cover(p, cover)
+        assert cover.width == p.min_chain_cover().width
+    assert routes["certified"] >= 20 and routes["fallback"] >= 20
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_discrete_family_closed_forms_at_large_n(n):
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    profile = complexity_profile(Topology.from_bits(g, range(1 << n)).operator())
+    coatoms = tuple(g.mask(g.full_bits & ~(1 << i)) for i in reversed(range(n)))
+    assert profile.width_s == comb(n, n // 2)
+    assert profile.depth_s == n
+    assert profile.mnwo == profile.mnbc == n
+    assert profile.irreducibles.p_of_f == (*coatoms, g.full)
+    assert profile.class_count == (1 << n) - 1
+
+
+def test_discrete_family_hasse_edges_at_fourteen_elements():
+    n = 14
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    poset = FinitePoset.from_topology(Topology.from_bits(g, range(1 << n)))
+    edges = poset.hasse()
+    assert "up" not in vars(poset)  # the covers came from the sweep, not the rows
+    assert len(edges) == n << (n - 1) == 114_688
+    assert all(
+        lower.bits & ~upper.bits == 0 and (upper.bits ^ lower.bits).bit_count() == 1
+        for lower, upper in edges
+    )
 
 
 # ---------------------------------------------------------------- comparison

@@ -2,6 +2,8 @@
 
 import json
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from closureops import (
     NotClosed,
     NotIntersectionClosed,
     Topology,
+    WitnessVerificationFailed,
     check_generation,
     complexity_profile,
     validate_closure,
@@ -35,6 +38,7 @@ from conftest import (
     crown_bits,
     ground,
     iter_topologies,
+    oracle_missing_intersection,
     oracle_scan_images,
     oracle_topology_doc,
     random_family_bits,
@@ -191,6 +195,74 @@ def test_topology_requires_intersection_closure():
         topo(g, "", "ab", "bc", "abc")
     a, b = err.value.witness
     assert {a.label(), b.label()} == {"{a,b}", "{b,c}"}
+
+
+def _meet_reducible(rng: random.Random, bits: list[int]) -> int | None:
+    """A closed set other than ∅ and X that is the intersection of its strict
+    closed supersets, so that dropping it breaks intersection closure."""
+    full = bits[-1]
+    middle = bits[1:-1]
+    rng.shuffle(middle)
+    for c in middle:
+        meet = full
+        for d in bits:
+            if d != c and c & ~d == 0:
+                meet &= d
+        if meet == c:
+            return c
+    return None
+
+
+def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
+    # The superset recursion decides dense families; the pair loop decides
+    # small ones and names the missing intersection whenever one is missing.
+    taken = _count_methods(monkeypatch)
+    sides: Counter = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        bits = random_family_bits(rng, n)
+        assert oracle_missing_intersection(bits) is None
+        before = taken["dp"]
+        t = Topology.from_bits(g, bits)
+        side = "dp" if taken["dp"] > before else "pairs"
+        sides["valid", side] += 1
+        if side == "dp":
+            assert t._images == oracle_scan_images(g.full_bits, bits)
+        else:
+            assert t._images is None
+        dropped = _meet_reducible(rng, bits)
+        if dropped is None:
+            continue
+        broken = [b for b in bits if b != dropped]
+        a, b = oracle_missing_intersection(broken)
+        before = taken["dp"]
+        with pytest.raises(NotIntersectionClosed) as err:
+            Topology.from_bits(g, broken)
+        sides["broken", "dp" if taken["dp"] > before else "pairs"] += 1
+        assert tuple(m.bits for m in err.value.witness) == (a, b)
+        assert str(err.value) == str(NotIntersectionClosed(g.mask(a), g.mask(b)))
+    assert taken["fill"] == 0
+    assert min(sides[key] for key in product(("valid", "broken"), ("dp", "pairs"))) >= 20
+
+
+def test_validation_table_is_the_image_cache(monkeypatch):
+    g = GroundSet(tuple(f"e{i}" for i in range(8)))
+    taken = _count_methods(monkeypatch)
+    t = Topology.from_bits(g, range(256))
+    assert taken == {"fill": 0, "dp": 1}
+    f = t.operator()
+    assert f.tabulate_bits() is t._images == tuple(range(256))
+    assert f.closed_sets().operator().tabulate_bits() is t._images
+    assert taken == {"fill": 0, "dp": 1}
+
+
+def test_closure_without_a_closed_superset_is_an_internal_failure():
+    # Unreachable through the validating constructors, which require X.
+    t = Topology._trusted(ground("a"), (0, 0))
+    with pytest.raises(WitnessVerificationFailed, match="unreachable"):
+        t.closure_bits(1)
 
 
 def test_membership_ignores_foreign_masks():

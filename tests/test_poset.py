@@ -1,6 +1,7 @@
 """Finite posets: validation, Hasse diagrams, chain covers, Möbius inversion."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,20 @@ from hypothesis import strategies as st
 from closureops import (
     ChainCover,
     FinitePoset,
+    GroundSet,
     GroundSetMismatch,
     InvalidOrderRelation,
     Topology,
+    WitnessVerificationFailed,
     to_dot,
 )
 from conftest import (
     brute_poset_width,
+    check_chain_cover,
     ground,
     oracle_from_masks,
     oracle_hasse,
+    oracle_min_chain_cover,
     permuted_poset,
     random_family_bits,
     random_fraction,
@@ -201,6 +206,48 @@ def test_covers_match_the_oracle_on_random_families():
         assert p.upper_covers() == _cover_rows(p, expected)
 
 
+def test_swept_and_looped_covers_match_the_oracle_on_random_families():
+    # from_topology sweeps the image table when the topology holds one (the
+    # superset recursion validated it) and runs the cover loop otherwise;
+    # both routes are also forced on every family.
+    routes: Counter = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        t = Topology.from_bits(
+            GroundSet(tuple(f"e{i}" for i in range(n))), random_family_bits(rng, n)
+        )
+        routes["sweep" if t._images is not None else "loop"] += 1
+        p = FinitePoset.from_topology(t)
+        expected = oracle_hasse(p)
+        assert p.hasse() == expected
+        assert p.upper_covers() == _cover_rows(p, expected)
+        looped = FinitePoset.from_masks(t.closed)
+        t.operator().tabulate_bits()
+        swept = FinitePoset.from_topology(t)
+        for other in (looped, swept):
+            assert other == p
+            assert other.upper_covers() == p.upper_covers()
+    assert routes["sweep"] >= 20 and routes["loop"] >= 20
+
+
+def test_trusted_inclusion_posets_equal_the_checked_ones():
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        t = Topology.from_bits(ground("abcdefgh"[:n]), random_family_bits(rng, n))
+        for p in (FinitePoset.from_topology(t), FinitePoset.from_masks(t.closed[::-1])):
+            checked = FinitePoset(p.items, p.up)
+            assert checked == p
+            assert checked.upper_covers() == p.upper_covers()
+
+
+def test_from_masks_rejects_a_repeated_subset():
+    g = ground("ab")
+    with pytest.raises(InvalidOrderRelation, match=r"duplicate item SubsetMask\(\{a\}\)"):
+        FinitePoset.from_masks((sub(g, "a"), sub(g, "ab"), sub(g, "a")))
+
+
 @given(st.integers(0, 10**9), st.integers(0, 12))
 @settings(max_examples=100, deadline=None)
 def test_covers_match_the_oracle_when_items_are_not_sorted(seed, n):
@@ -215,22 +262,10 @@ def test_covers_match_the_oracle_when_items_are_not_sorted(seed, n):
 # --------------------------------------------------------------- chain cover
 
 
-def _check_cover(p: FinitePoset, cover: ChainCover) -> None:
-    seen = [item for chain in cover.chains for item in chain]
-    assert sorted(map(repr, seen)) == sorted(map(repr, p.items))  # partition
-    for chain in cover.chains:
-        for a, b in zip(chain, chain[1:]):
-            assert p.leq(a, b) and a != b  # strictly increasing
-    for i, a in enumerate(cover.antichain):
-        for b in cover.antichain[i + 1 :]:
-            assert not p.leq(a, b) and not p.leq(b, a)
-    assert cover.width == len(cover.chains) == len(cover.antichain)
-
-
 def test_chain_cover_of_divisor_lattice():
     p = divisor_poset()
     cover = p.min_chain_cover()
-    _check_cover(p, cover)
+    check_chain_cover(p, cover)
     assert cover.width == 2 == brute_poset_width(p)
 
 
@@ -256,12 +291,32 @@ def test_chain_cover_of_antichain_and_chain():
 def test_chain_cover_is_minimum_on_random_posets(seed, n):
     p = random_poset(random.Random(seed), n)
     cover = p.min_chain_cover()
-    _check_cover(p, cover)
+    check_chain_cover(p, cover)
     assert cover.width == brute_poset_width(p)
 
 
+@given(st.integers(0, 10**9), st.integers(0, 14))
+@settings(max_examples=120, deadline=None)
+def test_chain_cover_equals_the_list_matching_oracle(seed, n):
+    # The bitset searches scan neighbors in item order like the list-based
+    # matching, so the cover and its certificate are the same, item for item.
+    rng = random.Random(seed)
+    p = permuted_poset(rng, random_poset(rng, n, rng.choice((0.1, 0.3, 0.6))))
+    assert p.min_chain_cover() == oracle_min_chain_cover(p)
+    assert p.dual().min_chain_cover() == oracle_min_chain_cover(p.dual())
+
+
+def test_chain_cover_equals_the_list_matching_oracle_on_closed_sets():
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        t = Topology.from_bits(ground("abcdefgh"[:n]), random_family_bits(rng, n))
+        p = FinitePoset.from_topology(t)
+        assert p.min_chain_cover() == oracle_min_chain_cover(p)
+
+
 def test_cover_certificate_mismatch_is_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(WitnessVerificationFailed):
         ChainCover(chains=((1,),), antichain=())
 
 
