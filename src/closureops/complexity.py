@@ -102,8 +102,9 @@ def meet_irreducibles(topology: Topology) -> IrreducibleSet:
 def _irreducibles(topology: Topology, poset: FinitePoset) -> IrreducibleSet:
     """P(f) and B(f), read from the upper covers of S(f) (module docstring)."""
     covers = poset.upper_cover_indices()
-    p = tuple(a for a, above in zip(topology.closed, covers) if len(above) <= 1)
-    full = topology.ground.full_bits
+    ground = topology.ground
+    p = tuple(ground.mask(a) for a, above in zip(topology.bits, covers) if len(above) <= 1)
+    full = ground.full_bits
     b_of_f = tuple(m for m in p if m.bits not in (0, full))
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
 
@@ -268,8 +269,9 @@ def more_complex(f: ClosureOperator, g: ClosureOperator) -> ComplexityComparison
         raise GroundSetMismatch("operators live in different ground sets")
     s_f = f.closed_sets()
     s_g = g.closed_sets()
-    missing_from_f = next((m for m in s_g if not s_f.contains_bits(m.bits)), None)
-    missing_from_g = next((m for m in s_f if not s_g.contains_bits(m.bits)), None)
+    mask = f.ground.mask
+    missing_from_f = next((mask(b) for b in s_g.bits if not s_f.contains_bits(b)), None)
+    missing_from_g = next((mask(b) for b in s_f.bits if not s_g.contains_bits(b)), None)
     return ComplexityComparison(
         f_at_least_g=missing_from_f is None,
         g_at_least_f=missing_from_g is None,

@@ -31,7 +31,12 @@ validated again.
 Subsets are machine words: a :class:`SubsetMask` stores one bit per element of
 its :class:`GroundSet`, which caps ground sets at 20 elements and makes the
 canonical ordering of subsets (ascending numeric mask value) a linear extension
-of inclusion.  All values are immutable; all functions are pure.
+of inclusion.  A :class:`Topology` stores its closed sets one way only, as the
+ascending tuple of their bit patterns, and the algorithms of the package read
+those patterns.  Masks are made at the API edge only: by
+:meth:`Topology.from_masks` (unwrapped there), by :attr:`Topology.closed` and
+iteration when read, and for witnesses and results.  All values are
+immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -152,6 +157,12 @@ class GroundSet:
         return name in self._index
 
 
+def _misfit(ground: GroundSet, bits: int) -> ForeignMask:
+    return ForeignMask(
+        f"bit pattern {bits:#x} does not fit a ground set of {ground.size} elements"
+    )
+
+
 @dataclass(frozen=True, repr=False)
 class SubsetMask:
     """An immutable subset of a :class:`GroundSet`, stored as a bit pattern.
@@ -172,10 +183,7 @@ class SubsetMask:
 
     def __post_init__(self) -> None:
         if not 0 <= self.bits <= self.ground.full_bits:
-            raise ForeignMask(
-                f"bit pattern {self.bits:#x} does not fit a ground set of "
-                f"{self.ground.size} elements"
-            )
+            raise _misfit(self.ground, self.bits)
 
     def _check(self, other: SubsetMask) -> None:
         if not isinstance(other, SubsetMask):
@@ -242,13 +250,6 @@ class SubsetMask:
         return f"SubsetMask({self.label()})"
 
 
-def _sorted_unique(masks: Iterable[SubsetMask]) -> tuple[SubsetMask, ...]:
-    by_bits: dict[int, SubsetMask] = {}
-    for m in masks:
-        by_bits[m.bits] = m
-    return tuple(by_bits[b] for b in sorted(by_bits))
-
-
 @dataclass(frozen=True, repr=False)
 class Topology:
     """An intersection-closed family of subsets containing ∅ and X.
@@ -256,38 +257,41 @@ class Topology:
     This is exactly the data of a closure operator in closed-set form: the
     closed sets of any closure operator form such a family, and
     :meth:`closure_of` recovers the operator as the map to the smallest closed
-    superset.  Construction normalizes the family to canonical (ascending mask)
-    order, drops duplicates, and validates the invariants eagerly, by the
-    cheaper of the pair loop and the superset recursion (module docstring).
+    superset.  The family is stored one way only, as the ascending tuple of
+    its bit patterns: construction drops duplicates, sorts, and validates the
+    invariants eagerly, by the cheaper of the pair loop and the superset
+    recursion (module docstring).  :meth:`from_masks` builds one from
+    :class:`SubsetMask` values.
 
     Attributes:
         ground: the underlying ground set.
-        closed: the closed sets, sorted ascending by mask value.
+        bits: the closed sets' bit patterns, ascending.
     """
 
     ground: GroundSet
-    closed: tuple[SubsetMask, ...]
+    bits: tuple[int, ...]
     _bitset: frozenset[int] = field(init=False, repr=False, compare=False)
     _images: tuple[int, ...] | None = field(
         init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        for m in self.closed:
-            if m.ground != self.ground:
-                raise GroundSetMismatch("closed set lives in a different ground set")
-        closed = _sorted_unique(self.closed)
-        object.__setattr__(self, "closed", closed)
-        bitset = frozenset(m.bits for m in closed)
+        given = tuple(self.bits)
+        bitset = frozenset(given)
+        closed = tuple(sorted(bitset))
+        full = self.ground.full_bits
+        if closed and (closed[0] < 0 or closed[-1] > full):
+            raise _misfit(self.ground, next(b for b in given if not 0 <= b <= full))
+        object.__setattr__(self, "bits", closed)
         object.__setattr__(self, "_bitset", bitset)
         if 0 not in bitset:
             raise MissingTopBottom("the empty set must be closed")
-        if self.ground.full_bits not in bitset:
+        if full not in bitset:
             raise MissingTopBottom("the full ground set must be closed")
         size = self.ground.size
         count = len(closed)
         if (size + 2) << (size - 1) < count * (count - 1) // 2:
-            images = _superset_dp(self.ground.full_bits, bitset)
+            images = _superset_dp(full, bitset)
             if bitset.issuperset(images):
                 object.__setattr__(self, "_images", images)
                 return
@@ -295,31 +299,40 @@ class Topology:
         # intersection whenever the recursion has found that one is missing.
         for i, a in enumerate(closed):
             for b in closed[i + 1 :]:
-                if a.bits & b.bits not in bitset:
-                    raise NotIntersectionClosed(a, b)
+                if a & b not in bitset:
+                    raise NotIntersectionClosed(self.ground.mask(a), self.ground.mask(b))
 
     @classmethod
-    def from_bits(cls, ground: GroundSet, bits: Iterable[int]) -> Topology:
-        return cls(ground, tuple(SubsetMask(ground, b) for b in bits))
+    def from_masks(cls, ground: GroundSet, masks: Iterable[SubsetMask]) -> Topology:
+        """The topology of closed sets given as masks over ``ground``."""
+        masks = tuple(masks)
+        if any(m.ground != ground for m in masks):
+            raise GroundSetMismatch("closed set lives in a different ground set")
+        return cls(ground, [m.bits for m in masks])
 
     @classmethod
     def _trusted(cls, ground: GroundSet, images: tuple[int, ...]) -> Topology:
         """The fixed points of images already known to be a closure operator,
         built without validation: they are intersection-closed and hold ∅ and
         X by the axioms.  The images become the topology's table."""
-        bits = [b for b, image in enumerate(images) if b == image]
+        bits = tuple(b for b, image in enumerate(images) if b == image)
         topology = object.__new__(cls)
         object.__setattr__(topology, "ground", ground)
-        object.__setattr__(topology, "closed", tuple(SubsetMask(ground, b) for b in bits))
+        object.__setattr__(topology, "bits", bits)
         object.__setattr__(topology, "_bitset", frozenset(bits))
         object.__setattr__(topology, "_images", images)
         return topology
 
+    @property
+    def closed(self) -> tuple[SubsetMask, ...]:
+        """The closed sets as masks, ascending, built on each read."""
+        return tuple(map(self.ground.mask, self.bits))
+
     def __len__(self) -> int:
-        return len(self.closed)
+        return len(self.bits)
 
     def __iter__(self) -> Iterator[SubsetMask]:
-        return iter(self.closed)
+        return map(self.ground.mask, self.bits)
 
     def __contains__(self, mask: object) -> bool:
         if not isinstance(mask, SubsetMask):
@@ -341,9 +354,9 @@ class Topology:
         return self.ground.mask(self.closure_bits(mask.bits))
 
     def closure_bits(self, bits: int) -> int:
-        for m in self.closed:
-            if bits & ~m.bits == 0:
-                return m.bits
+        for c in self.bits:
+            if bits & ~c == 0:
+                return c
         raise WitnessVerificationFailed("unreachable: the full ground set is closed")
 
     def meet(self, a: SubsetMask, b: SubsetMask) -> SubsetMask:
@@ -367,7 +380,7 @@ class Topology:
         return ClosureOperator(self)
 
     def __repr__(self) -> str:
-        sets = ", ".join(m.label() for m in self.closed)
+        sets = ", ".join(m.label() for m in self)
         return f"Topology([{sets}])"
 
 
@@ -613,7 +626,7 @@ class ClosureOperator:
         """All images, indexed by subset bit pattern, built once."""
         topology = self._topology
         if topology._images is None:
-            images = _tabulate_closed(self.ground.size, [m.bits for m in topology.closed])
+            images = _tabulate_closed(self.ground.size, topology.bits)
             object.__setattr__(topology, "_images", images)
         return topology._images
 

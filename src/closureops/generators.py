@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import and_
 
 from .core import ClosureOperator, GroundSet, SubsetMask, Topology
-from .errors import BadEndpoints, GroundSetMismatch, NotAChain
+from .errors import BadEndpoints, GroundSetMismatch, NotAChain, WitnessVerificationFailed
 
 __all__ = [
     "WeakOrder",
@@ -128,7 +128,7 @@ class WeakOrder:
         for i, c in enumerate(self.classes):
             if c.bits & bit:
                 return i
-        raise AssertionError("unreachable: classes cover the ground set")
+        raise WitnessVerificationFailed("unreachable: classes cover the ground set")
 
     def at_least(self, a: str, b: str) -> bool:
         """Whether a ⪰ b."""
@@ -170,7 +170,7 @@ class WeakOrder:
         for c in self.classes:
             acc |= c.bits
             bits.append(acc)
-        return Topology.from_bits(self.ground, bits)
+        return Topology(self.ground, bits)
 
     def operator(self) -> ClosureOperator:
         """The half-space closure operator f_⪰."""
@@ -219,9 +219,7 @@ class BinaryClassifier:
         return WeakOrder(self.ground, (self.cutoff, self.cutoff.complement()))
 
     def topology(self) -> Topology:
-        return Topology.from_bits(
-            self.ground, (0, self.cutoff.bits, self.ground.full_bits)
-        )
+        return Topology(self.ground, (0, self.cutoff.bits, self.ground.full_bits))
 
     def operator(self) -> ClosureOperator:
         return self.topology().operator()
@@ -311,24 +309,22 @@ def check_generation(
             raise GroundSetMismatch("generator lives in a different ground set")
     topology = f.closed_sets()
     condition1 = tuple(
-        (position, closed)
+        (position, ground.mask(closed))
         for position, g in enumerate(generators)
-        for closed in g.closed_sets()
-        if not topology.contains_bits(closed.bits)
+        for closed in g.closed_sets().bits
+        if not topology.contains_bits(closed)
     )
     readers = [g.closed_sets().closure_bits for g in generators]
     condition2: list[tuple[SubsetMask, str]] = []
-    for closed in topology:
-        if not closed.bits:
-            continue
+    for closed in topology.bits[1:]:  # the nonempty closed sets
         kept = ground.full_bits
         for image in readers:
-            kept &= image(closed.bits)
-        kept &= ~closed.bits
+            kept &= image(closed)
+        kept &= ~closed
         while kept:
             x = kept & -kept
             kept ^= x
-            condition2.append((closed, ground.elements[x.bit_length() - 1]))
+            condition2.append((ground.mask(closed), ground.elements[x.bit_length() - 1]))
     return GenerationReport(
         condition1_witnesses=condition1,
         condition2_witnesses=tuple(condition2),
@@ -342,11 +338,11 @@ def is_single_chain(topology: Topology) -> WeakOrder | None:
     Returns None when two closed sets are incomparable.  On a chain the
     reconstruction inverts :meth:`WeakOrder.topology` exactly.
     """
-    closed = topology.closed  # canonical order extends inclusion
-    for lower, upper in zip(closed, closed[1:]):
-        if not lower < upper:
+    bits = topology.bits  # canonical order extends inclusion
+    for lower, upper in zip(bits, bits[1:]):
+        if lower & ~upper:
             return None
-    return WeakOrder.from_chain(closed)
+    return WeakOrder.from_chain(topology.closed)
 
 
 def iter_weak_orders(ground: GroundSet) -> Iterator[WeakOrder]:

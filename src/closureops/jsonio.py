@@ -21,6 +21,12 @@ Formats (subsets are always arrays of element names, in ground-set order):
   ``phi`` key order is used)
 * preference        ``{"elements": [...], "utilities": [{"menu": ["a"], "value": "3/2"}, ...]}``
 
+Each array of element names is read into a bit pattern in one pass, so
+reading and validating a topology builds no
+:class:`~closureops.core.SubsetMask`; the other readers wrap the patterns in
+masks where the values they return hold masks.  An error message names a
+subset by its label, which is built only when the error is raised.
+
 Utilities are exact rationals: JSON strings (``"3/2"``, ``"1.5"``) or integers.
 Floats are rejected — binary floating point is not exact.
 
@@ -186,9 +192,25 @@ def ground_from(doc: Any) -> GroundSet:
         raise SchemaError(str(exc)) from exc
 
 
+def _bits_from(ground: GroundSet, value: Any, what: str) -> int:
+    """The bit pattern of an array of element names, read in one pass."""
+    names = _require_list(value, what)
+    index = ground._index
+    bits = 0
+    try:
+        for name in names:
+            bits |= 1 << index[name]
+    except (KeyError, TypeError):
+        # Check again in two passes to raise the right error: a SchemaError
+        # for a non-string entry anywhere, else a ForeignMask for the first
+        # unknown name.
+        ground.subset(_name_list(names, what))
+        raise
+    return bits
+
+
 def subset_from(ground: GroundSet, value: Any, what: str = "subset") -> SubsetMask:
-    names = _name_list(value, what)
-    return ground.subset(names)
+    return ground.mask(_bits_from(ground, value, what))
 
 
 def topology_from(doc: Any) -> Topology:
@@ -196,8 +218,7 @@ def topology_from(doc: Any) -> Topology:
     ground = ground_from(doc)
     _require("closed_sets" in doc, 'topology document needs a "closed_sets" array')
     sets = _require_list(doc["closed_sets"], '"closed_sets"')
-    masks = tuple(subset_from(ground, s, "closed set") for s in sets)
-    return Topology(ground, masks)
+    return Topology(ground, [_bits_from(ground, s, "closed set") for s in sets])
 
 
 def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:
@@ -211,7 +232,8 @@ def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMas
             "from" in entry and "to" in entry, 'map entries need "from" and "to"'
         )
         key = subset_from(ground, entry["from"], '"from"')
-        _require(key not in table, f"duplicate map entry for {key.label()}")
+        if key in table:
+            raise SchemaError(f"duplicate map entry for {key.label()}")
         table[key] = subset_from(ground, entry["to"], '"to"')
     return ground, table
 
@@ -295,11 +317,15 @@ def preference_from(doc: Any) -> MenuPreference:
             "menu" in entry and "value" in entry,
             'utility entries need "menu" and "value"',
         )
-        menu = subset_from(ground, entry["menu"], '"menu"')
-        _require(
-            values[menu.bits] is None, f"duplicate utility for menu {menu.label()}"
-        )
-        values[menu.bits] = fraction_from(entry["value"], f"value of {menu.label()}")
+        menu = _bits_from(ground, entry["menu"], '"menu"')
+        if values[menu] is not None:
+            raise SchemaError(f"duplicate utility for menu {ground.mask(menu).label()}")
+        try:
+            values[menu] = fraction_from(entry["value"], "value")
+        except SchemaError:
+            # Parse again to name the menu: its label is built only on failure.
+            fraction_from(entry["value"], f"value of {ground.mask(menu).label()}")
+            raise
     missing = next((bits for bits in range(1, len(values)) if values[bits] is None), None)
     _require(
         missing is None,

@@ -140,10 +140,10 @@ def canonical_labeling(f: ClosureOperator) -> Labeling:
     canonical (ascending mask) order.  The induced classifier always equals f.
     """
     ground = f.ground
-    classes = [m for m in f.closed_sets() if m.bits]
+    classes = f.closed_sets().bits[1:]  # the nonempty closed sets
     labels = tuple(f"Class{i + 1}" for i in range(len(classes)))
     phi = tuple(
-        frozenset(i for i, c in enumerate(classes) if c.bits >> e & 1)
+        frozenset(i for i, c in enumerate(classes) if c >> e & 1)
         for e in range(ground.size)
     )
     return Labeling(ground, labels, phi)

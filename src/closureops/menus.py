@@ -667,8 +667,7 @@ def additive_representation(
         raise DoesNotRespect(witness)
     positive = []
     negative = []
-    closed = [m for m in topology if m.bits]
-    for i, m in enumerate(closed):
+    for i, m in enumerate(topology.closed[1:]):  # the nonempty closed sets
         h = weights[m.bits]
         positive.append(
             AdditiveState(name=f"p{i + 1}", carrier=m, weight=max(Fraction(0), -h))

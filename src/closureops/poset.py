@@ -223,7 +223,7 @@ class FinitePoset:
         closed = topology.closed
         if topology._images is None:
             return cls.from_masks(closed)
-        return cls._trusted(closed, _swept_covers([m.bits for m in closed], topology._images))
+        return cls._trusted(closed, _swept_covers(topology.bits, topology._images))
 
     @property
     def size(self) -> int:

@@ -49,7 +49,7 @@ def sub(g: GroundSet, names) -> SubsetMask:
 
 
 def topo(g: GroundSet, *sets: str) -> Topology:
-    return Topology(g, tuple(sub(g, s) for s in sets))
+    return Topology.from_masks(g, tuple(sub(g, s) for s in sets))
 
 
 def order(g: GroundSet, *classes: str) -> WeakOrder:
@@ -172,7 +172,7 @@ def random_topology(rng: random.Random, g: GroundSet) -> Topology:
                 if a & b not in bits:
                     bits.add(a & b)
                     changed = True
-    return Topology.from_bits(g, sorted(bits))
+    return Topology(g, sorted(bits))
 
 
 def random_operator(rng: random.Random, g: GroundSet) -> ClosureOperator:
@@ -862,7 +862,7 @@ def iter_topologies(g: GroundSet):
         bits = [0, full] + [m for i, m in enumerate(middles) if pick >> i & 1]
         closed = set(bits)
         if all(a & b in closed for a in bits for b in bits):
-            yield Topology.from_bits(g, sorted(closed))
+            yield Topology(g, sorted(closed))
 
 
 # ----------------------------------------------- acceptance-summary report

@@ -500,7 +500,7 @@ def _dumps(doc) -> str:
 
 def test_every_report_is_json_dumps_of_its_document(tmp_path, capsys, monkeypatch):
     g = ground(AWKWARD)
-    t = Topology.from_bits(g, [0, 0b1, 0b11, 0b101, 0b11111])
+    t = Topology(g, [0, 0b1, 0b11, 0b101, 0b11111])
     f = t.operator()
     poset = FinitePoset.from_topology(t)
     profile = complexity_profile(f)
@@ -537,7 +537,7 @@ def test_every_report_is_json_dumps_of_its_document(tmp_path, capsys, monkeypatc
     assert code == 0 and out == to_dot(poset)
 
     # The error documents of exit codes 1 and 3.
-    coarse = Topology.from_bits(g, [0, g.full_bits])
+    coarse = Topology(g, [0, g.full_bits])
     trivial = _write(tmp_path, "trivial.json", oracle_topology_doc(coarse))
     with pytest.raises(DoesNotRespect) as refused:
         additive_representation(pref, coarse.operator())

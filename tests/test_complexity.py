@@ -277,7 +277,7 @@ def test_discrete_family_closed_forms_at_twelve_elements():
     # are read from one poset, without the width matching.
     n = 12
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
-    t = Topology.from_bits(g, range(1 << n))
+    t = Topology(g, range(1 << n))
     poset = FinitePoset.from_topology(t)
     coatoms = tuple(g.mask(g.full_bits & ~(1 << i)) for i in reversed(range(n)))
     irreducibles = complexity._irreducibles(t, poset)
@@ -305,7 +305,7 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
         g = GroundSet(tuple(f"e{i}" for i in range(n)))
-        p = FinitePoset.from_topology(Topology.from_bits(g, random_family_bits(rng, n)))
+        p = FinitePoset.from_topology(Topology(g, random_family_bits(rng, n)))
         before = fallbacks["calls"]
         cover = complexity._width_cover(p)
         routes["fallback" if fallbacks["calls"] > before else "certified"] += 1
@@ -317,7 +317,7 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
 @pytest.mark.parametrize("n", [14, 15, 16])
 def test_discrete_family_closed_forms_at_large_n(n):
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
-    profile = complexity_profile(Topology.from_bits(g, range(1 << n)).operator())
+    profile = complexity_profile(Topology(g, range(1 << n)).operator())
     coatoms = tuple(g.mask(g.full_bits & ~(1 << i)) for i in reversed(range(n)))
     assert profile.width_s == comb(n, n // 2)
     assert profile.depth_s == n
@@ -329,7 +329,7 @@ def test_discrete_family_closed_forms_at_large_n(n):
 def test_discrete_family_hasse_edges_at_fourteen_elements():
     n = 14
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
-    poset = FinitePoset.from_topology(Topology.from_bits(g, range(1 << n)))
+    poset = FinitePoset.from_topology(Topology(g, range(1 << n)))
     edges = poset.hasse()
     assert "up" not in vars(poset)  # the covers came from the sweep, not the rows
     assert len(edges) == n << (n - 1) == 114_688

@@ -173,7 +173,7 @@ def test_canonical_order_extends_inclusion(x, y):
 
 def test_topology_normalizes_and_validates():
     g = ground("ab")
-    t = Topology(g, (g.full, g.empty, sub(g, "a"), sub(g, "a")))
+    t = Topology.from_masks(g, (g.full, g.empty, sub(g, "a"), sub(g, "a")))
     assert [m.bits for m in t] == [0, 1, 3]
     assert len(t) == 3
     assert sub(g, "a") in t
@@ -184,9 +184,9 @@ def test_topology_normalizes_and_validates():
 def test_topology_requires_empty_and_full():
     g = ground("ab")
     with pytest.raises(MissingTopBottom):
-        Topology(g, (g.full, sub(g, "a")))
+        Topology.from_masks(g, (g.full, sub(g, "a")))
     with pytest.raises(MissingTopBottom):
-        Topology(g, (g.empty, sub(g, "a")))
+        Topology.from_masks(g, (g.empty, sub(g, "a")))
 
 
 def test_topology_requires_intersection_closure():
@@ -225,7 +225,7 @@ def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
         bits = random_family_bits(rng, n)
         assert oracle_missing_intersection(bits) is None
         before = taken["dp"]
-        t = Topology.from_bits(g, bits)
+        t = Topology(g, bits)
         side = "dp" if taken["dp"] > before else "pairs"
         sides["valid", side] += 1
         if side == "dp":
@@ -239,7 +239,7 @@ def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
         a, b = oracle_missing_intersection(broken)
         before = taken["dp"]
         with pytest.raises(NotIntersectionClosed) as err:
-            Topology.from_bits(g, broken)
+            Topology(g, broken)
         sides["broken", "dp" if taken["dp"] > before else "pairs"] += 1
         assert tuple(m.bits for m in err.value.witness) == (a, b)
         assert str(err.value) == str(NotIntersectionClosed(g.mask(a), g.mask(b)))
@@ -250,12 +250,65 @@ def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
 def test_validation_table_is_the_image_cache(monkeypatch):
     g = GroundSet(tuple(f"e{i}" for i in range(8)))
     taken = _count_methods(monkeypatch)
-    t = Topology.from_bits(g, range(256))
+    t = Topology(g, range(256))
     assert taken == {"fill": 0, "dp": 1}
     f = t.operator()
     assert f.tabulate_bits() is t._images == tuple(range(256))
     assert f.closed_sets().operator().tabulate_bits() is t._images
     assert taken == {"fill": 0, "dp": 1}
+
+
+def _raised(build) -> tuple:
+    """The class, message and witness of the error ``build()`` raises."""
+    with pytest.raises(Exception) as err:
+        build()
+    return type(err.value), str(err.value), getattr(err.value, "witness", None)
+
+
+def test_bits_and_masks_construct_the_same_topology(monkeypatch):
+    # Topology(g, bits) and Topology.from_masks(g, masks) agree on valid
+    # families and fail alike on broken ones, the pair loop and the superset
+    # recursion both deciding some of them.
+    taken = _count_methods(monkeypatch)
+    broken_kinds: Counter = Counter()
+    for seed in range(240):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        other = GroundSet(tuple(f"f{i}" for i in range(n)))
+        bits = random_family_bits(rng, n)
+        given = bits + rng.sample(bits, rng.randint(0, len(bits)))
+        rng.shuffle(given)
+        t = Topology(g, given)
+        from_masks = Topology.from_masks(g, [g.mask(b) for b in given])
+        assert t == from_masks and t.bits == tuple(bits)
+        assert t.closed == from_masks.closed == tuple(g.mask(b) for b in bits)
+        assert list(t) == list(t.closed)
+        breaks = {
+            "no ∅": [b for b in given if b],
+            "no X": [b for b in given if b != g.full_bits],
+        }
+        dropped = _meet_reducible(rng, bits)
+        if dropped is not None:
+            breaks["no meet"] = [b for b in given if b != dropped]
+        for kind, broken in breaks.items():
+            expected = _raised(lambda: Topology.from_masks(g, [g.mask(b) for b in broken]))
+            assert _raised(lambda: Topology(g, broken)) == expected
+            broken_kinds[kind, expected[0].__name__] += 1
+        beyond = rng.randrange(g.full_bits + 1, 2 * g.full_bits + 2)
+        misfit = f"bit pattern {beyond:#x} does not fit a ground set of {n} elements"
+        assert (
+            _raised(lambda: Topology(g, [*given, beyond, -1]))
+            == _raised(lambda: g.mask(beyond))
+            == (ForeignMask, misfit, None)
+        )
+        assert _raised(
+            lambda: Topology.from_masks(g, [*map(g.mask, given), other.mask(0)])
+        ) == (GroundSetMismatch, "closed set lives in a different ground set", None)
+    assert broken_kinds["no ∅", "MissingTopBottom"] == 240
+    assert broken_kinds["no X", "MissingTopBottom"] == 240
+    assert broken_kinds["no meet", "NotIntersectionClosed"] >= 100
+    assert taken["dp"] >= 50
 
 
 def test_closure_without_a_closed_superset_is_an_internal_failure():
@@ -472,7 +525,7 @@ def test_operator_round_trips_through_topology():
     for t in iter_topologies(ground("abc")):
         f = t.operator()
         assert f.closed_sets() == t
-        assert Topology.from_bits(
+        assert Topology(
             t.ground, [b for b, i in enumerate(f.tabulate_bits()) if b == i]
         ) == t
 
@@ -531,7 +584,7 @@ def test_operator_from_images_keeps_them(monkeypatch):
     images = f.tabulate_bits()
     assert f.image_bits(0b0011) == images[0b0011]
     fixed = [b for b, i in enumerate(images) if b == i]
-    assert f.closed_sets() == Topology.from_bits(f.ground, fixed)
+    assert f.closed_sets() == Topology(f.ground, fixed)
     assert taken == {"fill": 0, "dp": 0}
 
 
@@ -540,7 +593,7 @@ def test_complexity_profile_builds_no_image_table(
     monkeypatch, tmp_path, capsys, family, n
 ):
     bits = chain_bits(random.Random(n), n) if family == "chain" else crown_bits(n)
-    topology = Topology.from_bits(GroundSet(tuple(f"e{i}" for i in range(n))), bits)
+    topology = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), bits)
     f = topology.operator()
     path = tmp_path / "t.json"
     path.write_text(json.dumps(oracle_topology_doc(topology)), encoding="utf-8")
@@ -567,7 +620,7 @@ def test_tabulation_matches_the_scan_on_random_families(monkeypatch):
         full = (1 << n) - 1
         expected = oracle_scan_images(full, bits)
         g = GroundSet(tuple(f"e{i}" for i in range(n)))
-        assert Topology.from_bits(g, bits).operator().tabulate_bits() == expected
+        assert Topology(g, bits).operator().tabulate_bits() == expected
         assert fill(full, bits[:-1]) == expected
         assert dp(full, bits) == expected
     assert taken["fill"] >= 20 and taken["dp"] >= 20
@@ -578,7 +631,7 @@ def test_tabulation_matches_the_scan_on_large_sparse_families(monkeypatch, famil
     bits = chain_bits(random.Random(n), n) if family == "chain" else crown_bits(n)
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     taken = _count_methods(monkeypatch)
-    images = Topology.from_bits(g, bits).operator().tabulate_bits()
+    images = Topology(g, bits).operator().tabulate_bits()
     assert images == oracle_scan_images(g.full_bits, bits)
     assert taken == {"fill": 1, "dp": 0}
 

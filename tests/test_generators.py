@@ -16,6 +16,7 @@ from closureops import (
     GroundSetMismatch,
     NotAChain,
     WeakOrder,
+    WitnessVerificationFailed,
     check_generation,
     intersect_generate,
     is_single_chain,
@@ -99,6 +100,16 @@ def test_class_index_and_comparisons():
     assert wo.class_index("a") == 2
     assert wo.at_least("a", "b") and wo.at_least("c", "d")
     assert not wo.at_least("d", "b")
+
+
+def test_class_index_outside_every_class_is_an_internal_failure():
+    # Unreachable through the validating constructor, which requires the
+    # classes to cover the ground set.
+    wo = order(ground(ABCD), "cd", "b", "a")
+    object.__setattr__(wo, "classes", wo.classes[:-1])
+    assert wo.class_index("b") == 1
+    with pytest.raises(WitnessVerificationFailed, match="unreachable"):
+        wo.class_index("a")
 
 
 def test_support_set_is_the_best_class_slice():

@@ -18,6 +18,7 @@ from closureops import (
     MenuPreference,
     NotIntersectionClosed,
     SchemaError,
+    SubsetMask,
     Topology,
     additive_representation,
     check_axioms,
@@ -152,6 +153,63 @@ def test_subset_parsing_rejects_unknown_names():
         subset_from(g, ["q"])
     with pytest.raises(SchemaError):
         subset_from(g, "ab")
+
+
+def test_name_arrays_fail_with_the_messages_of_both_checks():
+    # A non-string entry anywhere is a SchemaError before an unknown name
+    # is a ForeignMask, whichever comes first in the array.
+    g = ground("ab")
+    cases = [
+        ("ab", SchemaError, "subset must be a JSON array"),
+        (["q", 5], SchemaError, "subset must contain strings"),
+        (["a", ["b"]], SchemaError, "subset must contain strings"),
+        (["a", "q", "r"], ForeignMask, "element 'q' is not in the ground set"),
+    ]
+    for value, error, message in cases:
+        with pytest.raises(error) as err:
+            subset_from(g, value)
+        assert str(err.value) == message
+    with pytest.raises(ForeignMask, match="^element 'q' is not in the ground set$"):
+        topology_from({"elements": ["a", "b"], "closed_sets": [[], ["q"], ["a", "b"]]})
+
+
+def _names(n: int, bits: int) -> list[str]:
+    return [f"e{i}" for i in range(n) if bits >> i & 1]
+
+
+def _document(n: int, bits) -> dict:
+    closed_sets = [_names(n, b) for b in bits]
+    return {"elements": _names(n, (1 << n) - 1), "closed_sets": closed_sets}
+
+
+def test_reading_and_checking_a_topology_builds_no_masks(monkeypatch):
+    built = []
+    post_init = SubsetMask.__post_init__
+
+    def counted(mask):
+        built.append(mask.bits)
+        post_init(mask)
+
+    n = 10
+    full = (1 << n) - 1
+    chain = [(1 << k) - 1 for k in range(n + 1)]
+    for bits in (range(full + 1), chain):
+        doc = _document(n, bits)
+        monkeypatch.setattr(SubsetMask, "__post_init__", counted)
+        f = topology_from(doc).operator()
+        assert check_generation(f, [f]).generates
+        monkeypatch.undo()
+        assert built == []
+        assert f.closed_sets().bits == tuple(bits)
+
+
+def test_large_topology_documents_read_as_their_bits():
+    discrete = range(1 << 16)
+    chain = [(1 << k) - 1 for k in range(21)]
+    for n, bits in ((16, discrete), (20, chain)):
+        topology = topology_from(_document(n, bits))
+        assert topology == Topology(topology.ground, bits)
+        assert topology.bits == tuple(bits)
 
 
 def test_topology_document_round_trip():
@@ -321,6 +379,30 @@ def test_preference_document_errors():
     }
     with pytest.raises(SchemaError, match="exact"):
         preference_from(with_float)
+
+
+def test_entry_errors_name_their_subset():
+    # The labels in these messages are built only when an entry fails.
+    table = {"elements": ["a", "b"], "map": [{"from": ["b"], "to": ["b"]}] * 2}
+    with pytest.raises(SchemaError) as err:
+        operator_table_from(table)
+    assert str(err.value) == "duplicate map entry for {b}"
+    utilities = [{"menu": ["a"], "value": 1}, {"menu": ["b"], "value": 1}]
+    cases = [
+        ({"menu": ["a"], "value": 2}, "duplicate utility for menu {a}"),
+        (
+            {"menu": ["b", "a"], "value": 1.5},
+            "value of {a,b} must be exact; write the rational as a string, not a float",
+        ),
+        (
+            {"menu": ["b", "a"], "value": "1/x"},
+            "value of {a,b} is not a valid rational: '1/x'",
+        ),
+    ]
+    for entry, message in cases:
+        with pytest.raises(SchemaError) as err:
+            preference_from({"elements": ["a", "b"], "utilities": [*utilities, entry]})
+        assert str(err.value) == message
 
 
 # ------------------------------------------------------------------ emitting
@@ -501,7 +583,7 @@ def _reports(names, labels, seed, trivial):
     rng = random.Random(seed)
     g = GroundSet(tuple(names))
     full = g.full_bits
-    t = Topology.from_bits(g, (0, full)) if trivial else random_topology(rng, g)
+    t = Topology(g, (0, full)) if trivial else random_topology(rng, g)
     f = t.operator()
     poset = FinitePoset.from_topology(t)
     profile = complexity_profile(f)

@@ -199,7 +199,7 @@ def test_covers_match_the_oracle_on_random_families():
     for seed in range(200):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
-        t = Topology.from_bits(ground("abcdefgh"[:n]), random_family_bits(rng, n))
+        t = Topology(ground("abcdefgh"[:n]), random_family_bits(rng, n))
         p = FinitePoset.from_topology(t)
         expected = oracle_hasse(p)
         assert p.hasse() == expected
@@ -214,7 +214,7 @@ def test_swept_and_looped_covers_match_the_oracle_on_random_families():
     for seed in range(300):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
-        t = Topology.from_bits(
+        t = Topology(
             GroundSet(tuple(f"e{i}" for i in range(n))), random_family_bits(rng, n)
         )
         routes["sweep" if t._images is not None else "loop"] += 1
@@ -235,7 +235,7 @@ def test_trusted_inclusion_posets_equal_the_checked_ones():
     for seed in range(50):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
-        t = Topology.from_bits(ground("abcdefgh"[:n]), random_family_bits(rng, n))
+        t = Topology(ground("abcdefgh"[:n]), random_family_bits(rng, n))
         for p in (FinitePoset.from_topology(t), FinitePoset.from_masks(t.closed[::-1])):
             checked = FinitePoset(p.items, p.up)
             assert checked == p
@@ -310,7 +310,7 @@ def test_chain_cover_equals_the_list_matching_oracle_on_closed_sets():
     for seed in range(100):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
-        t = Topology.from_bits(ground("abcdefgh"[:n]), random_family_bits(rng, n))
+        t = Topology(ground("abcdefgh"[:n]), random_family_bits(rng, n))
         p = FinitePoset.from_topology(t)
         assert p.min_chain_cover() == oracle_min_chain_cover(p)
 
