@@ -48,7 +48,7 @@ from .errors import (
     SchemaError,
     WitnessVerificationFailed,
 )
-from .generators import check_generation, intersect_generate
+from .generators import intersect_generate
 from .labeling import canonical_labeling, minimal_labeling
 from .menus import additive_representation, kreps_operator, kreps_representation
 from .poset import FinitePoset, to_dot
@@ -136,10 +136,9 @@ def _run_decompose(args: argparse.Namespace) -> tuple[str, int]:
     operator = jsonio.topology_from(_load(args.topology)).operator()
     profile = complexity_profile(operator)
     if args.kind == "weak-orders":
-        generators = profile.weak_order_witness
+        generators, report = profile.weak_order_witness, profile.weak_order_check
     else:
-        generators = profile.binary_witness
-    report = check_generation(operator, [g.operator() for g in generators])
+        generators, report = profile.binary_witness, profile.binary_check
     return jsonio.decomposition_doc(operator.ground, args.kind, generators, report), 0
 
 

@@ -22,13 +22,15 @@ contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
-One poset of S(f) gives P(f), the width and the depth, all three from its
-covers.  The width is certified by Dilworth's theorem (:func:`_width_cover`):
-the largest cardinality level is an antichain, a greedy cover along the covers
-gives as many chains, and only when the two differ does the matching run,
-started from the greedy chains.  On the discrete family the bounds meet at
-C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the matching over its 3^n
-comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
+The covers of S(f) (:func:`~closureops.poset._closed_covers`) give P(f), the
+width and the depth, all three read from the closed sets' bit patterns: no
+poset and no mask is built for S(f) beyond the members of P(f).  The width is
+certified by Dilworth's theorem (:func:`_width_cover`): the largest
+cardinality level is an antichain, a greedy cover along the covers gives as
+many chains, and only when the two differ does the matching run, on a poset
+of S(f) built for it and started from the greedy chains.  On the discrete
+family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the
+matching over its 3^n comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
 chain cover of P(f) by the matching itself, so their chains do not depend on
 which route settled the width.
 Both witness lists are verified before they are returned, by the two
@@ -44,12 +46,9 @@ hence in f, and contains A, so g_i(A) ⊇ f(A) for every A and ⋂_i g_i ⊇ f.
 By 2 and extensivity, ⋂_i g_i(A) = A at every nonempty closed A.  Any
 nonempty B has B ⊆ f(B), a nonempty closed set, so monotonicity of each g_i
 gives ⋂_i g_i(B) ⊆ ⋂_i g_i(f(B)) = f(B); and both sides map ∅ to ∅.  The
-check reads |S(f)| images per generator and builds no 2^n table.
-
-:func:`oracle_mnwo` and :func:`oracle_mnbc` recompute both measures by brute
-force from the definition alone (exact minimum set cover over all candidate
-generators), without touching P(f) or chain covers, so tests can compare the
-two routes on small ground sets.
+check reads |S(f)| images per generator and builds no 2^n table.  The
+profile keeps both checks' reports, so ``decompose`` reports a check that
+ran without running it again.
 """
 
 from __future__ import annotations
@@ -57,26 +56,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import ClosureOperator, GroundSet, SubsetMask, Topology
-from .errors import GroundSetMismatch, GroundSetTooLarge, WitnessVerificationFailed
-from .generators import BinaryClassifier, WeakOrder, check_generation, iter_weak_orders
-from .poset import ChainCover, FinitePoset
+from .core import ClosureOperator, SubsetMask, Topology
+from .errors import GroundSetMismatch, WitnessVerificationFailed
+from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
+from .poset import ChainCover, FinitePoset, _closed_covers, _inclusion_rows
 
 __all__ = [
-    "ORACLE_MAX_ELEMENTS",
     "IrreducibleSet",
     "ComplexityProfile",
     "ComplexityComparison",
     "meet_irreducibles",
     "complexity_profile",
     "more_complex",
-    "oracle_mnwo",
-    "oracle_mnbc",
 ]
-
-#: Brute-force oracles enumerate all weak orders on X (75 at four elements,
-#: 541 at five) and search subsets; four elements keeps them instant.
-ORACLE_MAX_ELEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -96,12 +88,11 @@ class IrreducibleSet:
 
 def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`."""
-    return _irreducibles(topology, FinitePoset.from_topology(topology))
+    return _irreducibles(topology, _closed_covers(topology))
 
 
-def _irreducibles(topology: Topology, poset: FinitePoset) -> IrreducibleSet:
+def _irreducibles(topology: Topology, covers: Sequence[Sequence[int]]) -> IrreducibleSet:
     """P(f) and B(f), read from the upper covers of S(f) (module docstring)."""
-    covers = poset.upper_cover_indices()
     ground = topology.ground
     p = tuple(ground.mask(a) for a, above in zip(topology.bits, covers) if len(above) <= 1)
     full = ground.full_bits
@@ -109,8 +100,9 @@ def _irreducibles(topology: Topology, poset: FinitePoset) -> IrreducibleSet:
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
 
 
-def _width_cover(poset: FinitePoset) -> ChainCover:
-    """A minimum chain cover of S(f), certified by Dilworth's theorem.
+def _width_cover(bits: Sequence[int], covers: Sequence[Sequence[int]]) -> ChainCover:
+    """A minimum chain cover of S(f), over its bit patterns, certified by
+    Dilworth's theorem.
 
     Closed sets of one cardinality are an antichain, so the largest level
     bounds the width from below.  A greedy cover bounds it from above: the
@@ -121,16 +113,15 @@ def _width_cover(poset: FinitePoset) -> ChainCover:
     the job, started from the greedy links (each is a cover pair, so they
     form a matching of the strict order).
     """
-    items = poset.items
-    lower: list[list[int]] = [[] for _ in items]
-    for i, above in enumerate(poset.upper_cover_indices()):
+    lower: list[list[int]] = [[] for _ in bits]
+    for i, above in enumerate(covers):
         for j in above:
             lower[j].append(i)
     levels: dict[int, list[int]] = {}
-    for i, mask in enumerate(items):
-        levels.setdefault(mask.bits.bit_count(), []).append(i)
-    free = bytearray(len(items))  # chain tops not yet extended
-    succ = [-1] * len(items)
+    for i, a in enumerate(bits):
+        levels.setdefault(a.bit_count(), []).append(i)
+    free = bytearray(len(bits))  # chain tops not yet extended
+    succ = [-1] * len(bits)
     for size in sorted(levels):
         for i in levels[size]:
             for j in lower[i]:
@@ -140,24 +131,25 @@ def _width_cover(poset: FinitePoset) -> ChainCover:
                     break
             free[i] = 1
     widest = max(levels.values(), key=len)
-    starts = set(range(len(items))) - set(succ)
+    starts = set(range(len(bits))) - set(succ)
     if len(starts) != len(widest):
+        poset = FinitePoset._trusted(bits, covers, _inclusion_rows(bits))
         return poset._matched_cover((j, i) for j, i in enumerate(succ) if i >= 0)
     chains = []
     for i in sorted(starts):
-        chain = [items[i]]
+        chain = [bits[i]]
         while succ[i] >= 0:
             i = succ[i]
-            chain.append(items[i])
+            chain.append(bits[i])
         chains.append(tuple(chain))
-    return ChainCover(chains=tuple(chains), antichain=tuple(items[i] for i in widest))
+    return ChainCover(chains=tuple(chains), antichain=tuple(bits[i] for i in widest))
 
 
-def _depth(poset: FinitePoset) -> int:
+def _depth(covers: Sequence[Sequence[int]]) -> int:
     """Longest chain of nonempty closed sets: the longest path of covers from
     ∅ to X, relaxed in the canonical order of S(f), which extends inclusion."""
-    longest = [0] * poset.size
-    for i, above in enumerate(poset.upper_cover_indices()):
+    longest = [0] * len(covers)
+    for i, above in enumerate(covers):
         for j in above:
             longest[j] = max(longest[j], longest[i] + 1)
     return longest[-1]
@@ -176,6 +168,8 @@ class ComplexityProfile:
         weak_order_witness: mnwo weak orders that intersect-generate f.
         binary_witness: mnbc binary classifiers that intersect-generate f.
         irreducibles: P(f) and B(f).
+        weak_order_check: the generation check the weak-order witness passed.
+        binary_check: the generation check the binary witness passed.
     """
 
     mnwo: int
@@ -186,6 +180,8 @@ class ComplexityProfile:
     weak_order_witness: tuple[WeakOrder, ...]
     binary_witness: tuple[BinaryClassifier, ...]
     irreducibles: IrreducibleSet
+    weak_order_check: GenerationReport
+    binary_check: GenerationReport
 
 
 def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
@@ -196,12 +192,12 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
     witness is one classifier per member of B(f).  Both witness lists are
     verified at the closed sets of f (proof in the module docstring); a
     failure would be an implementation bug and raises
-    :class:`WitnessVerificationFailed`.
+    :class:`WitnessVerificationFailed`.  The profile keeps both reports.
     """
     ground = f.ground
     topology = f.closed_sets()
-    s_poset = FinitePoset.from_topology(topology)
-    irreducibles = _irreducibles(topology, s_poset)
+    covers = _closed_covers(topology)
+    irreducibles = _irreducibles(topology, covers)
     p_poset = FinitePoset.from_masks(irreducibles.p_of_f)
     cover = p_poset.min_chain_cover()
     weak_orders = []
@@ -213,19 +209,23 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
             masks.append(ground.full)
         weak_orders.append(WeakOrder.from_chain(masks))
     binary = tuple(BinaryClassifier(cutoff) for cutoff in irreducibles.b_of_f)
-    if not check_generation(f, [w.operator() for w in weak_orders]).generates:
+    weak_order_check = check_generation(f, [w.operator() for w in weak_orders])
+    if not weak_order_check.generates:
         raise WitnessVerificationFailed("weak-order witness does not generate f")
-    if not check_generation(f, [b.operator() for b in binary]).generates:
+    binary_check = check_generation(f, [b.operator() for b in binary])
+    if not binary_check.generates:
         raise WitnessVerificationFailed("binary witness does not generate f")
     return ComplexityProfile(
         mnwo=cover.width,
         mnbc=len(binary),
-        width_s=_width_cover(s_poset).width,
-        depth_s=_depth(s_poset),
+        width_s=_width_cover(topology.bits, covers).width,
+        depth_s=_depth(covers),
         class_count=len(topology) - 1,
         weak_order_witness=tuple(weak_orders),
         binary_witness=binary,
         irreducibles=irreducibles,
+        weak_order_check=weak_order_check,
+        binary_check=binary_check,
     )
 
 
@@ -278,134 +278,3 @@ def more_complex(f: ClosureOperator, g: ClosureOperator) -> ComplexityComparison
         missing_from_f=missing_from_f,
         missing_from_g=missing_from_g,
     )
-
-
-def _require_oracle_size(ground: GroundSet) -> None:
-    if ground.size > ORACLE_MAX_ELEMENTS:
-        raise GroundSetTooLarge(
-            f"oracles brute-force all generator subsets and are capped at "
-            f"{ORACLE_MAX_ELEMENTS} elements; got {ground.size}"
-        )
-
-
-def _exclusion_pairs(f_images: Sequence[int], full: int) -> list[tuple[int, int]]:
-    """All (menu bits, element bit) with the element outside the closure.
-
-    The empty menu is skipped: every closure operator fixes ∅, so those pairs
-    hold for any intersection, including the empty one.
-    """
-    pairs = []
-    for bits in range(1, full + 1):
-        outside = full & ~f_images[bits]
-        while outside:
-            x = outside & -outside
-            outside ^= x
-            pairs.append((bits, x))
-    return pairs
-
-
-def _minimum_generator_count(
-    f: ClosureOperator,
-    candidates: Sequence[ClosureOperator],
-    *,
-    allow_empty: bool,
-) -> int:
-    """Exact minimum number of candidates whose intersection equals f.
-
-    Works straight from the definition: a family generates f iff every member
-    dominates f pointwise (g(A) ⊇ f(A) for all A — anything else shrinks the
-    intersection below f somewhere) and every exclusion pair (A, x ∉ f(A)) is
-    realized by some member.  That is an exact minimum set cover, solved by
-    iterative deepening with a fewest-options-first branching rule.
-    """
-    ground = f.ground
-    full = ground.full_bits
-    f_images = f.tabulate_bits()
-    pairs = _exclusion_pairs(f_images, full)
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
-    covers: list[int] = []
-    for candidate in candidates:
-        images = candidate.tabulate_bits()
-        if any(f_images[bits] & ~images[bits] for bits in range(full + 1)):
-            continue  # does not dominate f; can never appear in a generating family
-        mask = 0
-        for bits in range(1, full + 1):
-            # dominance gives f(A) ⊆ g(A), so everything outside g's closure is
-            # an exclusion pair of f
-            rest = full & ~images[bits]
-            while rest:
-                x = rest & -rest
-                rest ^= x
-                mask |= 1 << pair_index[(bits, x)]
-        covers.append(mask)
-    universe = (1 << len(pairs)) - 1
-    if universe == 0:
-        if allow_empty:
-            return 0
-        if not covers:
-            raise WitnessVerificationFailed("no candidate dominates the operator")
-        return 1  # any dominating candidate already equals f here
-
-    per_pair: list[list[int]] = [[] for _ in pairs]
-    for c, mask in enumerate(covers):
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest ^= rest & -rest
-            per_pair[i].append(c)
-
-    def can_cover(uncovered: int, budget: int) -> bool:
-        if not uncovered:
-            return True
-        if budget == 0:
-            return False
-        # fail-first: branch on the uncovered pair with fewest covering options
-        best_i = -1
-        best_options: list[int] = []
-        rest = uncovered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest ^= rest & -rest
-            options = [c for c in per_pair[i] if covers[c] & uncovered]
-            if best_i < 0 or len(options) < len(best_options):
-                best_i, best_options = i, options
-                if not options:
-                    return False
-        return any(
-            can_cover(uncovered & ~covers[c], budget - 1) for c in best_options
-        )
-
-    lower = 0 if allow_empty else 1
-    for k in range(lower, len(covers) + 1):
-        if can_cover(universe, k):
-            return k
-    raise WitnessVerificationFailed("no candidate subset generates the operator")
-
-
-def oracle_mnwo(f: ClosureOperator) -> int:
-    """MNWO by brute force (definition only; capped at four elements).
-
-    Enumerates every weak order on X and finds the smallest family whose
-    half-space operators intersect to f.  At least one weak order is always
-    needed: the empty intersection is the trivial operator, which the single
-    one-class weak order already generates.
-    """
-    _require_oracle_size(f.ground)
-    candidates = [w.operator() for w in iter_weak_orders(f.ground)]
-    return _minimum_generator_count(f, candidates, allow_empty=False)
-
-
-def oracle_mnbc(f: ClosureOperator) -> int:
-    """MNBC by brute force (definition only; capped at four elements).
-
-    Enumerates every proper nonempty cutoff and finds the smallest family of
-    binary classifiers that intersects to f; zero classifiers (the empty
-    intersection) account for the trivial operator.
-    """
-    _require_oracle_size(f.ground)
-    ground = f.ground
-    candidates = [
-        BinaryClassifier(ground.mask(bits)).operator()
-        for bits in range(1, ground.full_bits)
-    ]
-    return _minimum_generator_count(f, candidates, allow_empty=True)

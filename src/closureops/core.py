@@ -12,8 +12,9 @@ so closure operators and these families ("topologies" below, by loose analogy)
 are two encodings of the same object.  This module provides both encodings,
 conversion in both directions, closure-axiom validation with complete witness
 reports, and the lattice operations of a topology (meet = intersection, join
-= closure of the union); its covers, width and depth are read from the poset
-:meth:`closureops.poset.FinitePoset.from_topology` builds.
+= closure of the union); its covers, width and depth are read from its bit
+patterns by :func:`closureops.poset._closed_covers` and
+:mod:`closureops.complexity`.
 
 Intersection closure of a family S is decided by whichever of two exact
 routes takes fewer steps.  The pair loop tests |S|(|S|−1)/2 pairs.  The

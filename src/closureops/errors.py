@@ -33,7 +33,7 @@ class ClosureError(Exception):
 
 
 class GroundSetTooLarge(ClosureError):
-    """A ground set exceeds the supported size (or an oracle's brute-force cap)."""
+    """A ground set exceeds the supported size."""
 
 
 class GroundSetMismatch(ClosureError):

@@ -25,7 +25,7 @@ accepted exactly for the trivial operator.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_
@@ -40,7 +40,6 @@ __all__ = [
     "intersect_generate",
     "check_generation",
     "is_single_chain",
-    "iter_weak_orders",
 ]
 
 
@@ -343,29 +342,3 @@ def is_single_chain(topology: Topology) -> WeakOrder | None:
         if lower & ~upper:
             return None
     return WeakOrder.from_chain(topology.closed)
-
-
-def iter_weak_orders(ground: GroundSet) -> Iterator[WeakOrder]:
-    """All weak orders on the ground set, in a fixed deterministic order.
-
-    Enumerates ordered set partitions by choosing the worst class first
-    (nonempty subsets in ascending mask order), then recursing on the rest.
-    The count is the Fubini number of |X| (75 for four elements).
-    """
-
-    def split(rest: int) -> Iterator[tuple[int, ...]]:
-        if not rest:
-            yield ()
-            return
-        # iterate nonempty submasks of rest in ascending numeric order
-        sub = rest
-        choices = []
-        while sub:
-            choices.append(sub)
-            sub = (sub - 1) & rest
-        for worst in reversed(choices):
-            for tail in split(rest & ~worst):
-                yield (worst, *tail)
-
-    for shape in split(ground.full_bits):
-        yield WeakOrder(ground, tuple(ground.mask(b) for b in shape))

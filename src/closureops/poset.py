@@ -13,22 +13,24 @@ equal inputs produce byte-equal outputs.
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
 cheap word operations.  Construction also keeps each item's upper covers, as
-index lists; the Hasse diagram and P(f), depth and width in
-:mod:`closureops.complexity` read them, and nothing else in the package
+index lists, which the Hasse diagram reads; nothing outside this module
 computes covers.  Which route runs:
 
 * ``FinitePoset(items, up)`` from user data validates the order axioms
   eagerly, so malformed relations never reach the algorithms, and takes the
   covers as each item's strict up-row minus the strict up-rows of its members,
   one step per comparable pair.
-* :meth:`FinitePoset.from_masks` and :meth:`FinitePoset.from_topology` build
-  inclusion orders, which are orders by construction, so they skip those
-  checks (a repeated subset is still rejected).  A topology that holds its
-  image table (validated by the superset recursion, or built from an
-  operator's images) gets its covers from a sweep of the table, about n steps
-  per closed set (:func:`_swept_covers`), and builds its rows only when
-  something reads them: they take |S|² bits, 512 MB for the discrete family
-  on 16 elements.  Any other family takes the per-pair route above.
+* :meth:`FinitePoset.from_masks` builds an inclusion order, which is an order
+  by construction, so it skips those checks (a repeated subset is still
+  rejected).
+* :func:`_closed_covers` finds the covers of a topology's closed sets from
+  their bit patterns: by a sweep of the image table, about n steps per closed
+  set (:func:`_swept_covers`), when the topology holds one (validated by the
+  superset recursion, or built from an operator's images), and by the
+  per-pair route above otherwise.  :mod:`closureops.complexity` reads them
+  without a poset, and :meth:`FinitePoset.from_topology` builds its rows only
+  when read: they take |S|² bits, 512 MB for the discrete family on 16
+  elements.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ class FinitePoset:
     @classmethod
     def _trusted(
         cls,
-        items: tuple[SubsetMask, ...],
+        items: tuple[Hashable, ...],
         covers: tuple[tuple[int, ...], ...],
         up: tuple[int, ...] | None = None,
     ) -> FinitePoset:
@@ -172,11 +174,11 @@ class FinitePoset:
         return poset
 
     def __getattr__(self, name: str) -> object:
-        # Called only for a missing attribute of an inclusion order built
-        # from a topology's covers.  The rows take |S|² bits, and the
-        # complexity profile of a dense S(f) reads only the covers.
+        # Called only for a missing attribute of the inclusion order
+        # from_topology builds for the hasse and mobius reports and API
+        # users.  The rows take |S|² bits, and only mobius reads them.
         if name == "up":
-            value: object = _inclusion_rows(self.items)
+            value: object = _inclusion_rows([mask.bits for mask in self.items])
         elif name == "_index":
             value = _index_of(self.items)
         else:
@@ -209,21 +211,16 @@ class FinitePoset:
         set, and :class:`InvalidOrderRelation` if a subset repeats.
         """
         masks = tuple(masks)
-        up = _inclusion_rows(masks)
+        if any(mask.ground != masks[0].ground for mask in masks):
+            raise GroundSetMismatch("subsets live in different ground sets")
+        up = _inclusion_rows([mask.bits for mask in masks])
         return cls._trusted(masks, _covers_by_rows(up), up)
 
     @classmethod
     def from_topology(cls, topology: Topology) -> FinitePoset:
-        """The inclusion order on a topology's closed sets (canonical order).
-
-        When the topology holds its image table, the covers come from the
-        table sweep (:func:`_swept_covers`), and the rows wait until used;
-        otherwise it is :meth:`from_masks`.
-        """
-        closed = topology.closed
-        if topology._images is None:
-            return cls.from_masks(closed)
-        return cls._trusted(closed, _swept_covers(topology.bits, topology._images))
+        """The inclusion order on a topology's closed sets (canonical order),
+        with the covers of :func:`_closed_covers`; the rows wait until used."""
+        return cls._trusted(topology.closed, _closed_covers(topology))
 
     @property
     def size(self) -> int:
@@ -437,29 +434,24 @@ def _index_of(items: tuple[Hashable, ...]) -> dict[Hashable, int]:
     return index
 
 
-def _inclusion_rows(masks: tuple[SubsetMask, ...]) -> tuple[int, ...]:
-    """Per subset, the bitmask of the subsets that contain it.
+def _inclusion_rows(bits: Sequence[int]) -> tuple[int, ...]:
+    """Per subset (a bit pattern), the bitmask of the subsets that contain it.
 
     Column e is the set of items containing element e, and an item's row is
     the AND of the columns of its members, O(Σ|A|) big-int ANDs in all.
     """
-    if not masks:
-        return ()
-    ground = masks[0].ground
-    columns = [0] * ground.size
-    for i, mask in enumerate(masks):
-        if mask.ground != ground:
-            raise GroundSetMismatch("subsets live in different ground sets")
-        rest = mask.bits
+    columns = [0] * max(bits, default=0).bit_length()
+    for i, a in enumerate(bits):
+        rest = a
         while rest:
             low = rest & -rest
             rest ^= low
             columns[low.bit_length() - 1] |= 1 << i
-    every = (1 << len(masks)) - 1
+    every = (1 << len(bits)) - 1
     rows = []
-    for mask in masks:
+    for a in bits:
         row = every
-        rest = mask.bits
+        rest = a
         while rest:
             low = rest & -rest
             rest ^= low
@@ -486,6 +478,14 @@ def _covers_by_rows(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             rest &= rest - 1
         covers.append(tuple(indices))
     return tuple(covers)
+
+
+def _closed_covers(topology: Topology) -> tuple[tuple[int, ...], ...]:
+    """Upper covers of each closed set, as ascending index lists: swept from
+    the image table when the topology holds one, else read off the rows."""
+    if topology._images is not None:
+        return _swept_covers(topology.bits, topology._images)
+    return _covers_by_rows(_inclusion_rows(topology.bits))
 
 
 def _swept_covers(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from closureops import (
@@ -23,6 +24,7 @@ from closureops import (
     FinitePoset,
     GenerationReport,
     GroundSet,
+    GroundSetTooLarge,
     KrepsRepresentation,
     Labeling,
     MenuPreference,
@@ -31,6 +33,7 @@ from closureops import (
     Topology,
     ValidationReport,
     WeakOrder,
+    WitnessVerificationFailed,
 )
 
 ABCD = ("a", "b", "c", "d")
@@ -863,6 +866,170 @@ def iter_topologies(g: GroundSet):
         closed = set(bits)
         if all(a & b in closed for a in bits for b in bits):
             yield Topology(g, sorted(closed))
+
+
+# --------------------------------------------------------- complexity oracles
+
+#: Brute-force oracles enumerate all weak orders on X (75 at four elements,
+#: 541 at five) and search subsets; four elements keeps them instant.
+ORACLE_MAX_ELEMENTS = 4
+
+
+def iter_weak_orders(ground: GroundSet) -> Iterator[WeakOrder]:
+    """All weak orders on the ground set, in a fixed deterministic order.
+
+    Enumerates ordered set partitions by choosing the worst class first
+    (nonempty subsets in ascending mask order), then recursing on the rest.
+    The count is the Fubini number of |X| (75 for four elements).
+    """
+
+    def split(rest: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield ()
+            return
+        # iterate nonempty submasks of rest in ascending numeric order
+        sub = rest
+        choices = []
+        while sub:
+            choices.append(sub)
+            sub = (sub - 1) & rest
+        for worst in reversed(choices):
+            for tail in split(rest & ~worst):
+                yield (worst, *tail)
+
+    for shape in split(ground.full_bits):
+        yield WeakOrder(ground, tuple(ground.mask(b) for b in shape))
+
+
+def _require_oracle_size(ground: GroundSet) -> None:
+    if ground.size > ORACLE_MAX_ELEMENTS:
+        raise GroundSetTooLarge(
+            f"oracles brute-force all generator subsets and are capped at "
+            f"{ORACLE_MAX_ELEMENTS} elements; got {ground.size}"
+        )
+
+
+def _exclusion_pairs(f_images: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """All (menu bits, element bit) with the element outside the closure.
+
+    The empty menu is skipped: every closure operator fixes ∅, so those pairs
+    hold for any intersection, including the empty one.
+    """
+    pairs = []
+    for bits in range(1, full + 1):
+        outside = full & ~f_images[bits]
+        while outside:
+            x = outside & -outside
+            outside ^= x
+            pairs.append((bits, x))
+    return pairs
+
+
+def _minimum_generator_count(
+    f: ClosureOperator,
+    candidates: Sequence[ClosureOperator],
+    *,
+    allow_empty: bool,
+) -> int:
+    """Exact minimum number of candidates whose intersection equals f.
+
+    Works straight from the definition: a family generates f iff every member
+    dominates f pointwise (g(A) ⊇ f(A) for all A — anything else shrinks the
+    intersection below f somewhere) and every exclusion pair (A, x ∉ f(A)) is
+    realized by some member.  That is an exact minimum set cover, solved by
+    iterative deepening with a fewest-options-first branching rule.
+    """
+    ground = f.ground
+    full = ground.full_bits
+    f_images = f.tabulate_bits()
+    pairs = _exclusion_pairs(f_images, full)
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    covers: list[int] = []
+    for candidate in candidates:
+        images = candidate.tabulate_bits()
+        if any(f_images[bits] & ~images[bits] for bits in range(full + 1)):
+            continue  # does not dominate f; can never appear in a generating family
+        mask = 0
+        for bits in range(1, full + 1):
+            # dominance gives f(A) ⊆ g(A), so everything outside g's closure is
+            # an exclusion pair of f
+            rest = full & ~images[bits]
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                mask |= 1 << pair_index[(bits, x)]
+        covers.append(mask)
+    universe = (1 << len(pairs)) - 1
+    if universe == 0:
+        if allow_empty:
+            return 0
+        if not covers:
+            raise WitnessVerificationFailed("no candidate dominates the operator")
+        return 1  # any dominating candidate already equals f here
+
+    per_pair: list[list[int]] = [[] for _ in pairs]
+    for c, mask in enumerate(covers):
+        rest = mask
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest ^= rest & -rest
+            per_pair[i].append(c)
+
+    def can_cover(uncovered: int, budget: int) -> bool:
+        if not uncovered:
+            return True
+        if budget == 0:
+            return False
+        # fail-first: branch on the uncovered pair with fewest covering options
+        best_i = -1
+        best_options: list[int] = []
+        rest = uncovered
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest ^= rest & -rest
+            options = [c for c in per_pair[i] if covers[c] & uncovered]
+            if best_i < 0 or len(options) < len(best_options):
+                best_i, best_options = i, options
+                if not options:
+                    return False
+        return any(
+            can_cover(uncovered & ~covers[c], budget - 1) for c in best_options
+        )
+
+    lower = 0 if allow_empty else 1
+    for k in range(lower, len(covers) + 1):
+        if can_cover(universe, k):
+            return k
+    raise WitnessVerificationFailed("no candidate subset generates the operator")
+
+
+def oracle_mnwo(f: ClosureOperator) -> int:
+    """MNWO by brute force (definition only; capped at four elements).
+
+    Enumerates every weak order on X and finds the smallest family whose
+    half-space operators intersect to f.  At least one weak order is always
+    needed: the empty intersection is the trivial operator, which the single
+    one-class weak order already generates.
+    """
+    _require_oracle_size(f.ground)
+    candidates = [w.operator() for w in iter_weak_orders(f.ground)]
+    return _minimum_generator_count(f, candidates, allow_empty=False)
+
+
+def oracle_mnbc(f: ClosureOperator) -> int:
+    """MNBC by brute force (definition only; capped at four elements).
+
+    Enumerates every proper nonempty cutoff and finds the smallest family of
+    binary classifiers that intersects to f; zero classifiers (the empty
+    intersection) account for the trivial operator.
+    """
+    _require_oracle_size(f.ground)
+    ground = f.ground
+    candidates = [
+        BinaryClassifier(ground.mask(bits)).operator()
+        for bits in range(1, ground.full_bits)
+    ]
+    return _minimum_generator_count(f, candidates, allow_empty=True)
 
 
 # ----------------------------------------------- acceptance-summary report

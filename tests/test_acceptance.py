@@ -17,14 +17,11 @@ from closureops import (
     complexity_profile,
     canonical_labeling,
     intersect_generate,
-    iter_weak_orders,
     kreps_operator,
     kreps_representation,
     additive_representation,
     meet_irreducibles,
     minimal_labeling,
-    oracle_mnbc,
-    oracle_mnwo,
     respects,
     validate_closure,
 )
@@ -41,6 +38,9 @@ from conftest import (
     fork_topology,
     ground,
     iter_topologies,
+    iter_weak_orders,
+    oracle_mnbc,
+    oracle_mnwo,
     order,
     random_binary,
     random_fraction,

@@ -23,6 +23,7 @@ from closureops import (
     cli,
     complexity,
     complexity_profile,
+    generators,
     jsonio,
     kreps_representation,
     menus,
@@ -45,6 +46,7 @@ from conftest import (
     oracle_additive_doc,
     oracle_decomposition_doc,
     oracle_flat_doc,
+    oracle_generation_doc,
     oracle_hasse_doc,
     oracle_kreps_doc,
     oracle_labeling_doc,
@@ -271,6 +273,25 @@ def test_decompose_into_binary_classifiers(tmp_path, capsys):
     assert payload["verification"]["generates"] is True
 
 
+@pytest.mark.parametrize("kind, position", [("weak-orders", 0), ("binary", 1)])
+def test_decompose_checks_each_witness_once(tmp_path, capsys, monkeypatch, kind, position):
+    # The profile checks both witness lists, weak orders first, and decompose
+    # reports the check of its kind instead of running it again.
+    real = generators.GenerationReport
+    reports = []
+
+    def counted(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(generators, "GenerationReport", counted)
+    path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
+    code, out, _ = _run(capsys, "decompose", "--topology", path, "--kind", kind)
+    assert code == 0
+    assert len(reports) == 2
+    assert json.loads(out)["verification"] == oracle_generation_doc(reports[position])
+
+
 # -------------------------------------------------------------------- labels
 
 
@@ -403,8 +424,8 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
 def test_a_broken_width_certificate_exits_3(tmp_path, capsys, monkeypatch):
     width_cover = complexity._width_cover
 
-    def broken(poset):
-        cover = width_cover(poset)
+    def broken(bits, covers):
+        cover = width_cover(bits, covers)
         return ChainCover(chains=cover.chains, antichain=cover.antichain[1:])
 
     monkeypatch.setattr(complexity, "_width_cover", broken)

@@ -15,6 +15,7 @@ from closureops import (
     GroundSet,
     GroundSetMismatch,
     GroundSetTooLarge,
+    SubsetMask,
     Topology,
     WitnessVerificationFailed,
     check_generation,
@@ -23,8 +24,6 @@ from closureops import (
     intersect_generate,
     meet_irreducibles,
     more_complex,
-    oracle_mnbc,
-    oracle_mnwo,
 )
 from conftest import (
     ABCD,
@@ -38,6 +37,8 @@ from conftest import (
     ground,
     iter_topologies,
     oracle_check_generation,
+    oracle_mnbc,
+    oracle_mnwo,
     order,
     random_family_bits,
     random_binary,
@@ -280,13 +281,13 @@ def test_discrete_family_closed_forms_at_twelve_elements():
     t = Topology(g, range(1 << n))
     poset = FinitePoset.from_topology(t)
     coatoms = tuple(g.mask(g.full_bits & ~(1 << i)) for i in reversed(range(n)))
-    irreducibles = complexity._irreducibles(t, poset)
+    irreducibles = complexity._irreducibles(t, poset.upper_cover_indices())
     assert irreducibles.p_of_f == (*coatoms, g.full)
     assert irreducibles.b_of_f == coatoms
     edges = poset.hasse()
     assert len(edges) == n << (n - 1) == 24_576
     assert all((upper.bits ^ lower.bits).bit_count() == 1 for lower, upper in edges)
-    assert complexity._depth(poset) == n
+    assert complexity._depth(poset.upper_cover_indices()) == n
 
 
 def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
@@ -305,13 +306,43 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
         g = GroundSet(tuple(f"e{i}" for i in range(n)))
-        p = FinitePoset.from_topology(Topology(g, random_family_bits(rng, n)))
+        t = Topology(g, random_family_bits(rng, n))
+        p = FinitePoset.from_topology(t)
         before = fallbacks["calls"]
-        cover = complexity._width_cover(p)
+        cover = complexity._width_cover(t.bits, p.upper_cover_indices())
         routes["fallback" if fallbacks["calls"] > before else "certified"] += 1
-        check_chain_cover(p, cover)
+        check_chain_cover(FinitePoset(t.bits, p.up), cover)
         assert cover.width == p.min_chain_cover().width
     assert routes["certified"] >= 20 and routes["fallback"] >= 20
+
+
+def test_profile_reads_closed_sets_without_masks(monkeypatch):
+    # S(f) is read as bit patterns: meet_irreducibles makes one mask per
+    # member of P(f), and the profile adds only those of its witnesses.
+    made = Counter()
+    real = SubsetMask.__post_init__
+
+    def counted(self):
+        made["masks"] += 1
+        real(self)
+
+    n = 12
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    discrete = Topology(g, range(1 << n))
+    monkeypatch.setattr(SubsetMask, "__post_init__", counted)
+    irreducibles = meet_irreducibles(discrete)
+    assert made["masks"] == len(irreducibles.p_of_f) == 13
+    made.clear()
+    complexity_profile(discrete.operator())
+    assert made["masks"] < 100
+    # On a chain P(f) is all 19 closed sets, and the one weak order adds its
+    # 18 classes.
+    n = 18
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    chain = Topology(g, [(1 << k) - 1 for k in range(n + 1)])
+    made.clear()
+    complexity_profile(chain.operator())
+    assert made["masks"] == 19 + 18
 
 
 @pytest.mark.parametrize("n", [14, 15, 16])

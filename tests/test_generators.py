@@ -20,7 +20,6 @@ from closureops import (
     check_generation,
     intersect_generate,
     is_single_chain,
-    iter_weak_orders,
     validate_closure,
 )
 from conftest import (
@@ -28,6 +27,7 @@ from conftest import (
     chain_topology,
     fork_topology,
     ground,
+    iter_weak_orders,
     oracle_check_generation,
     order,
     random_binary,
