@@ -517,10 +517,18 @@ def _tabulate_closed(size: int, closed: Sequence[int]) -> tuple[int, ...]:
       families; on the discrete family the fill would take 3^n − 2^n writes.
     """
     full = (1 << size) - 1
-    proper = [c for c in closed if c != full]
-    if sum(1 << c.bit_count() for c in proper) <= size << (size - 1):
-        return _submask_fill(full, proper)
+    fill, recursion = _tabulation_steps(size, closed)
+    if fill <= recursion:
+        return _submask_fill(full, [c for c in closed if c != full])
     return _superset_dp(full, closed)
+
+
+def _tabulation_steps(size: int, closed: Sequence[int]) -> tuple[int, int]:
+    """The steps of the submask fill and of the superset recursion that
+    :func:`_tabulate_closed` compares for this family."""
+    full = (1 << size) - 1
+    fill = sum(1 << c.bit_count() for c in closed if c != full)
+    return fill, size << (size - 1)
 
 
 def _submask_fill(full: int, proper: Sequence[int]) -> tuple[int, ...]:

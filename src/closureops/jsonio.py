@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
 from typing import Any
 
@@ -600,13 +601,26 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
 
 
 def mobius_doc(topology: Topology, table: MobiusTable) -> str:
+    """The closed sets, the items of ``table``'s poset, and the entries,
+    from the table's (i, j, μ) rows.  Each item's name array is rendered
+    once, and the entries are one join of shared pieces: entry (i, j) is
+    ``head + names[i] + to[j] + str(μ) + tail``."""
     writer = _Writer(topology.ground)
-    subset = writer.subset
-    entry = _template(("from", "to", "mu"), 2)
+    listed = [writer.subset(item, 2) for item in table.poset.items]
+    names = [_nest(text, 1) for text in listed]
+    head, middle, before_mu, tail = _template(("from", "to", "mu"), 2).split("%s")
+    to = [middle + name + before_mu for name in names]
+    between = tail + ",\n" + "  " * 2 + head  # from one entry to the next
+    pieces: list[str] = []
+    for lower, row in zip(names, table.rows):
+        pieces += chain.from_iterable(
+            zip(repeat(between + lower), map(to.__getitem__, row), map(str, row.values()))
+        )
+    pieces[0] = head + names[0]
     return _template(("elements", "closed_sets", "entries"), 0) % (
         writer.elements(1),
-        writer.subsets(topology.closed, 1),
-        _array([entry % (subset(x, 3), subset(y, 3), mu) for x, y, mu in table.pairs()], 1),
+        _array(listed, 1),
+        _array(["".join(pieces) + tail], 1),
     )
 
 

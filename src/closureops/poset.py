@@ -28,9 +28,27 @@ computes covers.  Which route runs:
   set (:func:`_swept_covers`), when the topology holds one (validated by the
   superset recursion, or built from an operator's images), and by the
   per-pair route above otherwise.  :mod:`closureops.complexity` reads them
-  without a poset, and :meth:`FinitePoset.from_topology` builds its rows only
-  when read: they take |S|² bits, 512 MB for the discrete family on 16
-  elements.
+  without a poset.  :meth:`FinitePoset.from_topology` keeps the topology and
+  builds the covers and the rows each at most once, when first read: the
+  rows take |S|² bits, 512 MB for the discrete family on 16 elements, and
+  without an image table the covers are read off them.
+
+The Möbius function of S = S(f) is a :class:`MobiusTable` of rows, one per
+item, filled by whichever of two exact routes takes fewer steps
+(:func:`_rota_is_cheaper`):
+
+* Rota's closure theorem (:func:`_rota_rows`) reads f(A ∪ B) from the image
+  table for every closed A and B ⊆ X ∖ A: R = Σ_{A ∈ S} 2^(n−|A|) reads, 3^n
+  on the discrete family, which is the size of the report; a topology
+  without its table adds the steps of tabulating it.  It builds neither the
+  rows nor the covers.
+* The interval loop (:func:`_interval_rows`) sums μ over every interval on
+  the rows: |S|² + Σ_z |↓z|·|↑z| steps, 2·4^n on the discrete family but
+  about |S|² on a chain, where Rota costs about 2^(n+1).  Every poset not
+  built from a topology takes it.
+
+The zeta sums and the inversion read the rows and the Möbius rows, one step
+per comparable pair.
 """
 
 from __future__ import annotations
@@ -39,8 +57,9 @@ from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import filterfalse
 
-from .core import SubsetMask, Topology
+from .core import SubsetMask, Topology, _tabulation_steps
 from .errors import GroundSetMismatch, InvalidOrderRelation, WitnessVerificationFailed
 
 __all__ = [
@@ -83,31 +102,33 @@ class ChainCover:
 
 @dataclass(frozen=True)
 class MobiusTable:
-    """The Möbius function of a finite poset, as exact integers.
+    """The Möbius function of a finite poset, as exact integers, row by row.
 
     μ is defined by μ(x, x) = 1 and μ(x, y) = −Σ_{x ≤ z < y} μ(x, z) for
-    x < y; by convention :meth:`mu` returns 0 for incomparable pairs.
+    x < y; by convention :meth:`mu` returns 0 for incomparable pairs.  Row i
+    holds μ(i, j) for every item j ≥ item i, zeros included, in ascending j,
+    so the rows list exactly the comparable pairs in item order.  Both routes
+    of :meth:`FinitePoset.mobius` fill them, and :meth:`mu` and :meth:`pairs`
+    read them alone, never the poset's order rows.
 
     Attributes:
         poset: the poset the table belongs to.
+        rows: per item index i, a dict from index j to μ(i, j) over the items
+            j ≥ i, in ascending j.
     """
 
     poset: FinitePoset
-    _mu: dict[tuple[int, int], int] = field(repr=False, compare=False)
+    rows: tuple[dict[int, int], ...] = field(repr=False, compare=False)
 
     def mu(self, x: Hashable, y: Hashable) -> int:
-        i = self.poset.index(x)
-        j = self.poset.index(y)
-        return self._mu.get((i, j), 0)
+        return self.rows[self.poset.index(x)].get(self.poset.index(y), 0)
 
     def pairs(self) -> Iterable[tuple[Hashable, Hashable, int]]:
         """All comparable pairs (x, y, μ(x, y)) in item order."""
         items = self.poset.items
-        for i, row in enumerate(self.poset.up):
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                yield items[i], items[j], self._mu[(i, j)]
+        for x, row in zip(items, self.rows):
+            for j, value in row.items():
+                yield x, items[j], value
 
 
 @dataclass(frozen=True, repr=False)
@@ -123,6 +144,7 @@ class FinitePoset:
     up: tuple[int, ...]
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
     _covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _topology: Topology | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
@@ -160,25 +182,34 @@ class FinitePoset:
         cls,
         items: tuple[Hashable, ...],
         covers: tuple[tuple[int, ...], ...],
-        up: tuple[int, ...] | None = None,
+        up: tuple[int, ...],
     ) -> FinitePoset:
         """An inclusion order on distinct sets, built without the order
-        checks: inclusion is reflexive, antisymmetric and transitive.  Without
-        ``up`` the rows and the item index are built on first use."""
+        checks: inclusion is reflexive, antisymmetric and transitive."""
         poset = object.__new__(cls)
         object.__setattr__(poset, "items", items)
         object.__setattr__(poset, "_covers", covers)
-        if up is not None:
-            object.__setattr__(poset, "up", up)
-            object.__setattr__(poset, "_index", _index_of(items))
+        object.__setattr__(poset, "up", up)
+        object.__setattr__(poset, "_index", _index_of(items))
         return poset
 
     def __getattr__(self, name: str) -> object:
         # Called only for a missing attribute of the inclusion order
-        # from_topology builds for the hasse and mobius reports and API
-        # users.  The rows take |S|² bits, and only mobius reads them.
+        # from_topology builds, which keeps its topology and builds the rows,
+        # the covers and the item index on first use.  The rows take |S|²
+        # bits; hasse reads them only without an image table, and mobius
+        # only on the interval route.
+        topology = self._topology
+        if topology is None:
+            raise AttributeError(name)
         if name == "up":
-            value: object = _inclusion_rows([mask.bits for mask in self.items])
+            value: object = _inclusion_rows(topology.bits)
+        elif name == "_covers":
+            # Without a table the covers are read off the rows, kept as up.
+            if topology._images is None:
+                value = _covers_by_rows(self.up)
+            else:
+                value = _closed_covers(topology)
         elif name == "_index":
             value = _index_of(self.items)
         else:
@@ -218,9 +249,16 @@ class FinitePoset:
 
     @classmethod
     def from_topology(cls, topology: Topology) -> FinitePoset:
-        """The inclusion order on a topology's closed sets (canonical order),
-        with the covers of :func:`_closed_covers`; the rows wait until used."""
-        return cls._trusted(topology.closed, _closed_covers(topology))
+        """The inclusion order on a topology's closed sets (canonical order).
+
+        The poset keeps the topology: its covers (:func:`_closed_covers`),
+        rows and item index are each built once, on first use, and
+        :meth:`mobius` may read the topology's image table instead.
+        """
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "items", topology.closed)
+        object.__setattr__(poset, "_topology", topology)
+        return poset
 
     @property
     def size(self) -> int:
@@ -363,45 +401,38 @@ class FinitePoset:
         )
 
     def mobius(self) -> MobiusTable:
-        """The Möbius function on all comparable pairs, as exact integers."""
-        strict_down = [0] * self.size
-        for i, row in enumerate(self._strict_up()):
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                strict_down[j] |= 1 << i
-        # a linear extension: ascending count of items strictly below
-        order = sorted(range(self.size), key=lambda i: (strict_down[i].bit_count(), i))
-        mu: dict[tuple[int, int], int] = {}
-        for x in range(self.size):
-            row = self.up[x]
-            for y in order:
-                if not row >> y & 1:
-                    continue
-                if y == x:
-                    mu[(x, x)] = 1
-                    continue
-                total = mu[(x, x)]
-                between = row & strict_down[y] & ~(1 << x)
-                while between:
-                    z = (between & -between).bit_length() - 1
-                    between &= between - 1
-                    total += mu[(x, z)]
-                mu[(x, y)] = -total
-        return MobiusTable(poset=self, _mu=mu)
+        """The Möbius function on all comparable pairs, as exact integers.
+
+        A poset built by :meth:`from_topology` takes whichever route costs
+        fewer steps, counted exactly by :func:`_rota_is_cheaper`: Rota's
+        closure theorem on the image table (:func:`_rota_rows`), which takes
+        Σ_{A ∈ S} 2^(n−|A|) table reads (3^n on the discrete family) and
+        reads neither the rows nor the covers, or the interval loop on the
+        rows (:func:`_interval_rows`), which takes |S|² + Σ_z |↓z|·|↑z|
+        steps (about |S|² on a chain).  Every other poset takes the
+        interval loop.
+        """
+        topology = self._topology
+        if topology is not None and _rota_is_cheaper(topology, self):
+            rows = _rota_rows(topology.bits, topology.operator().tabulate_bits())
+        else:
+            rows = _interval_rows(self.up)
+        return MobiusTable(poset=self, rows=rows)
 
     def sum_below(
         self, values: Mapping[Hashable, Fraction | int]
     ) -> dict[Hashable, Fraction]:
-        """The down-set sums g(x) = Σ_{y ≤ x} values(y) (the zeta transform)."""
-        totals: dict[Hashable, Fraction] = {}
-        for i, item in enumerate(self.items):
-            total = Fraction(0)
-            for j, other in enumerate(self.items):
-                if self.up[j] >> i & 1:
-                    total += values[other]
-            totals[item] = total
-        return totals
+        """The down-set sums g(x) = Σ_{y ≤ x} values(y) (the zeta transform),
+        one step per comparable pair."""
+        items = self.items
+        totals = [Fraction(0)] * len(items)
+        for y, row in zip(items, self.up):
+            value = values[y]
+            while row:
+                x = (row & -row).bit_length() - 1
+                row &= row - 1
+                totals[x] += value
+        return dict(zip(items, totals))
 
     def mobius_invert(
         self, values: Mapping[Hashable, Fraction | int]
@@ -409,17 +440,16 @@ class FinitePoset:
         """Recover h from its down-set sums: h(x) = Σ_{y ≤ x} μ(y, x)·values(y).
 
         Inverse of :meth:`sum_below`: if ``values`` maps x to Σ_{y ≤ x} h(y)
-        then the result maps x to h(x), exactly.
+        then the result maps x to h(x), exactly.  One step per comparable
+        pair of the :meth:`mobius` rows.
         """
-        table = self.mobius()
-        result: dict[Hashable, Fraction] = {}
-        for i, item in enumerate(self.items):
-            total = Fraction(0)
-            for j, other in enumerate(self.items):
-                if self.up[j] >> i & 1:
-                    total += table._mu[(j, i)] * Fraction(values[other])
-            result[item] = total
-        return result
+        items = self.items
+        totals = [Fraction(0)] * len(items)
+        for y, row in zip(items, self.mobius().rows):
+            value = Fraction(values[y])
+            for x, mu in row.items():
+                totals[x] += mu * value
+        return dict(zip(items, totals))
 
     def __repr__(self) -> str:
         return f"FinitePoset({self.size} items, {sum(r.bit_count() for r in self.up) - self.size} strict relations)"
@@ -478,6 +508,106 @@ def _covers_by_rows(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             rest &= rest - 1
         covers.append(tuple(indices))
     return tuple(covers)
+
+
+def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
+    """Whether :func:`_rota_rows` takes no more steps than
+    :func:`_interval_rows` for the inclusion order ``poset`` on the closed
+    sets of ``topology``, by exact counts.
+
+    Rota reads R = Σ_{A ∈ S} 2^(n−|A|) images, plus the steps of
+    :func:`~closureops.core._tabulate_closed` when the topology holds no
+    table.  The interval loop scans |S| items per item and sums over every
+    interval: I = |S|² + Σ_z |↓z|·|↑z| steps.  When R ≤ |S|² the rows are
+    not built; otherwise building them and counting I costs less than R.
+    """
+    size = topology.ground.size
+    closed = topology.bits
+    rota = sum(1 << (size - c.bit_count()) for c in closed)
+    if topology._images is None:
+        rota += min(_tabulation_steps(size, closed))
+    scan = len(closed) ** 2
+    if rota <= scan:
+        return True
+    up = poset.up
+    below = [0] * len(up)
+    for row in up:
+        while row:
+            below[(row & -row).bit_length() - 1] += 1
+            row &= row - 1
+    return rota <= scan + sum(b * row.bit_count() for b, row in zip(below, up))
+
+
+def _rota_rows(
+    closed: Sequence[int], images: Sequence[int]
+) -> tuple[dict[int, int], ...]:
+    """Möbius rows of the closed sets of a closure operator, by Rota's
+    closure theorem: μ(A, C) = Σ (−1)^|B| over the B ⊆ X ∖ A with
+    f(A ∪ B) = C, for closed A ⊆ C.
+
+    One pass over the supersets D = A ∪ B of each closed A reads
+    2^(n−|A|) images, 3^n in all on the discrete family, which is the
+    number of entries.  Each closed C ⊇ A is one of them (B = C ∖ A) and
+    starts its entry at (−1)^|C∖A|, in ascending bit pattern, which is
+    ascending index; each D that is not closed then adds (−1)^|D∖A| to the
+    entry of f(D).  So the keys are exactly the comparable pairs, zeros
+    included.
+    """
+    full = closed[-1]
+    index = {c: j for j, c in enumerate(closed)}
+    position = index.__getitem__
+    is_closed = index.__contains__
+    even = [1]  # (−1)^|D| for every subset D
+    while len(even) <= full:
+        even += [-sign for sign in even]
+    odd = [-sign for sign in even]
+    rows = []
+    for a in closed:
+        supersets = [a]  # ascending
+        rest = full & ~a
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            supersets += list(map(x.__or__, supersets))
+        sign = odd if even[a] < 0 else even  # sign[D] = (−1)^|D∖A|
+        above = list(filter(is_closed, supersets))
+        row = dict(zip(map(position, above), map(sign.__getitem__, above)))
+        for d in filterfalse(is_closed, supersets):
+            row[position(images[d])] += sign[d]
+        rows.append(row)
+    return tuple(rows)
+
+
+def _interval_rows(up: Sequence[int]) -> tuple[dict[int, int], ...]:
+    """Möbius rows of any finite order, from its rows ``up``, by the
+    defining recursion μ(x, y) = −Σ_{x ≤ z < y} μ(x, z), taking y along a
+    linear extension: |S|² scan steps plus one per z in each interval."""
+    size = len(up)
+    strict_down = [0] * size
+    for i, row in enumerate(up):
+        row &= ~(1 << i)
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            strict_down[j] |= 1 << i
+    # a linear extension: ascending count of items strictly below
+    order = sorted(range(size), key=lambda i: (strict_down[i].bit_count(), i))
+    rows = []
+    for x in range(size):
+        row = up[x]
+        mu = {x: 1}
+        for y in order:
+            if not row >> y & 1 or y == x:
+                continue
+            total = 1
+            between = row & strict_down[y] & ~(1 << x)
+            while between:
+                z = (between & -between).bit_length() - 1
+                between &= between - 1
+                total += mu[z]
+            mu[y] = -total
+        rows.append(dict(sorted(mu.items())))
+    return tuple(rows)
 
 
 def _closed_covers(topology: Topology) -> tuple[tuple[int, ...], ...]:

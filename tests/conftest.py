@@ -424,6 +424,21 @@ def oracle_hasse(poset: FinitePoset) -> tuple[tuple, ...]:
     return tuple(covers)
 
 
+def oracle_mobius(topology: Topology) -> dict[tuple[int, int], int]:
+    """μ(A, C) on every pair of closed sets A ⊆ C, keyed by bit patterns in
+    canonical order, by the interval loop of the definition: μ(A, A) = 1
+    and μ(A, C) = −Σ{μ(A, Z) : A ⊆ Z ⊊ C}.  Ascending bit pattern extends
+    inclusion, so every μ(A, Z) is known before it is summed."""
+    mu: dict[tuple[int, int], int] = {}
+    for a in topology.bits:
+        above = [c for c in topology.bits if a & ~c == 0]
+        for k, c in enumerate(above):
+            mu[a, c] = 1 if k == 0 else -sum(
+                mu[a, z] for z in above[:k] if z & ~c == 0
+            )
+    return mu
+
+
 def oracle_missing_intersection(bits) -> tuple[int, int] | None:
     """The first pair (a, b) of a family, in ascending order, whose
     intersection is missing, by testing every pair."""

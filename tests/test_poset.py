@@ -18,13 +18,17 @@ from closureops import (
     WitnessVerificationFailed,
     to_dot,
 )
+from closureops import core as core_module
+from closureops import poset as poset_module
 from conftest import (
     brute_poset_width,
     check_chain_cover,
+    crown_bits,
     ground,
     oracle_from_masks,
     oracle_hasse,
     oracle_min_chain_cover,
+    oracle_mobius,
     permuted_poset,
     random_family_bits,
     random_fraction,
@@ -388,7 +392,7 @@ def test_mobius_satisfies_delta_identity(seed, n):
     table = shuffled.mobius()
     items = shuffled.items
     assert list(table.pairs()) == [
-        (items[i], items[j], mu) for (i, j), mu in sorted(table._mu.items())
+        (x, y, table.mu(x, y)) for x in items for y in items if shuffled.leq(x, y)
     ]
 
 
@@ -399,6 +403,103 @@ def test_mobius_agrees_with_dual():
     for a in DIVISORS_OF_12:
         for b in DIVISORS_OF_12:
             assert table.mu(a, b) == dual_table.mu(b, a)
+
+
+# ------------------------------------------- Möbius of a closed-set lattice
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts the calls of each Möbius route of :mod:`closureops.poset`."""
+    calls: Counter = Counter()
+    for name in ("_rota_rows", "_interval_rows"):
+
+        def spy(*args, _route=getattr(poset_module, name), _name=name):
+            calls[_name] += 1
+            return _route(*args)
+
+        monkeypatch.setattr(poset_module, name, spy)
+    return calls
+
+
+def test_mobius_of_closed_sets_matches_the_interval_oracle(routes):
+    rng = random.Random(20261018)
+    tableless_rota = 0
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        t = Topology(ground("abcdefghij"[:n]), random_family_bits(rng, n))
+        tableless = t._images is None
+        before = routes["_rota_rows"]
+        poset = FinitePoset.from_topology(t)
+        table = poset.mobius()
+        tableless_rota += tableless and routes["_rota_rows"] > before
+        assert [(x.bits, y.bits, mu) for x, y, mu in table.pairs()] == [
+            (a, c, mu) for (a, c), mu in oracle_mobius(t).items()
+        ]
+        if n <= 6:
+            values = {item: random_fraction(rng) for item in poset.items}
+            assert poset.mobius_invert(poset.sum_below(values)) == values
+    assert routes["_rota_rows"] >= 20
+    assert routes["_interval_rows"] >= 20
+    assert tableless_rota >= 1  # Rota after tabulating, counted in the dispatch
+
+
+def test_discrete_mobius_closed_form_at_twelve_elements(routes):
+    n = 12
+    t = Topology(ground("abcdefghijkl"), range(1 << n))
+    table = FinitePoset.from_topology(t).mobius()
+    assert routes == {"_rota_rows": 1}
+    entries = 0
+    for a, row in zip(t.bits, table.rows):
+        assert list(row) == sorted(row)
+        assert len(row) == 1 << (n - a.bit_count())
+        for j, mu in row.items():
+            c = t.bits[j]
+            assert c & a == a
+            assert mu == 1 - 2 * ((c ^ a).bit_count() & 1)  # (−1)^|C ∖ A|
+        entries += len(row)
+    assert entries == 3**n
+
+
+def test_a_long_chain_takes_the_interval_loop_without_a_table(routes, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the image table was built")
+
+    monkeypatch.setattr(core_module, "_tabulate_closed", refuse)
+    n = 20
+    t = Topology(GroundSet(tuple(f"x{k}" for k in range(n))), [(1 << k) - 1 for k in range(n + 1)])
+    table = FinitePoset.from_topology(t).mobius()
+    assert routes == {"_interval_rows": 1}
+    assert t._images is None
+    for i, row in enumerate(table.rows):
+        expected = [(i, 1), (i + 1, -1), *((j, 0) for j in range(i + 2, n + 1))]
+        assert list(row.items()) == expected[: n + 1 - i]
+
+
+def test_the_rota_route_builds_neither_rows_nor_covers():
+    t = Topology(ground("abcdefghij"), range(1 << 10))
+    poset = FinitePoset.from_topology(t)
+    poset.mobius()
+    assert "up" not in vars(poset)
+    assert "_covers" not in vars(poset)
+
+
+def test_a_topology_poset_builds_its_rows_once(routes, monkeypatch):
+    built = Counter()
+
+    def counted(bits, _rows=poset_module._inclusion_rows):
+        built["rows"] += 1
+        return _rows(bits)
+
+    monkeypatch.setattr(poset_module, "_inclusion_rows", counted)
+    t = Topology(ground("abcdefghijkl"), crown_bits(12))
+    assert t._images is None
+    poset = FinitePoset.from_topology(t)
+    edges = poset.hasse()
+    poset.mobius()
+    assert poset.hasse() == edges
+    assert built == {"rows": 1}
+    assert routes == {"_interval_rows": 1}
 
 
 # ---------------------------------------------------------------- inversion
