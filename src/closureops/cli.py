@@ -30,7 +30,7 @@ from typing import Any
 
 from . import jsonio
 from .complexity import complexity_profile
-from .core import ClosureOperator, validate_closure
+from .core import Topology, _validate_images
 from .errors import (
     AxiomsViolated,
     BadEndpoints,
@@ -89,14 +89,13 @@ def _load(path: str) -> Any:
         raise SchemaError(f"{path} is not readable JSON: {exc}") from None
 
 
-def _operator_from_path(path: str) -> ClosureOperator:
+def _operator_from_path(path: str) -> Topology:
     """Read an operator from either an operator-table or a topology document."""
     doc = _load(path)
     if isinstance(doc, dict) and "map" in doc:
-        ground, table = jsonio.operator_table_from(doc)
-        return ClosureOperator.from_table(ground, table)
+        return Topology._validated(*jsonio.operator_images_from(doc))
     if isinstance(doc, dict) and "closed_sets" in doc:
-        return jsonio.topology_from(doc).operator()
+        return jsonio.topology_from(doc)
     raise SchemaError(
         f'{path} holds neither an operator table ("map") nor a topology '
         f'("closed_sets")'
@@ -104,8 +103,7 @@ def _operator_from_path(path: str) -> ClosureOperator:
 
 
 def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
-    ground, table = jsonio.operator_table_from(_load(args.table))
-    report = validate_closure(ground, table)
+    report = _validate_images(*jsonio.operator_images_from(_load(args.table)))
     if not report.ok:
         print("validation failed: " + "; ".join(report.summary()), file=sys.stderr)
     return jsonio.validation_doc(report), 0 if report.ok else 1
@@ -113,8 +111,9 @@ def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
 
 def _run_topology(args: argparse.Namespace) -> tuple[str, int]:
     if args.from_table:
-        ground, table = jsonio.operator_table_from(_load(args.from_table))
-        operator = ClosureOperator.from_table(ground, table)
+        operator = Topology._validated(
+            *jsonio.operator_images_from(_load(args.from_table))
+        )
     elif args.from_labels:
         operator = jsonio.labeling_from(_load(args.from_labels)).classifier()
     else:
@@ -124,16 +123,16 @@ def _run_topology(args: argparse.Namespace) -> tuple[str, int]:
         operators = [w.operator() for w in weak_orders]
         operators += [b.operator() for b in binary]
         operator = intersect_generate(ground, operators)
-    return jsonio.topology_doc(operator.closed_sets()), 0
+    return jsonio.topology_doc(operator), 0
 
 
 def _run_complexity(args: argparse.Namespace) -> tuple[str, int]:
-    operator = jsonio.topology_from(_load(args.topology)).operator()
+    operator = jsonio.topology_from(_load(args.topology))
     return jsonio.profile_doc(complexity_profile(operator)), 0
 
 
 def _run_decompose(args: argparse.Namespace) -> tuple[str, int]:
-    operator = jsonio.topology_from(_load(args.topology)).operator()
+    operator = jsonio.topology_from(_load(args.topology))
     profile = complexity_profile(operator)
     if args.kind == "weak-orders":
         generators, report = profile.weak_order_witness, profile.weak_order_check
@@ -143,7 +142,7 @@ def _run_decompose(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _run_labels(args: argparse.Namespace) -> tuple[str, int]:
-    operator = jsonio.topology_from(_load(args.topology)).operator()
+    operator = jsonio.topology_from(_load(args.topology))
     labeling = minimal_labeling(operator) if args.minimal else canonical_labeling(operator)
     return jsonio.labeling_doc(labeling), 0
 

@@ -22,15 +22,18 @@ contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
-The covers of S(f) (:func:`~closureops.poset._closed_covers`) give P(f), the
+The covers of S(f), from the inclusion order
+:meth:`~closureops.poset.FinitePoset.from_topology` keeps, give P(f), the
 width and the depth, all three read from the closed sets' bit patterns: no
-poset and no mask is built for S(f) beyond the members of P(f).  The width is
-certified by Dilworth's theorem (:func:`_width_cover`): the largest
-cardinality level is an antichain, a greedy cover along the covers gives as
-many chains, and only when the two differ does the matching run, on a poset
-of S(f) built for it and started from the greedy chains.  On the discrete
-family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the
-matching over its 3^n comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
+mask is built for S(f) beyond the members of P(f).  The width is certified by
+Dilworth's theorem (:func:`_width_cover`): the largest cardinality level is
+an antichain, a greedy cover along the covers gives as many chains, and only
+when the two differ does the matching run, on the rows of that same order,
+started from the greedy chains.  So the rows of S(f) are built at most once
+per profile: for the covers when f holds no image table, else for the
+matching if it runs.  On the discrete family the bounds meet at
+C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the matching over its 3^n
+comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
 chain cover of P(f) by the matching itself, so their chains do not depend on
 which route settled the width.
 Both witness lists are verified before they are returned, by the two
@@ -56,10 +59,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import ClosureOperator, SubsetMask, Topology
+from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
-from .poset import ChainCover, FinitePoset, _closed_covers, _inclusion_rows
+from .poset import ChainCover, FinitePoset
 
 __all__ = [
     "IrreducibleSet",
@@ -88,7 +91,8 @@ class IrreducibleSet:
 
 def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`."""
-    return _irreducibles(topology, _closed_covers(topology))
+    covers = FinitePoset.from_topology(topology).upper_cover_indices()
+    return _irreducibles(topology, covers)
 
 
 def _irreducibles(topology: Topology, covers: Sequence[Sequence[int]]) -> IrreducibleSet:
@@ -100,9 +104,11 @@ def _irreducibles(topology: Topology, covers: Sequence[Sequence[int]]) -> Irredu
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
 
 
-def _width_cover(bits: Sequence[int], covers: Sequence[Sequence[int]]) -> ChainCover:
-    """A minimum chain cover of S(f), over its bit patterns, certified by
-    Dilworth's theorem.
+def _width_cover(bits: Sequence[int], poset: FinitePoset) -> ChainCover:
+    """A minimum chain cover of S(f), over its bit patterns ``bits``,
+    certified by Dilworth's theorem.  ``poset`` is the inclusion order of
+    S(f) from :meth:`FinitePoset.from_topology`: the greedy reads its covers,
+    and the matching its rows.
 
     Closed sets of one cardinality are an antichain, so the largest level
     bounds the width from below.  A greedy cover bounds it from above: the
@@ -114,7 +120,7 @@ def _width_cover(bits: Sequence[int], covers: Sequence[Sequence[int]]) -> ChainC
     form a matching of the strict order).
     """
     lower: list[list[int]] = [[] for _ in bits]
-    for i, above in enumerate(covers):
+    for i, above in enumerate(poset.upper_cover_indices()):
         for j in above:
             lower[j].append(i)
     levels: dict[int, list[int]] = {}
@@ -133,8 +139,8 @@ def _width_cover(bits: Sequence[int], covers: Sequence[Sequence[int]]) -> ChainC
     widest = max(levels.values(), key=len)
     starts = set(range(len(bits))) - set(succ)
     if len(starts) != len(widest):
-        poset = FinitePoset._trusted(bits, covers, _inclusion_rows(bits))
-        return poset._matched_cover((j, i) for j, i in enumerate(succ) if i >= 0)
+        over_bits = FinitePoset._trusted(bits, poset.up)
+        return over_bits._matched_cover((j, i) for j, i in enumerate(succ) if i >= 0)
     chains = []
     for i in sorted(starts):
         chain = [bits[i]]
@@ -184,7 +190,7 @@ class ComplexityProfile:
     binary_check: GenerationReport
 
 
-def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
+def complexity_profile(f: Topology) -> ComplexityProfile:
     """Compute both complexity measures of f together with optimal witnesses.
 
     The weak-order witness comes from a minimum chain cover of P(f): each
@@ -195,9 +201,9 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
     :class:`WitnessVerificationFailed`.  The profile keeps both reports.
     """
     ground = f.ground
-    topology = f.closed_sets()
-    covers = _closed_covers(topology)
-    irreducibles = _irreducibles(topology, covers)
+    poset = FinitePoset.from_topology(f)
+    covers = poset.upper_cover_indices()
+    irreducibles = _irreducibles(f, covers)
     p_poset = FinitePoset.from_masks(irreducibles.p_of_f)
     cover = p_poset.min_chain_cover()
     weak_orders = []
@@ -218,9 +224,9 @@ def complexity_profile(f: ClosureOperator) -> ComplexityProfile:
     return ComplexityProfile(
         mnwo=cover.width,
         mnbc=len(binary),
-        width_s=_width_cover(topology.bits, covers).width,
+        width_s=_width_cover(f.bits, poset).width,
         depth_s=_depth(covers),
-        class_count=len(topology) - 1,
+        class_count=len(f) - 1,
         weak_order_witness=tuple(weak_orders),
         binary_witness=binary,
         irreducibles=irreducibles,
@@ -263,15 +269,13 @@ class ComplexityComparison:
         return "incomparable"
 
 
-def more_complex(f: ClosureOperator, g: ClosureOperator) -> ComplexityComparison:
+def more_complex(f: Topology, g: Topology) -> ComplexityComparison:
     """Compare two operators on one ground set by S(g) ⊆ S(f) and conversely."""
     if f.ground != g.ground:
         raise GroundSetMismatch("operators live in different ground sets")
-    s_f = f.closed_sets()
-    s_g = g.closed_sets()
     mask = f.ground.mask
-    missing_from_f = next((mask(b) for b in s_g.bits if not s_f.contains_bits(b)), None)
-    missing_from_g = next((mask(b) for b in s_f.bits if not s_g.contains_bits(b)), None)
+    missing_from_f = next((mask(b) for b in g.bits if not f.contains_bits(b)), None)
+    missing_from_g = next((mask(b) for b in f.bits if not g.contains_bits(b)), None)
     return ComplexityComparison(
         f_at_least_g=missing_from_f is None,
         g_at_least_f=missing_from_g is None,

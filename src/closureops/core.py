@@ -1,4 +1,4 @@
-"""Ground sets, subset masks, closure operators, and closed-set topologies.
+"""Ground sets, subset masks, and closure operators with their closed sets.
 
 A closure operator on a finite ground set X is a map f: 2^X -> 2^X that is
 extensive (A ⊆ f(A), with f(∅) = ∅), idempotent (f(f(A)) = f(A)) and monotone
@@ -9,12 +9,14 @@ family S induces the unique closure operator
     f_S(A) = ⋂ {B ∈ S : A ⊆ B},
 
 so closure operators and these families ("topologies" below, by loose analogy)
-are two encodings of the same object.  This module provides both encodings,
-conversion in both directions, closure-axiom validation with complete witness
-reports, and the lattice operations of a topology (meet = intersection, join
-= closure of the union); its covers, width and depth are read from its bit
-patterns by :func:`closureops.poset._closed_covers` and
-:mod:`closureops.complexity`.
+are two encodings of the same object.  This module holds both in one class,
+:class:`Topology` (also exported as ``ClosureOperator``), which stores S(f)
+and is called as f.  It is built from closed sets, as bit patterns or as
+masks (:meth:`Topology.from_masks`), validating intersection closure, or from
+an operator's images, as a mask-keyed table (:meth:`Topology.from_table`) or
+as an array indexed by bit pattern (:meth:`Topology._validated`), validating
+the closure axioms with complete witness reports.  It also provides the
+lattice operations (meet = intersection, join = closure of the union).
 
 Intersection closure of a family S is decided by whichever of two exact
 routes takes fewer steps.  The pair loop tests |S|(|S|−1)/2 pairs.  The
@@ -27,17 +29,18 @@ recursion's result is the closure operator's image table, which the topology
 keeps as its only image cache.  On failure the pair loop runs as well, so
 :class:`NotIntersectionClosed` names the same pair whichever route decided.
 Closed sets taken from images already known to satisfy the axioms are not
-validated again.
+validated again (:meth:`Topology._trusted`).
 
 Subsets are machine words: a :class:`SubsetMask` stores one bit per element of
 its :class:`GroundSet`, which caps ground sets at 20 elements and makes the
 canonical ordering of subsets (ascending numeric mask value) a linear extension
 of inclusion.  A :class:`Topology` stores its closed sets one way only, as the
-ascending tuple of their bit patterns, and the algorithms of the package read
-those patterns.  Masks are made at the API edge only: by
-:meth:`Topology.from_masks` (unwrapped there), by :attr:`Topology.closed` and
-iteration when read, and for witnesses and results.  All values are
-immutable; all functions are pure.
+ascending tuple of their bit patterns, and its images as one tuple indexed
+by bit pattern; the algorithms of the package read those.  Masks are made at
+the API edge only: taken apart by :meth:`Topology.from_masks` and
+:meth:`Topology.from_table`, made by :attr:`Topology.closed`, iteration,
+calls and :meth:`Topology.table`, and for witnesses and results.  All values
+are immutable up to the image cache; all functions are pure.
 """
 
 from __future__ import annotations
@@ -253,16 +256,23 @@ class SubsetMask:
 
 @dataclass(frozen=True, repr=False)
 class Topology:
-    """An intersection-closed family of subsets containing ∅ and X.
+    """A closure operator f on a finite ground set, held as its closed sets.
 
-    This is exactly the data of a closure operator in closed-set form: the
-    closed sets of any closure operator form such a family, and
-    :meth:`closure_of` recovers the operator as the map to the smallest closed
+    S(f) is an intersection-closed family containing ∅ and X, and it
+    determines f: :meth:`closure_of` maps a subset to its smallest closed
     superset.  The family is stored one way only, as the ascending tuple of
     its bit patterns: construction drops duplicates, sorts, and validates the
     invariants eagerly, by the cheaper of the pair loop and the superset
     recursion (module docstring).  :meth:`from_masks` builds one from
-    :class:`SubsetMask` values.
+    :class:`SubsetMask` values, and :meth:`from_table` from an operator
+    table.  ``ClosureOperator`` is another name for this class.
+
+    Call the operator like a function: ``f(mask)`` returns the closure, read
+    from the table of all 2^n images.  The superset recursion leaves that
+    table behind, an operator built from images starts with them, and
+    otherwise :func:`_tabulate_closed` builds it when first needed, in
+    min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.  Equality and hashing read the
+    ground set and the closed sets, so they build no table.
 
     Attributes:
         ground: the underlying ground set.
@@ -312,6 +322,28 @@ class Topology:
         return cls(ground, [m.bits for m in masks])
 
     @classmethod
+    def from_table(
+        cls, ground: GroundSet, table: Mapping[SubsetMask, SubsetMask]
+    ) -> Topology:
+        """Build an operator from a full table, validating the closure axioms.
+
+        Raises :class:`InvalidClosureTable` (carrying the full
+        :class:`ValidationReport`) if any axiom fails.
+        """
+        return cls._validated(ground, _images_from_table(ground, table))
+
+    @classmethod
+    def _validated(cls, ground: GroundSet, images: Sequence[int]) -> Topology:
+        """The operator with these images, indexed by bit pattern (−1 where
+        the table lacks one), once :func:`_validate_images` finds every
+        axiom holding; :class:`InvalidClosureTable` otherwise."""
+        images = tuple(images)
+        report = _validate_images(ground, images)
+        if not report.ok:
+            raise InvalidClosureTable(report)
+        return cls._trusted(ground, images)
+
+    @classmethod
     def _trusted(cls, ground: GroundSet, images: tuple[int, ...]) -> Topology:
         """The fixed points of images already known to be a closure operator,
         built without validation: they are intersection-closed and hold ∅ and
@@ -342,6 +374,28 @@ class Topology:
 
     def contains_bits(self, bits: int) -> bool:
         return bits in self._bitset
+
+    def __call__(self, mask: SubsetMask) -> SubsetMask:
+        if mask.ground != self.ground:
+            raise GroundSetMismatch("argument lives in a different ground set")
+        return self.ground.mask(self.image_bits(mask.bits))
+
+    def image_bits(self, bits: int) -> int:
+        """Closure of a raw bit pattern, read from the image table."""
+        return self.tabulate_bits()[bits]
+
+    def tabulate_bits(self) -> tuple[int, ...]:
+        """All images, indexed by subset bit pattern, built once."""
+        if self._images is None:
+            object.__setattr__(
+                self, "_images", _tabulate_closed(self.ground.size, self.bits)
+            )
+        return self._images
+
+    def table(self) -> dict[SubsetMask, SubsetMask]:
+        """The operator as an explicit mask-keyed table, in canonical order."""
+        mask = self.ground.mask
+        return {mask(bits): mask(img) for bits, img in enumerate(self.tabulate_bits())}
 
     def closure_of(self, mask: SubsetMask) -> SubsetMask:
         """The smallest closed superset of ``mask``.
@@ -376,13 +430,23 @@ class Topology:
         if mask not in self:
             raise NotClosed(f"{mask.label()} is not a closed set of this topology")
 
-    def operator(self) -> ClosureOperator:
-        """The closure operator whose closed sets are exactly this family."""
-        return ClosureOperator(self)
+    def operator(self) -> Topology:
+        """This object, read as the closure operator f whose closed sets are
+        this family: one class holds both."""
+        return self
+
+    def closed_sets(self) -> Topology:
+        """This object, read as the closed sets S(f) = {A : f(A) = A} of the
+        operator: one class holds both."""
+        return self
 
     def __repr__(self) -> str:
         sets = ", ".join(m.label() for m in self)
         return f"Topology([{sets}])"
+
+
+#: The closure operator and its closed sets are one object.
+ClosureOperator = Topology
 
 
 @dataclass(frozen=True)
@@ -445,10 +509,10 @@ class ValidationReport:
 
 def _images_from_table(
     ground: GroundSet, table: Mapping[SubsetMask, SubsetMask]
-) -> tuple[int, ...]:
-    """Flatten a mask-keyed table into images indexed by bit pattern."""
-    size = ground.full_bits + 1
-    images: list[int] = [-1] * size
+) -> list[int]:
+    """Flatten a mask-keyed table into images indexed by bit pattern, −1
+    where the table lacks an entry."""
+    images = [-1] * (ground.full_bits + 1)
     for key, value in table.items():
         if key.ground != ground or value.ground != ground:
             raise ForeignMask(
@@ -456,12 +520,7 @@ def _images_from_table(
                 f"stated ground set"
             )
         images[key.bits] = value.bits
-    for bits in range(size):
-        if images[bits] == -1:
-            raise MissingEntry(
-                f"table lacks an image for {ground.mask(bits).label()}"
-            )
-    return tuple(images)
+    return images
 
 
 def validate_closure(
@@ -474,11 +533,16 @@ def validate_closure(
     (:class:`ForeignMask` otherwise).  The returned report lists every violated
     axiom with concrete witnesses; see :class:`ValidationReport`.
     """
-    images = _images_from_table(ground, table)
-    return _validate_images(ground, images)
+    return _validate_images(ground, _images_from_table(ground, table))
 
 
-def _validate_images(ground: GroundSet, images: tuple[int, ...]) -> ValidationReport:
+def _validate_images(ground: GroundSet, images: Sequence[int]) -> ValidationReport:
+    """The closure axioms checked on images indexed by bit pattern.  An
+    image of −1 marks a subset the table lacks: :class:`MissingEntry` names
+    the first in canonical order."""
+    if -1 in images:
+        label = ground.mask(images.index(-1)).label()
+        raise MissingEntry(f"table lacks an image for {label}")
     full = ground.full_bits
     extensivity: list[SubsetMask] = []
     idempotence: list[SubsetMask] = []
@@ -579,86 +643,3 @@ def _superset_dp(full: int, family: Iterable[int]) -> tuple[int, ...]:
             image &= images[a | x]
         images[a] = image
     return tuple(images)
-
-
-class ClosureOperator:
-    """A closure operator f: 2^X -> 2^X on a finite ground set.
-
-    An instance holds its closed sets S(f), which determine f.  The table of
-    all 2^n images is kept by the topology: validation by the superset
-    recursion leaves it there, an operator built from images starts with
-    them, and otherwise :func:`_tabulate_closed` builds it the first time it
-    is needed, in min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.  Instances are
-    immutable up to that cache.  Equality compares closed sets, so it builds
-    no table.
-
-    Call the operator like a function: ``f(mask)`` returns the closure.
-    """
-
-    __slots__ = ("ground", "_topology")
-
-    def __init__(self, topology: Topology) -> None:
-        self.ground = topology.ground
-        self._topology = topology
-
-    @classmethod
-    def from_table(
-        cls, ground: GroundSet, table: Mapping[SubsetMask, SubsetMask]
-    ) -> ClosureOperator:
-        """Build an operator from a full table, validating the closure axioms.
-
-        Raises :class:`InvalidClosureTable` (carrying the full
-        :class:`ValidationReport`) if any axiom fails.
-        """
-        images = _images_from_table(ground, table)
-        report = _validate_images(ground, images)
-        if not report.ok:
-            raise InvalidClosureTable(report)
-        return cls._from_images(ground, images)
-
-    @classmethod
-    def _from_images(cls, ground: GroundSet, images: tuple[int, ...]) -> ClosureOperator:
-        """Trusted constructor for images known to satisfy the axioms: S(f) is
-        the set of their fixed points, and the images become the table."""
-        return cls(Topology._trusted(ground, images))
-
-    def __call__(self, mask: SubsetMask) -> SubsetMask:
-        if mask.ground != self.ground:
-            raise GroundSetMismatch("argument lives in a different ground set")
-        return self.ground.mask(self.image_bits(mask.bits))
-
-    def image_bits(self, bits: int) -> int:
-        """Closure of a raw bit pattern, read from the image table."""
-        return self.tabulate_bits()[bits]
-
-    def tabulate_bits(self) -> tuple[int, ...]:
-        """All images, indexed by subset bit pattern, built once."""
-        topology = self._topology
-        if topology._images is None:
-            images = _tabulate_closed(self.ground.size, topology.bits)
-            object.__setattr__(topology, "_images", images)
-        return topology._images
-
-    def table(self) -> dict[SubsetMask, SubsetMask]:
-        """The operator as an explicit mask-keyed table, in canonical order."""
-        return {
-            self.ground.mask(bits): self.ground.mask(img)
-            for bits, img in enumerate(self.tabulate_bits())
-        }
-
-    def closed_sets(self) -> Topology:
-        """The topology S(f) = {A : f(A) = A} of this operator."""
-        return self._topology
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClosureOperator):
-            return NotImplemented
-        return self._topology == other._topology
-
-    __hash__ = None  # unhashable; hash closed_sets() instead
-
-    def __repr__(self) -> str:
-        return (
-            f"ClosureOperator(on {{{','.join(self.ground.elements)}}}, "
-            f"{len(self._topology)} closed sets)"
-        )

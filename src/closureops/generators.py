@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_
 
-from .core import ClosureOperator, GroundSet, SubsetMask, Topology
+from .core import GroundSet, SubsetMask, Topology
 from .errors import BadEndpoints, GroundSetMismatch, NotAChain, WitnessVerificationFailed
 
 __all__ = [
@@ -171,9 +171,9 @@ class WeakOrder:
             bits.append(acc)
         return Topology(self.ground, bits)
 
-    def operator(self) -> ClosureOperator:
+    def operator(self) -> Topology:
         """The half-space closure operator f_⪰."""
-        return self.topology().operator()
+        return self.topology()
 
     def __repr__(self) -> str:
         parts = " < ".join(c.label() for c in self.classes)
@@ -220,8 +220,8 @@ class BinaryClassifier:
     def topology(self) -> Topology:
         return Topology(self.ground, (0, self.cutoff.bits, self.ground.full_bits))
 
-    def operator(self) -> ClosureOperator:
-        return self.topology().operator()
+    def operator(self) -> Topology:
+        return self.topology()
 
     def __repr__(self) -> str:
         return f"BinaryClassifier(cutoff={self.cutoff.label()})"
@@ -233,8 +233,8 @@ def _trivial_images(ground: GroundSet) -> tuple[int, ...]:
 
 
 def intersect_generate(
-    ground: GroundSet, operators: Sequence[ClosureOperator]
-) -> ClosureOperator:
+    ground: GroundSet, operators: Sequence[Topology]
+) -> Topology:
     """The pointwise intersection A ↦ ⋂_i g_i(A) of a family of operators.
 
     Always a closure operator again; its closed sets are the intersection
@@ -248,7 +248,7 @@ def intersect_generate(
     images = tables[0] if tables else _trivial_images(ground)
     for table in tables[1:]:
         images = tuple(map(and_, images, table))
-    return ClosureOperator._from_images(ground, images)
+    return Topology._trusted(ground, images)
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ class GenerationReport:
 
 
 def check_generation(
-    f: ClosureOperator, generators: Sequence[ClosureOperator]
+    f: Topology, generators: Sequence[Topology]
 ) -> GenerationReport:
     """Test whether the generators intersect to f; see :class:`GenerationReport`.
 
@@ -306,16 +306,15 @@ def check_generation(
     for g in generators:
         if g.ground != ground:
             raise GroundSetMismatch("generator lives in a different ground set")
-    topology = f.closed_sets()
     condition1 = tuple(
         (position, ground.mask(closed))
         for position, g in enumerate(generators)
-        for closed in g.closed_sets().bits
-        if not topology.contains_bits(closed)
+        for closed in g.bits
+        if not f.contains_bits(closed)
     )
-    readers = [g.closed_sets().closure_bits for g in generators]
+    readers = [g.closure_bits for g in generators]
     condition2: list[tuple[SubsetMask, str]] = []
-    for closed in topology.bits[1:]:  # the nonempty closed sets
+    for closed in f.bits[1:]:  # the nonempty closed sets
         kept = ground.full_bits
         for image in readers:
             kept &= image(closed)

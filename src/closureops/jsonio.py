@@ -23,9 +23,13 @@ Formats (subsets are always arrays of element names, in ground-set order):
 
 Each array of element names is read into a bit pattern in one pass, so
 reading and validating a topology builds no
-:class:`~closureops.core.SubsetMask`; the other readers wrap the patterns in
-masks where the values they return hold masks.  An error message names a
-subset by its label, which is built only when the error is raised.
+:class:`~closureops.core.SubsetMask`.  An operator table is read the same way,
+into one array of images indexed by bit pattern
+(:func:`operator_images_from`), which the validation reads as it is; only
+:func:`operator_table_from`, kept for callers that want a mask-keyed table,
+wraps it in masks.  The other readers wrap the patterns in masks where the
+values they return hold masks.  An error message names a subset by its label,
+which is built only when the error is raised.
 
 Utilities are exact rationals: JSON strings (``"3/2"``, ``"1.5"``) or integers.
 Floats are rejected — binary floating point is not exact.
@@ -52,13 +56,7 @@ from json.encoder import encode_basestring as _string
 from typing import Any
 
 from .complexity import ComplexityProfile
-from .core import (
-    ClosureOperator,
-    GroundSet,
-    SubsetMask,
-    Topology,
-    ValidationReport,
-)
+from .core import GroundSet, SubsetMask, Topology, ValidationReport
 from .errors import SchemaError
 from .generators import BinaryClassifier, GenerationReport, WeakOrder
 from .labeling import Labeling
@@ -74,6 +72,7 @@ __all__ = [
     "ground_from",
     "subset_from",
     "topology_from",
+    "operator_images_from",
     "operator_table_from",
     "weak_order_from",
     "binary_from",
@@ -222,21 +221,34 @@ def topology_from(doc: Any) -> Topology:
     return Topology(ground, [_bits_from(ground, s, "closed set") for s in sets])
 
 
-def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:
+def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
+    """An operator table document as images indexed by bit pattern, −1
+    where the map lacks a subset, read without building a mask.  A repeated
+    ``"from"`` subset is a :class:`SchemaError`; a lacking one is left to the
+    validation, which raises :class:`~closureops.errors.MissingEntry`."""
     doc = _require_dict(doc, "operator table document")
     ground = ground_from(doc)
     _require("map" in doc, 'operator table document needs a "map" array')
-    table: dict[SubsetMask, SubsetMask] = {}
+    images = [-1] * (ground.full_bits + 1)
     for entry in _require_list(doc["map"], '"map"'):
         entry = _require_dict(entry, "map entry")
         _require(
             "from" in entry and "to" in entry, 'map entries need "from" and "to"'
         )
-        key = subset_from(ground, entry["from"], '"from"')
-        if key in table:
-            raise SchemaError(f"duplicate map entry for {key.label()}")
-        table[key] = subset_from(ground, entry["to"], '"to"')
-    return ground, table
+        key = _bits_from(ground, entry["from"], '"from"')
+        if images[key] != -1:
+            raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
+        images[key] = _bits_from(ground, entry["to"], '"to"')
+    return ground, images
+
+
+def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:
+    """The :func:`operator_images_from` images as a mask-keyed table, in
+    canonical order.  A map that lacks entries gives a table that lacks
+    them too."""
+    ground, images = operator_images_from(doc)
+    mask = ground.mask
+    return ground, {mask(a): mask(b) for a, b in enumerate(images) if b != -1}
 
 
 def weak_order_from(ground: GroundSet, doc: Any) -> WeakOrder:
@@ -410,12 +422,15 @@ class _Writer:
         return _array(self.names, depth)
 
     def subset(self, mask: SubsetMask, depth: int) -> str:
-        key = (mask.bits, depth)
+        if self.names is None:
+            self.names = [_string(name) for name in mask.ground]
+        return self.pattern(mask.bits, depth)
+
+    def pattern(self, bits: int, depth: int) -> str:
+        """The name array of a subset given as a bit pattern."""
+        key = (bits, depth)
         text = self._arrays.get(key)
         if text is None:
-            if self.names is None:
-                self.names = [_string(name) for name in mask.ground]
-            bits = mask.bits
             members = [name for i, name in enumerate(self.names) if bits >> i & 1]
             text = self._arrays[key] = _array(members, depth)
         return text
@@ -441,7 +456,7 @@ def topology_doc(topology: Topology) -> str:
     writer = _Writer(topology.ground)
     return _template(("elements", "closed_sets"), 0) % (
         writer.elements(1),
-        writer.subsets(topology.closed, 1),
+        _array([writer.pattern(bits, 2) for bits in topology.bits], 1),
     )
 
 
@@ -601,12 +616,13 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
 
 
 def mobius_doc(topology: Topology, table: MobiusTable) -> str:
-    """The closed sets, the items of ``table``'s poset, and the entries,
-    from the table's (i, j, μ) rows.  Each item's name array is rendered
-    once, and the entries are one join of shared pieces: entry (i, j) is
+    """The closed sets of ``topology``, which are the items of ``table``'s
+    poset, and the entries, from the table's (i, j, μ) rows.  Each closed
+    set's name array is rendered once, from its bit pattern, and the entries
+    are one join of shared pieces: entry (i, j) is
     ``head + names[i] + to[j] + str(μ) + tail``."""
     writer = _Writer(topology.ground)
-    listed = [writer.subset(item, 2) for item in table.poset.items]
+    listed = [writer.pattern(bits, 2) for bits in topology.bits]
     names = [_nest(text, 1) for text in listed]
     head, middle, before_mu, tail = _template(("from", "to", "mu"), 2).split("%s")
     to = [middle + name + before_mu for name in names]

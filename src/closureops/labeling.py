@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .core import ClosureOperator, GroundSet, SubsetMask
+from .core import GroundSet, Topology
 from .complexity import meet_irreducibles
 
 __all__ = [
@@ -94,7 +94,7 @@ class Labeling:
         indices = self.phi[self.ground.index(element)]
         return tuple(name for i, name in enumerate(self.labels) if i in indices)
 
-    def classifier(self) -> ClosureOperator:
+    def classifier(self) -> Topology:
         """The closure operator induced by this labeling.
 
         The common labels of a nonempty A are built from those of A minus its
@@ -123,7 +123,7 @@ class Labeling:
                         image |= 1 << i
                 extents[labels] = image
             images[bits] = image
-        return ClosureOperator._from_images(ground, tuple(images))
+        return Topology._trusted(ground, tuple(images))
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -133,14 +133,14 @@ class Labeling:
         return f"Labeling({parts})"
 
 
-def canonical_labeling(f: ClosureOperator) -> Labeling:
+def canonical_labeling(f: Topology) -> Labeling:
     """One label per nonempty closed set; Φ(x) = {classes containing x}.
 
     Label names are ``Class1`` … ``ClassN`` for the nonempty closed sets in
     canonical (ascending mask) order.  The induced classifier always equals f.
     """
     ground = f.ground
-    classes = f.closed_sets().bits[1:]  # the nonempty closed sets
+    classes = f.bits[1:]  # the nonempty closed sets
     labels = tuple(f"Class{i + 1}" for i in range(len(classes)))
     phi = tuple(
         frozenset(i for i, c in enumerate(classes) if c >> e & 1)
@@ -149,14 +149,14 @@ def canonical_labeling(f: ClosureOperator) -> Labeling:
     return Labeling(ground, labels, phi)
 
 
-def minimal_labeling(f: ClosureOperator) -> Labeling:
+def minimal_labeling(f: Topology) -> Labeling:
     """A smallest labeling inducing f: one label per member of B(f).
 
     Label names spell out the member subset, e.g. ``{a,b}``.  The label count
     equals MNBC; in particular the trivial operator gets zero labels.
     """
     ground = f.ground
-    members = meet_irreducibles(f.closed_sets()).b_of_f
+    members = meet_irreducibles(f).b_of_f
     labels = tuple(m.label() for m in members)
     phi = tuple(
         frozenset(i for i, c in enumerate(members) if c.bits >> e & 1)

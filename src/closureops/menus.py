@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexity import complexity_profile
-from .core import ClosureOperator, GroundSet, SubsetMask, _validate_images
+from .core import GroundSet, SubsetMask, Topology, _validate_images
 from .errors import (
     AxiomsViolated,
     DoesNotRespect,
@@ -335,7 +335,7 @@ def _check_kreps_consequences(values: tuple, images: tuple[int, ...]) -> None:
             )
 
 
-def kreps_operator(preference: MenuPreference) -> ClosureOperator:
+def kreps_operator(preference: MenuPreference) -> Topology:
     """The closure operator f(A) = ⋃{B : U(A ∪ B) = U(A)} of a preference.
 
     Requires the axioms (:class:`AxiomsViolated` otherwise, with the full
@@ -360,11 +360,11 @@ def kreps_operator(preference: MenuPreference) -> ClosureOperator:
             + "; ".join(validation.summary())
         )
     _check_kreps_consequences(preference.values, images)
-    return ClosureOperator._from_images(ground, images)
+    return Topology._trusted(ground, images)
 
 
 def respects(
-    preference: MenuPreference, f: ClosureOperator
+    preference: MenuPreference, f: Topology
 ) -> tuple[bool, SubsetMask | None]:
     """Whether U(A) = U(f(A)) for every nonempty menu; witness on failure."""
     if preference.ground != f.ground:
@@ -636,7 +636,7 @@ def _check_additive_states(
 
 
 def additive_representation(
-    preference: MenuPreference, f: ClosureOperator
+    preference: MenuPreference, f: Topology
 ) -> AdditiveRepresentation:
     """Additive states for a preference that respects f; see
     :class:`AdditiveRepresentation`.
@@ -655,10 +655,9 @@ def additive_representation(
     if preference.ground != f.ground:
         raise GroundSetMismatch("preference and operator use different ground sets")
     ground = preference.ground
-    topology = f.closed_sets()
     weights = _superset_transform([Fraction(0), *preference.values[1:]], inverse=True)
     if any(
-        weights[bits] and not topology.contains_bits(bits)
+        weights[bits] and not f.contains_bits(bits)
         for bits in range(1, ground.full_bits + 1)
     ):
         ok, witness = respects(preference, f)
@@ -667,7 +666,7 @@ def additive_representation(
         raise DoesNotRespect(witness)
     positive = []
     negative = []
-    for i, m in enumerate(topology.closed[1:]):  # the nonempty closed sets
+    for i, m in enumerate(f.closed[1:]):  # the nonempty closed sets
         h = weights[m.bits]
         positive.append(
             AdditiveState(name=f"p{i + 1}", carrier=m, weight=max(Fraction(0), -h))

@@ -12,26 +12,26 @@ equal inputs produce byte-equal outputs.
 
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
-cheap word operations.  Construction also keeps each item's upper covers, as
-index lists, which the Hasse diagram reads; nothing outside this module
+cheap word operations.  A poset also keeps each item's upper covers, as index
+lists, built when first read; the Hasse diagram and
+:mod:`closureops.complexity` read them, and nothing outside this module
 computes covers.  Which route runs:
 
 * ``FinitePoset(items, up)`` from user data validates the order axioms
-  eagerly, so malformed relations never reach the algorithms, and takes the
-  covers as each item's strict up-row minus the strict up-rows of its members,
-  one step per comparable pair.
+  eagerly, so malformed relations never reach the algorithms.  Its covers are
+  each item's strict up-row minus the strict up-rows of its members, one step
+  per comparable pair.
 * :meth:`FinitePoset.from_masks` builds an inclusion order, which is an order
   by construction, so it skips those checks (a repeated subset is still
-  rejected).
-* :func:`_closed_covers` finds the covers of a topology's closed sets from
-  their bit patterns: by a sweep of the image table, about n steps per closed
-  set (:func:`_swept_covers`), when the topology holds one (validated by the
-  superset recursion, or built from an operator's images), and by the
-  per-pair route above otherwise.  :mod:`closureops.complexity` reads them
-  without a poset.  :meth:`FinitePoset.from_topology` keeps the topology and
-  builds the covers and the rows each at most once, when first read: the
-  rows take |S|² bits, 512 MB for the discrete family on 16 elements, and
-  without an image table the covers are read off them.
+  rejected).  Its covers are read off the rows the same way, and only if
+  something reads them: a minimum chain cover does not.
+* :meth:`FinitePoset.from_topology` keeps the closure operator and builds its
+  items, rows and covers each at most once, when first read: the items are
+  masks of the closed sets, and the rows take |S|² bits, 512 MB for the
+  discrete family on 16 elements.  When the operator holds its image table
+  (validated by the superset recursion, or built from images) the covers are
+  swept from it, about n steps per closed set (:func:`_swept_covers`), and
+  otherwise read off the rows.
 
 The Möbius function of S = S(f) is a :class:`MobiusTable` of rows, one per
 item, filled by whichever of two exact routes takes fewer steps
@@ -175,41 +175,35 @@ class FinitePoset:
                         f"transitivity fails: {items[i]!r} ≤ {items[j]!r} ≤ "
                         f"{items[k]!r} but not {items[i]!r} ≤ {items[k]!r}"
                     )
-        object.__setattr__(self, "_covers", _covers_by_rows(self.up))
 
     @classmethod
-    def _trusted(
-        cls,
-        items: tuple[Hashable, ...],
-        covers: tuple[tuple[int, ...], ...],
-        up: tuple[int, ...],
-    ) -> FinitePoset:
+    def _trusted(cls, items: tuple[Hashable, ...], up: tuple[int, ...]) -> FinitePoset:
         """An inclusion order on distinct sets, built without the order
         checks: inclusion is reflexive, antisymmetric and transitive."""
         poset = object.__new__(cls)
         object.__setattr__(poset, "items", items)
-        object.__setattr__(poset, "_covers", covers)
         object.__setattr__(poset, "up", up)
         object.__setattr__(poset, "_index", _index_of(items))
         return poset
 
     def __getattr__(self, name: str) -> object:
-        # Called only for a missing attribute of the inclusion order
-        # from_topology builds, which keeps its topology and builds the rows,
-        # the covers and the item index on first use.  The rows take |S|²
+        # Called only for an attribute built on first use: the covers of any
+        # poset, and the items, rows and item index of the inclusion order
+        # from_topology builds, which keeps its topology.  The rows take |S|²
         # bits; hasse reads them only without an image table, and mobius
         # only on the interval route.
         topology = self._topology
-        if topology is None:
-            raise AttributeError(name)
-        if name == "up":
-            value: object = _inclusion_rows(topology.bits)
-        elif name == "_covers":
-            # Without a table the covers are read off the rows, kept as up.
-            if topology._images is None:
+        if name == "_covers":
+            if topology is not None and topology._images is not None:
+                value: object = _swept_covers(topology.bits, topology._images)
+            else:  # read off the rows, which from_topology then keeps
                 value = _covers_by_rows(self.up)
-            else:
-                value = _closed_covers(topology)
+        elif topology is None:
+            raise AttributeError(name)
+        elif name == "items":
+            value = topology.closed
+        elif name == "up":
+            value = _inclusion_rows(topology.bits)
         elif name == "_index":
             value = _index_of(self.items)
         else:
@@ -244,19 +238,17 @@ class FinitePoset:
         masks = tuple(masks)
         if any(mask.ground != masks[0].ground for mask in masks):
             raise GroundSetMismatch("subsets live in different ground sets")
-        up = _inclusion_rows([mask.bits for mask in masks])
-        return cls._trusted(masks, _covers_by_rows(up), up)
+        return cls._trusted(masks, _inclusion_rows([mask.bits for mask in masks]))
 
     @classmethod
     def from_topology(cls, topology: Topology) -> FinitePoset:
         """The inclusion order on a topology's closed sets (canonical order).
 
-        The poset keeps the topology: its covers (:func:`_closed_covers`),
-        rows and item index are each built once, on first use, and
+        The poset keeps the topology: its items (masks of the closed sets),
+        covers, rows and item index are each built once, on first use, and
         :meth:`mobius` may read the topology's image table instead.
         """
         poset = object.__new__(cls)
-        object.__setattr__(poset, "items", topology.closed)
         object.__setattr__(poset, "_topology", topology)
         return poset
 
@@ -414,7 +406,7 @@ class FinitePoset:
         """
         topology = self._topology
         if topology is not None and _rota_is_cheaper(topology, self):
-            rows = _rota_rows(topology.bits, topology.operator().tabulate_bits())
+            rows = _rota_rows(topology.bits, topology.tabulate_bits())
         else:
             rows = _interval_rows(self.up)
         return MobiusTable(poset=self, rows=rows)
@@ -608,14 +600,6 @@ def _interval_rows(up: Sequence[int]) -> tuple[dict[int, int], ...]:
             mu[y] = -total
         rows.append(dict(sorted(mu.items())))
     return tuple(rows)
-
-
-def _closed_covers(topology: Topology) -> tuple[tuple[int, ...], ...]:
-    """Upper covers of each closed set, as ascending index lists: swept from
-    the image table when the topology holds one, else read off the rows."""
-    if topology._images is not None:
-        return _swept_covers(topology.bits, topology._images)
-    return _covers_by_rows(_inclusion_rows(topology.bits))
 
 
 def _swept_covers(

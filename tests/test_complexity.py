@@ -25,6 +25,7 @@ from closureops import (
     meet_irreducibles,
     more_complex,
 )
+from closureops import poset as poset_module
 from conftest import (
     ABCD,
     atoms_topology,
@@ -309,7 +310,7 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
         t = Topology(g, random_family_bits(rng, n))
         p = FinitePoset.from_topology(t)
         before = fallbacks["calls"]
-        cover = complexity._width_cover(t.bits, p.upper_cover_indices())
+        cover = complexity._width_cover(t.bits, p)
         routes["fallback" if fallbacks["calls"] > before else "certified"] += 1
         check_chain_cover(FinitePoset(t.bits, p.up), cover)
         assert cover.width == p.min_chain_cover().width
@@ -343,6 +344,37 @@ def test_profile_reads_closed_sets_without_masks(monkeypatch):
     made.clear()
     complexity_profile(chain.operator())
     assert made["masks"] == 19 + 18
+
+
+def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
+    # A table-less family whose width needs the matching: the rows of S(f)
+    # serve its covers and the matching, the rows of P(f) the witness chain
+    # cover, and nothing builds the covers of P(f).
+    built = Counter()
+    for name in ("_inclusion_rows", "_covers_by_rows", "_swept_covers"):
+
+        def counted(*args, _real=getattr(poset_module, name), _name=name):
+            built[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(poset_module, name, counted)
+    matched_cover = FinitePoset._matched_cover
+
+    def matched(self, links):
+        built["matchings"] += 1
+        return matched_cover(self, links)
+
+    monkeypatch.setattr(FinitePoset, "_matched_cover", matched)
+    t = Topology(GroundSet(tuple(f"e{i}" for i in range(6))), (0, 8, 10, 13, 63))
+    assert t._images is None
+    assert complexity_profile(t).width_s == 2
+    assert built == {"_inclusion_rows": 2, "_covers_by_rows": 1, "matchings": 2}
+    # With the image table the covers are swept, and the matching alone
+    # builds the rows of S(f).
+    built.clear()
+    t.tabulate_bits()
+    assert complexity_profile(t).width_s == 2
+    assert built == {"_inclusion_rows": 2, "_swept_covers": 1, "matchings": 2}
 
 
 @pytest.mark.parametrize("n", [14, 15, 16])

@@ -518,7 +518,7 @@ def test_operator_equality_compares_closed_sets(monkeypatch):
     assert by_topology != other
     assert by_topology != topo(ground("xyz"), "", "x", "xy", "xyz").operator()
     assert taken == {"fill": 0, "dp": 0}
-    assert ClosureOperator.__hash__ is None
+    assert hash(by_topology) == hash(by_topology.closed_sets())
 
 
 def test_operator_round_trips_through_topology():
