@@ -9,11 +9,11 @@ and exits with:
   operator, preference not respecting the operator); the report naming the
   witnesses is still emitted;
 * 2 — malformed input (unreadable file, bad JSON, schema violation, unknown
-  flags);
+  flags), or a report the output cannot take;
 * 3 — internal error: a result the library built failed its own
-  verification (:class:`~closureops.errors.WitnessVerificationFailed`), which
-  is a bug, never a property of the input; the report is a JSON error
-  document.
+  verification (:class:`~closureops.errors.WitnessVerificationFailed`), or
+  any other exception escaped, named by its type; either is a bug, never a
+  property of the input, and the report is a JSON error document.
 
 Diagnostics go to stderr; stdout carries only the report.  Output is
 deterministic: equal inputs produce byte-equal output.  A JSON report is the
@@ -56,6 +56,7 @@ from .poset import FinitePoset, to_dot
 __all__ = ["main", "build_parser"]
 
 _MALFORMED = (
+    OSError,
     SchemaError,
     ForeignMask,
     MissingEntry,
@@ -276,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _MALFORMED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -295,12 +293,15 @@ def main(argv: list[str] | None = None) -> int:
     except _MATH_FAILURE as exc:
         print(f"error: {exc}", file=sys.stderr)
         report, code = jsonio.flat_doc({"error": str(exc)}), 1
-    except WitnessVerificationFailed as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        report, code = jsonio.flat_doc({"error": str(exc), "internal": True}), 3
+    except Exception as exc:  # a failed self-check, or any other bug
+        error = str(exc)
+        if not isinstance(exc, WitnessVerificationFailed):
+            error = f"{type(exc).__name__}: {error}"
+        print(f"internal error: {error}", file=sys.stderr)
+        report, code = jsonio.flat_doc({"error": error, "internal": True}), 3
     try:
         _write(report, args.out)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a stdout that cannot take the names
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     return code

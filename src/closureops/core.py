@@ -398,21 +398,13 @@ class Topology:
         return {mask(bits): mask(img) for bits, img in enumerate(self.tabulate_bits())}
 
     def closure_of(self, mask: SubsetMask) -> SubsetMask:
-        """The smallest closed superset of ``mask``.
-
-        Well defined because the family is intersection-closed and contains X;
-        since ascending mask order extends inclusion, the first closed superset
-        encountered in canonical order is the smallest.
-        """
+        """The smallest closed superset of ``mask``, by :func:`_first_superset`."""
         if mask.ground != self.ground:
             raise GroundSetMismatch("mask lives in a different ground set")
         return self.ground.mask(self.closure_bits(mask.bits))
 
     def closure_bits(self, bits: int) -> int:
-        for c in self.bits:
-            if bits & ~c == 0:
-                return c
-        raise WitnessVerificationFailed("unreachable: the full ground set is closed")
+        return _first_superset(self.bits, bits)
 
     def meet(self, a: SubsetMask, b: SubsetMask) -> SubsetMask:
         """Lattice meet of two closed sets: their intersection."""
@@ -447,6 +439,15 @@ class Topology:
 
 #: The closure operator and its closed sets are one object.
 ClosureOperator = Topology
+
+
+def _first_superset(family: Sequence[int], bits: int) -> int:
+    """The one closure scan: the first member of an ascending family containing
+    ``bits``, the least one in S(f) or a chain, as that order extends inclusion."""
+    for c in family:
+        if bits & ~c == 0:
+            return c
+    raise WitnessVerificationFailed("unreachable: the full ground set is closed")
 
 
 @dataclass(frozen=True)

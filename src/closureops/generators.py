@@ -12,6 +12,9 @@ Two families of primitive closure operators generate everything:
 * A binary classifier with proper nonempty cutoff C sends ∅ to ∅, any A ⊆ C to
   C, and everything else to X, so S(f_C) = {∅, C, X}.
 
+Each generator is read as its chain of closed sets, as bit patterns: closures
+by the one scan :meth:`Topology.closure_bits` runs, topologies from the chain.
+
 A family g_1, …, g_k *generates* f when f(A) = ⋂_i g_i(A) for every A.
 :func:`check_generation` decides this through two structural conditions —
 every S(g_i) ⊆ S(f), and every x ∉ A ∈ S(f) is excluded by some g_i — which
@@ -26,11 +29,11 @@ accepted exactly for the trivial operator.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_
 
-from .core import GroundSet, SubsetMask, Topology
+from .core import GroundSet, SubsetMask, Topology, _first_superset
 from .errors import BadEndpoints, GroundSetMismatch, NotAChain, WitnessVerificationFailed
 
 __all__ = [
@@ -58,23 +61,25 @@ class WeakOrder:
 
     ground: GroundSet
     classes: tuple[SubsetMask, ...]
+    _chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         classes = tuple(self.classes)
         object.__setattr__(self, "classes", classes)
         if not classes:
             raise ValueError("a weak order needs at least one class")
-        union = 0
+        chain = [0]
         for c in classes:
             if c.ground != self.ground:
                 raise GroundSetMismatch("class lives in a different ground set")
             if not c.bits:
                 raise ValueError("indifference classes must be nonempty")
-            if union & c.bits:
+            if chain[-1] & c.bits:
                 raise ValueError("indifference classes must be disjoint")
-            union |= c.bits
-        if union != self.ground.full_bits:
+            chain.append(chain[-1] | c.bits)
+        if chain[-1] != self.ground.full_bits:
             raise ValueError("indifference classes must cover the ground set")
+        object.__setattr__(self, "_chain", tuple(chain))
 
     @classmethod
     def from_chain(cls, chain: Sequence[SubsetMask]) -> WeakOrder:
@@ -134,14 +139,13 @@ class WeakOrder:
         return self.class_index(a) >= self.class_index(b)
 
     def support_set(self, menu: SubsetMask) -> SubsetMask:
-        """The ⪰-best elements of a menu (∅ for the empty menu)."""
+        """The ⪰-best elements of a menu: those outside the link below its
+        half-space.  Below ∅ the chain wraps to X, so ∅ maps to ∅."""
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
-        for c in reversed(self.classes):
-            best = c.bits & menu.bits
-            if best:
-                return self.ground.mask(best)
-        return self.ground.empty
+        chain = self._chain
+        below = chain[chain.index(_first_superset(chain, menu.bits)) - 1]
+        return self.ground.mask(menu.bits & ~below)
 
     def half_space(self, menu: SubsetMask) -> SubsetMask:
         """Everything weakly below the menu's best class; the closure f_⪰(A).
@@ -151,25 +155,11 @@ class WeakOrder:
         """
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
-        if not menu.bits:
-            return self.ground.empty
-        cut = 0
-        for i, c in enumerate(self.classes):
-            if c.bits & menu.bits:
-                cut = i
-        union = 0
-        for c in self.classes[: cut + 1]:
-            union |= c.bits
-        return self.ground.mask(union)
+        return self.ground.mask(_first_superset(self._chain, menu.bits))
 
     def topology(self) -> Topology:
         """The chain of closed sets {∅, C_1, C_1 ∪ C_2, …, X}."""
-        bits = [0]
-        acc = 0
-        for c in self.classes:
-            acc |= c.bits
-            bits.append(acc)
-        return Topology(self.ground, bits)
+        return Topology(self.ground, self._chain)
 
     def operator(self) -> Topology:
         """The half-space closure operator f_⪰."""
@@ -204,21 +194,21 @@ class BinaryClassifier:
     def ground(self) -> GroundSet:
         return self.cutoff.ground
 
+    @property
+    def _chain(self) -> tuple[int, int, int]:
+        return (0, self.cutoff.bits, self.ground.full_bits)
+
     def closure(self, menu: SubsetMask) -> SubsetMask:
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
-        if not menu.bits:
-            return self.ground.empty
-        if menu.bits & ~self.cutoff.bits == 0:
-            return self.cutoff
-        return self.ground.full
+        return self.ground.mask(_first_superset(self._chain, menu.bits))
 
     def as_weak_order(self) -> WeakOrder:
         """The two-class weak order (cutoff worst) with the same operator."""
         return WeakOrder(self.ground, (self.cutoff, self.cutoff.complement()))
 
     def topology(self) -> Topology:
-        return Topology(self.ground, (0, self.cutoff.bits, self.ground.full_bits))
+        return Topology(self.ground, self._chain)
 
     def operator(self) -> Topology:
         return self.topology()

@@ -658,17 +658,18 @@ def decomposition_doc(
     generators: Sequence[WeakOrder | BinaryClassifier],
     report: GenerationReport,
 ) -> str:
-    """The generators of a decomposition, each as its own document, with the
-    :func:`generation_doc` of their check as the ``verification`` block."""
-    documents = [
-        weak_order_doc(g) if isinstance(g, WeakOrder) else binary_doc(g)
+    """The generators of a decomposition, rendered in place by one writer,
+    with the :func:`generation_doc` of their check as the ``verification``."""
+    writer = _Writer(ground)
+    rendered = [
+        writer.weak_order(g, 2) if isinstance(g, WeakOrder) else writer.binary(g, 2)
         for g in generators
     ]
     base = _template(("elements", "kind", "count", "generators"), 0) % (
-        _Writer(ground).elements(1),
+        writer.elements(1),
         _string(kind),
-        len(documents),
-        _array([_nest(document, 2) for document in documents], 1),
+        len(rendered),
+        _array(rendered, 1),
     )
     return verified_doc(base, generation_doc(report))
 

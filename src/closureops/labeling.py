@@ -15,7 +15,8 @@ this way, and this module builds two standard witnesses:
 * :func:`minimal_labeling` — one label per member of B(f), the proper
   meet-irreducible closed sets; no labeling with fewer labels can induce f, so
   the label count equals the binary-classifier complexity MNBC.  Label names
-  spell out the subset (``{a,b}``), so outputs are self-describing.
+  spell out the subset (``{a,b}``), or its JSON member array if commas in
+  element names make two such names equal, so outputs are self-describing.
 
 Elements with Φ(x) = ∅ are permitted; the formula is applied literally, so such
 an x belongs exactly to the classes whose common-label set is empty.
@@ -23,6 +24,7 @@ an x belongs exactly to the classes whose common-label set is empty.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -158,6 +160,8 @@ def minimal_labeling(f: Topology) -> Labeling:
     ground = f.ground
     members = meet_irreducibles(f).b_of_f
     labels = tuple(m.label() for m in members)
+    if len(set(labels)) < len(labels):
+        labels = tuple(json.dumps(m.members(), ensure_ascii=False) for m in members)
     phi = tuple(
         frozenset(i for i, c in enumerate(members) if c.bits >> e & 1)
         for e in range(ground.size)

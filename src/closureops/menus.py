@@ -33,6 +33,9 @@ constructs two state-space representations:
   B and a per-element utility (−weight inside B, 0 outside), whose
   sum-of-maxes evaluation reproduces U exactly — in exact rational arithmetic.
 
+Utilities are compared by their dense ranks, ints that order menus exactly as
+U does; the exact Fractions serve arithmetic, reports and :func:`_check_ranks`.
+
 Everything is verified at construction; verification failures for
 mathematically guaranteed facts raise
 :class:`~closureops.errors.WitnessVerificationFailed` (an implementation bug),
@@ -88,6 +91,7 @@ class MenuPreference:
 
     ground: GroundSet
     values: tuple[Fraction | None, ...]
+    _ranks: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -99,6 +103,10 @@ class MenuPreference:
                     f"missing or inexact utility for menu "
                     f"{self.ground.mask(bits).label()}"
                 )
+        # The dense rank of each menu's utility (None for ∅), from one sort.
+        utilities = self.values[1:]
+        level = {value: i for i, value in enumerate(sorted(set(utilities)))}
+        object.__setattr__(self, "_ranks", (None, *map(level.__getitem__, utilities)))
 
     @classmethod
     def from_utilities(
@@ -187,7 +195,7 @@ class AxiomReport:
         return lines
 
 
-def _adjacent_pass(values: tuple, size: int) -> tuple[bool, bool, list[int]]:
+def _adjacent_pass(ranks: tuple, size: int) -> tuple[bool, bool, list[int]]:
     """Decide both axioms on adjacent pairs (A, A ∪ {x}), A nonempty, x ∉ A.
 
     Returns (flexible, submodular, g), g being the Kreps map
@@ -209,11 +217,11 @@ def _adjacent_pass(values: tuple, size: int) -> tuple[bool, bool, list[int]]:
     images = [0] * (full + 1)
     flexible = True
     for a in range(1, full + 1):
-        u = values[a]
+        u = ranks[a]
         image = a
         for x in singles:
             if not a & x:
-                v = values[a | x]
+                v = ranks[a | x]
                 if v == u:
                     image |= x
                 elif v < u:
@@ -229,22 +237,22 @@ def _adjacent_pass(values: tuple, size: int) -> tuple[bool, bool, list[int]]:
 
 
 def _flexibility_witnesses(
-    values: tuple, masks: list[SubsetMask]
+    ranks: tuple, masks: list[SubsetMask]
 ) -> list[tuple[SubsetMask, SubsetMask]]:
     """Every pair (A, B), B ⊊ A nonempty, with U(B) > U(A); A ascending, then
     B descending."""
     witnesses = []
-    for a in range(1, len(values)):
+    for a in range(1, len(ranks)):
         b = (a - 1) & a
         while b:
-            if values[b] > values[a]:
+            if ranks[b] > ranks[a]:
                 witnesses.append((masks[a], masks[b]))
             b = (b - 1) & a
     return witnesses
 
 
 def _submodularity_witnesses(
-    values: tuple, masks: list[SubsetMask]
+    ranks: tuple, masks: list[SubsetMask]
 ) -> list[tuple[SubsetMask, SubsetMask, SubsetMask]]:
     """Every triple (A, B, C) with U(A ∪ B) = U(A) but U(A ∪ B ∪ C) ≠ U(A ∪ C),
     in (A, B, C)-lexicographic order.
@@ -253,19 +261,19 @@ def _submodularity_witnesses(
     distinct union and shared by every B with that union; B ⊆ A is skipped
     because its list is empty.
     """
-    size = len(values)
+    size = len(ranks)
     witnesses = []
     for a in range(1, size):
-        u = values[a]
+        u = ranks[a]
         lists: dict[int, list[SubsetMask]] = {}
         for b in range(size):
             union = a | b
-            if union == a or values[union] != u:
+            if union == a or ranks[union] != u:
                 continue
             c_list = lists.get(union)
             if c_list is None:
                 c_list = lists[union] = [
-                    masks[c] for c in range(size) if values[union | c] != values[a | c]
+                    masks[c] for c in range(size) if ranks[union | c] != ranks[a | c]
                 ]
             mask_a, mask_b = masks[a], masks[b]
             witnesses.extend((mask_a, mask_b, mask_c) for mask_c in c_list)
@@ -282,15 +290,11 @@ def check_axioms(preference: MenuPreference) -> AxiomReport:
     criterion for it assumes flexibility).
     """
     ground = preference.ground
-    values = preference.values
-    flexible, submodular, images = _adjacent_pass(values, ground.size)
+    ranks = preference._ranks
+    flexible, submodular, images = _adjacent_pass(ranks, ground.size)
     if flexible and submodular:
         return AxiomReport((), (), kreps_images=tuple(images))
-    # The enumerations only compare utilities, so they run on dense integer
-    # ranks, which compare far faster than Fractions.
-    level = {value: i for i, value in enumerate(sorted(set(values[1:])))}
-    ranks = (None, *(level[value] for value in values[1:]))
-    masks = [ground.mask(bits) for bits in range(len(values))]
+    masks = [ground.mask(bits) for bits in range(len(ranks))]
     return AxiomReport(
         flexibility_witnesses=(
             () if flexible else tuple(_flexibility_witnesses(ranks, masks))
@@ -299,7 +303,7 @@ def check_axioms(preference: MenuPreference) -> AxiomReport:
     )
 
 
-def _check_kreps_consequences(values: tuple, images: tuple[int, ...]) -> None:
+def _check_kreps_consequences(ranks: tuple, images: tuple[int, ...]) -> None:
     """Verify that U respects the closure operator ``images`` with strictly
     larger closures strictly preferred, and that indifference to enlargement
     is closure containment: U(A ∪ B) = U(A) ⟺ f(B) ⊆ f(A) for nonempty A.
@@ -319,16 +323,16 @@ def _check_kreps_consequences(values: tuple, images: tuple[int, ...]) -> None:
 
     Raises :class:`WitnessVerificationFailed` if a checked fact fails.
     """
-    full = len(values) - 1
+    full = len(ranks) - 1
     singles = [1 << i for i in range(full.bit_length())]
     for a in range(1, full + 1):
-        u = values[a]
-        if values[images[a]] != u:
+        u = ranks[a]
+        if ranks[images[a]] != u:
             raise WitnessVerificationFailed(
                 "preference does not respect its own Kreps operator"
             )
         if images[a] == a and any(
-            not a & x and values[a | x] <= u for x in singles
+            not a & x and ranks[a | x] <= u for x in singles
         ):
             raise WitnessVerificationFailed(
                 "strictly larger closure is not strictly preferred"
@@ -359,7 +363,7 @@ def kreps_operator(preference: MenuPreference) -> Topology:
             "Kreps construction produced a non-closure: "
             + "; ".join(validation.summary())
         )
-    _check_kreps_consequences(preference.values, images)
+    _check_kreps_consequences(preference._ranks, images)
     return Topology._trusted(ground, images)
 
 
@@ -369,9 +373,9 @@ def respects(
     """Whether U(A) = U(f(A)) for every nonempty menu; witness on failure."""
     if preference.ground != f.ground:
         raise GroundSetMismatch("preference and operator use different ground sets")
-    values = preference.values
+    ranks = preference._ranks
     for bits, img in enumerate(f.tabulate_bits()):
-        if bits and values[bits] != values[img]:
+        if bits and ranks[bits] != ranks[img]:
             return False, preference.ground.mask(bits)
     return True, None
 
@@ -439,10 +443,10 @@ def _signatures(utilities: list[list[int]], size: int) -> list[tuple[int, ...]]:
 
 
 def _check_signatures(
-    values: tuple, images: tuple[int, ...], signatures: list[tuple[int, ...]]
-) -> dict[tuple[int, ...], Fraction]:
+    ranks: tuple, images: tuple[int, ...], signatures: list[tuple[int, ...]]
+) -> dict[tuple[int, ...], int]:
     """Verify a signature map against the preference and its closure
-    operator, and return the utility of each achieved signature.
+    operator, and return the first menu of each achieved signature.
 
     Checks, for nonempty menus A and B:
 
@@ -459,18 +463,18 @@ def _check_signatures(
 
     Raises :class:`WitnessVerificationFailed` if a check fails.
     """
-    full = len(values) - 1
+    full = len(ranks) - 1
     signature_of_closure: dict[int, tuple[int, ...]] = {}
-    by_signature: dict[tuple[int, ...], Fraction] = {}
+    menu_of: dict[tuple[int, ...], int] = {}
     for bits in range(1, full + 1):
         sig = signatures[bits]
         if signature_of_closure.setdefault(images[bits], sig) != sig:
             raise WitnessVerificationFailed("signatures do not separate closures")
-        if by_signature.setdefault(sig, values[bits]) != values[bits]:
+        if ranks[menu_of.setdefault(sig, bits)] != ranks[bits]:
             raise WitnessVerificationFailed(
                 "menus sharing a signature have different utilities"
             )
-    if len(by_signature) != len(signature_of_closure):
+    if len(menu_of) != len(signature_of_closure):
         raise WitnessVerificationFailed("signatures do not separate closures")
     singles = [1 << i for i in range(full.bit_length())]
     for a in range(1, full + 1):
@@ -478,12 +482,12 @@ def _check_signatures(
             if (
                 not a & x
                 and signatures[a | x] != signatures[a]
-                and values[a | x] <= values[a]
+                and ranks[a | x] <= ranks[a]
             ):
                 raise WitnessVerificationFailed(
                     "aggregator is not strictly increasing on achieved signatures"
                 )
-    return by_signature
+    return menu_of
 
 
 def _check_ranks(
@@ -518,13 +522,10 @@ def kreps_representation(preference: MenuPreference) -> KrepsRepresentation:
         [state.class_index(name) + 1 for name in ground.elements] for state in states
     ]
     signatures = _signatures(utilities, ground.size)
-    by_signature = _check_signatures(
-        preference.values, f.tabulate_bits(), signatures
-    )
-    levels = sorted(set(by_signature.values()))
-    rank_of_value = {value: i + 1 for i, value in enumerate(levels)}
-    ranks = {sig: rank_of_value[value] for sig, value in by_signature.items()}
-    _check_ranks(by_signature, ranks)
+    rank_of = preference._ranks
+    menu_of = _check_signatures(rank_of, f.tabulate_bits(), signatures)
+    ranks = {sig: rank_of[bits] + 1 for sig, bits in menu_of.items()}
+    _check_ranks({sig: preference.values[bits] for sig, bits in menu_of.items()}, ranks)
     return KrepsRepresentation(ground=ground, states=states, ranks=ranks)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command behavior: exit codes, payloads, files, determinism."""
 
+import io
 import json
 import os
 import random
@@ -309,6 +310,26 @@ def test_labels_canonical_and_minimal(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Two members of B(f), {a,b} and {"a,b"}, whose set notations are both "{a,b}".
+COMMA_NAMED = {
+    "elements": ["a", "b", "a,b"],
+    "closed_sets": [[], ["a", "b"], ["a,b"], ["a", "b", "a,b"]],
+}
+
+
+def test_labels_minimal_names_colliding_labels_apart(tmp_path, capsys):
+    path = _write(tmp_path, "t.json", COMMA_NAMED)
+    code, out, err = _run(capsys, "labels", "--topology", path, "--minimal")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["labels"] == ['["a", "b"]', '["a,b"]']
+    assert jsonio.labeling_from(doc).classifier() == jsonio.topology_from(COMMA_NAMED)
+    labels = _write(tmp_path, "labels.json", doc)
+    code, out, _ = _run(capsys, "topology", "--from-labels", labels)
+    assert code == 0
+    assert json.loads(out) == COMMA_NAMED
+
+
 # ------------------------------------------------------------------ menu-rep
 
 
@@ -419,6 +440,18 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
     assert code == 3
     assert "internal error" in err and "planted failure" in err
     assert json.loads(out) == {"error": "planted failure", "internal": True}
+
+
+def test_any_other_exception_exits_3_naming_its_type(tmp_path, capsys, monkeypatch):
+    def planted(*args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setattr(complexity, "_width_cover", planted)
+    path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
+    code, out, err = _run(capsys, "complexity", "--topology", path)
+    assert code == 3
+    assert err == "internal error: RuntimeError: planted bug\n"
+    assert json.loads(out) == {"error": "RuntimeError: planted bug", "internal": True}
 
 
 def test_a_broken_width_certificate_exits_3(tmp_path, capsys, monkeypatch):
@@ -668,6 +701,17 @@ def test_out_flag_also_captures_failure_reports(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["ok"] is False
+
+
+def test_a_stdout_that_cannot_encode_a_name_exits_2(tmp_path, capsys, monkeypatch):
+    doc = {"elements": ["é", "b"], "closed_sets": [[], ["é", "b"]]}
+    path = _write(tmp_path, "t.json", doc)
+    written = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="ascii"))
+    code = main(["complexity", "--topology", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the report: ")
+    assert written.getvalue() == b""
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from closureops import (
     GroundSet,
     GroundSetMismatch,
     NotAChain,
+    Topology,
     WeakOrder,
     WitnessVerificationFailed,
     check_generation,
@@ -146,9 +147,14 @@ def test_half_space_matches_prefix_oracle(seed, size):
     wo = random_weak_order(random.Random(seed), g)
     prefixes = _prefix_unions(wo)
     f = wo.operator()
+    t = wo.topology()
+    assert t == Topology(g, prefixes)
     for m in g.subsets():
         expected = next(g.mask(p) for p in prefixes if m.bits & ~p == 0)
-        assert wo.half_space(m) == expected == f(m)
+        assert wo.half_space(m) == expected == f(m) == t.closure_of(m)
+        # the best class the menu meets, read from the classes themselves
+        best = next((c.bits & m.bits for c in reversed(wo.classes) if c.bits & m.bits), 0)
+        assert wo.support_set(m) == g.mask(best)
 
 
 def test_topology_is_the_chain_of_prefixes():
@@ -206,8 +212,15 @@ def test_binary_operator_matches_closure_method(seed, size):
     g = GroundSet(tuple("abcdef"[:size]))
     clf = random_binary(random.Random(seed), g)
     f = clf.operator()
+    t = clf.topology()
+    cutoff = clf.cutoff
+    assert t == Topology(g, _prefix_unions(WeakOrder(g, (cutoff, cutoff.complement()))))
     for m in g.subsets():
-        assert f(m) == clf.closure(m)
+        # the case analysis: ∅ for ∅, C inside C, X otherwise
+        expected = m if not m.bits else cutoff if m <= cutoff else g.full
+        assert f(m) == clf.closure(m) == t.closure_of(m) == expected
+        best = m.bits & ~cutoff.bits or m.bits
+        assert clf.as_weak_order().support_set(m) == g.mask(best)
 
 
 # ------------------------------------------------------ intersect + generate

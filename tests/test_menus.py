@@ -471,6 +471,62 @@ def test_rank_check_matches_its_oracle():
     assert outcomes[True] >= 50 and outcomes[False] >= 50
 
 
+@given(st.integers(0, 10**9), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_rank_table_orders_menus_as_the_utilities_do(seed, n):
+    rng = random.Random(seed)
+    g = ground("abcdefg"[:n])
+    # A strictly increasing map keeps every comparison of the recipes'
+    # (often repeated) integer utilities and makes them fractional.
+    scale = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+    offset = random_fraction(rng)
+    base = _random_utilities(rng, g)
+    pref = MenuPreference(g, (None, *(v * scale + offset for v in base.values[1:])))
+    values, ranks = pref.values, pref._ranks
+    menus = range(1, g.full_bits + 1)
+    for a in menus:
+        for b in menus:
+            assert (ranks[a] < ranks[b]) == (values[a] < values[b])
+            assert (ranks[a] == ranks[b]) == (values[a] == values[b])
+    assert set(ranks[1:]) == set(range(len(set(values[1:]))))
+    report = check_axioms(pref)
+    assert report == check_axioms(base)
+    if n <= 6:  # the exhaustive oracle costs 8^n
+        assert report == oracle_axioms(pref)
+    f = random_operator(rng, g)
+    images = f.tabulate_bits()
+    unfaithful = [b for b in menus if values[b] != values[images[b]]]
+    assert respects(pref, f) == (
+        (False, g.mask(unfaithful[0])) if unfaithful else (True, None)
+    )
+    if report.ok:
+        kreps = kreps_operator(pref)
+        assert respects(pref, kreps) == (True, None)
+        assert oracle_kreps_consequences(values, kreps.tabulate_bits())
+        representation = kreps_representation(pref)
+        by_signature = {representation.signature(g.mask(b)): values[b] for b in menus}
+        assert oracle_ranks_ok(by_signature, representation.ranks)
+
+
+def test_check_axioms_compares_no_fractions_once_ranks_are_built(monkeypatch):
+    g = ground("abcdefgh")
+    rng = random.Random(8)
+    # The rank table is built with the preference.
+    pref = sum_of_maxes(g, [random_weak_order(rng, g) for _ in range(3)])
+    compared = Counter()
+    for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+
+        def counted(self, other, _real=getattr(Fraction, name), _name=name):
+            compared[_name] += 1
+            return _real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    report = check_axioms(pref)
+    monkeypatch.undo()
+    assert report.ok
+    assert not compared
+
+
 def test_additive_check_matches_literal_evaluation():
     outcomes = Counter()
     for seed in range(200):
