@@ -40,8 +40,8 @@ Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
 
 1. every closed set of every g_i lies in S(f);
-2. for every nonempty closed A of f, (⋂_i g_i(A)) ∖ A is empty, with g_i(A)
-   read from g_i's own closed sets.
+2. for every nonempty closed A of f, (⋂_i g_i(A)) ∖ A is empty, ⋂_i g_i(A)
+   being the intersection of all the g_i's closed sets that contain A.
 
 Together they prove ⋂_i g_i = f (:func:`~closureops.generators.check_generation`
 evaluates them and proves the converse).  By 1, g_i(A) is closed in g_i,
@@ -49,7 +49,8 @@ hence in f, and contains A, so g_i(A) ⊇ f(A) for every A and ⋂_i g_i ⊇ f.
 By 2 and extensivity, ⋂_i g_i(A) = A at every nonempty closed A.  Any
 nonempty B has B ⊆ f(B), a nonempty closed set, so monotonicity of each g_i
 gives ⋂_i g_i(B) ⊆ ⋂_i g_i(f(B)) = f(B); and both sides map ∅ to ∅.  The
-check reads |S(f)| images per generator and builds no 2^n table.  The
+check reads the witnesses' chains as they are built, one scan of their
+union per closed set of f, and builds no 2^n table and no operator.  The
 profile keeps both checks' reports, so ``decompose`` reports a check that
 ran without running it again.
 """
@@ -215,10 +216,10 @@ def complexity_profile(f: Topology) -> ComplexityProfile:
             masks.append(ground.full)
         weak_orders.append(WeakOrder.from_chain(masks))
     binary = tuple(BinaryClassifier(cutoff) for cutoff in irreducibles.b_of_f)
-    weak_order_check = check_generation(f, [w.operator() for w in weak_orders])
+    weak_order_check = check_generation(f, weak_orders)
     if not weak_order_check.generates:
         raise WitnessVerificationFailed("weak-order witness does not generate f")
-    binary_check = check_generation(f, [b.operator() for b in binary])
+    binary_check = check_generation(f, binary)
     if not binary_check.generates:
         raise WitnessVerificationFailed("binary witness does not generate f")
     return ComplexityProfile(

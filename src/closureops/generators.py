@@ -12,14 +12,15 @@ Two families of primitive closure operators generate everything:
 * A binary classifier with proper nonempty cutoff C sends ∅ to ∅, any A ⊆ C to
   C, and everything else to X, so S(f_C) = {∅, C, X}.
 
-Each generator is read as its chain of closed sets, as bit patterns: closures
-by the one scan :meth:`Topology.closure_bits` runs, topologies from the chain.
+Each generator keeps its chain of closed sets in ``bits``, ascending bit
+patterns as in :attr:`Topology.bits`; its closures scan that chain.
 
 A family g_1, …, g_k *generates* f when f(A) = ⋂_i g_i(A) for every A.
 :func:`check_generation` decides this through two structural conditions —
 every S(g_i) ⊆ S(f), and every x ∉ A ∈ S(f) is excluded by some g_i — which
-hold exactly when the equation does.  They read g_i only at the closed sets
-of f, so the check builds no 2^n table.
+hold exactly when the equation does.  It reads each generator as its closed
+sets alone, ⋂_i g_i(A) being the intersection of all their members that
+contain A, so it builds no 2^n table and no operator per generator.
 
 The intersection of an *empty* family is, by the usual convention, the trivial
 operator (∅ ↦ ∅, everything else ↦ X); an empty generator list is therefore
@@ -57,11 +58,12 @@ class WeakOrder:
     Attributes:
         ground: the underlying ground set.
         classes: the indifference classes, worst first.
+        bits: the half-space chain ∅, C_1, C_1 ∪ C_2, …, X as bit patterns.
     """
 
     ground: GroundSet
     classes: tuple[SubsetMask, ...]
-    _chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         classes = tuple(self.classes)
@@ -79,7 +81,7 @@ class WeakOrder:
             chain.append(chain[-1] | c.bits)
         if chain[-1] != self.ground.full_bits:
             raise ValueError("indifference classes must cover the ground set")
-        object.__setattr__(self, "_chain", tuple(chain))
+        object.__setattr__(self, "bits", tuple(chain))
 
     @classmethod
     def from_chain(cls, chain: Sequence[SubsetMask]) -> WeakOrder:
@@ -143,7 +145,7 @@ class WeakOrder:
         half-space.  Below ∅ the chain wraps to X, so ∅ maps to ∅."""
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
-        chain = self._chain
+        chain = self.bits
         below = chain[chain.index(_first_superset(chain, menu.bits)) - 1]
         return self.ground.mask(menu.bits & ~below)
 
@@ -155,15 +157,11 @@ class WeakOrder:
         """
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
-        return self.ground.mask(_first_superset(self._chain, menu.bits))
-
-    def topology(self) -> Topology:
-        """The chain of closed sets {∅, C_1, C_1 ∪ C_2, …, X}."""
-        return Topology(self.ground, self._chain)
+        return self.ground.mask(_first_superset(self.bits, menu.bits))
 
     def operator(self) -> Topology:
         """The half-space closure operator f_⪰."""
-        return self.topology()
+        return Topology(self.ground, self.bits)
 
     def __repr__(self) -> str:
         parts = " < ".join(c.label() for c in self.classes)
@@ -195,31 +193,23 @@ class BinaryClassifier:
         return self.cutoff.ground
 
     @property
-    def _chain(self) -> tuple[int, int, int]:
+    def bits(self) -> tuple[int, int, int]:
         return (0, self.cutoff.bits, self.ground.full_bits)
 
     def closure(self, menu: SubsetMask) -> SubsetMask:
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
-        return self.ground.mask(_first_superset(self._chain, menu.bits))
+        return self.ground.mask(_first_superset(self.bits, menu.bits))
 
     def as_weak_order(self) -> WeakOrder:
         """The two-class weak order (cutoff worst) with the same operator."""
         return WeakOrder(self.ground, (self.cutoff, self.cutoff.complement()))
 
-    def topology(self) -> Topology:
-        return Topology(self.ground, self._chain)
-
     def operator(self) -> Topology:
-        return self.topology()
+        return Topology(self.ground, self.bits)
 
     def __repr__(self) -> str:
         return f"BinaryClassifier(cutoff={self.cutoff.label()})"
-
-
-def _trivial_images(ground: GroundSet) -> tuple[int, ...]:
-    full = ground.full_bits
-    return tuple(0 if bits == 0 else full for bits in range(full + 1))
 
 
 def intersect_generate(
@@ -234,10 +224,11 @@ def intersect_generate(
     for g in operators:
         if g.ground != ground:
             raise GroundSetMismatch("generator lives in a different ground set")
-    tables = [g.tabulate_bits() for g in operators]
-    images = tables[0] if tables else _trivial_images(ground)
-    for table in tables[1:]:
-        images = tuple(map(and_, images, table))
+    if not operators:
+        return Topology(ground, (0, ground.full_bits))
+    images = operators[0].tabulate_bits()
+    for g in operators[1:]:
+        images = tuple(map(and_, images, g.tabulate_bits()))
     return Topology._trusted(ground, images)
 
 
@@ -276,16 +267,18 @@ class GenerationReport:
 
 
 def check_generation(
-    f: Topology, generators: Sequence[Topology]
+    f: Topology, generators: Sequence[Topology | WeakOrder | BinaryClassifier]
 ) -> GenerationReport:
     """Test whether the generators intersect to f; see :class:`GenerationReport`.
 
-    Both conditions are read at the closed sets of f only, g_i(A) coming
-    from g_i's own closed sets, so the check reads |S(f)| images per
-    generator.  Condition 1 lists (i, C) for the closed sets C of g_i outside
-    S(f), by position, then in g_i's canonical order.  Condition 2 lists
-    (A, x) for the nonempty closed A of f in canonical order and the elements
-    x of (⋂_i g_i(A)) ∖ A in ground order.
+    A generator is read through ``ground`` and ``bits`` only.  Condition 1
+    lists (i, C) for the closed sets C of g_i outside S(f), by position, then
+    in g_i's canonical order.  Condition 2 lists (A, x) for the nonempty
+    closed A of f in canonical order and the x of (⋂_i g_i(A)) ∖ A in ground
+    order, in |S(f)|·|U| steps: S(g_i) is intersection-closed and holds X, so
+    g_i(A) = ⋂{C ∈ S(g_i) : A ⊆ C} and ⋂_i g_i(A) = ⋂{C ∈ U : A ⊆ C} for
+    U = ⋃_i S(g_i) ∖ {∅, X} (∅ holds no nonempty A, X is the empty
+    intersection, and intersection is order-free, so U is a plain set).
 
     The conditions hold iff ⋂_i g_i = f.  "If" is proved in
     :mod:`closureops.complexity`.  "Only if": a closed C of g_i has
@@ -302,13 +295,14 @@ def check_generation(
         for closed in g.bits
         if not f.contains_bits(closed)
     )
-    readers = [g.closure_bits for g in generators]
+    full = ground.full_bits
+    union = {c for g in generators for c in g.bits} - {0, full}  # U
     condition2: list[tuple[SubsetMask, str]] = []
     for closed in f.bits[1:]:  # the nonempty closed sets
-        kept = ground.full_bits
-        for image in readers:
-            kept &= image(closed)
-        kept &= ~closed
+        kept = full ^ closed
+        for c in union:
+            if closed & c == closed:
+                kept &= c
         while kept:
             x = kept & -kept
             kept ^= x
@@ -324,7 +318,7 @@ def is_single_chain(topology: Topology) -> WeakOrder | None:
     """The weak order behind a topology, if its closed sets form one chain.
 
     Returns None when two closed sets are incomparable.  On a chain the
-    reconstruction inverts :meth:`WeakOrder.topology` exactly.
+    reconstruction inverts :meth:`WeakOrder.operator` exactly.
     """
     bits = topology.bits  # canonical order extends inclusion
     for lower, upper in zip(bits, bits[1:]):

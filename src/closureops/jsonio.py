@@ -49,6 +49,7 @@ its fixed keys.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
@@ -168,7 +169,9 @@ def fraction_from(value: Any, what: str) -> Fraction:
                 f"{what} exceeds {MAX_RATIONAL_DIGITS} digits or exponent "
                 f"{MAX_RATIONAL_DIGITS}: {value[:40]!r}"
             )
-        try:
+        try:  # Fraction takes "_" from 3.11 and spaces around "/" from 3.12
+            if "_" in value or re.search(r"\s/|/\s", value):
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{what} is not a valid rational: {value!r}") from exc

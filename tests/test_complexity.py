@@ -33,6 +33,7 @@ from conftest import (
     brute_width,
     chain_topology,
     check_chain_cover,
+    crown_bits,
     crown_topology,
     fork_topology,
     ground,
@@ -344,6 +345,33 @@ def test_profile_reads_closed_sets_without_masks(monkeypatch):
     made.clear()
     complexity_profile(chain.operator())
     assert made["masks"] == 19 + 18
+
+
+def test_profile_builds_no_topology_for_its_witnesses(monkeypatch):
+    # check_generation reads the witnesses' chains, so no witness becomes a
+    # Topology: none is validated and none is built from a table.
+    built = Counter()
+    validate = Topology.__post_init__
+    trusted = Topology._trusted.__func__
+
+    def counted_post_init(self):
+        built["topologies"] += 1
+        validate(self)
+
+    def counted_trusted(cls, ground, images):
+        built["topologies"] += 1
+        return trusted(cls, ground, images)
+
+    chain_g = GroundSet(tuple(f"e{i}" for i in range(18)))
+    chain = Topology(chain_g, [(1 << k) - 1 for k in range(19)])
+    crown_g = GroundSet(tuple(f"e{i}" for i in range(12)))
+    crown = Topology(crown_g, crown_bits(12))
+    monkeypatch.setattr(Topology, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Topology, "_trusted", classmethod(counted_trusted))
+    for f, mnwo, mnbc in ((chain, 1, 17), (crown, 12, 12)):
+        profile = complexity_profile(f)
+        assert (profile.mnwo, profile.mnbc) == (mnwo, mnbc)
+        assert built["topologies"] == 0
 
 
 def test_a_profile_builds_the_rows_of_s_once(monkeypatch):

@@ -32,6 +32,7 @@ from conftest import (
     oracle_check_generation,
     order,
     random_binary,
+    random_family_bits,
     random_operator,
     random_weak_order,
     sub,
@@ -147,7 +148,7 @@ def test_half_space_matches_prefix_oracle(seed, size):
     wo = random_weak_order(random.Random(seed), g)
     prefixes = _prefix_unions(wo)
     f = wo.operator()
-    t = wo.topology()
+    t = wo.operator()
     assert t == Topology(g, prefixes)
     for m in g.subsets():
         expected = next(g.mask(p) for p in prefixes if m.bits & ~p == 0)
@@ -160,14 +161,14 @@ def test_half_space_matches_prefix_oracle(seed, size):
 def test_topology_is_the_chain_of_prefixes():
     g = ground(ABCD)
     wo = order(g, "a", "b", "cd")
-    assert wo.topology() == chain_topology()
+    assert wo.operator() == chain_topology()
 
 
 def test_single_chain_round_trip():
     wo = is_single_chain(chain_topology())
     g = chain_topology().ground
     assert wo == order(g, "a", "b", "cd")
-    assert is_single_chain(wo.topology()) == wo
+    assert is_single_chain(wo.operator()) == wo
     assert is_single_chain(wide_topology()) is None
     assert is_single_chain(fork_topology()) is None
     trivial = topo(ground("ab"), "", "ab")
@@ -185,7 +186,7 @@ def test_binary_closure_cases():
     assert clf.closure(sub(g, "a")) == sub(g, "ab")
     assert clf.closure(sub(g, "ab")) == sub(g, "ab")
     assert clf.closure(sub(g, "ac")) == g.full
-    assert clf.topology() == topo(g, "", "ab", "abcd")
+    assert clf.operator() == topo(g, "", "ab", "abcd")
     with pytest.raises(GroundSetMismatch):
         clf.closure(ground("xy").subset("x"))
 
@@ -212,7 +213,7 @@ def test_binary_operator_matches_closure_method(seed, size):
     g = GroundSet(tuple("abcdef"[:size]))
     clf = random_binary(random.Random(seed), g)
     f = clf.operator()
-    t = clf.topology()
+    t = clf.operator()
     cutoff = clf.cutoff
     assert t == Topology(g, _prefix_unions(WeakOrder(g, (cutoff, cutoff.complement()))))
     for m in g.subsets():
@@ -360,6 +361,59 @@ def test_generation_check_reaches_both_outcomes():
         assert report == oracle_check_generation(f, gens)
         outcomes[report.generates] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def _mixed_generators(rng: random.Random, g: GroundSet) -> list:
+    """Zero to four generators, each a weak order, a binary classifier or a
+    topology, as check_generation takes them."""
+    kinds = [
+        lambda: random_weak_order(rng, g),
+        lambda: Topology(g, random_family_bits(rng, g.size)),
+    ]
+    if g.size > 1:
+        kinds.append(lambda: random_binary(rng, g))
+    return [rng.choice(kinds)() for _ in range(rng.randrange(0, 5))]
+
+
+def test_generation_check_reads_generators_as_closed_set_families():
+    # Weak orders and binary classifiers are read through their chains, as
+    # topologies are through their closed sets: the report equals the one
+    # on their operators and the full-table oracle, witness order included,
+    # and the order of the generators does not change condition 2.
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = GroundSet(tuple("abcdefgh"[: rng.randint(1, 8)]))
+        gens = _mixed_generators(rng, g)
+        operators = [gen.operator() for gen in gens]
+        if seed % 2:
+            f = intersect_generate(g, operators)
+        else:
+            f = Topology(g, random_family_bits(rng, g.size))
+        report = check_generation(f, gens)
+        assert report == check_generation(f, operators)
+        assert report == oracle_check_generation(f, operators)
+        shuffled = check_generation(f, rng.sample(gens, len(gens)))
+        assert shuffled.condition2_witnesses == report.condition2_witnesses
+        outcomes[report.generates] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def test_discrete_family_without_one_coatom_misses_exactly_its_exclusions():
+    # The discrete family is generated by the n coatoms X ∖ {e_i}.  Without
+    # X ∖ {e0} the generators' closed sets above a nonempty A ∌ e0 meet in
+    # A ∪ {e0}, and above any A ∋ e0 in A.
+    n = 16
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    f = Topology._trusted(g, tuple(range(1 << n)))
+    witness = [BinaryClassifier(g.mask(g.full_bits ^ 1 << i)) for i in range(n)]
+    report = check_generation(f, witness[1:])
+    assert report.condition1_ok
+    assert report.condition2_witnesses == tuple(
+        (g.mask(a), "e0") for a in range(2, 1 << n, 2)
+    )
+    assert len(report.condition2_witnesses) == 2 ** (n - 1) - 1
+    assert check_generation(f, witness).generates
 
 
 # ---------------------------------------------------------------- enumeration
