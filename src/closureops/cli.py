@@ -121,9 +121,7 @@ def _run_topology(args: argparse.Namespace) -> tuple[str, int]:
         ground, weak_orders, binary = jsonio.generators_from(
             _load(args.from_generators)
         )
-        operators = [w.operator() for w in weak_orders]
-        operators += [b.operator() for b in binary]
-        operator = intersect_generate(ground, operators)
+        operator = intersect_generate(ground, [*weak_orders, *binary])
     return jsonio.topology_doc(operator), 0
 
 

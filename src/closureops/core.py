@@ -31,6 +31,11 @@ keeps as its only image cache.  On failure the pair loop runs as well, so
 Closed sets taken from images already known to satisfy the axioms are not
 validated again (:meth:`Topology._trusted`).
 
+Every other image table built from a family of sets comes from one routine,
+:func:`_meet_images`, f(A) = ⋂{C ∈ F : A ⊆ C} for any family F of bit
+patterns: S(f) for a topology without its table, the union of the
+generators' closed sets, or a labeling's extents.
+
 Subsets are machine words: a :class:`SubsetMask` stores one bit per element of
 its :class:`GroundSet`, which caps ground sets at 20 elements and makes the
 canonical ordering of subsets (ascending numeric mask value) a linear extension
@@ -45,8 +50,10 @@ are immutable up to the image cache; all functions are pure.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     ForeignMask,
@@ -73,6 +80,41 @@ __all__ = [
 #: Hard cap on ground-set size: every algorithm here enumerates subsets of X at
 #: least once, and one machine word per subset keeps worst cases tractable.
 MAX_ELEMENTS = 20
+
+#: Most digits, and largest absolute decimal exponent, that a rational string
+#: may carry: ``Fraction("1e1000000")`` alone builds a 3.3M-bit integer.
+MAX_RATIONAL_DIGITS = 1000
+
+
+def _exact_fraction(value: Fraction | int | str, what: str) -> Fraction:
+    """An exact rational from a Fraction, an int or a string, named ``what``
+    in errors.  A float raises TypeError, and a string ValueError if it has
+    more than :data:`MAX_RATIONAL_DIGITS` digits or a larger decimal
+    exponent, or lies outside 3.10's ``Fraction`` grammar (no ``_``, no
+    space next to ``/``)."""
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact: pass a Fraction, an int or a string")
+    if not isinstance(value, str):
+        return Fraction(value)
+    digits = sum(ch.isdigit() for ch in value)
+    _, marker, exponent = value.lower().partition("e")
+    scale = 0
+    if marker and digits <= MAX_RATIONAL_DIGITS:
+        try:
+            scale = int(exponent)
+        except ValueError:
+            pass  # not an exponent; Fraction rejects the string below
+    if digits > MAX_RATIONAL_DIGITS or abs(scale) > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"{what} exceeds {MAX_RATIONAL_DIGITS} digits or exponent "
+            f"{MAX_RATIONAL_DIGITS}: {value[:40]!r}"
+        )
+    try:  # Fraction takes "_" from 3.11 and spaces around "/" from 3.12
+        if "_" in value or re.search(r"\s/|/\s", value):
+            raise ValueError(value)
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} is not a valid rational: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -270,9 +312,9 @@ class Topology:
     Call the operator like a function: ``f(mask)`` returns the closure, read
     from the table of all 2^n images.  The superset recursion leaves that
     table behind, an operator built from images starts with them, and
-    otherwise :func:`_tabulate_closed` builds it when first needed, in
-    min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.  Equality and hashing read the
-    ground set and the closed sets, so they build no table.
+    otherwise :func:`_meet_images` builds it from the closed sets when first
+    needed, in min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.  Equality and hashing
+    read the ground set and the closed sets, so they build no table.
 
     Attributes:
         ground: the underlying ground set.
@@ -387,9 +429,7 @@ class Topology:
     def tabulate_bits(self) -> tuple[int, ...]:
         """All images, indexed by subset bit pattern, built once."""
         if self._images is None:
-            object.__setattr__(
-                self, "_images", _tabulate_closed(self.ground.size, self.bits)
-            )
+            object.__setattr__(self, "_images", _meet_images(self.ground.size, self.bits))
         return self._images
 
     def table(self) -> dict[SubsetMask, SubsetMask]:
@@ -569,48 +609,48 @@ def _validate_images(ground: GroundSet, images: Sequence[int]) -> ValidationRepo
     )
 
 
-def _tabulate_closed(size: int, closed: Sequence[int]) -> tuple[int, ...]:
-    """The smallest closed superset of every subset of an n-element ground set.
+def _meet_images(size: int, family: Iterable[int]) -> tuple[int, ...]:
+    """f(A) = ⋂{C ∈ family : A ⊆ C} for every A ⊆ X, |X| = ``size``, with
+    f(∅) = ∅ and X where no member holds A, for any bit patterns in any
+    order, by the route :func:`_meet_route` picks once ∅ and X are added."""
+    full = (1 << size) - 1
+    family = {0, full}.union(family)
+    route = _meet_route(size, family)[1]
+    return route(full, family)
 
-    ``closed`` lists the bit patterns of an intersection-closed family that
-    contains ∅ and X, in ascending order.  Two exact methods; the one taking
-    fewer steps, counted exactly from the family, runs:
 
-    * submask fill, Σ_{C ≠ X} 2^|C| writes (:func:`_submask_fill`), for
+def _meet_route(size: int, family: Iterable[int]) -> tuple[int, Callable]:
+    """The steps and the routine of the cheaper exact route to the meet
+    images of a family holding ∅ and X:
+
+    * submask fill, Σ_{C ≠ X} 2^|C| steps (:func:`_submask_fill`), for
       sparse families such as chains, binary generators and most labelings;
     * superset recursion, n·2^(n−1) steps (:func:`_superset_dp`), for dense
-      families; on the discrete family the fill would take 3^n − 2^n writes.
+      families; on the discrete family the fill would take 3^n − 2^n steps.
     """
     full = (1 << size) - 1
-    fill, recursion = _tabulation_steps(size, closed)
+    fill = sum(1 << c.bit_count() for c in family if c != full)
+    recursion = size << (size - 1)
     if fill <= recursion:
-        return _submask_fill(full, [c for c in closed if c != full])
-    return _superset_dp(full, closed)
+        return fill, _submask_fill
+    return recursion, _superset_dp
 
 
-def _tabulation_steps(size: int, closed: Sequence[int]) -> tuple[int, int]:
-    """The steps of the submask fill and of the superset recursion that
-    :func:`_tabulate_closed` compares for this family."""
-    full = (1 << size) - 1
-    fill = sum(1 << c.bit_count() for c in closed if c != full)
-    return fill, size << (size - 1)
+def _submask_fill(full: int, family: Iterable[int]) -> tuple[int, ...]:
+    """Start every image at X and ∅ at ∅, then AND each member C ≠ X into
+    every nonempty submask of C.
 
-
-def _submask_fill(full: int, proper: Sequence[int]) -> tuple[int, ...]:
-    """Start every image at X, then write each proper closed set C, in
-    descending canonical order, into every nonempty submask of C.
-
-    The closed supersets of A are written to A in descending mask order, so
-    the last write is the one of least mask value, which is the smallest
-    closed superset: it is a subset, hence no larger numerically, of every
-    other closed superset.
+    Each nonempty A ends as X ∩ ⋂{C ∈ family : A ⊆ C}, since exactly those
+    C reach A; intersection is order-free, so any family in any order will do.
     """
     images = [full] * (full + 1)
-    images[0] = 0  # ∅ is closed
-    for c in reversed(proper):
+    images[0] = 0
+    for c in family:
+        if c == full:
+            continue
         sub = c
         while sub:
-            images[sub] = c
+            images[sub] &= c
             sub = (sub - 1) & c
     return tuple(images)
 

@@ -15,12 +15,14 @@ Two families of primitive closure operators generate everything:
 Each generator keeps its chain of closed sets in ``bits``, ascending bit
 patterns as in :attr:`Topology.bits`; its closures scan that chain.
 
-A family g_1, …, g_k *generates* f when f(A) = ⋂_i g_i(A) for every A.
-:func:`check_generation` decides this through two structural conditions —
-every S(g_i) ⊆ S(f), and every x ∉ A ∈ S(f) is excluded by some g_i — which
-hold exactly when the equation does.  It reads each generator as its closed
-sets alone, ⋂_i g_i(A) being the intersection of all their members that
-contain A, so it builds no 2^n table and no operator per generator.
+A family g_1, …, g_k *generates* f when f(A) = ⋂_i g_i(A) for every A.  Both
+functions here read each generator as its closed sets alone, by the union
+identity ⋂_i g_i(A) = ⋂{C ∈ ⋃_i S(g_i) : A ⊆ C}, and build no operator per
+generator.  :func:`intersect_generate` tabulates the intersection as the meet
+images of the union, as :class:`Topology` tabulates its own closed sets.
+:func:`check_generation` decides the equation through two structural
+conditions — every S(g_i) ⊆ S(f), and every x ∉ A ∈ S(f) is excluded by some
+g_i — which hold exactly when it does, and builds no 2^n table.
 
 The intersection of an *empty* family is, by the usual convention, the trivial
 operator (∅ ↦ ∅, everything else ↦ X); an empty generator list is therefore
@@ -32,9 +34,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import and_
 
-from .core import GroundSet, SubsetMask, Topology, _first_superset
+from .core import GroundSet, SubsetMask, Topology, _exact_fraction, _first_superset
+from .core import _meet_images
 from .errors import BadEndpoints, GroundSetMismatch, NotAChain, WitnessVerificationFailed
 
 __all__ = [
@@ -111,16 +113,20 @@ class WeakOrder:
 
     @classmethod
     def from_utilities(
-        cls, ground: GroundSet, utilities: Mapping[str, Fraction | int]
+        cls, ground: GroundSet, utilities: Mapping[str, Fraction | int | str]
     ) -> WeakOrder:
-        """Group elements by numeric utility, ascending (worst class first)."""
+        """Group elements by exact utility, read by
+        :func:`~closureops.core._exact_fraction`, ascending (worst class first)."""
         missing = [name for name in ground if name not in utilities]
         if missing:
             raise ValueError(f"no utility given for {missing[0]!r}")
-        levels = sorted({Fraction(utilities[name]) for name in ground})
+        level = {
+            name: _exact_fraction(utilities[name], f"utility of {name!r}")
+            for name in ground
+        }
         classes = [
-            ground.subset(n for n in ground if Fraction(utilities[n]) == level)
-            for level in levels
+            ground.subset(n for n in ground if level[n] == value)
+            for value in sorted(set(level.values()))
         ]
         return cls(ground, tuple(classes))
 
@@ -213,23 +219,18 @@ class BinaryClassifier:
 
 
 def intersect_generate(
-    ground: GroundSet, operators: Sequence[Topology]
+    ground: GroundSet, generators: Sequence[Topology | WeakOrder | BinaryClassifier]
 ) -> Topology:
-    """The pointwise intersection A ↦ ⋂_i g_i(A) of a family of operators.
-
-    Always a closure operator again; its closed sets are the intersection
-    closure of the union of the S(g_i).  The empty family yields the trivial
-    operator by the empty-intersection convention.
-    """
-    for g in operators:
+    """The pointwise intersection A ↦ ⋂_i g_i(A) of generators read through
+    ``ground`` and ``bits``: each S(g_i) is intersection-closed and holds X,
+    so ⋂_i g_i(A) = ⋂{C ∈ ⋃_i S(g_i) : A ⊆ C}, the meet images of the union
+    (:func:`~closureops.core._meet_images`).  The empty family yields the
+    trivial operator."""
+    for g in generators:
         if g.ground != ground:
             raise GroundSetMismatch("generator lives in a different ground set")
-    if not operators:
-        return Topology(ground, (0, ground.full_bits))
-    images = operators[0].tabulate_bits()
-    for g in operators[1:]:
-        images = tuple(map(and_, images, g.tabulate_bits()))
-    return Topology._trusted(ground, images)
+    union = {c for g in generators for c in g.bits}
+    return Topology._trusted(ground, _meet_images(ground.size, union))
 
 
 @dataclass(frozen=True)

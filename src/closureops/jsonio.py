@@ -49,7 +49,6 @@ its fixed keys.
 from __future__ import annotations
 
 import functools
-import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
@@ -57,7 +56,8 @@ from json.encoder import encode_basestring as _string
 from typing import Any
 
 from .complexity import ComplexityProfile
-from .core import GroundSet, SubsetMask, Topology, ValidationReport
+from .core import MAX_RATIONAL_DIGITS, GroundSet, SubsetMask, Topology, ValidationReport
+from .core import _exact_fraction
 from .errors import SchemaError
 from .generators import BinaryClassifier, GenerationReport, WeakOrder
 from .labeling import Labeling
@@ -140,46 +140,22 @@ def fraction_str(value: Fraction) -> str:
     return str(value)
 
 
-#: Most digits, and largest absolute decimal exponent, that a rational string
-#: may carry: ``Fraction("1e1000000")`` alone builds a 3.3M-bit integer.
-MAX_RATIONAL_DIGITS = 1000
-
-
 def fraction_from(value: Any, what: str) -> Fraction:
     """Parse an exact rational from a JSON string or integer (never a float).
 
     Strings with more than :data:`MAX_RATIONAL_DIGITS` digits, or with a
     decimal exponent beyond it in absolute value, raise :class:`SchemaError`.
     """
-    if isinstance(value, bool):
-        raise SchemaError(f"{what} must be a rational string or integer")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        digits = sum(ch.isdigit() for ch in value)
-        _, marker, exponent = value.lower().partition("e")
-        scale = 0
-        if marker and digits <= MAX_RATIONAL_DIGITS:
-            try:
-                scale = int(exponent)
-            except ValueError:
-                pass  # not an exponent; Fraction rejects the string below
-        if digits > MAX_RATIONAL_DIGITS or abs(scale) > MAX_RATIONAL_DIGITS:
-            raise SchemaError(
-                f"{what} exceeds {MAX_RATIONAL_DIGITS} digits or exponent "
-                f"{MAX_RATIONAL_DIGITS}: {value[:40]!r}"
-            )
-        try:  # Fraction takes "_" from 3.11 and spaces around "/" from 3.12
-            if "_" in value or re.search(r"\s/|/\s", value):
-                raise ValueError(value)
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{what} is not a valid rational: {value!r}") from exc
     if isinstance(value, float):
         raise SchemaError(
             f"{what} must be exact; write the rational as a string, not a float"
         )
-    raise SchemaError(f"{what} must be a rational string or integer")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"{what} must be a rational string or integer")
+    try:
+        return _exact_fraction(value, what)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------- parsing

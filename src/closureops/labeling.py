@@ -3,10 +3,12 @@
 A labeling assigns each element x a set of labels Φ(x) ⊆ L.  It classifies a
 nonempty menu A by the labels common to all of A:
 
-    f(A) = {x : ⋂_{y ∈ A} Φ(y) ⊆ Φ(x)},       f(∅) = ∅ by definition,
+    f(A) = {x : ⋂_{y ∈ A} Φ(y) ⊆ Φ(x)},       f(∅) = ∅ by definition.
 
-which is always a closure operator.  Conversely every closure operator arises
-this way, and this module builds two standard witnesses:
+With the label extents E_l = {y : l ∈ Φ(y)} this is f(A) = ⋂{E_l : A ⊆ E_l},
+so f is always a closure operator, the intersection of the binary classifiers
+its extents cut.  Conversely every closure operator arises this way, and this
+module builds two standard witnesses:
 
 * :func:`canonical_labeling` — one label per nonempty closed set, with
   Φ(x) = {closed sets containing x}.  Label names are ``Class<i>`` with classes
@@ -28,7 +30,7 @@ import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .core import GroundSet, Topology
+from .core import GroundSet, Topology, _meet_images
 from .complexity import meet_irreducibles
 
 __all__ = [
@@ -97,35 +99,16 @@ class Labeling:
         return tuple(name for i, name in enumerate(self.labels) if i in indices)
 
     def classifier(self) -> Topology:
-        """The closure operator induced by this labeling.
-
-        The common labels of a nonempty A are built from those of A minus its
-        lowest element x: common(A) = common(A ∖ {x}) ∩ Φ(x), with
-        common(∅) = L.  Each distinct common-label set is turned into its
-        extent {y : common ⊆ Φ(y)} once.
-        """
-        ground = self.ground
-        label_bits = [0] * ground.size
+        """The closure operator induced by this labeling: common(A) is
+        {l : A ⊆ E_l}, so x ∈ f(A) iff x lies in every extent holding A, and
+        f is the meet images of the extents
+        (:func:`~closureops.core._meet_images`)."""
+        extents = [0] * len(self.labels)
         for i, indices in enumerate(self.phi):
             for j in indices:
-                label_bits[i] |= 1 << j
-        size = ground.full_bits + 1
-        common = [(1 << len(self.labels)) - 1] * size
-        images = [0] * size
-        extents: dict[int, int] = {}
-        for bits in range(1, size):
-            low = bits & -bits
-            labels = common[bits ^ low] & label_bits[low.bit_length() - 1]
-            common[bits] = labels
-            image = extents.get(labels)
-            if image is None:
-                image = 0
-                for i, row in enumerate(label_bits):
-                    if labels & ~row == 0:
-                        image |= 1 << i
-                extents[labels] = image
-            images[bits] = image
-        return Topology._trusted(ground, tuple(images))
+                extents[j] |= 1 << i
+        ground = self.ground
+        return Topology._trusted(ground, _meet_images(ground.size, extents))
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexity import complexity_profile
-from .core import GroundSet, SubsetMask, Topology, _validate_images
+from .core import GroundSet, SubsetMask, Topology, _exact_fraction, _validate_images
 from .errors import (
     AxiomsViolated,
     DoesNotRespect,
@@ -71,12 +71,6 @@ __all__ = [
     "kreps_representation",
     "additive_representation",
 ]
-
-
-def _as_fraction(value: Fraction | int | str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("utilities must be exact: pass Fraction, int, or str")
-    return Fraction(value)
 
 
 @dataclass(frozen=True, repr=False)
@@ -114,12 +108,13 @@ class MenuPreference:
         ground: GroundSet,
         utilities: Mapping[SubsetMask, Fraction | int | str],
     ) -> MenuPreference:
-        """Build from a mask-keyed map covering every nonempty menu."""
+        """Build from a mask-keyed map covering every nonempty menu, reading
+        utilities by :func:`~closureops.core._exact_fraction`."""
         values: list[Fraction | None] = [None] * (ground.full_bits + 1)
         for menu, value in utilities.items():
             if menu.ground != ground:
                 raise GroundSetMismatch("menu lives in a different ground set")
-            values[menu.bits] = _as_fraction(value)
+            values[menu.bits] = _exact_fraction(value, "utility")
         return cls(ground, tuple(values))
 
     def utility(self, menu: SubsetMask) -> Fraction:

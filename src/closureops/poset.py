@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import filterfalse
 
-from .core import SubsetMask, Topology, _tabulation_steps
+from .core import SubsetMask, Topology, _meet_route
 from .errors import GroundSetMismatch, InvalidOrderRelation, WitnessVerificationFailed
 
 __all__ = [
@@ -508,8 +508,8 @@ def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
     sets of ``topology``, by exact counts.
 
     Rota reads R = Σ_{A ∈ S} 2^(n−|A|) images, plus the steps of
-    :func:`~closureops.core._tabulate_closed` when the topology holds no
-    table.  The interval loop scans |S| items per item and sums over every
+    :func:`~closureops.core._meet_route` when the topology holds no table.
+    The interval loop scans |S| items per item and sums over every
     interval: I = |S|² + Σ_z |↓z|·|↑z| steps.  When R ≤ |S|² the rows are
     not built; otherwise building them and counting I costs less than R.
     """
@@ -517,7 +517,7 @@ def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
     closed = topology.bits
     rota = sum(1 << (size - c.bit_count()) for c in closed)
     if topology._images is None:
-        rota += min(_tabulation_steps(size, closed))
+        rota += _meet_route(size, closed)[0]
     scan = len(closed) ** 2
     if rota <= scan:
         return True

@@ -554,7 +554,7 @@ def test_operator_call_is_idempotent_and_extensive():
 
 
 def _count_methods(monkeypatch) -> dict:
-    """Count which tabulation method :func:`core._tabulate_closed` picks."""
+    """Count which route :func:`core._meet_images` and the validation run."""
     taken = {"fill": 0, "dp": 0}
     for key, name in (("fill", "_submask_fill"), ("dp", "_superset_dp")):
         method = getattr(core, name)
@@ -579,8 +579,8 @@ def test_operator_tabulates_once(monkeypatch):
 
 
 def test_operator_from_images_keeps_them(monkeypatch):
-    taken = _count_methods(monkeypatch)
     f = animals_labeling().classifier()
+    taken = _count_methods(monkeypatch)
     images = f.tabulate_bits()
     assert f.image_bits(0b0011) == images[0b0011]
     fixed = [b for b, i in enumerate(images) if b == i]
@@ -626,6 +626,30 @@ def test_tabulation_matches_the_scan_on_random_families(monkeypatch):
     assert taken["fill"] >= 20 and taken["dp"] >= 20
 
 
+def test_meet_images_match_the_brute_force_on_arbitrary_families(monkeypatch):
+    # Any family in any order, not necessarily intersection-closed and with
+    # or without ∅ and X: each image is the meet of the members holding it.
+    taken = _count_methods(monkeypatch)
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        full = (1 << n) - 1
+        density = rng.random()
+        family = [
+            sum(1 << i for i in range(n) if rng.random() < density)
+            for _ in range(rng.choice((0, 1, 2, 3, 5, 8, 13, 34, 144)))
+        ]
+        expected = [0]
+        for a in range(1, full + 1):
+            meet = full
+            for c in family:
+                if a & ~c == 0:
+                    meet &= c
+            expected.append(meet)
+        assert core._meet_images(n, family) == tuple(expected)
+    assert taken["fill"] >= 20 and taken["dp"] >= 20
+
+
 @pytest.mark.parametrize("family, n", [("chain", 18), ("crown", 16), ("crown", 17)])
 def test_tabulation_matches_the_scan_on_large_sparse_families(monkeypatch, family, n):
     bits = chain_bits(random.Random(n), n) if family == "chain" else crown_bits(n)
@@ -642,5 +666,5 @@ def test_tabulation_of_large_discrete_families_is_the_identity(monkeypatch, n):
     # Topology of 2^n sets is not built because its validation is |S|^2.
     taken = _count_methods(monkeypatch)
     full = (1 << n) - 1
-    assert core._tabulate_closed(n, range(full + 1)) == tuple(range(full + 1))
+    assert core._meet_images(n, range(full + 1)) == tuple(range(full + 1))
     assert taken == {"fill": 0, "dp": 1}

@@ -30,6 +30,7 @@ from conftest import (
     ground,
     iter_weak_orders,
     oracle_check_generation,
+    oracle_scan_images,
     order,
     random_binary,
     random_family_bits,
@@ -91,8 +92,13 @@ def test_from_utilities_groups_by_ascending_level():
         g, {"a": Fraction(1, 2), "b": 3, "c": Fraction(1, 2)}
     )
     assert wo == order(g, "ac", "b")
+    assert WeakOrder.from_utilities(g, {"a": "3/10", "b": "0.3", "c": 1}) == order(
+        g, "ab", "c"
+    )
     with pytest.raises(ValueError):
         WeakOrder.from_utilities(g, {"a": 1, "b": 2})
+    with pytest.raises(TypeError):  # 0.1 + 0.2 > 0.3 as floats
+        WeakOrder.from_utilities(g, {"a": 0.1 + 0.2, "b": 0.3, "c": 1})
 
 
 def test_class_index_and_comparisons():
@@ -379,15 +385,24 @@ def test_generation_check_reads_generators_as_closed_set_families():
     # Weak orders and binary classifiers are read through their chains, as
     # topologies are through their closed sets: the report equals the one
     # on their operators and the full-table oracle, witness order included,
-    # and the order of the generators does not change condition 2.
+    # and the order of the generators does not change condition 2.  Their
+    # intersection is the pointwise AND of their tables, in any order.
     outcomes = Counter()
     for seed in range(300):
         rng = random.Random(seed)
         g = GroundSet(tuple("abcdefgh"[: rng.randint(1, 8)]))
         gens = _mixed_generators(rng, g)
         operators = [gen.operator() for gen in gens]
+        expected = [0] + [g.full_bits] * g.full_bits  # the empty intersection
+        for gen in gens:
+            table = oracle_scan_images(g.full_bits, gen.bits)
+            expected = [a & b for a, b in zip(expected, table)]
+        intersection = intersect_generate(g, gens)
+        assert intersection.tabulate_bits() == tuple(expected)
+        assert intersection == intersect_generate(g, operators)
+        assert intersection == intersect_generate(g, rng.sample(gens, len(gens)))
         if seed % 2:
-            f = intersect_generate(g, operators)
+            f = intersection
         else:
             f = Topology(g, random_family_bits(rng, g.size))
         report = check_generation(f, gens)
@@ -396,7 +411,19 @@ def test_generation_check_reads_generators_as_closed_set_families():
         shuffled = check_generation(f, rng.sample(gens, len(gens)))
         assert shuffled.condition2_witnesses == report.condition2_witnesses
         outcomes[report.generates] += 1
+        outcomes["empty"] += not gens
     assert outcomes[True] >= 20 and outcomes[False] >= 20
+    assert outcomes["empty"] >= 20
+
+
+def test_intersection_of_a_full_chain_at_eighteen_elements_is_its_topology():
+    n = 18
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    chain = WeakOrder(g, tuple(g.mask(1 << i) for i in range(n)))
+    f = intersect_generate(g, [chain])
+    assert f == Topology(g, chain.bits)
+    # the least link ∅ ⊂ {e0} ⊂ {e0,e1} ⊂ … holding A is the prefix up to A's top bit
+    assert f.tabulate_bits() == tuple((1 << b.bit_length()) - 1 for b in range(1 << n))
 
 
 def test_discrete_family_without_one_coatom_misses_exactly_its_exclusions():

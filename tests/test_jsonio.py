@@ -20,6 +20,7 @@ from closureops import (
     SchemaError,
     SubsetMask,
     Topology,
+    WeakOrder,
     additive_representation,
     check_axioms,
     check_generation,
@@ -110,12 +111,27 @@ def test_fraction_parsing_accepts_exact_forms():
     assert fraction_from(fraction_str(Fraction(-5, 3)), "v") == Fraction(-5, 3)
 
 
+def _utility_constructors_reject(bad, error) -> None:
+    """Both API constructors reject ``bad`` as a utility with ``error``."""
+    g = GroundSet(("a", "b"))
+    with pytest.raises(error):
+        WeakOrder.from_utilities(g, {"a": bad, "b": 1})
+    with pytest.raises(error):
+        MenuPreference.from_utilities(
+            g, {g.subset("a"): bad, g.subset("b"): 1, g.full: 1}
+        )
+
+
 def test_fraction_parsing_rejects_inexact_or_malformed():
     # Underscores and spaces around "/" are rejected on every interpreter,
-    # though Fraction takes them from 3.11 and 3.12 on.
+    # though Fraction takes them from 3.11 and 3.12 on; the API constructors
+    # read utilities by the same grammar.
     for bad in (0.5, True, None, [], "abc", "1/0", "1_000", "1 /2", "1/ 2", "1e1_0"):
         with pytest.raises(SchemaError):
             fraction_from(bad, "v")
+        if isinstance(bad, str):
+            _utility_constructors_reject(bad, ValueError)
+    _utility_constructors_reject(0.5, TypeError)
 
 
 def test_fraction_parsing_bounds_digits_and_exponent():
@@ -127,6 +143,7 @@ def test_fraction_parsing_bounds_digits_and_exponent():
                 "7" * (limit + 1), "1/" + "3" * limit, "1e" + "9" * 5000):
         with pytest.raises(SchemaError):
             fraction_from(bad, "v")
+        _utility_constructors_reject(bad, ValueError)
 
 
 # ------------------------------------------------------------------- parsing

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closureops import (
+    BinaryClassifier,
     GroundSet,
     Labeling,
     canonical_labeling,
     complexity_profile,
+    intersect_generate,
     minimal_labeling,
 )
 from conftest import (
@@ -162,6 +164,19 @@ def test_classifier_matches_the_per_subset_oracle():
         )
         lab = Labeling(g, labels, phi)
         assert lab.classifier().tabulate_bits() == oracle_classifier_images(lab)
+
+
+def test_coatom_extents_at_sixteen_elements_give_the_identity():
+    # The extents X ∖ {e_i} cut the binaries with those cutoffs, and both
+    # intersect to the discrete operator: every subset is its own image.
+    n = 16
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    labels = tuple(f"L{i}" for i in range(n))
+    lab = Labeling(g, labels, tuple(frozenset(range(n)) - {i} for i in range(n)))
+    identity = tuple(range(1 << n))
+    assert lab.classifier().tabulate_bits() == identity
+    binaries = [BinaryClassifier(g.mask(g.full_bits & ~(1 << i))) for i in range(n)]
+    assert intersect_generate(g, binaries).tabulate_bits() == identity
 
 
 def _all_labelings(g: GroundSet, label_count: int):

@@ -465,7 +465,7 @@ def test_a_long_chain_takes_the_interval_loop_without_a_table(routes, monkeypatc
     def refuse(*args):
         raise AssertionError("the image table was built")
 
-    monkeypatch.setattr(core_module, "_tabulate_closed", refuse)
+    monkeypatch.setattr(core_module, "_meet_images", refuse)
     n = 20
     t = Topology(GroundSet(tuple(f"x{k}" for k in range(n))), [(1 << k) - 1 for k in range(n + 1)])
     table = FinitePoset.from_topology(t).mobius()
