@@ -5,15 +5,16 @@ Every invocation reads one or two JSON documents (formats in
 and exits with:
 
 * 0 — success;
-* 1 — a mathematical check failed (axioms violated, table not a closure
-  operator, preference not respecting the operator); the report naming the
-  witnesses is still emitted;
-* 2 — malformed input (unreadable file, bad JSON, schema violation, unknown
-  flags), or a report the output cannot take;
-* 3 — internal error: a result the library built failed its own
-  verification (:class:`~closureops.errors.WitnessVerificationFailed`), or
-  any other exception escaped, named by its type; either is a bug, never a
-  property of the input, and the report is a JSON error document.
+* 1 — mathematically invalid input (:class:`InvalidClosureTable`,
+  :class:`AxiomsViolated`, :class:`DoesNotRespect`, :class:`NotIntersectionClosed`,
+  :class:`MissingTopBottom`); the report naming the witnesses is still emitted;
+* 2 — malformed input (unreadable file, bad JSON, :class:`SchemaError`,
+  :class:`MissingEntry`, :class:`GroundSetTooLarge`, a foreign subset or
+  ground set, unknown flags), or a report the output cannot take;
+* 3 — internal error: a failed self-check (:class:`WitnessVerificationFailed`)
+  or any other exception, named by its type, such as the library errors no
+  input can raise (:class:`NotAChain`, :class:`NotClosed`, …); a bug, never
+  a property of the input, and the report is a JSON error document.
 
 Diagnostics go to stderr; stdout carries only the report.  Output is
 deterministic: equal inputs produce byte-equal output.  A JSON report is the
@@ -33,17 +34,13 @@ from .complexity import complexity_profile
 from .core import Topology, _validate_images
 from .errors import (
     AxiomsViolated,
-    BadEndpoints,
     DoesNotRespect,
     ForeignMask,
     GroundSetMismatch,
     GroundSetTooLarge,
     InvalidClosureTable,
-    InvalidOrderRelation,
     MissingEntry,
     MissingTopBottom,
-    NotAChain,
-    NotClosed,
     NotIntersectionClosed,
     SchemaError,
     WitnessVerificationFailed,
@@ -63,14 +60,7 @@ _MALFORMED = (
     GroundSetTooLarge,
     GroundSetMismatch,
 )
-_MATH_FAILURE = (
-    NotIntersectionClosed,
-    MissingTopBottom,
-    NotClosed,
-    NotAChain,
-    BadEndpoints,
-    InvalidOrderRelation,
-)
+_MATH_FAILURE = (NotIntersectionClosed, MissingTopBottom)
 
 
 def _load(path: str) -> Any:

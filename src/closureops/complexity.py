@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
+from .generators import _chain_classes
 from .poset import ChainCover, FinitePoset
 
 __all__ = [
@@ -195,8 +196,8 @@ def complexity_profile(f: Topology) -> ComplexityProfile:
     """Compute both complexity measures of f together with optimal witnesses.
 
     The weak-order witness comes from a minimum chain cover of P(f): each
-    chain is padded with ∅ and X and read as a half-space chain.  The binary
-    witness is one classifier per member of B(f).  Both witness lists are
+    chain's bit patterns, padded with 0 and X, are a half-space chain.  The
+    binary witness is one classifier per member of B(f).  Both lists are
     verified at the closed sets of f (proof in the module docstring); a
     failure would be an implementation bug and raises
     :class:`WitnessVerificationFailed`.  The profile keeps both reports.
@@ -209,12 +210,9 @@ def complexity_profile(f: Topology) -> ComplexityProfile:
     cover = p_poset.min_chain_cover()
     weak_orders = []
     for chain in cover.chains:
-        masks = list(chain)
-        if masks[0].bits != 0:
-            masks.insert(0, ground.empty)
-        if masks[-1].bits != ground.full_bits:
-            masks.append(ground.full)
-        weak_orders.append(WeakOrder.from_chain(masks))
+        # padded with ∅ and X; ascending bit order is the chain's own order
+        links = sorted({0, ground.full_bits, *(m.bits for m in chain)})
+        weak_orders.append(WeakOrder(ground, _chain_classes(ground, links)))
     binary = tuple(BinaryClassifier(cutoff) for cutoff in irreducibles.b_of_f)
     weak_order_check = check_generation(f, weak_orders)
     if not weak_order_check.generates:

@@ -27,7 +27,8 @@ every DP(A) lies in S, since DP(A) is an intersection of members, and for
 members C and D the members above C ∩ D meet in C ∩ D.  On success the
 recursion's result is the closure operator's image table, which the topology
 keeps as its only image cache.  On failure the pair loop runs as well, so
-:class:`NotIntersectionClosed` names the same pair whichever route decided.
+:class:`NotIntersectionClosed` names the same pair whichever route decided,
+trying only members above a missing intersection the recursion found.
 Closed sets taken from images already known to satisfy the axioms are not
 validated again (:meth:`Topology._trusted`).
 
@@ -88,11 +89,11 @@ MAX_RATIONAL_DIGITS = 1000
 
 def _exact_fraction(value: Fraction | int | str, what: str) -> Fraction:
     """An exact rational from a Fraction, an int or a string, named ``what``
-    in errors.  A float raises TypeError, and a string ValueError if it has
-    more than :data:`MAX_RATIONAL_DIGITS` digits or a larger decimal
-    exponent, or lies outside 3.10's ``Fraction`` grammar (no ``_``, no
-    space next to ``/``)."""
-    if isinstance(value, float):
+    in errors.  A bool or any other type (a float, a ``Decimal``) raises
+    TypeError, and a string ValueError if it has more than
+    :data:`MAX_RATIONAL_DIGITS` digits or a larger decimal exponent, or lies
+    outside 3.10's ``Fraction`` grammar (no ``_``, no space next to ``/``)."""
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
         raise TypeError(f"{what} must be exact: pass a Fraction, an int or a string")
     if not isinstance(value, str):
         return Fraction(value)
@@ -343,14 +344,19 @@ class Topology:
             raise MissingTopBottom("the full ground set must be closed")
         size = self.ground.size
         count = len(closed)
+        missing: list[int] = []
         if (size + 2) << (size - 1) < count * (count - 1) // 2:
             images = _superset_dp(full, bitset)
             if bitset.issuperset(images):
                 object.__setattr__(self, "_images", images)
                 return
+            missing = [m for m, image in enumerate(images) if m == image and m not in bitset]
         # The pair loop decides small families and names the first missing
-        # intersection whenever the recursion has found that one is missing.
+        # intersection whenever the recursion has found that one is missing:
+        # DP(a ∩ b) ⊆ a ∩ b, so a ∩ b ∉ S iff it is in ``missing``.
         for i, a in enumerate(closed):
+            if missing and not any(m & ~a == 0 for m in missing):
+                continue
             for b in closed[i + 1 :]:
                 if a & b not in bitset:
                     raise NotIntersectionClosed(self.ground.mask(a), self.ground.mask(b))

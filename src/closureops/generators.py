@@ -13,7 +13,8 @@ Two families of primitive closure operators generate everything:
   C, and everything else to X, so S(f_C) = {∅, C, X}.
 
 Each generator keeps its chain of closed sets in ``bits``, ascending bit
-patterns as in :attr:`Topology.bits`; its closures scan that chain.
+patterns as in :attr:`Topology.bits`; its closures and class indices scan
+that chain, and :func:`_chain_classes` alone turns a chain into classes.
 
 A family g_1, …, g_k *generates* f when f(A) = ⋂_i g_i(A) for every A.  Both
 functions here read each generator as its closed sets alone, by the union
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 from .core import GroundSet, SubsetMask, Topology, _exact_fraction, _first_superset
 from .core import _meet_images
-from .errors import BadEndpoints, GroundSetMismatch, NotAChain, WitnessVerificationFailed
+from .errors import BadEndpoints, GroundSetMismatch, NotAChain
 
 __all__ = [
     "WeakOrder",
@@ -47,6 +48,12 @@ __all__ = [
     "check_generation",
     "is_single_chain",
 ]
+
+
+def _chain_classes(ground: GroundSet, chain: Sequence[int]) -> tuple[SubsetMask, ...]:
+    """The classes of a strictly increasing chain of bit patterns from ∅ to
+    X: the differences of consecutive links, worst first, as masks."""
+    return tuple(ground.mask(upper ^ lower) for lower, upper in zip(chain, chain[1:]))
 
 
 @dataclass(frozen=True, repr=False)
@@ -90,8 +97,9 @@ class WeakOrder:
         """The weak order whose half-space chain is ∅ = B_0 ⊂ B_1 ⊂ … ⊂ B_k = X.
 
         The classes are the successive differences B_1, B_2 ∖ B_1, …, worst
-        first.  Raises :class:`BadEndpoints` unless the chain starts at ∅ and
-        ends at X, and :class:`NotAChain` unless it is strictly increasing.
+        first (:func:`_chain_classes`).  Raises :class:`BadEndpoints` unless
+        the chain starts at ∅ and ends at X, and :class:`NotAChain` unless
+        each link's bit pattern is a strict subset of the next one's.
         """
         chain = tuple(chain)
         if not chain:
@@ -102,14 +110,12 @@ class WeakOrder:
                 raise GroundSetMismatch("chain links live in different ground sets")
         if chain[0].bits != 0 or chain[-1].bits != ground.full_bits:
             raise BadEndpoints("chain must run from ∅ to the full ground set")
-        classes = []
         for lower, upper in zip(chain, chain[1:]):
-            if not lower < upper:
+            if lower.bits & ~upper.bits or lower.bits == upper.bits:
                 raise NotAChain(
                     f"{lower.label()} is not a strict subset of {upper.label()}"
                 )
-            classes.append(upper - lower)
-        return cls(ground, tuple(classes))
+        return cls(ground, _chain_classes(ground, [m.bits for m in chain]))
 
     @classmethod
     def from_utilities(
@@ -135,12 +141,10 @@ class WeakOrder:
         return len(self.classes)
 
     def class_index(self, name: str) -> int:
-        """0-based class index of an element (0 = worst)."""
-        bit = 1 << self.ground.index(name)
-        for i, c in enumerate(self.classes):
-            if c.bits & bit:
-                return i
-        raise WitnessVerificationFailed("unreachable: classes cover the ground set")
+        """0-based class index of an element (0 = worst): the position of the
+        first link of the chain holding it, less one."""
+        chain = self.bits
+        return chain.index(_first_superset(chain, 1 << self.ground.index(name))) - 1
 
     def at_least(self, a: str, b: str) -> bool:
         """Whether a ⪰ b."""
@@ -325,4 +329,4 @@ def is_single_chain(topology: Topology) -> WeakOrder | None:
     for lower, upper in zip(bits, bits[1:]):
         if lower & ~upper:
             return None
-    return WeakOrder.from_chain(topology.closed)
+    return WeakOrder(topology.ground, _chain_classes(topology.ground, bits))

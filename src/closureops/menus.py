@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexity import complexity_profile
-from .core import GroundSet, SubsetMask, Topology, _exact_fraction, _validate_images
+from .core import GroundSet, SubsetMask, Topology, _exact_fraction, _first_superset
+from .core import _validate_images
 from .errors import (
     AxiomsViolated,
     DoesNotRespect,
@@ -405,15 +406,15 @@ class KrepsRepresentation:
         return self.states[state].class_index(element) + 1
 
     def signature(self, menu: SubsetMask) -> tuple[int, ...]:
-        """σ(A) = (max_{a∈A} U(a, s))_s; requires a nonempty menu."""
+        """σ(A) = (max_{a∈A} U(a, s))_s, per state the index of the first link
+        of its (nested) chain holding A; requires a nonempty menu."""
         if menu.ground != self.ground:
             raise GroundSetMismatch("menu lives in a different ground set")
         if not menu:
             raise ValueError("the empty menu has no signature")
-        names = menu.members()
         return tuple(
-            max(self.state_utility(a, s) for a in names)
-            for s in range(len(self.states))
+            state.bits.index(_first_superset(state.bits, menu.bits))
+            for state in self.states
         )
 
     def evaluate(self, menu: SubsetMask) -> int:

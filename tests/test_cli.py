@@ -16,6 +16,9 @@ from closureops import (
     ChainCover,
     DoesNotRespect,
     FinitePoset,
+    InvalidOrderRelation,
+    NotAChain,
+    NotClosed,
     NotIntersectionClosed,
     Topology,
     WitnessVerificationFailed,
@@ -440,6 +443,31 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
     assert code == 3
     assert "internal error" in err and "planted failure" in err
     assert json.loads(out) == {"error": "planted failure", "internal": True}
+
+
+@pytest.mark.parametrize(
+    "error, owner, name, command",
+    [
+        (NotAChain, complexity, "_chain_classes", "complexity"),
+        (InvalidOrderRelation, FinitePoset, "hasse", "hasse"),
+        (NotClosed, FinitePoset, "mobius", "mobius"),
+    ],
+)
+def test_errors_no_input_raises_exit_3_with_an_error_document(
+    tmp_path, capsys, monkeypatch, error, owner, name, command
+):
+    # These exceptions come only from a bug, so they must not share exit 1
+    # with invalid input.
+    def planted(*args):
+        raise error("planted bug")
+
+    monkeypatch.setattr(owner, name, planted)
+    path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
+    code, out, err = _run(capsys, command, "--topology", path)
+    message = f"{error.__name__}: planted bug"
+    assert code == 3
+    assert err == f"internal error: {message}\n"
+    assert json.loads(out) == {"error": message, "internal": True}
 
 
 def test_any_other_exception_exits_3_naming_its_type(tmp_path, capsys, monkeypatch):

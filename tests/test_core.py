@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -215,7 +216,8 @@ def _meet_reducible(rng: random.Random, bits: list[int]) -> int | None:
 
 def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
     # The superset recursion decides dense families; the pair loop decides
-    # small ones and names the missing intersection whenever one is missing.
+    # small ones and names the missing intersection whenever one is missing,
+    # also when several are.
     taken = _count_methods(monkeypatch)
     sides: Counter = Counter()
     for seed in range(300):
@@ -232,19 +234,35 @@ def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
             assert t._images == oracle_scan_images(g.full_bits, bits)
         else:
             assert t._images is None
-        dropped = _meet_reducible(rng, bits)
-        if dropped is None:
-            continue
-        broken = [b for b in bits if b != dropped]
-        a, b = oracle_missing_intersection(broken)
-        before = taken["dp"]
-        with pytest.raises(NotIntersectionClosed) as err:
-            Topology(g, broken)
-        sides["broken", "dp" if taken["dp"] > before else "pairs"] += 1
-        assert tuple(m.bits for m in err.value.witness) == (a, b)
-        assert str(err.value) == str(NotIntersectionClosed(g.mask(a), g.mask(b)))
+        middle = bits[1:-1]
+        several = set(rng.sample(middle, min(len(middle), rng.randint(2, 10))))
+        for dropped in ({_meet_reducible(rng, bits)}, several):
+            broken = [b for b in bits if b not in dropped]
+            first = oracle_missing_intersection(broken)
+            if first is None:
+                continue
+            a, b = first
+            before = taken["dp"]
+            with pytest.raises(NotIntersectionClosed) as err:
+                Topology(g, broken)
+            sides["broken", "dp" if taken["dp"] > before else "pairs"] += 1
+            assert tuple(m.bits for m in err.value.witness) == (a, b)
+            assert str(err.value) == str(NotIntersectionClosed(g.mask(a), g.mask(b)))
     assert taken["fill"] == 0
     assert min(sides[key] for key in product(("valid", "broken"), ("dp", "pairs"))) >= 20
+
+
+def test_a_dense_family_missing_one_meet_is_rejected_fast():
+    # Every subset but X ∖ {e0, e1}, at n = 16: 65,535 members, so the pair
+    # loop alone would test about 2^31 pairs.
+    g = GroundSet(tuple(f"e{i}" for i in range(16)))
+    full = g.full_bits
+    start = time.perf_counter()
+    with pytest.raises(NotIntersectionClosed) as err:
+        Topology(g, [b for b in range(full + 1) if b != full & ~0b11])
+    assert time.perf_counter() - start < 1
+    a, b = err.value.witness
+    assert (a.bits, b.bits) == (full & ~0b10, full & ~0b01)
 
 
 def test_validation_table_is_the_image_cache(monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from closureops import (
     NotAChain,
     Topology,
     WeakOrder,
-    WitnessVerificationFailed,
     check_generation,
     intersect_generate,
     is_single_chain,
@@ -99,6 +99,9 @@ def test_from_utilities_groups_by_ascending_level():
         WeakOrder.from_utilities(g, {"a": 1, "b": 2})
     with pytest.raises(TypeError):  # 0.1 + 0.2 > 0.3 as floats
         WeakOrder.from_utilities(g, {"a": 0.1 + 0.2, "b": 0.3, "c": 1})
+    for bad in (True, False, Decimal("0.5")):  # not exact rationals by type
+        with pytest.raises(TypeError):
+            WeakOrder.from_utilities(g, {"a": bad, "b": 1, "c": 1})
 
 
 def test_class_index_and_comparisons():
@@ -108,16 +111,15 @@ def test_class_index_and_comparisons():
     assert wo.class_index("a") == 2
     assert wo.at_least("a", "b") and wo.at_least("c", "d")
     assert not wo.at_least("d", "b")
-
-
-def test_class_index_outside_every_class_is_an_internal_failure():
-    # Unreachable through the validating constructor, which requires the
-    # classes to cover the ground set.
-    wo = order(ground(ABCD), "cd", "b", "a")
-    object.__setattr__(wo, "classes", wo.classes[:-1])
-    assert wo.class_index("b") == 1
-    with pytest.raises(WitnessVerificationFailed, match="unreachable"):
-        wo.class_index("a")
+    # The chain scan gives the position of the class holding the element.
+    rng = random.Random(17)
+    for n in (1, 3, 6, 9):
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        for _ in range(20):
+            wo = random_weak_order(rng, g)
+            for name in g.elements:
+                holding = [i for i, c in enumerate(wo.classes) if name in c]
+                assert [wo.class_index(name)] == holding
 
 
 def test_support_set_is_the_best_class_slice():

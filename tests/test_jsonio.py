@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -131,7 +132,8 @@ def test_fraction_parsing_rejects_inexact_or_malformed():
             fraction_from(bad, "v")
         if isinstance(bad, str):
             _utility_constructors_reject(bad, ValueError)
-    _utility_constructors_reject(0.5, TypeError)
+    for bad in (0.5, True, False, Decimal("0.5")):
+        _utility_constructors_reject(bad, TypeError)
 
 
 def test_fraction_parsing_bounds_digits_and_exponent():

@@ -218,11 +218,21 @@ def test_bob_needs_two_states():
 
 
 def test_representation_reproduces_the_preference_order():
-    for pref in (alice_preference(), bob_preference()):
+    rng = random.Random(23)
+    random_prefs = [
+        sum_of_maxes(g, [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))])
+        for g in (ground("ab"), ground("abcd"), ground("abcde"))
+    ]
+    for pref in (alice_preference(), bob_preference(), *random_prefs):
         rep = kreps_representation(pref)
         g = pref.ground
         menus = [m for m in g.subsets() if m]
         for a in menus:
+            # σ(A) read off the chains is the per-state maximum over A.
+            assert rep.signature(a) == tuple(
+                max(rep.state_utility(name, s) for name in a.members())
+                for s in range(rep.state_count)
+            )
             for b in menus:
                 assert (rep.evaluate(a) >= rep.evaluate(b)) == pref.weakly_prefers(
                     a, b
