@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Any
 
 from . import jsonio
@@ -176,7 +177,7 @@ def _run_hasse(args: argparse.Namespace) -> tuple[str, int]:
     poset = FinitePoset.from_topology(topology)
     if args.dot:
         return to_dot(poset).removesuffix("\n"), 0  # _write adds the last newline
-    return jsonio.hasse_doc(topology, poset.hasse()), 0
+    return jsonio.hasse_doc(topology, poset.upper_cover_indices()), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,12 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(report: str, out: str | None) -> None:
-    text = report + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # The newline is a second write: appending it would copy the report.
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+        handle.write(report)
+        handle.write("\n")
 
 
 _parser: argparse.ArgumentParser | None = None

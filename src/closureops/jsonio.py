@@ -597,8 +597,8 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
 def mobius_doc(topology: Topology, table: MobiusTable) -> str:
     """The closed sets of ``topology``, which are the items of ``table``'s
     poset, and the entries, from the table's (i, j, μ) rows.  Each closed
-    set's name array is rendered once, from its bit pattern, and the entries
-    are one join of shared pieces: entry (i, j) is
+    set's name array is rendered once, from its bit pattern, and the report
+    is one join of shared pieces: entry (i, j) is
     ``head + names[i] + to[j] + str(μ) + tail``."""
     writer = _Writer(topology.ground)
     listed = [writer.pattern(bits, 2) for bits in topology.bits]
@@ -606,29 +606,28 @@ def mobius_doc(topology: Topology, table: MobiusTable) -> str:
     head, middle, before_mu, tail = _template(("from", "to", "mu"), 2).split("%s")
     to = [middle + name + before_mu for name in names]
     between = tail + ",\n" + "  " * 2 + head  # from one entry to the next
-    pieces: list[str] = []
+    start, before_sets, before_entries, end = _template(
+        ("elements", "closed_sets", "entries"), 0
+    ).split("%s")
+    opening, closing = _array(["%s"], 1).split("%s")
+    pieces = [start, writer.elements(1), before_sets, _array(listed, 1), before_entries]
     for lower, row in zip(names, table.rows):
         pieces += chain.from_iterable(
             zip(repeat(between + lower), map(to.__getitem__, row), map(str, row.values()))
         )
-    pieces[0] = head + names[0]
-    return _template(("elements", "closed_sets", "entries"), 0) % (
-        writer.elements(1),
-        _array(listed, 1),
-        _array(["".join(pieces) + tail], 1),
-    )
+    pieces[5] = opening + head + names[0]  # the first entry follows no other
+    pieces.append(tail + closing + end)
+    return "".join(pieces)
 
 
-def hasse_doc(
-    topology: Topology, covers: tuple[tuple[SubsetMask, SubsetMask], ...]
-) -> str:
+def hasse_doc(topology: Topology, covers: Sequence[Sequence[int]]) -> str:
+    """The covering pairs of ``topology``'s closed sets, from the indices of their
+    upper covers (``FinitePoset.upper_cover_indices()``), each named once."""
     writer = _Writer(topology.ground)
-    subset = writer.subset
+    names = [writer.pattern(bits, 3) for bits in topology.bits]
     edge = _template(("lower", "upper"), 2)
-    return _template(("elements", "edges"), 0) % (
-        writer.elements(1),
-        _array([edge % (subset(a, 3), subset(b, 3)) for a, b in covers], 1),
-    )
+    edges = [edge % (names[i], names[j]) for i, above in enumerate(covers) for j in above]
+    return _template(("elements", "edges"), 0) % (writer.elements(1), _array(edges, 1))
 
 
 def decomposition_doc(

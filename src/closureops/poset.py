@@ -663,7 +663,7 @@ def to_dot(
     for i, item in enumerate(poset.items):
         text = label(item).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{text}"];')
-    for lower, upper in poset.hasse():
-        lines.append(f"  n{poset.index(lower)} -> n{poset.index(upper)};")
+    for i, above in enumerate(poset.upper_cover_indices()):
+        lines += (f"  n{i} -> n{j};" for j in above)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from closureops import (
     ChainCover,
     DoesNotRespect,
     FinitePoset,
+    GroundSet,
     InvalidOrderRelation,
     NotAChain,
     NotClosed,
@@ -449,7 +450,7 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
     "error, owner, name, command",
     [
         (NotAChain, complexity, "_chain_classes", "complexity"),
-        (InvalidOrderRelation, FinitePoset, "hasse", "hasse"),
+        (InvalidOrderRelation, FinitePoset, "upper_cover_indices", "hasse"),
         (NotClosed, FinitePoset, "mobius", "mobius"),
     ],
 )
@@ -705,19 +706,24 @@ def test_one_parser_serves_every_call_without_leaking_arguments(
 
 
 def test_out_flag_writes_the_same_bytes_as_stdout(tmp_path, capsys):
-    src = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
-    code, out, _ = _run(capsys, "complexity", "--topology", src)
-    assert code == 0
-    first = tmp_path / "one.json"
-    second = tmp_path / "two.json"
-    for target in (first, second):
-        code, piped, _ = _run(
-            capsys, "--out", str(target), "complexity", "--topology", src
-        )
+    fork = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
+    g = GroundSet(tuple(f"e{i}" for i in range(10)))
+    discrete = _write(tmp_path, "d.json", oracle_topology_doc(Topology(g, range(1 << 10))))
+    # The discrete mobius and hasse reports run to megabytes; the report and
+    # its newline are written separately, to stdout as to --out.
+    for command, src in (("complexity", fork), ("mobius", discrete), ("hasse", discrete)):
+        code, out, _ = _run(capsys, command, "--topology", src)
         assert code == 0
-        assert piped == ""  # --out diverts the report
-    assert first.read_bytes() == second.read_bytes()
-    assert first.read_text(encoding="utf-8") == out
+        assert out.endswith("}\n")  # exactly one newline after the report
+        first = tmp_path / "one.json"
+        second = tmp_path / "two.json"
+        for target in (first, second):
+            code, piped, _ = _run(
+                capsys, "--out", str(target), command, "--topology", src
+            )
+            assert code == 0
+            assert piped == ""  # --out diverts the report
+        assert first.read_bytes() == second.read_bytes() == out.encode("utf-8")
 
 
 def test_out_flag_also_captures_failure_reports(tmp_path, capsys):

@@ -568,7 +568,7 @@ def test_mobius_document_for_a_chain():
 
 def test_hasse_document_for_a_chain():
     t = topo(ground("ab"), "", "a", "ab")
-    covers = FinitePoset.from_topology(t).hasse()
+    covers = FinitePoset.from_topology(t).upper_cover_indices()
     assert hasse_doc(t, covers) == _text({
         "elements": ["a", "b"],
         "edges": [
@@ -643,7 +643,7 @@ def _reports(names, labels, seed, trivial):
         (kreps_doc(kreps), oracle_kreps_doc(kreps)),
         (additive_doc(additive), oracle_additive_doc(additive)),
         (mobius_doc(t, poset.mobius()), oracle_mobius_doc(t, poset.mobius())),
-        (hasse_doc(t, poset.hasse()), oracle_hasse_doc(t, poset.hasse())),
+        (hasse_doc(t, poset.upper_cover_indices()), oracle_hasse_doc(t, poset.hasse())),
         (
             decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),
             oracle_decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),

@@ -28,6 +28,7 @@ from closureops import (
 from closureops.cli import main
 from conftest import (
     oracle_check_generation,
+    oracle_hasse_doc,
     oracle_mobius_doc,
     oracle_topology_doc,
     oracle_validation_doc,
@@ -229,12 +230,12 @@ def test_table_and_mobius_calls_build_no_mask(capsys, tmp_path, count_masks):
     table.write_text(json.dumps(_table_doc(names, order, order)), encoding="utf-8")
     topology = tmp_path / "topology.json"
     topology.write_text(json.dumps(oracle_topology_doc(discrete)), encoding="utf-8")
+    poset = FinitePoset.from_topology(discrete)
     expected = {
         "validate": _text(oracle_validation_doc(validate_closure(g, discrete.table()))),
         "topology": _text(oracle_topology_doc(discrete)),
-        "mobius": _text(
-            oracle_mobius_doc(discrete, FinitePoset.from_topology(discrete).mobius())
-        ),
+        "mobius": _text(oracle_mobius_doc(discrete, poset.mobius())),
+        "hasse": _text(oracle_hasse_doc(discrete, poset.hasse())),
     }
     made = count_masks()
     outputs = {}
@@ -242,6 +243,7 @@ def test_table_and_mobius_calls_build_no_mask(capsys, tmp_path, count_masks):
         ("validate", "--table", table),
         ("topology", "--from-table", table),
         ("mobius", "--topology", topology),
+        ("hasse", "--topology", topology),
     ):
         assert main([command, flag, str(path)]) == 0
         outputs[command] = capsys.readouterr().out
