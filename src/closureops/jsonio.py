@@ -32,7 +32,9 @@ values they return hold masks.  An error message names a subset by its label,
 which is built only when the error is raised.
 
 Utilities are exact rationals: JSON strings (``"3/2"``, ``"1.5"``) or integers.
-Floats are rejected — binary floating point is not exact.
+Floats are rejected — binary floating point is not exact.  Each distinct
+value of a preference is parsed once, and its ``Fraction`` shared by the
+menus that carry it.
 
 Element and label names must be encodable as UTF-8: a lone surrogate, which
 JSON's ``\\ud800`` escape can carry, is a :class:`SchemaError`.
@@ -172,18 +174,20 @@ def ground_from(doc: Any) -> GroundSet:
 
 
 def _bits_from(ground: GroundSet, value: Any, what: str) -> int:
-    """The bit pattern of an array of element names, read in one pass."""
-    names = _require_list(value, what)
+    """The bit pattern of an array of element names, read in one pass with
+    one dict lookup per name."""
     index = ground._index
     bits = 0
     try:
-        for name in names:
+        if not isinstance(value, list):  # a dict or string would iterate
+            raise TypeError
+        for name in value:
             bits |= 1 << index[name]
     except (KeyError, TypeError):
         # Check again in two passes to raise the right error: a SchemaError
-        # for a non-string entry anywhere, else a ForeignMask for the first
-        # unknown name.
-        ground.subset(_name_list(names, what))
+        # for a non-array or a non-string entry anywhere, else a ForeignMask
+        # for the first unknown name.
+        ground.subset(_name_list(value, what))
         raise
     return bits
 
@@ -210,14 +214,17 @@ def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
     _require("map" in doc, 'operator table document needs a "map" array')
     images = [-1] * (ground.full_bits + 1)
     for entry in _require_list(doc["map"], '"map"'):
-        entry = _require_dict(entry, "map entry")
-        _require(
-            "from" in entry and "to" in entry, 'map entries need "from" and "to"'
-        )
-        key = _bits_from(ground, entry["from"], '"from"')
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError
+            source, target = entry["from"], entry["to"]
+        except (KeyError, TypeError):
+            _require_dict(entry, "map entry")
+            raise SchemaError('map entries need "from" and "to"') from None
+        key = _bits_from(ground, source, '"from"')
         if images[key] != -1:
             raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
-        images[key] = _bits_from(ground, entry["to"], '"to"')
+        images[key] = _bits_from(ground, target, '"to"')
     return ground, images
 
 
@@ -303,21 +310,32 @@ def preference_from(doc: Any) -> MenuPreference:
     ground = ground_from(doc)
     _require("utilities" in doc, 'preference document needs a "utilities" array')
     values: list[Fraction | None] = [None] * (ground.full_bits + 1)
+    # Each distinct raw value is parsed once, and its Fraction shared by every
+    # menu that carries it.  The type is part of the key: True == 1 == 1.0.
+    parsed: dict[tuple[type, Any], Fraction] = {}
     for entry in _require_list(doc["utilities"], '"utilities"'):
-        entry = _require_dict(entry, "utility entry")
-        _require(
-            "menu" in entry and "value" in entry,
-            'utility entries need "menu" and "value"',
-        )
-        menu = _bits_from(ground, entry["menu"], '"menu"')
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError
+            names, raw = entry["menu"], entry["value"]
+        except (KeyError, TypeError):
+            _require_dict(entry, "utility entry")
+            raise SchemaError('utility entries need "menu" and "value"') from None
+        menu = _bits_from(ground, names, '"menu"')
         if values[menu] is not None:
             raise SchemaError(f"duplicate utility for menu {ground.mask(menu).label()}")
+        key = (type(raw), raw)
         try:
-            values[menu] = fraction_from(entry["value"], "value")
-        except SchemaError:
-            # Parse again to name the menu: its label is built only on failure.
-            fraction_from(entry["value"], f"value of {ground.mask(menu).label()}")
-            raise
+            value = parsed[key]
+        except (KeyError, TypeError):  # not parsed yet, or unhashable
+            try:
+                value = fraction_from(raw, "value")
+            except SchemaError:
+                # Parse again to name the menu: its label is built only on failure.
+                fraction_from(raw, f"value of {ground.mask(menu).label()}")
+                raise
+            parsed[key] = value
+        values[menu] = value
     missing = next((bits for bits in range(1, len(values)) if values[bits] is None), None)
     _require(
         missing is None,

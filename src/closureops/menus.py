@@ -31,10 +31,13 @@ constructs two state-space representations:
   vanishes off S(f) exactly when U respects f; splitting h = h⁺ − h⁻ on the
   nonempty closed sets gives 2·(|S(f)|−1) states, each carrying a closed set
   B and a per-element utility (−weight inside B, 0 outside), whose
-  sum-of-maxes evaluation reproduces U exactly — in exact rational arithmetic.
+  sum-of-maxes evaluation reproduces U exactly.  The transform runs on the
+  integer keys U·L, L the lcm of the utilities' denominators, and falls
+  back to the Fractions when L grows past a bound.
 
 Utilities are compared by their dense ranks, ints that order menus exactly as
-U does; the exact Fractions serve arithmetic, reports and :func:`_check_ranks`.
+U does, built once per preference from its distinct utilities; the exact
+Fractions serve arithmetic, reports and :func:`_check_ranks`.
 
 Everything is verified at construction; verification failures for
 mathematically guaranteed facts raise
@@ -45,12 +48,14 @@ while user-facing failures raise :class:`~closureops.errors.AxiomsViolated` or
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexity import complexity_profile
-from .core import GroundSet, SubsetMask, Topology, _exact_fraction, _first_superset
+from .core import MAX_RATIONAL_DIGITS, GroundSet, SubsetMask, Topology, _exact_fraction
+from .core import _first_superset
 from .core import _validate_images
 from .errors import (
     AxiomsViolated,
@@ -87,21 +92,36 @@ class MenuPreference:
     ground: GroundSet
     values: tuple[Fraction | None, ...]
     _ranks: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    _levels: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.ground.full_bits + 1:
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.ground.full_bits + 1:
             raise ValueError("one utility required per menu")
-        for bits, value in enumerate(self.values):
-            if bits and not isinstance(value, Fraction):
-                raise ValueError(
-                    f"missing or inexact utility for menu "
-                    f"{self.ground.mask(bits).label()}"
-                )
-        # The dense rank of each menu's utility (None for ∅), from one sort.
-        utilities = self.values[1:]
-        level = {value: i for i, value in enumerate(sorted(set(utilities)))}
-        object.__setattr__(self, "_ranks", (None, *map(level.__getitem__, utilities)))
+        # Each distinct object is checked once, and only the distinct
+        # Fractions are hashed and sorted: menus sharing a utility object (as
+        # the JSON reader builds them) cost one lookup by identity each.
+        utilities = values[1:]
+        objects = dict(zip(map(id, utilities), utilities))
+        if not all(isinstance(value, Fraction) for value in objects.values()):
+            bits = next(
+                bits for bits, value in enumerate(values)
+                if bits and not isinstance(value, Fraction)
+            )
+            raise ValueError(
+                f"missing or inexact utility for menu "
+                f"{self.ground.mask(bits).label()}"
+            )
+        # The sorted distinct utilities, and each menu's dense rank among them.
+        levels = tuple(sorted(set(objects.values())))
+        level = {value: i for i, value in enumerate(levels)}
+        for key, value in objects.items():  # each object's rank, in place
+            objects[key] = level[value]
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(
+            self, "_ranks", (None, *map(objects.__getitem__, map(id, utilities)))
+        )
 
     @classmethod
     def from_utilities(
@@ -594,10 +614,10 @@ class AdditiveRepresentation:
         return total
 
 
-def _superset_transform(values: list[Fraction], *, inverse: bool) -> list[Fraction]:
+def _superset_transform(values: list, *, inverse: bool) -> list:
     """The superset zeta transform A ↦ Σ{values[B] : A ⊆ B}, or with
     ``inverse`` its Möbius inverse, in place over all 2^n menus: one pass per
-    element (Yates), skipping zero terms."""
+    element (Yates), skipping zero terms.  The values are ints or Fractions."""
     step = 1
     while step < len(values):
         for block in range(0, len(values), 2 * step):
@@ -609,27 +629,60 @@ def _superset_transform(values: list[Fraction], *, inverse: bool) -> list[Fracti
     return values
 
 
+def _utility_keys(preference: MenuPreference) -> tuple[list, int]:
+    """The keys U(A)·L by menu bit pattern (0 for ∅) and the scale L.
+
+    L is the lcm of the denominators of the distinct utilities, so every key
+    is an int, one per distinct utility, spread to the menus by their ranks.
+    If L would exceed 10^MAX_RATIONAL_DIGITS, the largest denominator of one
+    accepted rational string (:data:`~closureops.core.MAX_RATIONAL_DIGITS`),
+    the keys are the Fractions themselves and L = 1: many distinct
+    denominators must not make the integers grow without bound.
+    """
+    levels = preference._levels
+    bound = 10**MAX_RATIONAL_DIGITS
+    scale = 1
+    for value in levels:
+        scale = math.lcm(scale, value.denominator)
+        if scale > bound:
+            keys, scale = levels, 1
+            break
+    else:
+        keys = tuple(value.numerator * (scale // value.denominator) for value in levels)
+    return [0, *map(keys.__getitem__, preference._ranks[1:])], scale
+
+
+def _scaled(weight: Fraction, scale: int) -> int | Fraction:
+    """weight·scale, as an int when it is one."""
+    quotient, remainder = divmod(scale, weight.denominator)
+    return weight * scale if remainder else weight.numerator * quotient
+
+
 def _check_additive_states(
-    preference: MenuPreference,
+    ground: GroundSet,
+    keys: list,
+    scale: int,
     positive: list[AdditiveState],
     negative: list[AdditiveState],
 ) -> None:
     """Verify that the states' sum-of-maxes evaluation equals U on every
-    nonempty menu, in O(n·2^n).  A state with carrier B and weight w ≥ 0 has
-    max_{a∈A} U(a, s) = −w if A ⊆ B and 0 otherwise, so the evaluation of A
-    is the superset sum at A of the net weights (negative minus positive)."""
-    ground = preference.ground
-    nets = [Fraction(0)] * (ground.full_bits + 1)
+    nonempty menu, in O(n·2^n), on the keys U·L of :func:`_utility_keys`.
+    A state with carrier B and weight w ≥ 0 has max_{a∈A} U(a, s) = −w if
+    A ⊆ B and 0 otherwise, so the evaluation of A, times L, is the superset
+    sum at A of the net weights (negative minus positive) times L.  Each
+    weight is read from its state, so the check does not rely on the
+    inversion that produced it."""
+    nets: list = [0] * (ground.full_bits + 1)
     for state in positive:
-        nets[state.carrier.bits] -= state.weight
+        nets[state.carrier.bits] -= _scaled(state.weight, scale)
     for state in negative:
-        nets[state.carrier.bits] += state.weight
+        nets[state.carrier.bits] += _scaled(state.weight, scale)
     evaluated = _superset_transform(nets, inverse=False)
-    for bits in range(1, ground.full_bits + 1):
-        if evaluated[bits] != preference.values[bits]:
-            raise WitnessVerificationFailed(
-                f"additive evaluation differs from U at {ground.mask(bits).label()}"
-            )
+    if evaluated[1:] != keys[1:]:
+        bits = next(b for b in range(1, len(keys)) if evaluated[b] != keys[b])
+        raise WitnessVerificationFailed(
+            f"additive evaluation differs from U at {ground.mask(bits).label()}"
+        )
 
 
 def additive_representation(
@@ -639,20 +692,23 @@ def additive_representation(
     :class:`AdditiveRepresentation`.
 
     The weights h are the superset Möbius transform of U (U(∅) taken as 0),
-    so U(A) = Σ{h(B) : A ⊆ B} for every nonempty A; n·2^(n−1) subtractions.
-    h vanishes on the nonempty menus outside S(f) iff U respects f.  If U
-    respects f, U(A) = U(f(A)) sums the Möbius weights over the closed sets
-    B ⊇ f(A), which are the closed B ⊇ A, so by uniqueness of the transform
-    those weights are h.  Conversely, if h vanishes off S(f), U(A) sums h over
-    the closed B ⊇ A, which are the closed B ⊇ f(A), and equals U(f(A)).
-    Otherwise :class:`DoesNotRespect` names the witness :func:`respects`
-    finds.  The finished states are verified against U on every nonempty menu
-    by :func:`_check_additive_states`.
+    so U(A) = Σ{h(B) : A ⊆ B} for every nonempty A; n·2^(n−1) subtractions,
+    run on the integer keys U·L of :func:`_utility_keys` and divided by L
+    only for the weights reported.  h vanishes on the nonempty menus outside
+    S(f) iff U respects f.  If U respects f, U(A) = U(f(A)) sums the Möbius
+    weights over the closed sets B ⊇ f(A), which are the closed B ⊇ A, so by
+    uniqueness of the transform those weights are h.  Conversely, if h
+    vanishes off S(f), U(A) sums h over the closed B ⊇ A, which are the
+    closed B ⊇ f(A), and equals U(f(A)).  Otherwise :class:`DoesNotRespect`
+    names the witness :func:`respects` finds.  The finished states are
+    verified against U on every nonempty menu by
+    :func:`_check_additive_states`.
     """
     if preference.ground != f.ground:
         raise GroundSetMismatch("preference and operator use different ground sets")
     ground = preference.ground
-    weights = _superset_transform([Fraction(0), *preference.values[1:]], inverse=True)
+    keys, scale = _utility_keys(preference)
+    weights = _superset_transform(list(keys), inverse=True)
     if any(
         weights[bits] and not f.contains_bits(bits)
         for bits in range(1, ground.full_bits + 1)
@@ -661,17 +717,18 @@ def additive_representation(
         if ok:
             raise WitnessVerificationFailed("weights off S(f) although U respects f")
         raise DoesNotRespect(witness)
+    zero = Fraction(0)
     positive = []
     negative = []
     for i, m in enumerate(f.closed[1:]):  # the nonempty closed sets
         h = weights[m.bits]
         positive.append(
-            AdditiveState(name=f"p{i + 1}", carrier=m, weight=max(Fraction(0), -h))
+            AdditiveState(f"p{i + 1}", m, Fraction(-h, scale) if h < 0 else zero)
         )
         negative.append(
-            AdditiveState(name=f"n{i + 1}", carrier=m, weight=max(Fraction(0), h))
+            AdditiveState(f"n{i + 1}", m, Fraction(h, scale) if h > 0 else zero)
         )
-    _check_additive_states(preference, positive, negative)
+    _check_additive_states(ground, keys, scale, positive, negative)
     return AdditiveRepresentation(
         ground=ground,
         positive_states=tuple(positive),

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from closureops import (
     AdditiveRepresentation,
+    AdditiveState,
     AxiomReport,
     BinaryClassifier,
     ChainCover,
@@ -656,6 +657,44 @@ def oracle_additive_weights(
     closed = [m for m in f.closed_sets() if m.bits]
     reversed_poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
     return reversed_poset.mobius_invert({m: preference.utility(m) for m in closed})
+
+
+def oracle_superset_transform(
+    values: list[Fraction], *, inverse: bool
+) -> list[Fraction]:
+    """The superset zeta transform A ↦ Σ{values[B] : A ⊆ B}, or with
+    ``inverse`` its Möbius inverse, in place, on Fractions (Yates)."""
+    step = 1
+    while step < len(values):
+        for block in range(0, len(values), 2 * step):
+            for a in range(block, block + step):
+                term = values[a + step]
+                if term:
+                    values[a] = values[a] - term if inverse else values[a] + term
+        step *= 2
+    return values
+
+
+def oracle_additive_representation(
+    preference: MenuPreference, f: ClosureOperator
+) -> AdditiveRepresentation:
+    """The additive states of a preference respecting f, with the Möbius
+    weights computed on the Fraction utilities themselves."""
+    weights = oracle_superset_transform(
+        [Fraction(0), *preference.values[1:]], inverse=True
+    )
+    closed = [m for m in f.closed_sets() if m.bits]
+    return AdditiveRepresentation(
+        preference.ground,
+        tuple(
+            AdditiveState(f"p{i + 1}", m, max(Fraction(0), -weights[m.bits]))
+            for i, m in enumerate(closed)
+        ),
+        tuple(
+            AdditiveState(f"n{i + 1}", m, max(Fraction(0), weights[m.bits]))
+            for i, m in enumerate(closed)
+        ),
+    )
 
 
 def oracle_evaluate(

@@ -29,6 +29,7 @@ from closureops import (
     kreps_representation,
     validate_closure,
 )
+from closureops.cli import main
 from closureops.jsonio import (
     MAX_RATIONAL_DIGITS,
     additive_doc,
@@ -47,6 +48,7 @@ from closureops.jsonio import (
     labeling_doc,
     labeling_from,
     mobius_doc,
+    operator_images_from,
     operator_table_from,
     preference_from,
     profile_doc,
@@ -182,6 +184,7 @@ def test_name_arrays_fail_with_the_messages_of_both_checks():
     g = ground("ab")
     cases = [
         ("ab", SchemaError, "subset must be a JSON array"),
+        ({"a": 1}, SchemaError, "subset must be a JSON array"),
         (["q", 5], SchemaError, "subset must contain strings"),
         (["a", ["b"]], SchemaError, "subset must contain strings"),
         (["a", "q", "r"], ForeignMask, "element 'q' is not in the ground set"),
@@ -192,6 +195,39 @@ def test_name_arrays_fail_with_the_messages_of_both_checks():
         assert str(err.value) == message
     with pytest.raises(ForeignMask, match="^element 'q' is not in the ground set$"):
         topology_from({"elements": ["a", "b"], "closed_sets": [[], ["q"], ["a", "b"]]})
+
+
+def test_entries_fail_with_the_messages_of_the_checks():
+    # Entries are read inline; a failing one is checked again, so it raises
+    # the error it raised when every entry was checked first.
+    not_object = "map entry must be a JSON object"
+    needs = 'map entries need "from" and "to"'
+    cases = [
+        (["x"], SchemaError, not_object),
+        ([None], SchemaError, not_object),
+        ([{"from": []}], SchemaError, needs),
+        ([{"from": {"a": 1}, "to": []}], SchemaError, '"from" must be a JSON array'),
+        ([{"from": ["a"], "to": "ab"}], SchemaError, '"to" must be a JSON array'),
+        ([{"from": ["a"], "to": ["q"]}], ForeignMask, "element 'q' is not in the ground set"),
+        ([{"from": [], "to": []}, {"from": [], "to": "x"}], SchemaError,
+         "duplicate map entry for ∅"),
+    ]
+    for entries, error, message in cases:
+        with pytest.raises(error) as err:
+            operator_images_from({"elements": ["a", "b"], "map": entries})
+        assert str(err.value) == message
+    cases = [
+        ([[1]], SchemaError, "utility entry must be a JSON object"),
+        ([{"value": 1}], SchemaError, 'utility entries need "menu" and "value"'),
+        ([{"menu": "a", "value": 1}], SchemaError, '"menu" must be a JSON array'),
+        ([{"menu": [1], "value": 1}], SchemaError, '"menu" must contain strings'),
+        ([{"menu": ["a"], "value": {"x": 1}}], SchemaError,
+         "value of {a} must be a rational string or integer"),
+    ]
+    for entries, error, message in cases:
+        with pytest.raises(error) as err:
+            preference_from({"elements": ["a", "b"], "utilities": entries})
+        assert str(err.value) == message
 
 
 def _names(n: int, bits: int) -> list[str]:
@@ -424,6 +460,70 @@ def test_entry_errors_name_their_subset():
         with pytest.raises(SchemaError) as err:
             preference_from({"elements": ["a", "b"], "utilities": [*utilities, entry]})
         assert str(err.value) == message
+
+
+def _menu_rep(tmp_path, capsys, values) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``menu-rep --style kreps`` on the
+    preference giving ``values`` to {a}, {b} and {a,b}, in that order."""
+    menus = [["a"], ["b"], ["a", "b"]]
+    doc = {
+        "elements": ["a", "b"],
+        "utilities": [{"menu": m, "value": v} for m, v in zip(menus, values)],
+    }
+    path = tmp_path / "preference.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["menu-rep", "--preference", str(path), "--style", "kreps"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_values_are_parsed_by_type_and_value(tmp_path, capsys):
+    # Each raw value is parsed once per (type, value): True == 1 == 1.0 and
+    # they hash alike, yet only the int is exact.  A failure names its own
+    # menu even when the same value parsed for an earlier menu under another
+    # type.
+    rejected = "must be a rational string or integer"
+    inexact = "must be exact; write the rational as a string, not a float"
+    cases = [
+        ([1, True, 2], f"error: value of {{b}} {rejected}\n"),
+        ([1, 1.0, 2], f"error: value of {{b}} {inexact}\n"),
+        (["1", [1], 2], f"error: value of {{b}} {rejected}\n"),
+        ([1, "2", True], f"error: value of {{a,b}} {rejected}\n"),
+        (["1", 2, 1.0], f"error: value of {{a,b}} {inexact}\n"),
+    ]
+    for values, message in cases:
+        assert _menu_rep(tmp_path, capsys, values) == (2, "", message)
+    code, expected, err = _menu_rep(tmp_path, capsys, ["1", "1", "2"])
+    assert (code, err) == (0, "")
+    for values in (["1", 1, 2], ["1/2", "1/2", 2]):
+        assert _menu_rep(tmp_path, capsys, values) == (0, expected, "")
+
+
+def test_repeated_values_share_one_fraction():
+    g = ground("ab")
+    doc = {
+        "elements": ["a", "b"],
+        "utilities": [
+            {"menu": ["a"], "value": "1/2"},
+            {"menu": ["b"], "value": "1/2"},
+            {"menu": ["a", "b"], "value": 1},
+        ],
+    }
+    pref = preference_from(doc)
+    assert pref.utility(sub(g, "a")) is pref.utility(sub(g, "b"))
+    assert pref.values[1:] == (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+    # U(A) = |A| on 12 elements: 4095 menus, 12 distinct values.
+    names = [f"e{i}" for i in range(12)]
+    doc = {
+        "elements": names,
+        "utilities": [
+            {"menu": _names(12, bits), "value": str(bits.bit_count())}
+            for bits in range(1, 1 << 12)
+        ],
+    }
+    pref = preference_from(doc)
+    assert len({id(value) for value in pref.values}) <= 13
+    assert pref._ranks[1:] == tuple(bits.bit_count() - 1 for bits in range(1, 1 << 12))
 
 
 # ------------------------------------------------------------------ emitting

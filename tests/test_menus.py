@@ -1,6 +1,7 @@
 """Menu preferences, axiom checks, and state-space representations."""
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,12 +26,15 @@ from closureops import (
     respects,
 )
 from closureops.cli import main
+from closureops.core import MAX_RATIONAL_DIGITS, Topology
+from closureops.jsonio import additive_doc
 from closureops.menus import (
     _check_additive_states,
     _check_kreps_consequences,
     _check_ranks,
     _check_signatures,
     _signatures,
+    _utility_keys,
 )
 from conftest import (
     XYZ,
@@ -38,6 +42,7 @@ from conftest import (
     bob_preference,
     ground,
     oracle_additive_ok,
+    oracle_additive_representation,
     oracle_additive_weights,
     oracle_axioms,
     oracle_evaluate,
@@ -46,6 +51,7 @@ from conftest import (
     oracle_signatures,
     oracle_signatures_ok,
     order,
+    random_family_bits,
     random_fraction,
     random_operator,
     random_weak_order,
@@ -560,7 +566,8 @@ def test_additive_check_matches_literal_evaluation():
         expected = oracle_additive_ok(
             pref, AdditiveRepresentation(g, tuple(positive), tuple(negative))
         )
-        passes = _passes(_check_additive_states, pref, positive, negative)
+        keys, scale = _utility_keys(pref)
+        passes = _passes(_check_additive_states, g, keys, scale, positive, negative)
         assert passes == expected
         outcomes[expected] += 1
     assert outcomes[True] >= 50 and outcomes[False] >= 50
@@ -635,6 +642,107 @@ def test_additive_on_twelve_elements_when_every_menu_is_closed():
     for _ in range(8):
         menu = g.mask(rng.randrange(1, g.full_bits + 1))
         assert rep.evaluate(menu) == pref.utility(menu)
+
+
+# ------------------------------------------- integer keys against Fractions
+
+
+def _same_as_the_fraction_oracle(pref: MenuPreference, f: Topology) -> None:
+    rep = additive_representation(pref, f)
+    oracle = oracle_additive_representation(pref, f)
+    assert rep == oracle
+    assert additive_doc(rep) == additive_doc(oracle)
+
+
+def test_additive_integer_keys_match_the_fraction_oracle():
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = ground("abcdefgh"[: rng.randint(1, 8)])
+        f = random_operator(rng, g)
+        pref = respecting_preference(rng, f)
+        keys, scale = _utility_keys(pref)
+        assert all(type(key) is int for key in keys)
+        assert [Fraction(key, scale) for key in keys[1:]] == list(pref.values[1:])
+        _same_as_the_fraction_oracle(pref, f)
+
+
+def test_additive_integer_keys_on_twelve_elements():
+    rng = random.Random(12)
+    g = ground("abcdefghijkl")
+    f = Topology(g, random_family_bits(rng, 12))
+    pref = respecting_preference(rng, f)
+    assert len(f.bits) > 100
+    assert all(type(key) is int for key in _utility_keys(pref)[0])
+    _same_as_the_fraction_oracle(pref, f)
+
+
+def _primes_past(bound: int) -> list[int]:
+    """The first k primes, for the least k whose product exceeds ``bound``."""
+    primes: list[int] = []
+    candidate = 2
+    while math.prod(primes) <= bound:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _past_bound_preference() -> tuple[MenuPreference, Topology]:
+    """U(A) = A + 1/p on 9 elements, p running over the first k primes whose
+    product, the lcm of the denominators, just exceeds
+    10^MAX_RATIONAL_DIGITS; every menu is closed under the discrete
+    operator, which U respects."""
+    primes = _primes_past(10**MAX_RATIONAL_DIGITS)
+    g = ground([f"e{i}" for i in range(9)])
+    values = [None] + [
+        bits + Fraction(1, primes[bits % len(primes)]) for bits in range(1, 512)
+    ]
+    return MenuPreference(g, tuple(values)), Topology(g, range(512))
+
+
+def test_additive_keys_past_the_bound_are_the_fractions():
+    bound = 10**MAX_RATIONAL_DIGITS
+    pref, discrete = _past_bound_preference()
+    assert len(pref._levels) == 511
+    assert math.lcm(*(value.denominator for value in pref._levels)) > bound
+    keys, scale = _utility_keys(pref)
+    assert scale == 1
+    assert all(type(key) is Fraction for key in keys[1:])
+    assert keys[1:] == list(pref.values[1:])
+    _same_as_the_fraction_oracle(pref, discrete)
+    # At the bound itself the keys stay integers.
+    at_bound = MenuPreference(
+        pref.ground, (None, *[Fraction(bits, bound) for bits in range(1, 512)])
+    )
+    keys, scale = _utility_keys(at_bound)
+    assert scale == bound
+    assert keys == list(range(512))
+
+
+def test_additive_check_rejects_a_planted_weight():
+    cases = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = ground("abcdef"[: rng.randint(1, 6)])
+        f = random_operator(rng, g)
+        cases.append((rng, respecting_preference(rng, f), f))
+    cases.append((random.Random(9), *_past_bound_preference()))
+    for rng, pref, f in cases:
+        rep = additive_representation(pref, f)
+        keys, scale = _utility_keys(pref)
+        for side in ("positive", "negative"):
+            states = {
+                "positive": list(rep.positive_states),
+                "negative": list(rep.negative_states),
+            }
+            i = rng.randrange(len(states[side]))
+            s = states[side][i]
+            shift = Fraction(rng.choice((1, 2)), rng.choice((1, 2, 3, 7, 13)))
+            states[side][i] = AdditiveState(s.name, s.carrier, s.weight + shift)
+            with pytest.raises(WitnessVerificationFailed, match="differs from U"):
+                _check_additive_states(
+                    pref.ground, keys, scale, states["positive"], states["negative"]
+                )
 
 
 # ------------------------------------------------------------ large menus
