@@ -31,7 +31,8 @@ from contextlib import nullcontext
 from typing import Any
 
 from . import jsonio
-from .complexity import complexity_profile
+from .complexity import complexity_profile, meet_irreducibles
+from .complexity import _binary_witness, _weak_order_witness
 from .core import Topology, _validate_images
 from .errors import (
     AxiomsViolated,
@@ -123,11 +124,8 @@ def _run_complexity(args: argparse.Namespace) -> tuple[str, int]:
 
 def _run_decompose(args: argparse.Namespace) -> tuple[str, int]:
     operator = jsonio.topology_from(_load(args.topology))
-    profile = complexity_profile(operator)
-    if args.kind == "weak-orders":
-        generators, report = profile.weak_order_witness, profile.weak_order_check
-    else:
-        generators, report = profile.binary_witness, profile.binary_check
+    stage = _weak_order_witness if args.kind == "weak-orders" else _binary_witness
+    generators, report = stage(meet_irreducibles(operator))
     return jsonio.decomposition_doc(operator.ground, args.kind, generators, report), 0
 
 

@@ -50,9 +50,13 @@ By 2 and extensivity, ⋂_i g_i(A) = A at every nonempty closed A.  Any
 nonempty B has B ⊆ f(B), a nonempty closed set, so monotonicity of each g_i
 gives ⋂_i g_i(B) ⊆ ⋂_i g_i(f(B)) = f(B); and both sides map ∅ to ∅.  The
 check reads the witnesses' chains as they are built, one scan of their
-union per closed set of f, and builds no 2^n table and no operator.  The
-profile keeps both checks' reports, so ``decompose`` reports a check that
-ran without running it again.
+union per closed set of f, and builds no 2^n table and no operator.  Each
+witness has one stage that builds its list and checks it
+(:func:`_weak_order_witness`, :func:`_binary_witness`).  The profile runs
+both and keeps both reports.  ``decompose`` runs only the stage of its kind
+and the Kreps representation only the weak-order stage, on P(f) alone,
+without the width or depth of S(f).  So each report verifies exactly the
+witness it prints, once.
 """
 
 from __future__ import annotations
@@ -195,43 +199,64 @@ class ComplexityProfile:
 def complexity_profile(f: Topology) -> ComplexityProfile:
     """Compute both complexity measures of f together with optimal witnesses.
 
-    The weak-order witness comes from a minimum chain cover of P(f): each
-    chain's bit patterns, padded with 0 and X, are a half-space chain.  The
-    binary witness is one classifier per member of B(f).  Both lists are
-    verified at the closed sets of f (proof in the module docstring); a
-    failure would be an implementation bug and raises
-    :class:`WitnessVerificationFailed`.  The profile keeps both reports.
+    Runs both witness stages (:func:`_weak_order_witness` and
+    :func:`_binary_witness`) on P(f), then the width and depth of S(f) from
+    the same covers.  Each stage verifies its list at the closed sets of f
+    (proof in the module docstring); a failure would be an implementation
+    bug and raises :class:`WitnessVerificationFailed`.  The profile keeps
+    both reports.
     """
-    ground = f.ground
     poset = FinitePoset.from_topology(f)
     covers = poset.upper_cover_indices()
     irreducibles = _irreducibles(f, covers)
-    p_poset = FinitePoset.from_masks(irreducibles.p_of_f)
-    cover = p_poset.min_chain_cover()
-    weak_orders = []
-    for chain in cover.chains:
-        # padded with ∅ and X; ascending bit order is the chain's own order
-        links = sorted({0, ground.full_bits, *(m.bits for m in chain)})
-        weak_orders.append(WeakOrder(ground, _chain_classes(ground, links)))
-    binary = tuple(BinaryClassifier(cutoff) for cutoff in irreducibles.b_of_f)
-    weak_order_check = check_generation(f, weak_orders)
-    if not weak_order_check.generates:
-        raise WitnessVerificationFailed("weak-order witness does not generate f")
-    binary_check = check_generation(f, binary)
-    if not binary_check.generates:
-        raise WitnessVerificationFailed("binary witness does not generate f")
+    weak_orders, weak_order_check = _weak_order_witness(irreducibles)
+    binary, binary_check = _binary_witness(irreducibles)
     return ComplexityProfile(
-        mnwo=cover.width,
+        mnwo=len(weak_orders),
         mnbc=len(binary),
         width_s=_width_cover(f.bits, poset).width,
         depth_s=_depth(covers),
         class_count=len(f) - 1,
-        weak_order_witness=tuple(weak_orders),
+        weak_order_witness=weak_orders,
         binary_witness=binary,
         irreducibles=irreducibles,
         weak_order_check=weak_order_check,
         binary_check=binary_check,
     )
+
+
+def _weak_order_witness(
+    irreducibles: IrreducibleSet,
+) -> tuple[tuple[WeakOrder, ...], GenerationReport]:
+    """MNWO weak orders that intersect-generate f, and the check they passed.
+
+    A minimum chain cover of P(f) gives one weak order per chain: the
+    chain's bit patterns, padded with 0 and X, are a half-space chain.
+    """
+    f = irreducibles.topology
+    ground = f.ground
+    weak_orders = []
+    for chain in FinitePoset.from_masks(irreducibles.p_of_f).min_chain_cover().chains:
+        # padded with ∅ and X; ascending bit order is the chain's own order
+        links = sorted({0, ground.full_bits, *(m.bits for m in chain)})
+        weak_orders.append(WeakOrder(ground, _chain_classes(ground, links)))
+    return tuple(weak_orders), _verified(f, weak_orders, "weak-order")
+
+
+def _binary_witness(
+    irreducibles: IrreducibleSet,
+) -> tuple[tuple[BinaryClassifier, ...], GenerationReport]:
+    """MNBC binary classifiers that intersect-generate f, one per member of
+    B(f), and the check they passed."""
+    binary = tuple(BinaryClassifier(cutoff) for cutoff in irreducibles.b_of_f)
+    return binary, _verified(irreducibles.topology, binary, "binary")
+
+
+def _verified(f: Topology, generators: Sequence, kind: str) -> GenerationReport:
+    report = check_generation(f, generators)
+    if not report.generates:
+        raise WitnessVerificationFailed(f"{kind} witness does not generate f")
+    return report
 
 
 @dataclass(frozen=True)

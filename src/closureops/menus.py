@@ -53,7 +53,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexity import complexity_profile
+from .complexity import _weak_order_witness, meet_irreducibles
 from .core import MAX_RATIONAL_DIGITS, GroundSet, SubsetMask, Topology, _exact_fraction
 from .core import _first_superset
 from .core import _validate_images
@@ -132,10 +132,20 @@ class MenuPreference:
         """Build from a mask-keyed map covering every nonempty menu, reading
         utilities by :func:`~closureops.core._exact_fraction`."""
         values: list[Fraction | None] = [None] * (ground.full_bits + 1)
-        for menu, value in utilities.items():
+        # Each distinct raw value is read once, and menus of equal utility
+        # share one Fraction, so __post_init__ keys one object per value.
+        parsed: dict[tuple[type, object], Fraction] = {}
+        shared: dict[Fraction, Fraction] = {}
+        for menu, raw in utilities.items():
             if menu.ground != ground:
                 raise GroundSetMismatch("menu lives in a different ground set")
-            values[menu.bits] = _exact_fraction(value, "utility")
+            key = (type(raw), raw)
+            try:
+                value = parsed[key]
+            except (KeyError, TypeError):  # not read yet, or unhashable
+                value = _exact_fraction(raw, "utility")
+                value = parsed[key] = shared.setdefault(value, value)
+            values[menu.bits] = value
         return cls(ground, tuple(values))
 
     def utility(self, menu: SubsetMask) -> Fraction:
@@ -523,15 +533,15 @@ def kreps_representation(preference: MenuPreference) -> KrepsRepresentation:
     """Build the minimal weak-order representation of an axiom-satisfying
     preference; see :class:`KrepsRepresentation`.
 
-    States are the verified weak-order witness of the Kreps operator's
-    complexity profile, so the state count is exactly MNWO.  Signature
-    soundness (equal signatures ⟺ equal closures), aggregator strict
-    monotonicity, and faithfulness of the ranking are all verified here, in
-    O(n·2^n) (see :func:`_check_signatures` and :func:`_check_ranks`).
+    States are the verified weak-order witness of the Kreps operator, built
+    by the weak-order stage of its complexity profile alone, so the state
+    count is exactly MNWO.  Signature soundness (equal signatures ⟺ equal
+    closures), aggregator strict monotonicity, and faithfulness of the
+    ranking are all verified here, in O(n·2^n) (see
+    :func:`_check_signatures` and :func:`_check_ranks`).
     """
     f = kreps_operator(preference)
-    profile = complexity_profile(f)
-    states = profile.weak_order_witness
+    states, _ = _weak_order_witness(meet_irreducibles(f))
     ground = preference.ground
     # state utilities per element, 1-based with the worst class at 1
     utilities = [

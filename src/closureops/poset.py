@@ -19,11 +19,13 @@ computes covers.  Which route runs:
 
 * ``FinitePoset(items, up)`` from user data validates the order axioms
   eagerly, so malformed relations never reach the algorithms.  Its covers are
-  each item's strict up-row minus the strict up-rows of its members, one step
-  per comparable pair.
+  walked on the rows (:func:`_walked_covers`): the lowest remaining item
+  above is picked, and the items above the pick are dropped.  The walk is
+  exact in any item order, and takes one step per cover when ascending index
+  extends the order.
 * :meth:`FinitePoset.from_masks` builds an inclusion order, which is an order
   by construction, so it skips those checks (a repeated subset is still
-  rejected).  Its covers are read off the rows the same way, and only if
+  rejected).  Its covers are walked on the rows the same way, and only if
   something reads them: a minimum chain cover does not.
 * :meth:`FinitePoset.from_topology` keeps the closure operator and builds its
   items, rows and covers each at most once, when first read: the items are
@@ -31,7 +33,8 @@ computes covers.  Which route runs:
   discrete family on 16 elements.  When the operator holds its image table
   (validated by the superset recursion, or built from images) the covers are
   swept from it, about n steps per closed set (:func:`_swept_covers`), and
-  otherwise read off the rows.
+  otherwise walked on the rows, one step per cover, since the canonical
+  order of S(f) extends inclusion.
 
 The Möbius function of S = S(f) is a :class:`MobiusTable` of rows, one per
 item, filled by whichever of two exact routes takes fewer steps
@@ -196,8 +199,8 @@ class FinitePoset:
         if name == "_covers":
             if topology is not None and topology._images is not None:
                 value: object = _swept_covers(topology.bits, topology._images)
-            else:  # read off the rows, which from_topology then keeps
-                value = _covers_by_rows(self.up)
+            else:  # walked on the rows, which from_topology then keeps
+                value = _walked_covers(self.up)
         elif topology is None:
             raise AttributeError(name)
         elif name == "items":
@@ -482,23 +485,32 @@ def _inclusion_rows(bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _covers_by_rows(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Per item, its strict up-row minus the strict up-rows of its members:
-    one step per comparable pair."""
+def _walked_covers(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per item, its upper covers, by a pick walk over its strict up-row.
+
+    The lowest remaining candidate is picked, its strict up-row joins
+    ``above``, and its up-row leaves the candidates; the covers are the picks
+    not in ``above``.  This is exact for any item order.  A cover is never
+    strictly above a pick, so it is picked and stays out of ``above``.  A
+    non-cover k has some candidate m strictly between the item and k; m was
+    picked, or it left with the up-row of a pick p ≤ m, and either way k is
+    strictly above a pick, so k is in ``above`` if it was picked at all.
+    When ascending index extends the order, as the canonical order of S(f)
+    does, nothing lies strictly between the item and the lowest remaining
+    candidate, so every pick is a cover: one step per cover.
+    """
     covers = []
     for i, row in enumerate(up):
-        strict = rest = row & ~(1 << i)
+        rest = row & ~(1 << i)
         above = 0
+        picks = []
         while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            above |= up[j] & ~(1 << j)
-        rest = strict & ~above
-        indices = []
-        while rest:
-            indices.append((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        covers.append(tuple(indices))
+            low = rest & -rest
+            j = low.bit_length() - 1
+            picks.append(j)
+            above |= up[j] ^ low
+            rest &= ~up[j]
+        covers.append(tuple(j for j in picks if not above >> j & 1))
     return tuple(covers)
 
 

@@ -278,23 +278,51 @@ def test_decompose_into_binary_classifiers(tmp_path, capsys):
     assert payload["verification"]["generates"] is True
 
 
-@pytest.mark.parametrize("kind, position", [("weak-orders", 0), ("binary", 1)])
-def test_decompose_checks_each_witness_once(tmp_path, capsys, monkeypatch, kind, position):
-    # The profile checks both witness lists, weak orders first, and decompose
-    # reports the check of its kind instead of running it again.
-    real = generators.GenerationReport
-    reports = []
+def _record_checks(monkeypatch):
+    """Every generation check a call runs, as (generator types, report)."""
+    real_report, real_check = generators.GenerationReport, complexity.check_generation
+    reports, checks = [], []
 
-    def counted(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
+    def counted_report(*args, **kwargs):
+        reports.append(real_report(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(generators, "GenerationReport", counted)
+    def recorded_check(f, gens):
+        report = real_check(f, gens)
+        checks.append(({type(g) for g in gens}, report))
+        return report
+
+    monkeypatch.setattr(generators, "GenerationReport", counted_report)
+    monkeypatch.setattr(complexity, "check_generation", recorded_check)
+    return reports, checks
+
+
+@pytest.mark.parametrize(
+    "kind, generator_type",
+    [("weak-orders", generators.WeakOrder), ("binary", generators.BinaryClassifier)],
+)
+def test_decompose_checks_only_the_printed_witness(
+    tmp_path, capsys, monkeypatch, kind, generator_type
+):
+    # decompose runs the stage of its kind alone: one report is built, for
+    # the printed generators, and it is the verification block.
+    reports, checks = _record_checks(monkeypatch)
     path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
     code, out, _ = _run(capsys, "decompose", "--topology", path, "--kind", kind)
     assert code == 0
-    assert len(reports) == 2
-    assert json.loads(out)["verification"] == oracle_generation_doc(reports[position])
+    assert len(reports) == 1
+    assert checks == [({generator_type}, reports[0])]
+    assert json.loads(out)["verification"] == oracle_generation_doc(reports[0])
+
+
+def test_menu_rep_kreps_checks_only_the_weak_order_witness(tmp_path, capsys, monkeypatch):
+    reports, checks = _record_checks(monkeypatch)
+    path = _write(tmp_path, "p.json", _pref_doc(bob_preference()))
+    code, out, _ = _run(capsys, "menu-rep", "--preference", path, "--style", "kreps")
+    assert code == 0
+    assert len(reports) == 1
+    assert checks == [({generators.WeakOrder}, reports[0])]
+    assert reports[0].generates
 
 
 # -------------------------------------------------------------------- labels

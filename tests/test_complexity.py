@@ -379,7 +379,7 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
     # serve its covers and the matching, the rows of P(f) the witness chain
     # cover, and nothing builds the covers of P(f).
     built = Counter()
-    for name in ("_inclusion_rows", "_covers_by_rows", "_swept_covers"):
+    for name in ("_inclusion_rows", "_walked_covers", "_swept_covers"):
 
         def counted(*args, _real=getattr(poset_module, name), _name=name):
             built[_name] += 1
@@ -396,7 +396,7 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
     t = Topology(GroundSet(tuple(f"e{i}" for i in range(6))), (0, 8, 10, 13, 63))
     assert t._images is None
     assert complexity_profile(t).width_s == 2
-    assert built == {"_inclusion_rows": 2, "_covers_by_rows": 1, "matchings": 2}
+    assert built == {"_inclusion_rows": 2, "_walked_covers": 1, "matchings": 2}
     # With the image table the covers are swept, and the matching alone
     # builds the rows of S(f).
     built.clear()

@@ -15,6 +15,7 @@ from closureops import (
     AdditiveState,
     AxiomsViolated,
     DoesNotRespect,
+    GroundSet,
     GroundSetMismatch,
     Labeling,
     MenuPreference,
@@ -102,6 +103,24 @@ def test_preference_rejects_foreign_menus():
     g = ground("ab")
     with pytest.raises(GroundSetMismatch):
         MenuPreference.from_utilities(g, {ground("xy").subset("x"): 1})
+
+
+def test_from_utilities_shares_one_fraction_per_distinct_value():
+    # Menus of equal utility share one Fraction, however the value is
+    # written, and the ranks are those of a Fraction per menu.
+    g = GroundSet(tuple(f"e{i}" for i in range(10)))
+    rng = random.Random(5)
+    spellings = (1, "1", 2, "1/2", "2/4", "0.5", Fraction(1, 2), Fraction(3, 2), "3/2")
+    raws = [None, *(rng.choice(spellings) for _ in range(g.full_bits))]
+    pref = MenuPreference.from_utilities(
+        g, {g.mask(bits): raws[bits] for bits in range(1, g.full_bits + 1)}
+    )
+    values = pref.values[1:]
+    assert len({id(value) for value in values}) == len(set(values)) == 4
+    fresh = MenuPreference(g, (None, *(Fraction(raw) for raw in raws[1:])))
+    assert pref.values == fresh.values
+    assert pref._ranks == fresh._ranks
+    assert pref._levels == fresh._levels
 
 
 # ------------------------------------------------------------- axiom checks

@@ -22,6 +22,7 @@ from closureops import core as core_module
 from closureops import poset as poset_module
 from conftest import (
     brute_poset_width,
+    chain_bits,
     check_chain_cover,
     crown_bits,
     ground,
@@ -252,6 +253,24 @@ def test_from_masks_rejects_a_repeated_subset():
         FinitePoset.from_masks((sub(g, "a"), sub(g, "ab"), sub(g, "a")))
 
 
+def _brute_covers(items, leq) -> tuple[tuple[int, ...], ...]:
+    """Per item, the indices k with item < k and nothing strictly between,
+    by testing every middle item against the predicate ``leq``."""
+    n = len(items)
+    below = [[leq(items[i], items[k]) and i != k for k in range(n)] for i in range(n)]
+    return tuple(
+        tuple(
+            k for k in range(n)
+            if below[i][k] and not any(below[i][m] and below[m][k] for m in range(n))
+        )
+        for i in range(n)
+    )
+
+
+def _is_subset(a: int, b: int) -> bool:
+    return a & ~b == 0
+
+
 @given(st.integers(0, 10**9), st.integers(0, 12))
 @settings(max_examples=100, deadline=None)
 def test_covers_match_the_oracle_when_items_are_not_sorted(seed, n):
@@ -261,6 +280,47 @@ def test_covers_match_the_oracle_when_items_are_not_sorted(seed, n):
     assert p.hasse() == expected
     assert p.upper_covers() == _cover_rows(p, expected)
     assert p.dual().hasse() == oracle_hasse(p.dual())
+    # The pick walk, against brute force: in shuffled order it picks items
+    # that are not covers and must drop them through later picks.
+    for q in (p, p.dual()):
+        assert q.upper_cover_indices() == _brute_covers(q.items, q.leq)
+
+
+def test_the_pick_walk_matches_brute_force_on_shuffled_families():
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        bits = random_family_bits(rng, n)
+        rng.shuffle(bits)
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        p = FinitePoset.from_masks([g.mask(b) for b in bits])
+        assert p.upper_cover_indices() == _brute_covers(bits, _is_subset)
+
+
+def _labeling_bits(rng: random.Random, n: int, labels: int) -> list[int]:
+    """The closed sets of a random labeling of n elements with few labels:
+    the intersections of the label extents, with ∅ and X."""
+    full = (1 << n) - 1
+    family = {full}
+    for _ in range(labels):
+        extent = rng.getrandbits(n)
+        family |= {extent & other for other in family}
+    return sorted(family | {0})
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_walked_covers_of_sparse_lattices_at_large_n(n):
+    # Sparse families at n = 16-20 hold no image table, so their covers are
+    # walked on the rows of S(f) in canonical order.
+    rng = random.Random(n)
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    families = [chain_bits(rng, n), [(1 << k) - 1 for k in range(n + 1)], crown_bits(n)]
+    families += [_labeling_bits(rng, n, rng.randint(1, 6)) for _ in range(8)]
+    for bits in families:
+        t = Topology(g, bits)
+        assert t._images is None
+        p = FinitePoset.from_topology(t)
+        assert p.upper_cover_indices() == _brute_covers(t.bits, _is_subset)
 
 
 # --------------------------------------------------------------- chain cover
