@@ -166,8 +166,8 @@ def _run_menu_rep(args: argparse.Namespace) -> tuple[str, int]:
 
 def _run_mobius(args: argparse.Namespace) -> tuple[str, int]:
     topology = jsonio.topology_from(_load(args.topology))
-    table = FinitePoset.from_topology(topology).mobius()
-    return jsonio.mobius_doc(topology, table), 0
+    rows = FinitePoset.from_topology(topology).mobius_walk()
+    return jsonio.mobius_doc(topology, rows), 0
 
 
 def _run_hasse(args: argparse.Namespace) -> tuple[str, int]:

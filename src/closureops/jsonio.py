@@ -51,9 +51,9 @@ its fixed keys.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
 from typing import Any
 
@@ -69,7 +69,6 @@ from .menus import (
     KrepsRepresentation,
     MenuPreference,
 )
-from .poset import MobiusTable
 
 __all__ = [
     "ground_from",
@@ -612,39 +611,61 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
     )
 
 
-def mobius_doc(topology: Topology, table: MobiusTable) -> str:
-    """The closed sets of ``topology``, which are the items of ``table``'s
-    poset, and the entries, from the table's (i, j, μ) rows.  Each closed
-    set's name array is rendered once, from its bit pattern, and the report
-    is one join of shared pieces: entry (i, j) is
-    ``head + names[i] + to[j] + str(μ) + tail``."""
+def mobius_doc(
+    topology: Topology, rows: Iterable[tuple[list[int], Sequence[tuple[int, int]]]]
+) -> str:
+    """The closed sets of ``topology`` and the entries of its Möbius rows,
+    read as :meth:`FinitePoset.mobius_walk` yields them: per closed set A,
+    the ascending indices of the closed sets C ⊇ A and the (index, μ) pairs
+    where μ(A, C) is not (−1)^|C∖A|.  No dict row is built.
+
+    Each closed set's name array is rendered once, and so is the text of
+    each entry from its ``"to"`` array on, with the sign it takes under
+    either parity of |A|.  A row is then one join of those texts on a lead
+    that holds the row's ``"from"`` array; only a corrected entry is
+    formatted on its own."""
     writer = _Writer(topology.ground)
-    listed = [writer.pattern(bits, 2) for bits in topology.bits]
+    closed = topology.bits
+    listed = [writer.pattern(bits, 2) for bits in closed]
     names = [_nest(text, 1) for text in listed]
     head, middle, before_mu, tail = _template(("from", "to", "mu"), 2).split("%s")
-    to = [middle + name + before_mu for name in names]
+    targets = [name + before_mu for name in names]
+    signed: tuple[list[str], list[str]] = ([], [])  # per parity of |A|
+    for target, c in zip(targets, closed):
+        odd = c.bit_count() & 1
+        signed[odd].append(target + "1")
+        signed[1 - odd].append(target + "-1")
     between = tail + ",\n" + "  " * 2 + head  # from one entry to the next
     start, before_sets, before_entries, end = _template(
         ("elements", "closed_sets", "entries"), 0
     ).split("%s")
     opening, closing = _array(["%s"], 1).split("%s")
     pieces = [start, writer.elements(1), before_sets, _array(listed, 1), before_entries]
-    for lower, row in zip(names, table.rows):
-        pieces += chain.from_iterable(
-            zip(repeat(between + lower), map(to.__getitem__, row), map(str, row.values()))
-        )
-    pieces[5] = opening + head + names[0]  # the first entry follows no other
+    for a, name, (above, corrections) in zip(closed, names, rows):
+        lead = between + name + middle
+        texts = list(map(signed[a.bit_count() & 1].__getitem__, above))
+        for j, mu in corrections:
+            texts[bisect_left(above, j)] = targets[j] + str(mu)
+        pieces += (lead, lead.join(texts))
+    pieces[5] = opening + head + names[0] + middle  # the first entry follows no other
     pieces.append(tail + closing + end)
     return "".join(pieces)
 
 
 def hasse_doc(topology: Topology, covers: Sequence[Sequence[int]]) -> str:
     """The covering pairs of ``topology``'s closed sets, from the indices of their
-    upper covers (``FinitePoset.upper_cover_indices()``), each named once."""
+    upper covers (``FinitePoset.upper_cover_indices()``), each named once.  The
+    edges of one lower set are one join of its covers' names on a lead that
+    ends in its own."""
     writer = _Writer(topology.ground)
     names = [writer.pattern(bits, 3) for bits in topology.bits]
-    edge = _template(("lower", "upper"), 2)
-    edges = [edge % (names[i], names[j]) for i, above in enumerate(covers) for j in above]
+    head, middle, tail = _template(("lower", "upper"), 2).split("%s")
+    between = tail + ",\n" + "  " * 2
+    edges = []
+    for name, above in zip(names, covers):
+        if above:
+            lead = head + name + middle
+            edges.append(lead + (between + lead).join(map(names.__getitem__, above)) + tail)
     return _template(("elements", "edges"), 0) % (writer.elements(1), _array(edges, 1))
 
 

@@ -36,19 +36,23 @@ computes covers.  Which route runs:
   otherwise walked on the rows, one step per cover, since the canonical
   order of S(f) extends inclusion.
 
-The Möbius function of S = S(f) is a :class:`MobiusTable` of rows, one per
-item, filled by whichever of two exact routes takes fewer steps
-(:func:`_rota_is_cheaper`):
+The Möbius function of S = S(f) is walked row by row
+(:meth:`FinitePoset.mobius_walk`): per closed A, the closed C ⊇ A and the
+few entries where μ(A, C) is not the sign (−1)^|C∖A|.  The ``mobius``
+report is written from the walk, and :meth:`FinitePoset.mobius` builds the
+dict rows of a :class:`MobiusTable` from it for API callers.  The walk takes
+whichever of two exact routes takes fewer steps (:func:`_rota_is_cheaper`):
 
-* Rota's closure theorem (:func:`_rota_rows`) reads f(A ∪ B) from the image
+* Rota's closure theorem (:func:`_rota_walk`) reads f(A ∪ B) from the image
   table for every closed A and B ⊆ X ∖ A: R = Σ_{A ∈ S} 2^(n−|A|) reads, 3^n
   on the discrete family, which is the size of the report; a topology
   without its table adds the steps of tabulating it.  It builds neither the
-  rows nor the covers.
+  rows nor the covers, and only a non-closed A ∪ B makes a correction.
 * The interval loop (:func:`_interval_rows`) sums μ over every interval on
   the rows: |S|² + Σ_z |↓z|·|↑z| steps, 2·4^n on the discrete family but
-  about |S|² on a chain, where Rota costs about 2^(n+1).  Every poset not
-  built from a topology takes it.
+  about |S|² on a chain, where Rota costs about 2^(n+1).  It also gives
+  the :meth:`~FinitePoset.mobius` rows of every poset not built from a
+  topology.
 
 The zeta sums and the inversion read the rows and the Möbius rows, one step
 per comparable pair.
@@ -57,10 +61,10 @@ per comparable pair.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import filterfalse
+from itertools import compress
 
 from .core import SubsetMask, Topology, _meet_route
 from .errors import GroundSetMismatch, InvalidOrderRelation, WitnessVerificationFailed
@@ -110,9 +114,11 @@ class MobiusTable:
     μ is defined by μ(x, x) = 1 and μ(x, y) = −Σ_{x ≤ z < y} μ(x, z) for
     x < y; by convention :meth:`mu` returns 0 for incomparable pairs.  Row i
     holds μ(i, j) for every item j ≥ item i, zeros included, in ascending j,
-    so the rows list exactly the comparable pairs in item order.  Both routes
-    of :meth:`FinitePoset.mobius` fill them, and :meth:`mu` and :meth:`pairs`
-    read them alone, never the poset's order rows.
+    so the rows list exactly the comparable pairs in item order.
+    :meth:`FinitePoset.mobius` fills them, for API callers: the ``mobius``
+    report is written from :meth:`FinitePoset.mobius_walk` and builds no
+    table.  :meth:`mu` and :meth:`pairs` read the rows alone, never the
+    poset's order rows.
 
     Attributes:
         poset: the poset the table belongs to.
@@ -398,21 +404,43 @@ class FinitePoset:
     def mobius(self) -> MobiusTable:
         """The Möbius function on all comparable pairs, as exact integers.
 
-        A poset built by :meth:`from_topology` takes whichever route costs
-        fewer steps, counted exactly by :func:`_rota_is_cheaper`: Rota's
-        closure theorem on the image table (:func:`_rota_rows`), which takes
-        Σ_{A ∈ S} 2^(n−|A|) table reads (3^n on the discrete family) and
-        reads neither the rows nor the covers, or the interval loop on the
-        rows (:func:`_interval_rows`), which takes |S|² + Σ_z |↓z|·|↑z|
-        steps (about |S|² on a chain).  Every other poset takes the
-        interval loop.
+        A poset built by :meth:`from_topology` builds its rows from
+        :meth:`mobius_walk`; every other poset takes the interval loop on
+        the rows (:func:`_interval_rows`).  The ``mobius`` report reads the
+        walk itself, so these dict rows are built only for API callers.
         """
         topology = self._topology
-        if topology is not None and _rota_is_cheaper(topology, self):
-            rows = _rota_rows(topology.bits, topology.tabulate_bits())
+        if topology is None:
+            return MobiusTable(poset=self, rows=_interval_rows(self.up))
+        closed = topology.bits
+        signs = _signs(closed)
+        rows = []
+        for a, (above, corrections) in zip(closed, self.mobius_walk()):
+            row = dict(zip(above, map(signs[a.bit_count() & 1].__getitem__, above)))
+            row.update(corrections)
+            rows.append(row)
+        return MobiusTable(poset=self, rows=tuple(rows))
+
+    def mobius_walk(self) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+        """The Möbius rows of a poset built by :meth:`from_topology`, lazily:
+        per closed set A in index order, the ascending indices of the closed
+        sets C ⊇ A, and the pairs (index of C, μ(A, C)) where μ(A, C) is not
+        the sign (−1)^|C∖A|.
+
+        It takes whichever route costs fewer steps, counted exactly by
+        :func:`_rota_is_cheaper`: Rota's closure theorem on the image table
+        (:func:`_rota_walk`), which takes Σ_{A ∈ S} 2^(n−|A|) table reads
+        (3^n on the discrete family) and reads neither the rows nor the
+        covers, or the interval loop on the rows (:func:`_interval_rows`),
+        which takes |S|² + Σ_z |↓z|·|↑z| steps (about |S|² on a chain).
+        """
+        topology = self._topology
+        if topology is None:
+            raise TypeError("mobius_walk needs a poset built by from_topology")
+        if _rota_is_cheaper(topology, self):
+            yield from _rota_walk(topology.bits, topology.tabulate_bits())
         else:
-            rows = _interval_rows(self.up)
-        return MobiusTable(poset=self, rows=rows)
+            yield from _corrected(topology.bits, _interval_rows(self.up))
 
     def sum_below(
         self, values: Mapping[Hashable, Fraction | int]
@@ -515,7 +543,7 @@ def _walked_covers(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
-    """Whether :func:`_rota_rows` takes no more steps than
+    """Whether :func:`_rota_walk` takes no more steps than
     :func:`_interval_rows` for the inclusion order ``poset`` on the closed
     sets of ``topology``, by exact counts.
 
@@ -542,44 +570,63 @@ def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
     return rota <= scan + sum(b * row.bit_count() for b, row in zip(below, up))
 
 
-def _rota_rows(
+def _rota_walk(
     closed: Sequence[int], images: Sequence[int]
-) -> tuple[dict[int, int], ...]:
+) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
     """Möbius rows of the closed sets of a closure operator, by Rota's
     closure theorem: μ(A, C) = Σ (−1)^|B| over the B ⊆ X ∖ A with
     f(A ∪ B) = C, for closed A ⊆ C.
 
-    One pass over the supersets D = A ∪ B of each closed A reads
-    2^(n−|A|) images, 3^n in all on the discrete family, which is the
-    number of entries.  Each closed C ⊇ A is one of them (B = C ∖ A) and
-    starts its entry at (−1)^|C∖A|, in ascending bit pattern, which is
-    ascending index; each D that is not closed then adds (−1)^|D∖A| to the
-    entry of f(D).  So the keys are exactly the comparable pairs, zeros
-    included.
+    Per closed A, in index order, yields the ascending indices of the closed
+    sets C ⊇ A and the pairs (index of C, μ(A, C)) where μ(A, C) is not
+    (−1)^|C∖A|.  One pass over the supersets D = A ∪ B reads 2^(n−|A|)
+    images, 3^n in all on the discrete family, which is the number of
+    entries.  Each closed C ⊇ A is one of them (B = C ∖ A) and gives the
+    term (−1)^|C∖A|; only a D that is not closed adds (−1)^|D∖A| to the
+    entry of f(D), so the discrete family has no corrections.
     """
     full = closed[-1]
-    index = {c: j for j, c in enumerate(closed)}
-    position = index.__getitem__
-    is_closed = index.__contains__
-    even = [1]  # (−1)^|D| for every subset D
-    while len(even) <= full:
-        even += [-sign for sign in even]
-    odd = [-sign for sign in even]
-    rows = []
+    position = [-1] * (full + 1)  # index of each closed bit pattern, else −1
+    for j, c in enumerate(closed):
+        position[c] = j
     for a in closed:
         supersets = [a]  # ascending
         rest = full & ~a
         while rest:
             x = rest & -rest
             rest ^= x
-            supersets += list(map(x.__or__, supersets))
-        sign = odd if even[a] < 0 else even  # sign[D] = (−1)^|D∖A|
-        above = list(filter(is_closed, supersets))
-        row = dict(zip(map(position, above), map(sign.__getitem__, above)))
-        for d in filterfalse(is_closed, supersets):
-            row[position(images[d])] += sign[d]
-        rows.append(row)
-    return tuple(rows)
+            supersets += [x | d for d in supersets]
+        above = list(map(position.__getitem__, supersets))
+        corrections = []
+        if -1 in above:
+            tally: dict[int, int] = {}  # f(D) -> Σ (−1)^|D∖A| over non-closed D
+            for d in compress(supersets, map((-1).__eq__, above)):
+                c = images[d]
+                tally[c] = tally.get(c, 0) + 1 - ((d ^ a).bit_count() & 1) * 2
+            corrections = [
+                (position[c], 1 - ((c ^ a).bit_count() & 1) * 2 + t)
+                for c, t in tally.items()
+                if t
+            ]
+            above = list(filter((-1).__ne__, above))
+        yield above, corrections
+
+
+def _corrected(
+    closed: Sequence[int], rows: Iterable[dict[int, int]]
+) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+    """Möbius rows ``rows`` of the closed sets, keyed by index, in the form
+    :func:`_rota_walk` yields them."""
+    signs = _signs(closed)
+    for a, row in zip(closed, rows):
+        sign = signs[a.bit_count() & 1]
+        yield list(row), [(j, mu) for j, mu in row.items() if mu != sign[j]]
+
+
+def _signs(closed: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per parity p of |A|, the list of (−1)^|C∖A| over the closed sets C."""
+    even = [1 - (c.bit_count() & 1) * 2 for c in closed]
+    return even, [-sign for sign in even]
 
 
 def _interval_rows(up: Sequence[int]) -> tuple[dict[int, int], ...]:

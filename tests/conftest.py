@@ -10,9 +10,11 @@ without touching the code paths they check.
 from __future__ import annotations
 
 import random
-from collections import deque
-from collections.abc import Iterator, Sequence
+from collections import Counter, deque
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
+
+import pytest
 
 from closureops import (
     AdditiveRepresentation,
@@ -29,16 +31,31 @@ from closureops import (
     KrepsRepresentation,
     Labeling,
     MenuPreference,
-    MobiusTable,
     SubsetMask,
     Topology,
     ValidationReport,
     WeakOrder,
     WitnessVerificationFailed,
 )
+from closureops import poset as poset_module
 
 ABCD = ("a", "b", "c", "d")
 XYZ = ("x", "y", "z")
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts the calls of each Möbius route of :mod:`closureops.poset`."""
+    calls: Counter = Counter()
+    for name in ("_rota_walk", "_interval_rows"):
+
+        def spy(*args, _route=getattr(poset_module, name), _name=name):
+            calls[_name] += 1
+            return _route(*args)
+
+        monkeypatch.setattr(poset_module, name, spy)
+    return calls
+
 
 # ---------------------------------------------------------------- builders
 
@@ -210,6 +227,12 @@ def chain_bits(rng: random.Random, n: int) -> list[int]:
     cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
     links = [sum(1 << order[i] for i in range(cut)) for cut in cuts]
     return [0, *links, (1 << n) - 1]
+
+
+def truncated_bits(n: int) -> list[int]:
+    """Every subset of at most n − 2 elements, and X: each (n − 1)-subset
+    closes to X, so μ(A, X) is not (−1)^|X∖A| for any |A| ≤ n − 2."""
+    return [b for b in range(1 << n) if b.bit_count() <= n - 2 or b == (1 << n) - 1]
 
 
 def crown_bits(n: int) -> list[int]:
@@ -867,13 +890,15 @@ def oracle_additive_doc(representation: AdditiveRepresentation) -> dict:
     }
 
 
-def oracle_mobius_doc(topology: Topology, table: MobiusTable) -> dict:
+def oracle_mobius_doc(topology: Topology, mu: Mapping[tuple[int, int], int]) -> dict:
+    """The ``mobius`` report of ``topology`` from μ keyed by pairs of bit
+    patterns, in the order of :func:`oracle_mobius`."""
+    names = {m.bits: oracle_subset_doc(m) for m in topology.closed}
     return {
         "elements": list(topology.ground.elements),
-        "closed_sets": [oracle_subset_doc(m) for m in topology.closed],
+        "closed_sets": list(names.values()),
         "entries": [
-            {"from": oracle_subset_doc(x), "to": oracle_subset_doc(y), "mu": value}
-            for x, y, value in table.pairs()
+            {"from": names[a], "to": names[c], "mu": value} for (a, c), value in mu.items()
         ],
     }
 

@@ -34,6 +34,7 @@ from closureops import (
     menus,
     to_dot,
 )
+from closureops import poset as poset_module
 from closureops.cli import build_parser, main
 from closureops.labeling import canonical_labeling, minimal_labeling
 from conftest import (
@@ -55,6 +56,7 @@ from conftest import (
     oracle_hasse_doc,
     oracle_kreps_doc,
     oracle_labeling_doc,
+    oracle_mobius,
     oracle_mobius_doc,
     oracle_profile_doc,
     oracle_topology_doc,
@@ -479,7 +481,7 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
     [
         (NotAChain, complexity, "_chain_classes", "complexity"),
         (InvalidOrderRelation, FinitePoset, "upper_cover_indices", "hasse"),
-        (NotClosed, FinitePoset, "mobius", "mobius"),
+        (NotClosed, FinitePoset, "mobius_walk", "mobius"),
     ],
 )
 def test_errors_no_input_raises_exit_3_with_an_error_document(
@@ -572,6 +574,44 @@ def test_mobius_payload(tmp_path, capsys):
     assert len(payload["entries"]) == 6
 
 
+def test_mobius_command_writes_its_report_from_the_walk(
+    tmp_path, capsys, monkeypatch, routes
+):
+    n = 10
+    discrete = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), range(1 << n))
+    expected = _dumps(oracle_mobius_doc(discrete, oracle_mobius(discrete)))
+    path = _write(tmp_path, "t.json", oracle_topology_doc(discrete))
+
+    def refuse(*args):
+        raise AssertionError("a Möbius table was built")
+
+    monkeypatch.setattr(poset_module, "MobiusTable", refuse)
+    monkeypatch.setattr(FinitePoset, "mobius", refuse)
+    reads = []
+    tabulate = Topology.tabulate_bits
+
+    def counted(self):
+        reads.append(self)
+        return tabulate(self)
+
+    monkeypatch.setattr(Topology, "tabulate_bits", counted)
+    kinds = set()
+    walk = poset_module._rota_walk
+
+    def typed(*args):
+        for above, corrections in walk(*args):
+            kinds.add((type(above), type(corrections), len(corrections)))
+            yield above, corrections
+
+    monkeypatch.setattr(poset_module, "_rota_walk", typed)
+    code, out, _ = _run(capsys, "mobius", "--topology", path)
+    assert code == 0
+    assert out == expected
+    assert routes == {"_rota_walk": 1}
+    assert len(reads) == 1
+    assert kinds == {(list, list, 0)}
+
+
 def test_hasse_json_payload(tmp_path, capsys):
     path = _write(tmp_path, "t.json", oracle_topology_doc(animals_topology()))
     code, out, _ = _run(capsys, "hasse", "--topology", path)
@@ -625,7 +665,7 @@ def test_every_report_is_json_dumps_of_its_document(tmp_path, capsys, monkeypatc
     menus_checked = g.full_bits
     expected = [
         (["complexity", "--topology", top], oracle_profile_doc(profile)),
-        (["mobius", "--topology", top], oracle_mobius_doc(t, poset.mobius())),
+        (["mobius", "--topology", top], oracle_mobius_doc(t, oracle_mobius(t))),
         (["hasse", "--topology", top], oracle_hasse_doc(t, poset.hasse())),
         (["labels", "--topology", top, "--minimal"],
          oracle_labeling_doc(minimal_labeling(f))),

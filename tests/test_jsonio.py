@@ -77,6 +77,7 @@ from conftest import (
     oracle_hasse_doc,
     oracle_kreps_doc,
     oracle_labeling_doc,
+    oracle_mobius,
     oracle_mobius_doc,
     oracle_profile_doc,
     oracle_subset_doc,
@@ -85,6 +86,7 @@ from conftest import (
     oracle_weak_order_doc,
     order,
     random_binary,
+    random_family_bits,
     random_fraction,
     random_topology,
     random_weak_order,
@@ -93,6 +95,7 @@ from conftest import (
     sum_of_maxes,
     tall_chain_topology,
     topo,
+    truncated_bits,
 )
 
 
@@ -651,7 +654,7 @@ def test_additive_document_for_a_constant_preference():
 
 def test_mobius_document_for_a_chain():
     t = topo(ground("ab"), "", "a", "ab")
-    text = mobius_doc(t, FinitePoset.from_topology(t).mobius())
+    text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
     assert text == _text({
         "elements": ["a", "b"],
         "closed_sets": [[], ["a"], ["a", "b"]],
@@ -664,6 +667,25 @@ def test_mobius_document_for_a_chain():
             {"from": ["a", "b"], "to": ["a", "b"], "mu": 1},
         ],
     })
+
+
+def test_mobius_report_matches_the_oracle_on_random_families(routes):
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        t = Topology(ground("abcdefghij"[:n]), random_family_bits(rng, n))
+        text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+        assert text == _text(oracle_mobius_doc(t, oracle_mobius(t)))
+    assert routes["_rota_walk"] >= 20
+    assert routes["_interval_rows"] >= 20
+
+
+def test_mobius_report_of_a_truncated_family_writes_its_corrections(routes):
+    n = 10
+    t = Topology(ground("abcdefghij"), truncated_bits(n))
+    text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+    assert routes == {"_rota_walk": 1}
+    assert text == _text(oracle_mobius_doc(t, oracle_mobius(t)))
 
 
 def test_hasse_document_for_a_chain():
@@ -742,7 +764,7 @@ def _reports(names, labels, seed, trivial):
         (axioms_doc(axioms), oracle_axioms_doc(axioms)),
         (kreps_doc(kreps), oracle_kreps_doc(kreps)),
         (additive_doc(additive), oracle_additive_doc(additive)),
-        (mobius_doc(t, poset.mobius()), oracle_mobius_doc(t, poset.mobius())),
+        (mobius_doc(t, poset.mobius_walk()), oracle_mobius_doc(t, oracle_mobius(t))),
         (hasse_doc(t, poset.upper_cover_indices()), oracle_hasse_doc(t, poset.hasse())),
         (
             decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),

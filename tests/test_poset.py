@@ -36,6 +36,7 @@ from conftest import (
     random_poset,
     sub,
     topo,
+    truncated_bits,
 )
 
 DIVISORS_OF_12 = (1, 2, 3, 4, 6, 12)
@@ -468,20 +469,6 @@ def test_mobius_agrees_with_dual():
 # ------------------------------------------- Möbius of a closed-set lattice
 
 
-@pytest.fixture
-def routes(monkeypatch):
-    """Counts the calls of each Möbius route of :mod:`closureops.poset`."""
-    calls: Counter = Counter()
-    for name in ("_rota_rows", "_interval_rows"):
-
-        def spy(*args, _route=getattr(poset_module, name), _name=name):
-            calls[_name] += 1
-            return _route(*args)
-
-        monkeypatch.setattr(poset_module, name, spy)
-    return calls
-
-
 def test_mobius_of_closed_sets_matches_the_interval_oracle(routes):
     rng = random.Random(20261018)
     tableless_rota = 0
@@ -489,17 +476,17 @@ def test_mobius_of_closed_sets_matches_the_interval_oracle(routes):
         n = rng.randint(1, 10)
         t = Topology(ground("abcdefghij"[:n]), random_family_bits(rng, n))
         tableless = t._images is None
-        before = routes["_rota_rows"]
+        before = routes["_rota_walk"]
         poset = FinitePoset.from_topology(t)
         table = poset.mobius()
-        tableless_rota += tableless and routes["_rota_rows"] > before
+        tableless_rota += tableless and routes["_rota_walk"] > before
         assert [(x.bits, y.bits, mu) for x, y, mu in table.pairs()] == [
             (a, c, mu) for (a, c), mu in oracle_mobius(t).items()
         ]
         if n <= 6:
             values = {item: random_fraction(rng) for item in poset.items}
             assert poset.mobius_invert(poset.sum_below(values)) == values
-    assert routes["_rota_rows"] >= 20
+    assert routes["_rota_walk"] >= 20
     assert routes["_interval_rows"] >= 20
     assert tableless_rota >= 1  # Rota after tabulating, counted in the dispatch
 
@@ -508,7 +495,7 @@ def test_discrete_mobius_closed_form_at_twelve_elements(routes):
     n = 12
     t = Topology(ground("abcdefghijkl"), range(1 << n))
     table = FinitePoset.from_topology(t).mobius()
-    assert routes == {"_rota_rows": 1}
+    assert routes == {"_rota_walk": 1}
     entries = 0
     for a, row in zip(t.bits, table.rows):
         assert list(row) == sorted(row)
@@ -519,6 +506,58 @@ def test_discrete_mobius_closed_form_at_twelve_elements(routes):
             assert mu == 1 - 2 * ((c ^ a).bit_count() & 1)  # (−1)^|C ∖ A|
         entries += len(row)
     assert entries == 3**n
+
+
+def test_the_walk_corrects_exactly_the_entries_off_the_sign(routes):
+    rng = random.Random(20261019)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        t = Topology(ground("abcdefghij"[:n]), random_family_bits(rng, n))
+        mu = oracle_mobius(t)
+        bits = t.bits
+        rows = list(FinitePoset.from_topology(t).mobius_walk())
+        assert len(rows) == len(bits)
+        for a, (above, corrections) in zip(bits, rows):
+            assert [bits[j] for j in above] == [c for c in bits if a & ~c == 0]
+            off_sign = [
+                (j, mu[a, bits[j]])
+                for j in above
+                if mu[a, bits[j]] != 1 - 2 * ((bits[j] ^ a).bit_count() & 1)
+            ]
+            assert sorted(corrections) == off_sign
+    assert routes["_rota_walk"] >= 20
+    assert routes["_interval_rows"] >= 20
+
+
+def test_the_discrete_walk_at_twelve_elements_has_no_corrections(routes):
+    n = 12
+    t = Topology(ground("abcdefghijkl"), range(1 << n))
+    entries = 0
+    for a, (above, corrections) in zip(t.bits, FinitePoset.from_topology(t).mobius_walk()):
+        assert corrections == []
+        assert above == sorted(set(above))
+        assert len(above) == 1 << (n - a.bit_count())
+        assert all(t.bits[j] & a == a for j in above)
+        entries += len(above)
+    assert entries == 3**n
+    assert routes == {"_rota_walk": 1}
+
+
+def test_a_truncated_family_corrects_each_small_row_at_the_top(routes):
+    # Each (n − 1)-subset closes to X, so μ(A, X) = (−1)^k·(1 − k) with
+    # k = |X ∖ A| ≥ 2, and every other entry is the sign.
+    n = 10
+    t = Topology(ground("abcdefghij"), truncated_bits(n))
+    poset = FinitePoset.from_topology(t)
+    top = len(t.bits) - 1
+    for a, (above, corrections) in zip(t.bits, poset.mobius_walk()):
+        k = n - a.bit_count()
+        assert corrections == ([(top, (-1) ** k * (1 - k))] if k else [])
+    table = poset.mobius()
+    assert [(x.bits, y.bits, mu) for x, y, mu in table.pairs()] == [
+        (a, c, mu) for (a, c), mu in oracle_mobius(t).items()
+    ]
+    assert routes == {"_rota_walk": 2}
 
 
 def test_a_long_chain_takes_the_interval_loop_without_a_table(routes, monkeypatch):

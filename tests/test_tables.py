@@ -29,6 +29,7 @@ from closureops.cli import main
 from conftest import (
     oracle_check_generation,
     oracle_hasse_doc,
+    oracle_mobius,
     oracle_mobius_doc,
     oracle_topology_doc,
     oracle_validation_doc,
@@ -234,7 +235,7 @@ def test_table_and_mobius_calls_build_no_mask(capsys, tmp_path, count_masks):
     expected = {
         "validate": _text(oracle_validation_doc(validate_closure(g, discrete.table()))),
         "topology": _text(oracle_topology_doc(discrete)),
-        "mobius": _text(oracle_mobius_doc(discrete, poset.mobius())),
+        "mobius": _text(oracle_mobius_doc(discrete, oracle_mobius(discrete))),
         "hasse": _text(oracle_hasse_doc(discrete, poset.hasse())),
     }
     made = count_masks()
