@@ -24,6 +24,8 @@ constructs two state-space representations:
   state utilities U(a, s) = 1-based indifference-class index, a signature
   σ(A) = (max_{a∈A} U(a, s))_s per menu, and a strictly monotone aggregator
   ranking achieved signatures; U(A) ≥ U(B) iff rank σ(A) ≥ rank σ(B).
+  Since σ(A) = σ(f(A)), σ is computed and checked on the nonempty closed
+  sets alone, |S(f)| − 1 signatures rather than 2^n − 1.
 
 * :func:`additive_representation` — for any closure operator f the preference
   respects: the superset Möbius transform of U over all menus (Yates's
@@ -86,7 +88,7 @@ class MenuPreference:
     Attributes:
         ground: the underlying ground set.
         values: utilities indexed by menu bit pattern; index 0 (the empty
-            menu) may be None, every other index holds a Fraction.
+            menu) holds None or a Fraction, every other index a Fraction.
     """
 
     ground: GroundSet
@@ -99,6 +101,8 @@ class MenuPreference:
         object.__setattr__(self, "values", values)
         if len(values) != self.ground.full_bits + 1:
             raise ValueError("one utility required per menu")
+        if not (values[0] is None or isinstance(values[0], Fraction)):
+            raise ValueError("missing or inexact utility for menu ∅")
         # Each distinct object is checked once, and only the distinct
         # Fractions are hashed and sorted: menus sharing a utility object (as
         # the JSON reader builds them) cost one lookup by identity each.
@@ -406,6 +410,12 @@ def respects(
     return True, None
 
 
+def _signature(chains: list[tuple[int, ...]], bits: int) -> tuple[int, ...]:
+    """σ(A) of a nonempty menu: per chain, the index of its first link holding
+    A, which is the 1-based class index of A's best element in that state."""
+    return tuple(chain.index(_first_superset(chain, bits)) for chain in chains)
+
+
 @dataclass(frozen=True)
 class KrepsRepresentation:
     """A minimal weak-order state space representing a menu preference.
@@ -415,7 +425,8 @@ class KrepsRepresentation:
     per state; menus share a signature iff they share a closure, and the
     aggregator ranks achieved signatures so that
     U(A) ≥ U(B) ⟺ rank σ(A) ≥ rank σ(B), strictly increasing in the
-    product order on achieved signatures.
+    product order on achieved signatures.  The achieved signatures are those
+    of the nonempty closed sets, one each, as σ(A) = σ(f(A)).
 
     Attributes:
         ground: the underlying ground set.
@@ -442,78 +453,11 @@ class KrepsRepresentation:
             raise GroundSetMismatch("menu lives in a different ground set")
         if not menu:
             raise ValueError("the empty menu has no signature")
-        return tuple(
-            state.bits.index(_first_superset(state.bits, menu.bits))
-            for state in self.states
-        )
+        return _signature([state.bits for state in self.states], menu.bits)
 
     def evaluate(self, menu: SubsetMask) -> int:
         """The rank of the menu's signature (a utility representing ⊵)."""
         return self.ranks[self.signature(menu)]
-
-
-def _signatures(utilities: list[list[int]], size: int) -> list[tuple[int, ...]]:
-    """σ(A) = (max_{a∈A} U(a, s))_s for every menu by bit pattern (index 0 is
-    unused): σ(A) is the componentwise max of σ(A minus its lowest element)
-    and that element's column."""
-    columns = [tuple(row[i] for row in utilities) for i in range(size)]
-    signatures: list[tuple[int, ...]] = [()] * (1 << size)
-    for bits in range(1, 1 << size):
-        low = bits & -bits
-        column = columns[low.bit_length() - 1]
-        rest = bits ^ low
-        signatures[bits] = (
-            tuple(map(max, signatures[rest], column)) if rest else column
-        )
-    return signatures
-
-
-def _check_signatures(
-    ranks: tuple, images: tuple[int, ...], signatures: list[tuple[int, ...]]
-) -> dict[tuple[int, ...], int]:
-    """Verify a signature map against the preference and its closure
-    operator, and return the first menu of each achieved signature.
-
-    Checks, for nonempty menus A and B:
-
-    * equal signatures ⟺ equal closures: the map closure ↦ signature is
-      well defined and injective, which is a comparison of the two
-      partitions of the menus, O(2^n);
-    * menus sharing a signature share a utility;
-    * the aggregator is strictly increasing on achieved signatures: checked
-      on adjacent pairs only, σ(A ∪ {x}) ≠ σ(A) ⟹ U(A ∪ {x}) > U(A).  This
-      suffices: if σ(A) ≥ σ(B) with σ(A) ≠ σ(B), then σ(A ∪ B) = σ(A), and
-      the chain adding A's elements to B one at a time never lowers σ, never
-      changes U where σ stays (previous check) and raises U where σ moves,
-      which it must do at least once; so U(A) = U(A ∪ B) > U(B).
-
-    Raises :class:`WitnessVerificationFailed` if a check fails.
-    """
-    full = len(ranks) - 1
-    signature_of_closure: dict[int, tuple[int, ...]] = {}
-    menu_of: dict[tuple[int, ...], int] = {}
-    for bits in range(1, full + 1):
-        sig = signatures[bits]
-        if signature_of_closure.setdefault(images[bits], sig) != sig:
-            raise WitnessVerificationFailed("signatures do not separate closures")
-        if ranks[menu_of.setdefault(sig, bits)] != ranks[bits]:
-            raise WitnessVerificationFailed(
-                "menus sharing a signature have different utilities"
-            )
-    if len(menu_of) != len(signature_of_closure):
-        raise WitnessVerificationFailed("signatures do not separate closures")
-    singles = [1 << i for i in range(full.bit_length())]
-    for a in range(1, full + 1):
-        for x in singles:
-            if (
-                not a & x
-                and signatures[a | x] != signatures[a]
-                and ranks[a | x] <= ranks[a]
-            ):
-                raise WitnessVerificationFailed(
-                    "aggregator is not strictly increasing on achieved signatures"
-                )
-    return menu_of
 
 
 def _check_ranks(
@@ -535,24 +479,32 @@ def kreps_representation(preference: MenuPreference) -> KrepsRepresentation:
 
     States are the verified weak-order witness of the Kreps operator, built
     by the weak-order stage of its complexity profile alone, so the state
-    count is exactly MNWO.  Signature soundness (equal signatures ⟺ equal
-    closures), aggregator strict monotonicity, and faithfulness of the
-    ranking are all verified here, in O(n·2^n) (see
-    :func:`_check_signatures` and :func:`_check_ranks`).
+    count is exactly MNWO.  σ is computed and checked on the nonempty
+    closed sets only, since the checks that already ran prove the rest:
+
+    * σ(A) = σ(f(A)): the weak-order stage's generation check gives
+      f = ⋂_s g_s, so A ⊆ f(A) ⊆ g_s(A) and g_s(f(A)) = g_s(A) per state s;
+    * σ is injective on S(f), as C = ⋂_s g_s(C) for closed C; this is
+      re-checked here as |S(f)| − 1 distinct signatures;
+    * so menus sharing a signature share a closure, hence a utility, by
+      respect; and σ(D) ≤ σ(C) gives D = ⋂_s g_s(D) ⊆ ⋂_s g_s(C) = C, so a
+      strictly larger achieved signature is strictly preferred.  Respect and
+      that strict increase are what :func:`_check_kreps_consequences`
+      verified in :func:`kreps_operator`.
+
+    Faithfulness of the ranking is verified by :func:`_check_ranks`.
     """
     f = kreps_operator(preference)
     states, _ = _weak_order_witness(meet_irreducibles(f))
-    ground = preference.ground
-    # state utilities per element, 1-based with the worst class at 1
-    utilities = [
-        [state.class_index(name) + 1 for name in ground.elements] for state in states
-    ]
-    signatures = _signatures(utilities, ground.size)
-    rank_of = preference._ranks
-    menu_of = _check_signatures(rank_of, f.tabulate_bits(), signatures)
-    ranks = {sig: rank_of[bits] + 1 for sig, bits in menu_of.items()}
-    _check_ranks({sig: preference.values[bits] for sig, bits in menu_of.items()}, ranks)
-    return KrepsRepresentation(ground=ground, states=states, ranks=ranks)
+    chains = [state.bits for state in states]
+    # σ of each nonempty closed set
+    signatures = {c: _signature(chains, c) for c in f.bits[1:]}
+    rank_of, values = preference._ranks, preference.values
+    ranks = {sig: rank_of[c] + 1 for c, sig in signatures.items()}
+    if len(ranks) != len(signatures):
+        raise WitnessVerificationFailed("signatures do not separate closures")
+    _check_ranks({sig: values[c] for c, sig in signatures.items()}, ranks)
+    return KrepsRepresentation(ground=preference.ground, states=states, ranks=ranks)
 
 
 @dataclass(frozen=True)

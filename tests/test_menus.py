@@ -26,15 +26,14 @@ from closureops import (
     kreps_representation,
     respects,
 )
+from closureops import menus
 from closureops.cli import main
 from closureops.core import MAX_RATIONAL_DIGITS, Topology
-from closureops.jsonio import additive_doc
+from closureops.jsonio import additive_doc, kreps_doc
 from closureops.menus import (
     _check_additive_states,
     _check_kreps_consequences,
     _check_ranks,
-    _check_signatures,
-    _signatures,
     _utility_keys,
 )
 from conftest import (
@@ -48,6 +47,7 @@ from conftest import (
     oracle_axioms,
     oracle_evaluate,
     oracle_kreps_consequences,
+    oracle_kreps_doc,
     oracle_ranks_ok,
     oracle_signatures,
     oracle_signatures_ok,
@@ -97,6 +97,15 @@ def test_preference_rejects_floats():
     g = ground("ab")
     with pytest.raises(TypeError):
         _pref(g, {"a": 0.5, "b": 1, "ab": 1})
+
+
+@pytest.mark.parametrize("empty", ["junk", 1.5])
+def test_preference_rejects_an_inexact_empty_menu_utility(empty):
+    g = ground("ab")
+    with pytest.raises(ValueError, match="^missing or inexact utility for menu ∅$"):
+        MenuPreference(g, (empty, Fraction(1), Fraction(1), Fraction(2)))
+    pref = MenuPreference(g, (Fraction(0), Fraction(1), Fraction(1), Fraction(2)))
+    assert pref.utility(g.empty) == 0
 
 
 def test_preference_rejects_foreign_menus():
@@ -270,6 +279,121 @@ def test_signature_requires_a_nonempty_native_menu():
         rep.signature(rep.ground.empty)
     with pytest.raises(GroundSetMismatch):
         rep.signature(ground("ab").subset("a"))
+
+
+def _increasing_preference(rng: random.Random, f: Topology) -> MenuPreference:
+    """A preference respecting f with strictly larger closures strictly
+    preferred, so both axioms hold and f is its Kreps operator: the values of
+    :func:`respecting_preference` span less than 61, so adding 61·|f(A)| makes
+    them strictly increasing in the closure."""
+    images = f.tabulate_bits()
+    values = respecting_preference(rng, f).values
+    return MenuPreference(
+        f.ground,
+        (None, *(values[a] + 61 * images[a].bit_count() for a in range(1, len(values)))),
+    )
+
+
+def _kreps_matches_the_signature_oracle(pref: MenuPreference) -> None:
+    rep = kreps_representation(pref)
+    g = pref.ground
+    utilities = [
+        [rep.state_utility(x, s) for x in g.elements] for s in range(rep.state_count)
+    ]
+    signatures = oracle_signatures(utilities, g.size)
+    level = {value: i + 1 for i, value in enumerate(sorted(set(pref.values[1:])))}
+    assert rep.ranks == {
+        signatures[a]: level[pref.values[a]] for a in range(1, g.full_bits + 1)
+    }
+    images = kreps_operator(pref).tabulate_bits()
+    assert oracle_signatures_ok(pref.values, images, signatures)
+    assert json.loads(kreps_doc(rep)) == oracle_kreps_doc(rep)
+
+
+def test_kreps_ranks_equal_the_signature_oracle_over_every_menu():
+    rng = random.Random(22)
+    for case in range(200):
+        g = GroundSet(tuple(f"e{i}" for i in range(rng.randint(1, 8))))
+        if case % 2:
+            pref = _increasing_preference(rng, random_operator(rng, g))
+        else:
+            orders = [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))]
+            pref = sum_of_maxes(g, orders)
+        _kreps_matches_the_signature_oracle(pref)
+
+
+def _block_preference(n: int) -> MenuPreference:
+    """f(A) = the union of the pairs {e₂ᵢ, e₂ᵢ₊₁} that A meets, U(A) = |f(A)|."""
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    low = sum(1 << i for i in range(0, n, 2))
+    levels = [Fraction(k) for k in range(n + 1)]
+    return MenuPreference(
+        g,
+        (
+            None,
+            *(
+                levels[(a | (a & low) << 1 | (a & low << 1) >> 1).bit_count()]
+                for a in range(1, g.full_bits + 1)
+            ),
+        ),
+    )
+
+
+def test_kreps_on_sixteen_elements_in_eight_blocks():
+    pref = _block_preference(16)
+    rep = kreps_representation(pref)
+    assert rep.state_count == 8
+    assert len(rep.ranks) == 255
+    rng = random.Random(16)
+    g = pref.ground
+    for _ in range(2000):
+        a, b = (g.mask(rng.randrange(1, g.full_bits + 1)) for _ in range(2))
+        assert (rep.evaluate(a) >= rep.evaluate(b)) == pref.weakly_prefers(a, b)
+
+
+def test_kreps_signs_each_nonempty_closed_set_once(monkeypatch):
+    pref = _block_preference(8)
+    signed = Counter()
+    real = menus._signature
+
+    def counted(chains, bits):
+        signed[bits] += 1
+        return real(chains, bits)
+
+    monkeypatch.setattr(menus, "_signature", counted)
+    kreps_representation(pref)
+    closed = kreps_operator(pref).bits[1:]
+    assert sum(signed.values()) == len(closed) == 15
+    assert sorted(signed) == list(closed)
+
+
+def test_a_dropped_state_fails_verification(tmp_path, capsys, monkeypatch):
+    real = menus._weak_order_witness
+
+    def dropped(irreducibles):
+        states, report = real(irreducibles)
+        return states[:-1], report
+
+    monkeypatch.setattr(menus, "_weak_order_witness", dropped)
+    message = "signatures do not separate closures"
+    for pref in (bob_preference(), _block_preference(6)):
+        with pytest.raises(WitnessVerificationFailed, match=message):
+            kreps_representation(pref)
+    bob = bob_preference()
+    utilities = [
+        {"menu": list(m.members()), "value": str(bob.utility(m))}
+        for m in bob.ground.subsets()
+        if m
+    ]
+    path = tmp_path / "pref.json"
+    path.write_text(
+        json.dumps({"elements": list(bob.ground.elements), "utilities": utilities}),
+        encoding="utf-8",
+    )
+    assert main(["menu-rep", "--preference", str(path), "--style", "kreps"]) == 3
+    out, err = capsys.readouterr()
+    assert err == f"internal error: {message}\n"
+    assert json.loads(out) == {"error": message, "internal": True}
 
 
 # -------------------------------------------------- additive representation
@@ -448,43 +572,6 @@ def test_kreps_consequence_check_matches_its_oracle():
             values[rng.randrange(1, g.full_bits + 1)] += 1
         expected = oracle_kreps_consequences(values, images)
         assert _passes(_check_kreps_consequences, tuple(values), images) == expected
-        outcomes[expected] += 1
-    assert outcomes[True] >= 50 and outcomes[False] >= 50
-
-
-def test_signature_checks_match_their_oracles():
-    outcomes = Counter()
-    for seed in range(300):
-        rng = random.Random(seed)
-        n = rng.randint(2, 4)
-        g = ground("abcd"[:n])
-        states = [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))]
-        utilities = [[s.class_index(x) + 1 for x in g.elements] for s in states]
-        signatures = _signatures(utilities, n)
-        assert signatures[1:] == oracle_signatures(utilities, n)[1:]
-        if rng.random() < 0.6:
-            # the operator the states generate: x ∈ f(A) iff no state ranks x
-            # above A's best
-            images = tuple(
-                [0]
-                + [
-                    sum(
-                        1 << i
-                        for i in range(n)
-                        if all(
-                            row[i] <= top for row, top in zip(utilities, signatures[a])
-                        )
-                    )
-                    for a in range(1, g.full_bits + 1)
-                ]
-            )
-        else:
-            images = random_operator(rng, g).tabulate_bits()
-        values = list(sum_of_maxes(g, states).values)
-        if rng.random() < 0.3:
-            values[rng.randrange(1, g.full_bits + 1)] += rng.choice((-1, 1))
-        expected = oracle_signatures_ok(values, images, signatures)
-        assert _passes(_check_signatures, tuple(values), images, signatures) == expected
         outcomes[expected] += 1
     assert outcomes[True] >= 50 and outcomes[False] >= 50
 
