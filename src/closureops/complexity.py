@@ -20,9 +20,26 @@ is why these sets alone decide both measures.  So P(f) is the closed sets
 with at most one upper cover: if C alone covers A, every strict superset
 contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A.
 
+:func:`meet_irreducibles` finds P(f) by whichever of two exact routes counts
+fewer steps.  The cover route keeps the closed sets with at most one upper
+cover.  The word route (:func:`~closureops.core._irreducible_words`) builds
+no cover: a closed A ≠ X is meet-irreducible iff some y ∉ A lies in
+f(A ∪ {x}) for every x ∉ A (with one cover C, any y ∈ C ∖ A; with two
+covers C and C′, a y ∉ A misses one of them, say C, and then
+y ∉ f(A ∪ {x}) = C for x ∈ C ∖ A).  Reading S(f) as the 2^n-bit word D and
+the sets holding x as M_x, the closed A ∌ y passing that test for y are
+
+    W_y = D ∧ ¬M_y ∧ ⋀_{x≠y} (M_x ∨ ((¬Q_y ∧ M_x) >> 2^x)),
+
+where Q_y = down(D ∧ ¬M_y) holds the subsets of the closed sets lacking y,
+so a set A ∪ {x} outside Q_y has y ∈ f(A ∪ {x}).  Then
+P(f) = {X} ∪ ⋃_y W_y, in n(7n + 2) operations on 2^n-bit words.  It wins
+on the discrete family, where the covers number n·2^(n−1); the covers win
+on chains and other small families of many elements.
+
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
-The covers of S(f), from the inclusion order
+In the profile the covers of S(f), from the inclusion order
 :meth:`~closureops.poset.FinitePoset.from_topology` keeps, give P(f), the
 width and the depth, all three read from the closed sets' bit patterns: no
 mask is built for S(f) beyond the members of P(f).  The width is certified by
@@ -54,9 +71,10 @@ union per closed set of f, and builds no 2^n table and no operator.  Each
 witness has one stage that builds its list and checks it
 (:func:`_weak_order_witness`, :func:`_binary_witness`).  The profile runs
 both and keeps both reports.  ``decompose`` runs only the stage of its kind
-and the Kreps representation only the weak-order stage, on P(f) alone,
-without the width or depth of S(f).  So each report verifies exactly the
-witness it prints, once.
+and the Kreps representation only the weak-order stage, on the P(f) of
+:func:`meet_irreducibles` alone, without the width or depth of S(f), and so
+without the covers whenever the words are cheaper.  So each report
+verifies exactly the witness it prints, once.
 """
 
 from __future__ import annotations
@@ -64,11 +82,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import SubsetMask, Topology
+from .core import SubsetMask, Topology, _irreducible_steps, _irreducible_words
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
 from .generators import _chain_classes
-from .poset import ChainCover, FinitePoset
+from .poset import ChainCover, FinitePoset, _cover_steps
 
 __all__ = [
     "IrreducibleSet",
@@ -96,15 +114,29 @@ class IrreducibleSet:
 
 
 def meet_irreducibles(topology: Topology) -> IrreducibleSet:
-    """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`."""
+    """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`.
+
+    Takes whichever exact route counts fewer steps: the words of
+    :func:`~closureops.core._irreducible_words`, or the upper covers of
+    S(f) (module docstring)."""
+    size, closed = topology.ground.size, topology.bits
+    if _irreducible_steps(size, len(closed)) < _cover_steps(topology):
+        return _irreducible_set(topology, _irreducible_words(size, closed))
     covers = FinitePoset.from_topology(topology).upper_cover_indices()
     return _irreducibles(topology, covers)
 
 
 def _irreducibles(topology: Topology, covers: Sequence[Sequence[int]]) -> IrreducibleSet:
     """P(f) and B(f), read from the upper covers of S(f) (module docstring)."""
+    return _irreducible_set(
+        topology, [a for a, above in zip(topology.bits, covers) if len(above) <= 1]
+    )
+
+
+def _irreducible_set(topology: Topology, p_of_f: Sequence[int]) -> IrreducibleSet:
+    """The :class:`IrreducibleSet` of P(f), given as ascending bit patterns."""
     ground = topology.ground
-    p = tuple(ground.mask(a) for a, above in zip(topology.bits, covers) if len(above) <= 1)
+    p = tuple(map(ground.mask, p_of_f))
     full = ground.full_bits
     b_of_f = tuple(m for m in p if m.bits not in (0, full))
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)

@@ -18,19 +18,31 @@ as an array indexed by bit pattern (:meth:`Topology._validated`), validating
 the closure axioms with complete witness reports.  It also provides the
 lattice operations (meet = intersection, join = closure of the union).
 
-Intersection closure of a family S is decided by whichever of two exact
-routes takes fewer steps.  The pair loop tests |S|(|S|−1)/2 pairs.  The
+Intersection closure of a family S is decided by whichever of three exact
+routes takes fewest steps.  The pair loop tests |S|(|S|−1)/2 pairs.  The
 superset recursion (:func:`_superset_dp`) computes DP(A) = ⋂{C ∈ S : A ⊆ C}
 for all 2^n subsets in n·2^(n−1) steps and checks that each lies in S,
 (n + 2)·2^(n−1) steps in all.  The two agree: S is intersection-closed iff
 every DP(A) lies in S, since DP(A) is an intersection of members, and for
 members C and D the members above C ∩ D meet in C ∩ D.  On success the
 recursion's result is the closure operator's image table, which the topology
-keeps as its only image cache.  On failure the pair loop runs as well, so
-:class:`NotIntersectionClosed` names the same pair whichever route decided,
-trying only members above a missing intersection the recursion found.
-Closed sets taken from images already known to satisfy the axioms are not
-validated again (:meth:`Topology._trusted`).
+keeps as its only image cache, so the recursion decides whenever it is
+cheaper than the pair loop.  Otherwise the word route (:func:`_missing_meets`)
+runs where it counts fewer steps than the pair loop: it treats S as one
+2^n-bit word and finds the subsets A ∉ S with DP(A) = A in n(3n + 7)
+operations on such words, with no table.  That is the same set the
+recursion reads off its table as ``missing``, the A ∉ S equal to the meet of
+the members above them.  On failure of either the pair loop runs as well,
+so :class:`NotIntersectionClosed` names the same pair whichever route
+decided, trying only members above a missing set (:func:`_above`, one byte
+read per member): a ∩ b ∉ S iff a ∩ b is missing, as DP(a ∩ b) ⊆ a ∩ b.  Closed sets taken from images already known
+to satisfy the axioms are not validated again (:meth:`Topology._trusted`).
+
+The closure axioms of an operator table are checked word-parallel too
+(:func:`_validate_images`): the images become n bit-planes, and each axiom's
+witnesses are the set bits of a few words.  The word kernel (M_x, D, down
+and the bit listing) is at the end of this module; the meet-irreducibles of
+:mod:`closureops.complexity` use it as well.
 
 Every other image table built from a family of sets comes from one routine,
 :func:`_meet_images`, f(A) = ⋂{C ∈ F : A ⊆ C} for any family F of bit
@@ -52,9 +64,12 @@ are immutable up to the image cache; all functions are pure.
 from __future__ import annotations
 
 import re
+import struct
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 
 from .errors import (
     ForeignMask,
@@ -305,10 +320,10 @@ class Topology:
     determines f: :meth:`closure_of` maps a subset to its smallest closed
     superset.  The family is stored one way only, as the ascending tuple of
     its bit patterns: construction drops duplicates, sorts, and validates the
-    invariants eagerly, by the cheaper of the pair loop and the superset
-    recursion (module docstring).  :meth:`from_masks` builds one from
-    :class:`SubsetMask` values, and :meth:`from_table` from an operator
-    table.  ``ClosureOperator`` is another name for this class.
+    invariants eagerly, by the cheapest of the pair loop, the superset
+    recursion and the word route (module docstring).  :meth:`from_masks`
+    builds one from :class:`SubsetMask` values, and :meth:`from_table` from
+    an operator table.  ``ClosureOperator`` is another name for this class.
 
     Call the operator like a function: ``f(mask)`` returns the closure, read
     from the table of all 2^n images.  The superset recursion leaves that
@@ -344,18 +359,25 @@ class Topology:
             raise MissingTopBottom("the full ground set must be closed")
         size = self.ground.size
         count = len(closed)
+        pairs = count * (count - 1) // 2
         missing: list[int] = []
-        if (size + 2) << (size - 1) < count * (count - 1) // 2:
+        if (size + 2) << (size - 1) < pairs:
             images = _superset_dp(full, bitset)
             if bitset.issuperset(images):
                 object.__setattr__(self, "_images", images)
                 return
             missing = [m for m, image in enumerate(images) if m == image and m not in bitset]
+        elif _missing_meet_steps(size, count) < pairs:
+            missing = _missing_meets(size, closed)
+            if not missing:
+                return
         # The pair loop decides small families and names the first missing
-        # intersection whenever the recursion has found that one is missing:
-        # DP(a ∩ b) ⊆ a ∩ b, so a ∩ b ∉ S iff it is in ``missing``.
+        # intersection whenever the recursion or the words have found that
+        # one is missing: DP(a ∩ b) ⊆ a ∩ b, so a ∩ b ∉ S iff it is in
+        # ``missing``, and only rows a above a missing set can hold a pair.
+        rows = _above(size, missing) if missing else b""
         for i, a in enumerate(closed):
-            if missing and not any(m & ~a == 0 for m in missing):
+            if rows and not rows[a >> 3] >> (a & 7) & 1:
                 continue
             for b in closed[i + 1 :]:
                 if a & b not in bitset:
@@ -586,31 +608,46 @@ def validate_closure(
 def _validate_images(ground: GroundSet, images: Sequence[int]) -> ValidationReport:
     """The closure axioms checked on images indexed by bit pattern.  An
     image of −1 marks a subset the table lacks: :class:`MissingEntry` names
-    the first in canonical order."""
+    the first in canonical order.
+
+    The table is read as n bit-planes, P_e holding the A with e ∈ f(A)
+    (:func:`_image_planes`), and checked word-parallel in O(n²) operations
+    on 2^n-bit words:
+
+    * extensivity fails at the set bits of ⋃_e (M_e ∧ ¬P_e);
+    * monotonicity fails at (A, A ∪ {x}) for the set bits A of
+      ⋃_e (P_e ∧ ¬(P_e >> 2^x)) ∧ ¬M_x, as bit A of P_e >> 2^x is bit
+      A ∪ {x} of P_e when x ∉ A;
+    * idempotence fails where f(f(A)) ≠ f(A), read by one ``map`` over the
+      images.
+
+    Each witness list comes out in canonical order, the pairs by A and then
+    by x.
+    """
     if -1 in images:
         label = ground.mask(images.index(-1)).label()
         raise MissingEntry(f"table lacks an image for {label}")
-    full = ground.full_bits
-    extensivity: list[SubsetMask] = []
-    idempotence: list[SubsetMask] = []
-    monotonicity: list[tuple[SubsetMask, SubsetMask]] = []
-    for bits in range(full + 1):
-        img = images[bits]
-        if bits & ~img:
-            extensivity.append(ground.mask(bits))
-        if images[img] != img:
-            idempotence.append(ground.mask(bits))
-        rest = full & ~bits
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            if img & ~images[bits | x]:
-                monotonicity.append((ground.mask(bits), ground.mask(bits | x)))
+    size = ground.size
+    elements = _element_words(size)
+    planes = _image_planes(size, images)
+    outside = 0
+    for m, plane in zip(elements, planes):
+        outside |= m & ~plane
+    rising = []
+    for x, m in enumerate(elements):
+        shift = 1 << x
+        drops = 0
+        for plane in planes:
+            drops |= plane & ~(plane >> shift)
+        rising += [(a, a | shift) for a in _set_bits(drops & ~m, size)]
+    rising.sort()
+    unstable = map(ne, images, map(images.__getitem__, images))
+    mask = ground.mask
     return ValidationReport(
         ground=ground,
-        extensivity=tuple(extensivity),
-        idempotence=tuple(idempotence),
-        monotonicity=tuple(monotonicity),
+        extensivity=tuple(map(mask, _set_bits(outside, size))),
+        idempotence=tuple(map(mask, compress(range(len(images)), unstable))),
+        monotonicity=tuple((mask(a), mask(b)) for a, b in rising),
         fixes_empty=images[0] == 0,
     )
 
@@ -690,3 +727,157 @@ def _superset_dp(full: int, family: Iterable[int]) -> tuple[int, ...]:
             image &= images[a | x]
         images[a] = image
     return tuple(images)
+
+
+# Word-parallel kernel.  A family of subsets of X, |X| = n, is one 2^n-bit
+# integer whose bit A is set iff A is in the family.  CPython works on such
+# integers a machine word at a time, so one AND, OR or shift of a whole
+# family costs about as much as a Python step while the words are short,
+# and grows with 2^n beyond (:data:`_WORD_SHIFT`).
+
+#: Step counts that compare routes of different kinds are in pair tests,
+#: one ``a & b not in S`` of the pair loop (about 50 ns on CPython 3.11).
+#: An AND, OR or shift of 2^n-bit words counts as 2 + 2^n >> _WORD_SHIFT of
+#: them: twice a pair test up to about a thousand bits, and growing with the
+#: words' length beyond, as measured for n = 4-20.
+_WORD_SHIFT = 11
+
+#: Per byte value, the positions of its set bits, ascending.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
+
+#: Per bit b, the table mapping a byte to the digit "1" if bit b is set,
+#: else "0": runs of 2^b zeros and 2^b ones.
+_PLANE_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+def _word_steps(size: int, ops: int) -> int:
+    """Pair tests that ``ops`` operations on 2^size-bit words take
+    (:data:`_WORD_SHIFT`)."""
+    return ops * (2 + ((1 << size) >> _WORD_SHIFT))
+
+
+def _element_words(size: int) -> list[int]:
+    """M_x for every element x: the 2^size-bit word of the subsets that hold
+    x, built by doubling its period of 2^(x+1) bits, never by division."""
+    length = 1 << size
+    words = []
+    for x in range(size):
+        span = 1 << x
+        word = ((1 << span) - 1) << span
+        span <<= 1
+        while span < length:
+            word |= word << span
+            span <<= 1
+        words.append(word)
+    return words
+
+
+def _indicator(size: int, family: Iterable[int]) -> int:
+    """D: the 2^size-bit word of a family's bit patterns, set in a
+    ``bytearray`` in one step per member and read as one integer."""
+    buffer = bytearray(((1 << size) + 7) >> 3)
+    for c in family:
+        buffer[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def _down(word: int, elements: Sequence[int]) -> int:
+    """The subsets of the members of ``word``: for each element x, every
+    member holding x adds itself without x (n shift-OR steps)."""
+    for x, m in enumerate(elements):
+        word |= (word & m) >> (1 << x)
+    return word
+
+
+def _above(size: int, family: Iterable[int]) -> bytes:
+    """The 2^size-bit word of the supersets of a family's members, as
+    little-endian bytes, so that bit A is one byte read: for each element x,
+    every set lacking x adds itself with x (n shift-OR steps)."""
+    word = _indicator(size, family)
+    for x, m in enumerate(_element_words(size)):
+        word |= (word & ~m) << (1 << x)
+    return word.to_bytes(((1 << size) + 7) >> 3, "little")
+
+
+def _set_bits(word: int, size: int) -> list[int]:
+    """The set bits of a 2^size-bit word, ascending, read through
+    ``to_bytes`` (never by ``x & -x`` on the word): the nonzero bytes are
+    found at C speed, and only they take Python steps."""
+    if not word:
+        return []
+    data = word.to_bytes(((1 << size) + 7) >> 3, "little")
+    nonzero = compress(range(len(data)), data)
+    return [i << 3 | b for i in nonzero for b in _BYTE_BITS[data[i]]]
+
+
+def _image_planes(size: int, images: Sequence[int]) -> list[int]:
+    """P_e for every element e: the 2^size-bit word of the A with e ∈ f(A),
+    for images indexed by bit pattern.  The images are packed as
+    little-endian 4-byte integers, and each byte lane becomes eight planes
+    through one ``bytes.translate`` table per bit, read as a binary
+    numeral."""
+    raw = struct.pack(f"<{len(images)}I", *images)
+    lanes = [raw[k::4] for k in range((size + 7) >> 3)]
+    digits = (lanes[e >> 3].translate(_PLANE_DIGITS[e & 7]) for e in range(size))
+    return [int(plane[::-1], 2) for plane in digits]
+
+
+def _missing_meet_steps(size: int, count: int) -> int:
+    """Steps of :func:`_missing_meets` on a family of ``count`` members:
+    one per member for D, and n(3n + 7) word operations."""
+    return count + _word_steps(size, size * (3 * size + 7))
+
+
+def _missing_meets(size: int, family: Iterable[int]) -> list[int]:
+    """The subsets A outside a family holding X that equal the meet of the
+    members above them, ascending: ¬D ∧ ¬⋃_y (¬M_y ∧ ¬Q_y), with
+    Q_y = down(D ∧ ¬M_y) the subsets of the members that lack y.
+
+    For y ∉ A, A ∈ Q_y iff some member above A lacks y, so A escapes no
+    ¬M_y ∧ ¬Q_y iff every y ∉ A is left out by a member above A, that is iff
+    A is the meet of the members above it: A = DP(A) in the terms of
+    :func:`_superset_dp`.  The family is intersection-closed iff the list is
+    empty.
+    """
+    every = (1 << (1 << size)) - 1
+    elements = _element_words(size)
+    closed = _indicator(size, family)
+    escapes = 0
+    for m in elements:
+        escapes |= every ^ (m | _down(closed & ~m, elements))
+    return _set_bits(every ^ (closed | escapes), size)
+
+
+def _irreducible_steps(size: int, count: int) -> int:
+    """Steps of :func:`_irreducible_words` on ``count`` closed sets: one per
+    closed set for D, and n(7n + 2) word operations."""
+    return count + _word_steps(size, size * (7 * size + 2))
+
+
+def _irreducible_words(size: int, closed: Iterable[int]) -> list[int]:
+    """P(f), the meet-irreducible closed sets, ascending, from the closed
+    sets of f alone: {X} ∪ ⋃_y W_y with
+
+        W_y = D ∧ ¬M_y ∧ ⋀_{x ≠ y} (M_x ∨ ((¬Q_y ∧ M_x) >> 2^x)),
+
+    Q_y = down(D ∧ ¬M_y).  Bit A of (¬Q_y ∧ M_x) >> 2^x, for x ∉ A, says
+    that no closed set above A ∪ {x} lacks y, i.e. y ∈ f(A ∪ {x}).  So W_y
+    holds the closed A ∌ y with y ∈ f(A ∪ {x}) for every x ∉ A, and a
+    closed A ≠ X is meet-irreducible iff some such y exists: if C alone
+    covers A, every f(A ∪ {x}) contains C, so any y ∈ C ∖ A will do; if C
+    and C′ both cover A, a y ∉ A misses one of them, say C, and then
+    y ∉ f(A ∪ {x}) = C for x ∈ C ∖ A.
+    """
+    every = (1 << (1 << size)) - 1
+    elements = _element_words(size)
+    family = _indicator(size, closed)
+    irreducible = 1 << ((1 << size) - 1)
+    for y, m in enumerate(elements):
+        lacking = family & ~m
+        beyond = every ^ _down(lacking, elements)
+        word = lacking
+        for x, mx in enumerate(elements):
+            if x != y:
+                word &= mx | ((beyond & mx) >> (1 << x))
+        irreducible |= word
+    return _set_bits(irreducible, size)

@@ -207,12 +207,45 @@ def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
     """An operator table document as images indexed by bit pattern, −1
     where the map lacks a subset, read without building a mask.  A repeated
     ``"from"`` subset is a :class:`SchemaError`; a lacking one is left to the
-    validation, which raises :class:`~closureops.errors.MissingEntry`."""
+    validation, which raises :class:`~closureops.errors.MissingEntry`.
+
+    Each name array is summed through a per-name weight dict, its bit count
+    telling whether a name repeats.  Anything unexpected (a non-array, an
+    unknown or non-string name, a repeated name or subset) sends the whole
+    map through :func:`_checked_images`, entry by entry, which counts a
+    repeated name once and raises the error naming the first bad entry."""
     doc = _require_dict(doc, "operator table document")
     ground = ground_from(doc)
     _require("map" in doc, 'operator table document needs a "map" array')
+    entries = _require_list(doc["map"], '"map"')
+    weight = {name: 1 << i for i, name in enumerate(ground.elements)}.__getitem__
     images = [-1] * (ground.full_bits + 1)
-    for entry in _require_list(doc["map"], '"map"'):
+    try:
+        for entry in entries:
+            source, target = entry["from"], entry["to"]
+            if type(source) is not list or type(target) is not list:
+                break
+            key = sum(map(weight, source))
+            image = sum(map(weight, target))
+            if (
+                key.bit_count() != len(source)
+                or image.bit_count() != len(target)
+                or images[key] != -1
+            ):
+                break
+            images[key] = image
+        else:
+            return ground, images
+    except (KeyError, TypeError):
+        pass
+    return ground, _checked_images(ground, entries)
+
+
+def _checked_images(ground: GroundSet, entries: list) -> list[int]:
+    """The images of a map read entry by entry, with the checks and errors
+    of :func:`operator_images_from`."""
+    images = [-1] * (ground.full_bits + 1)
+    for entry in entries:
         try:
             if not isinstance(entry, dict):
                 raise TypeError
@@ -224,7 +257,7 @@ def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
         if images[key] != -1:
             raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
         images[key] = _bits_from(ground, target, '"to"')
-    return ground, images
+    return images
 
 
 def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:

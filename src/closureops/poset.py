@@ -542,6 +542,28 @@ def _walked_covers(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(covers)
 
 
+#: One counted step of the covers takes about as long as this many pair
+#: tests of :class:`~closureops.core.Topology` (a sweep step reads an image,
+#: an index and a list; a row step ANDs rows of |S| bits), as measured on
+#: the benchmark's families.
+_COVER_STEP = 8
+
+
+def _cover_steps(topology: Topology) -> int:
+    """Pair tests the covers of S(f) take (:data:`_COVER_STEP`), counted
+    before they are built: with an image table, the Σ_{A ∈ S} (n − |A|)
+    image reads of the sweep (:func:`_swept_covers`); without one, the
+    2·Σ_{A ∈ S} |A| column reads that build the rows, plus at least one step
+    of the walk per closed set below X (:func:`_walked_covers`)."""
+    closed = topology.bits
+    members = sum(c.bit_count() for c in closed)
+    if topology._images is not None:
+        steps = topology.ground.size * len(closed) - members
+    else:
+        steps = 2 * members + len(closed) - 1
+    return _COVER_STEP * steps
+
+
 def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
     """Whether :func:`_rota_walk` takes no more steps than
     :func:`_interval_rows` for the inclusion order ``poset`` on the closed

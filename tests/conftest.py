@@ -463,6 +463,35 @@ def oracle_mobius(topology: Topology) -> dict[tuple[int, int], int]:
     return mu
 
 
+def oracle_validate_images(ground: GroundSet, images) -> ValidationReport:
+    """The closure axioms checked on images indexed by bit pattern, one
+    subset and one adjacent pair (A, A ∪ {x}) at a time, in canonical order
+    of A and then of x."""
+    full = ground.full_bits
+    extensivity = []
+    idempotence = []
+    monotonicity = []
+    for bits in range(full + 1):
+        img = images[bits]
+        if bits & ~img:
+            extensivity.append(ground.mask(bits))
+        if images[img] != img:
+            idempotence.append(ground.mask(bits))
+        rest = full & ~bits
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            if img & ~images[bits | x]:
+                monotonicity.append((ground.mask(bits), ground.mask(bits | x)))
+    return ValidationReport(
+        ground=ground,
+        extensivity=tuple(extensivity),
+        idempotence=tuple(idempotence),
+        monotonicity=tuple(monotonicity),
+        fixes_empty=images[0] == 0,
+    )
+
+
 def oracle_missing_intersection(bits) -> tuple[int, int] | None:
     """The first pair (a, b) of a family, in ascending order, whose
     intersection is missing, by testing every pair."""

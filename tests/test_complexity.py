@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from collections import Counter
 from math import comb
 
@@ -21,6 +22,7 @@ from closureops import (
     check_generation,
     complexity,
     complexity_profile,
+    core,
     intersect_generate,
     meet_irreducibles,
     more_complex,
@@ -31,6 +33,7 @@ from conftest import (
     atoms_topology,
     brute_meet_reducible,
     brute_width,
+    chain_bits,
     chain_topology,
     check_chain_cover,
     crown_bits,
@@ -109,6 +112,70 @@ def test_irreducibles_match_pairwise_oracle_exhaustively():
 def test_irreducibles_match_pairwise_oracle_on_random_families(seed, size):
     t = random_topology(random.Random(seed), GroundSet(tuple("abcdef"[:size])))
     assert meet_irreducibles(t).p_of_f == _pairwise_irreducibles(t)
+
+
+def _forced_routes(t: Topology) -> tuple[list[int], list[int]]:
+    """P(f) as bit patterns by the words and by the covers, each forced."""
+    words = core._irreducible_words(t.ground.size, t.bits)
+    covers = FinitePoset.from_topology(t).upper_cover_indices()
+    return words, [m.bits for m in complexity._irreducibles(t, covers).p_of_f]
+
+
+def test_both_irreducible_routes_match_the_pairwise_oracle(monkeypatch):
+    # Forced, the two routes give the oracle's P(f); left to choose,
+    # meet_irreducibles takes each on some of the families.
+    taken: Counter = Counter()
+    words = complexity._irreducible_words
+
+    def spy(*args):
+        taken["words"] += 1
+        return words(*args)
+
+    monkeypatch.setattr(complexity, "_irreducible_words", spy)
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        bits = random_family_bits(rng, n)
+        if len(bits) > 80:  # the oracle takes |S|³ steps
+            continue
+        t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), bits)
+        expected = [m.bits for m in _pairwise_irreducibles(t)]
+        assert _forced_routes(t) == (expected, expected)
+        before = taken["words"]
+        assert [m.bits for m in meet_irreducibles(t).p_of_f] == expected
+        taken["chose words" if taken["words"] > before else "chose covers"] += 1
+    assert taken["chose words"] >= 20 and taken["chose covers"] >= 20
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_irreducibles_of_large_closed_forms(n):
+    # Discrete: B(f) is the n coatoms.  Chain: P(f) is the whole chain.
+    # Crown: P(f) is the n cyclic pairs and X.
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    full = g.full_bits
+    coatoms = [full & ~(1 << i) for i in reversed(range(n))]
+    assert core._irreducible_words(n, range(full + 1)) == [*coatoms, full]
+    if n < 20:  # a Topology holding 2^20 closed sets takes 100 MB
+        discrete = Topology._trusted(g, tuple(range(full + 1)))
+        assert [m.bits for m in meet_irreducibles(discrete).b_of_f] == coatoms
+    chain = chain_bits(random.Random(n), n)
+    pairs = sorted(1 << i | 1 << (i + 1) % n for i in range(n))
+    for bits, expected in ((chain, chain), (crown_bits(n), [*pairs, full])):
+        t = Topology(g, bits)
+        assert _forced_routes(t) == (expected, expected)
+        assert [m.bits for m in meet_irreducibles(t).p_of_f] == expected
+
+
+def test_irreducibles_of_a_large_discrete_family_are_found_fast():
+    # 2^18 closed sets with n·2^17 covers: the words take n(7n + 2)
+    # operations on 2^18-bit words instead.
+    n = 18
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    discrete = Topology._trusted(g, tuple(range(1 << n)))
+    start = time.perf_counter()
+    irreducibles = meet_irreducibles(discrete)
+    assert time.perf_counter() - start < 1
+    assert len(irreducibles.b_of_f) == n
 
 
 # ------------------------------------------------------------------- profiles

@@ -30,6 +30,7 @@ from closureops import (
     validate_closure,
 )
 from closureops.cli import main
+from closureops.jsonio import validation_doc
 from conftest import (
     ABCD,
     animals_labeling,
@@ -42,6 +43,7 @@ from conftest import (
     oracle_missing_intersection,
     oracle_scan_images,
     oracle_topology_doc,
+    oracle_validate_images,
     random_family_bits,
     random_topology,
     sub,
@@ -214,21 +216,43 @@ def _meet_reducible(rng: random.Random, bits: list[int]) -> int | None:
     return None
 
 
+def _route(taken: dict, before: dict) -> str:
+    """The validation route that ran since ``before`` was copied from
+    ``taken``: the superset recursion, the words, or the pair loop alone."""
+    for key in ("dp", "words"):
+        if taken[key] > before[key]:
+            return key
+    return "pairs"
+
+
+def _middling_bits(rng: random.Random, n: int) -> list[int]:
+    """The intersection closure of random picks, ∅ and X, grown until it
+    holds a drawn 40 to 110 sets or a few more: on 10 elements, more than
+    the pair loop's share and fewer than the recursion's."""
+    full = (1 << n) - 1
+    family = {0, full}
+    target = rng.randint(40, 110)
+    while len(family) < target:
+        pick = rng.getrandbits(n)
+        family |= {pick & other for other in family}
+    return sorted(family)
+
+
 def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
-    # The superset recursion decides dense families; the pair loop decides
-    # small ones and names the missing intersection whenever one is missing,
-    # also when several are.
+    # The superset recursion decides dense families, the words middling
+    # ones and the pair loop small ones; the pair loop names the missing
+    # intersection whenever one is missing, also when several are.
     taken = _count_methods(monkeypatch)
     sides: Counter = Counter()
-    for seed in range(300):
+    for seed in range(400):
         rng = random.Random(seed)
-        n = rng.randint(1, 10)
+        n = rng.randint(1, 10) if seed < 300 else 10
         g = GroundSet(tuple(f"e{i}" for i in range(n)))
-        bits = random_family_bits(rng, n)
+        bits = random_family_bits(rng, n) if seed < 300 else _middling_bits(rng, n)
         assert oracle_missing_intersection(bits) is None
-        before = taken["dp"]
+        before = dict(taken)
         t = Topology(g, bits)
-        side = "dp" if taken["dp"] > before else "pairs"
+        side = _route(taken, before)
         sides["valid", side] += 1
         if side == "dp":
             assert t._images == oracle_scan_images(g.full_bits, bits)
@@ -242,14 +266,28 @@ def test_recursion_decides_like_the_pair_loop_on_random_families(monkeypatch):
             if first is None:
                 continue
             a, b = first
-            before = taken["dp"]
+            before = dict(taken)
             with pytest.raises(NotIntersectionClosed) as err:
                 Topology(g, broken)
-            sides["broken", "dp" if taken["dp"] > before else "pairs"] += 1
+            sides["broken", _route(taken, before)] += 1
             assert tuple(m.bits for m in err.value.witness) == (a, b)
             assert str(err.value) == str(NotIntersectionClosed(g.mask(a), g.mask(b)))
     assert taken["fill"] == 0
-    assert min(sides[key] for key in product(("valid", "broken"), ("dp", "pairs"))) >= 20
+    routes = product(("valid", "broken"), ("dp", "words", "pairs"))
+    assert min(sides[key] for key in routes) >= 20, sides
+
+
+def test_missing_meets_are_the_recursion_s_on_arbitrary_families():
+    # Any family holding X, intersection-closed or not: the words list the
+    # subsets outside it that the recursion maps to themselves.
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        full = (1 << n) - 1
+        family = {full, *(rng.getrandbits(n) for _ in range(rng.randint(0, 3 * n)))}
+        images = core._superset_dp(full, family)
+        expected = [a for a, image in enumerate(images) if a == image and a not in family]
+        assert core._missing_meets(n, family) == expected
 
 
 def test_a_dense_family_missing_one_meet_is_rejected_fast():
@@ -265,15 +303,33 @@ def test_a_dense_family_missing_one_meet_is_rejected_fast():
     assert (a.bits, b.bits) == (full & ~0b10, full & ~0b01)
 
 
+def test_many_missing_meets_above_many_rows_are_rejected_fast():
+    # Every subset lacking e15, and the sets holding e15 with at least 12
+    # elements, at n = 16: about 30,000 intersections holding e15 are
+    # missing, and the 32,768 rows lacking e15, which come first, lie above
+    # none of them, so no row is scanned against the whole missing list.
+    # The first pair is the first two members holding e15, which meet in 11
+    # elements; rows lacking e15 meet every member in a subset lacking e15.
+    n = 16
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    top = 1 << (n - 1)
+    family = [*range(top), *(a for a in range(top, 1 << n) if a.bit_count() >= n - 4)]
+    start = time.perf_counter()
+    with pytest.raises(NotIntersectionClosed) as err:
+        Topology(g, family)
+    assert time.perf_counter() - start < 1
+    assert tuple(m.bits for m in err.value.witness) == (top | 0x7FF, top | 0xBFF)
+
+
 def test_validation_table_is_the_image_cache(monkeypatch):
     g = GroundSet(tuple(f"e{i}" for i in range(8)))
     taken = _count_methods(monkeypatch)
     t = Topology(g, range(256))
-    assert taken == {"fill": 0, "dp": 1}
+    assert taken == {"fill": 0, "dp": 1, "words": 0}
     f = t.operator()
     assert f.tabulate_bits() is t._images == tuple(range(256))
     assert f.closed_sets().operator().tabulate_bits() is t._images
-    assert taken == {"fill": 0, "dp": 1}
+    assert taken == {"fill": 0, "dp": 1, "words": 0}
 
 
 def _raised(build) -> tuple:
@@ -508,6 +564,58 @@ def test_validator_agrees_with_all_pairs_check(images):
     assert report.ok == (not ext and not idem and not mono_broken and fixes_empty)
 
 
+def _random_images(rng: random.Random, n: int) -> list[int]:
+    """A table to validate: a closure operator's images, some of them
+    overwritten, or images drawn at random."""
+    full = (1 << n) - 1
+    if rng.random() < 0.25:
+        return [rng.getrandbits(n) for _ in range(full + 1)]
+    images = list(core._meet_images(n, random_family_bits(rng, n)))
+    for _ in range(rng.choice((0, 0, 1, 2, 5, 30))):
+        images[rng.randrange(full + 1)] = rng.getrandbits(n)
+    return images
+
+
+def test_bit_plane_validation_matches_the_pair_scan_on_random_tables():
+    # The witness lists equal the oracle's, element for element and in
+    # order, on valid and broken tables of up to 10 elements.
+    seen: Counter = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        g = GroundSet(tuple(f"e{i}" for i in range(n)))
+        images = _random_images(rng, n)
+        report = core._validate_images(g, images)
+        assert report == oracle_validate_images(g, images)
+        seen["ok" if report.ok else "broken"] += 1
+        seen["empty"] += not report.fixes_empty
+        seen["monotonicity"] += bool(report.monotonicity)
+    assert min(seen.values()) >= 20
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [0, 1],  # n = 1, the identity
+        [1, 1],  # n = 1, f(∅) = {e0}
+        [0, 0],  # n = 1, f({e0}) = ∅
+        [1, 0],  # n = 1, every axiom broken
+        [0b10, 0b01, 0b11, 0b11],  # f(∅) ≠ ∅, also non-extensive at {e0}
+        # every axiom broken at once: f({e0}) = {e1} is neither extensive
+        # nor idempotent, as f({e1}) = {e0, e2}, and f({e1}) ⊄ f({e0, e1})
+        [0, 0b010, 0b101, 0b011, 0b100, 0b101, 0b111, 0b111],
+    ],
+)
+def test_bit_plane_validation_of_small_and_broken_tables(images):
+    n = (len(images) - 1).bit_length()
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    report = core._validate_images(g, images)
+    assert report == oracle_validate_images(g, images)
+    if len(images) == 8:
+        assert report.extensivity and report.idempotence and report.monotonicity
+        assert validation_doc(report) == validation_doc(oracle_validate_images(g, images))
+
+
 # ----------------------------------------------------------- ClosureOperator
 
 
@@ -535,7 +643,7 @@ def test_operator_equality_compares_closed_sets(monkeypatch):
     other = topo(ground("abc"), "", "b", "ab", "abc").operator()
     assert by_topology != other
     assert by_topology != topo(ground("xyz"), "", "x", "xy", "xyz").operator()
-    assert taken == {"fill": 0, "dp": 0}
+    assert taken == {"fill": 0, "dp": 0, "words": 0}
     assert hash(by_topology) == hash(by_topology.closed_sets())
 
 
@@ -573,8 +681,9 @@ def test_operator_call_is_idempotent_and_extensive():
 
 def _count_methods(monkeypatch) -> dict:
     """Count which route :func:`core._meet_images` and the validation run."""
-    taken = {"fill": 0, "dp": 0}
-    for key, name in (("fill", "_submask_fill"), ("dp", "_superset_dp")):
+    taken = {"fill": 0, "dp": 0, "words": 0}
+    routes = (("fill", "_submask_fill"), ("dp", "_superset_dp"), ("words", "_missing_meets"))
+    for key, name in routes:
         method = getattr(core, name)
 
         def counted(*args, key=key, method=method):
@@ -603,7 +712,7 @@ def test_operator_from_images_keeps_them(monkeypatch):
     assert f.image_bits(0b0011) == images[0b0011]
     fixed = [b for b, i in enumerate(images) if b == i]
     assert f.closed_sets() == Topology(f.ground, fixed)
-    assert taken == {"fill": 0, "dp": 0}
+    assert taken == {"fill": 0, "dp": 0, "words": 0}
 
 
 @pytest.mark.parametrize("family, n", [("chain", 18), ("crown", 16)])
@@ -621,7 +730,7 @@ def test_complexity_profile_builds_no_image_table(
         assert check_generation(f, [w.operator() for w in witness]).pointwise_equal
     assert main(["decompose", "--topology", str(path), "--kind", "binary"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == profile.mnbc
-    assert taken == {"fill": 0, "dp": 0}
+    assert taken == {"fill": 0, "dp": 0, "words": 0}
     if family == "chain":
         assert (profile.mnwo, profile.mnbc) == (1, len(bits) - 2)
     else:
@@ -675,7 +784,7 @@ def test_tabulation_matches_the_scan_on_large_sparse_families(monkeypatch, famil
     taken = _count_methods(monkeypatch)
     images = Topology(g, bits).operator().tabulate_bits()
     assert images == oracle_scan_images(g.full_bits, bits)
-    assert taken == {"fill": 1, "dp": 0}
+    assert taken == {"fill": 1, "dp": 0, "words": 0}
 
 
 @pytest.mark.parametrize("n", [16, 18])
@@ -685,4 +794,4 @@ def test_tabulation_of_large_discrete_families_is_the_identity(monkeypatch, n):
     taken = _count_methods(monkeypatch)
     full = (1 << n) - 1
     assert core._meet_images(n, range(full + 1)) == tuple(range(full + 1))
-    assert taken == {"fill": 0, "dp": 1}
+    assert taken == {"fill": 0, "dp": 1, "words": 0}

@@ -29,6 +29,7 @@ from closureops import (
     kreps_representation,
     validate_closure,
 )
+from closureops import jsonio
 from closureops.cli import main
 from closureops.jsonio import (
     MAX_RATIONAL_DIGITS,
@@ -231,6 +232,74 @@ def test_entries_fail_with_the_messages_of_the_checks():
         with pytest.raises(error) as err:
             preference_from({"elements": ["a", "b"], "utilities": entries})
         assert str(err.value) == message
+
+
+def _outcome(read) -> tuple:
+    """What ``read()`` returns, or the class and message of what it raises."""
+    try:
+        return ("read", read())
+    except (SchemaError, ForeignMask) as exc:
+        return type(exc), str(exc)
+
+
+_SPOILERS = (
+    lambda rng, entry: entry["from"].append(entry["from"][0]) if entry["from"] else None,
+    lambda rng, entry: entry["to"].insert(0, entry["to"][-1]) if entry["to"] else None,
+    lambda rng, entry: entry["to"].append(rng.choice(["q", 1, None, ["a"], True])),
+    lambda rng, entry: entry.update({"from": rng.choice(["e0", {"e0": 1}, None, 3])}),
+    lambda rng, entry: entry.pop(rng.choice(["from", "to"])),
+    lambda rng, entry: entry.update({"from": []}),
+)
+
+
+def test_table_reader_reads_like_the_entry_by_entry_reader():
+    # Whatever one or two spoiled entries hold (a repeated name, an unknown
+    # or non-string name, a non-array, a missing key, a repeated subset, an
+    # entry that is no object), the one-pass reader returns or raises what
+    # reading entry by entry does.
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        doc = {"elements": _names(n, (1 << n) - 1), "map": []}
+        for a in range(1 << n):
+            image = a | rng.getrandbits(n)
+            doc["map"].append({"from": _names(n, a), "to": _names(n, image)})
+        rng.shuffle(doc["map"])
+        for k in rng.sample(range(len(doc["map"])), rng.choice((0, 1, 1, 2))):
+            if rng.random() < 0.1:
+                doc["map"][k] = rng.choice([None, "x", [1]])
+            else:
+                rng.choice(_SPOILERS)(rng, doc["map"][k])
+        ground = ground_from(doc)
+        entries = json.loads(json.dumps(doc["map"]))
+        expected = _outcome(lambda: (ground, jsonio._checked_images(ground, entries)))
+        assert _outcome(lambda: operator_images_from(doc)) == expected
+        seen.add(expected[0] if expected[0] != "read" else "read")
+    assert seen == {"read", SchemaError, ForeignMask}
+
+
+def test_table_reader_counts_a_repeated_name_once(monkeypatch):
+    # A clean map is read in one pass; a repeated name sends it through the
+    # entry-by-entry reader, which counts the name once.
+    checked = []
+    entry_by_entry = jsonio._checked_images
+    monkeypatch.setattr(
+        jsonio, "_checked_images", lambda *args: checked.append(1) or entry_by_entry(*args)
+    )
+    doc = {
+        "elements": ["a", "b"],
+        "map": [
+            {"from": [], "to": []},
+            {"from": ["a"], "to": ["a"]},
+            {"from": ["b"], "to": ["b", "a"]},
+            {"from": ["b", "a"], "to": ["a", "b"]},
+        ],
+    }
+    assert operator_images_from(doc)[1] == [0, 1, 3, 3] and not checked
+    doc["map"][1]["from"] = ["a", "a"]
+    doc["map"][3]["to"] = ["a", "b", "a"]
+    assert operator_images_from(doc)[1] == [0, 1, 3, 3] and checked == [1]
 
 
 def _names(n: int, bits: int) -> list[str]:
