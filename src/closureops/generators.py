@@ -122,7 +122,11 @@ class WeakOrder:
         cls, ground: GroundSet, utilities: Mapping[str, Fraction | int | str]
     ) -> WeakOrder:
         """Group elements by exact utility, read by
-        :func:`~closureops.core._exact_fraction`, ascending (worst class first)."""
+        :func:`~closureops.core._exact_fraction`, ascending (worst class first);
+        :class:`~closureops.errors.ForeignMask` for a name outside the ground
+        set."""
+        for name in utilities:
+            ground.index(name)
         missing = [name for name in ground if name not in utilities]
         if missing:
             raise ValueError(f"no utility given for {missing[0]!r}")

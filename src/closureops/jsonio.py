@@ -210,54 +210,43 @@ def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
     validation, which raises :class:`~closureops.errors.MissingEntry`.
 
     Each name array is summed through a per-name weight dict, its bit count
-    telling whether a name repeats.  Anything unexpected (a non-array, an
-    unknown or non-string name, a repeated name or subset) sends the whole
-    map through :func:`_checked_images`, entry by entry, which counts a
-    repeated name once and raises the error naming the first bad entry."""
+    telling whether a name repeats.  An entry that is anything else (a
+    non-array, an unknown or non-string name, a repeated name, a missing
+    key) is read again on its own by :func:`_entry_bits`, which counts a
+    repeated name once and raises the error naming the entry."""
     doc = _require_dict(doc, "operator table document")
     ground = ground_from(doc)
     _require("map" in doc, 'operator table document needs a "map" array')
     entries = _require_list(doc["map"], '"map"')
     weight = {name: 1 << i for i, name in enumerate(ground.elements)}.__getitem__
     images = [-1] * (ground.full_bits + 1)
-    try:
-        for entry in entries:
-            source, target = entry["from"], entry["to"]
-            if type(source) is not list or type(target) is not list:
-                break
-            key = sum(map(weight, source))
-            image = sum(map(weight, target))
-            if (
-                key.bit_count() != len(source)
-                or image.bit_count() != len(target)
-                or images[key] != -1
-            ):
-                break
-            images[key] = image
-        else:
-            return ground, images
-    except (KeyError, TypeError):
-        pass
-    return ground, _checked_images(ground, entries)
-
-
-def _checked_images(ground: GroundSet, entries: list) -> list[int]:
-    """The images of a map read entry by entry, with the checks and errors
-    of :func:`operator_images_from`."""
-    images = [-1] * (ground.full_bits + 1)
     for entry in entries:
         try:
-            if not isinstance(entry, dict):
-                raise TypeError
             source, target = entry["from"], entry["to"]
+            if type(source) is not list or type(target) is not list:
+                raise TypeError
+            key = sum(map(weight, source))
+            image = sum(map(weight, target))
+            if key.bit_count() != len(source) or image.bit_count() != len(target):
+                raise TypeError
         except (KeyError, TypeError):
-            _require_dict(entry, "map entry")
-            raise SchemaError('map entries need "from" and "to"') from None
-        key = _bits_from(ground, source, '"from"')
+            key, image = _entry_bits(ground, entry, images)
         if images[key] != -1:
             raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
-        images[key] = _bits_from(ground, target, '"to"')
-    return images
+        images[key] = image
+    return ground, images
+
+
+def _entry_bits(ground: GroundSet, entry: Any, images: list[int]) -> tuple[int, int]:
+    """The ``"from"`` and ``"to"`` bit patterns of one map entry, read by
+    :func:`_bits_from`.  ``"to"`` is read only for a subset the map has not
+    given yet, so a repeated subset is reported before a bad image."""
+    _require_dict(entry, "map entry")
+    _require("from" in entry and "to" in entry, 'map entries need "from" and "to"')
+    key = _bits_from(ground, entry["from"], '"from"')
+    if images[key] != -1:
+        return key, -1
+    return key, _bits_from(ground, entry["to"], '"to"')
 
 
 def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:

@@ -78,7 +78,11 @@ class Labeling:
         labels: Iterable[str],
         phi: Mapping[str, Iterable[str]],
     ) -> Labeling:
-        """Build from label names: ``phi`` maps each element to its labels."""
+        """Build from label names: ``phi`` maps each element to its labels
+        (:class:`~closureops.errors.ForeignMask` for a key outside the
+        ground set)."""
+        for element in phi:
+            ground.index(element)
         labels = tuple(labels)
         index = {name: i for i, name in enumerate(labels)}
         sets = []

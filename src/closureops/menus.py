@@ -14,10 +14,11 @@ Under these axioms the *Kreps operator*
 is a closure operator, the preference depends only on closures
 (U(A) = U(f(A)), "respects" f), indifference is exactly closure containment
 (U(A ∪ B) = U(A) ⟺ f(B) ⊆ f(A)), and strictly larger closures are strictly
-better.  This module decides the axioms in O(n·2^n) on adjacent pairs
-(A, A ∪ {x}), enumerates complete witness lists only when that decision
-fails, builds the Kreps operator with those consequences verified, and
-constructs two state-space representations:
+better.  This module decides flexibility on adjacent pairs (A, A ∪ {x}) in
+the loop that builds the Kreps map g, and submodularity as the monotonicity
+of g in g's one closure-axiom validation, enumerates complete witness lists
+only when that decision fails, builds the Kreps operator with its
+consequences verified, and constructs two state-space representations:
 
 * :func:`kreps_representation` — a minimal set of weak-order states (one per
   chain of a minimum chain cover of P(f), so exactly MNWO states) with
@@ -54,6 +55,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
+from operator import ne
 
 from .complexity import _weak_order_witness, meet_irreducibles
 from .core import MAX_RATIONAL_DIGITS, GroundSet, SubsetMask, Topology, _exact_fraction
@@ -225,22 +228,13 @@ class AxiomReport:
         return lines
 
 
-def _adjacent_pass(ranks: tuple, size: int) -> tuple[bool, bool, list[int]]:
-    """Decide both axioms on adjacent pairs (A, A ∪ {x}), A nonempty, x ∉ A.
+def _adjacent_pass(ranks: tuple, size: int) -> tuple[bool, list[int]]:
+    """Decide flexibility on adjacent pairs (A, A ∪ {x}), A nonempty, x ∉ A,
+    and build the Kreps map g(A) = {x : U(A ∪ {x}) = U(A)} in the same loop.
 
-    Returns (flexible, submodular, g), g being the Kreps map
-    g(A) = {x : U(A ∪ {x}) = U(A)}.  ``submodular`` is only meaningful when
-    ``flexible`` holds:
-
-    * Flexibility holds iff U(A ∪ {x}) ≥ U(A) on every adjacent pair, since
-      any B ⊆ A is joined to A by a chain of adjacent pairs.
-    * Under flexibility, ordinal submodularity holds iff g is monotone on
-      adjacent pairs: g(A) ∖ {y} ⊆ g(A ∪ {y}).  Necessity is the axiom with
-      B = {x}, C = {y}.  Sufficiency: if U(A ∪ B) = U(A), the sandwich
-      U(A) ≤ U(A ∪ {b}) ≤ U(A ∪ B) puts B in g(A), and monotonicity along a
-      chain puts it in g(D) for D = A ∪ C and every D' ⊇ D.  Adding the
-      elements of B to D one at a time then never changes U (each lies in g
-      of the current menu), so U(A ∪ B ∪ C) = U(A ∪ C).
+    Returns (flexible, g).  Flexibility holds iff U(A ∪ {x}) ≥ U(A) on every
+    adjacent pair, since any B ⊆ A is joined to A by a chain of adjacent
+    pairs.
     """
     full = (1 << size) - 1
     singles = [1 << i for i in range(size)]
@@ -257,13 +251,7 @@ def _adjacent_pass(ranks: tuple, size: int) -> tuple[bool, bool, list[int]]:
                 elif v < u:
                     flexible = False
         images[a] = image
-    submodular = flexible and all(
-        images[a] & ~images[a | x] == 0
-        for a in range(1, full + 1)
-        for x in singles
-        if not a & x
-    )
-    return flexible, submodular, images
+    return flexible, images
 
 
 def _flexibility_witnesses(
@@ -313,17 +301,43 @@ def _submodularity_witnesses(
 def check_axioms(preference: MenuPreference) -> AxiomReport:
     """Check flexibility and ordinal submodularity, with complete witnesses.
 
-    Decides both axioms in O(n·2^n) on adjacent pairs (see
-    :func:`_adjacent_pass`), and enumerates the witness lists exhaustively
-    over 2^X only for an axiom that this decision finds failing
-    (submodularity's also whenever flexibility fails, because the adjacent
-    criterion for it assumes flexibility).
+    Flexibility is decided in O(n·2^n) on adjacent pairs, by the loop that
+    also builds the Kreps map g (see :func:`_adjacent_pass`).  Under
+    flexibility, ordinal submodularity holds iff g is monotone, which
+    :func:`~closureops.core._validate_images` decides on g's bit-planes in
+    O(n²) word operations:
+
+    * necessity is the axiom with B = {x}, C = {y}: x ∈ g(A) gives
+      U(A ∪ {x, y}) = U(A ∪ {y}), so x ∈ g(A ∪ {y}), and g is monotone on
+      adjacent pairs, hence along any chain of them;
+    * sufficiency: if U(A ∪ B) = U(A), the sandwich
+      U(A) ≤ U(A ∪ {b}) ≤ U(A ∪ B) puts B in g(A), and monotonicity puts it
+      in g(D) for D = A ∪ C and every D' ⊇ D.  Adding the elements of B to
+      D one at a time then never changes U (each lies in g of the current
+      menu), so U(A ∪ B ∪ C) = U(A ∪ C).
+
+    Then g is a closure operator: g(∅) = ∅ and A ⊆ g(A) by construction, and
+    U(g(A)) = U(A) by the same one-at-a-time argument, so y ∈ g(g(A)) gives
+    U(A) ≤ U(A ∪ {y}) ≤ U(g(A) ∪ {y}) = U(A) and y ∈ g(A).  The same
+    validation report's extensivity, idempotence and f(∅) = ∅ are g's
+    self-check, a failure raising :class:`WitnessVerificationFailed`.
+
+    Witness lists are enumerated over 2^X only for an axiom found failing
+    (submodularity's also whenever flexibility fails, as the monotonicity
+    criterion assumes flexibility).
     """
     ground = preference.ground
     ranks = preference._ranks
-    flexible, submodular, images = _adjacent_pass(ranks, ground.size)
-    if flexible and submodular:
-        return AxiomReport((), (), kreps_images=tuple(images))
+    flexible, images = _adjacent_pass(ranks, ground.size)
+    if flexible:
+        validation = _validate_images(ground, images)
+        if not validation.monotonicity:
+            if not validation.ok:
+                raise WitnessVerificationFailed(
+                    "Kreps construction produced a non-closure: "
+                    + "; ".join(validation.summary())
+                )
+            return AxiomReport((), (), kreps_images=tuple(images))
     masks = [ground.mask(bits) for bits in range(len(ranks))]
     return AxiomReport(
         flexibility_witnesses=(
@@ -333,14 +347,24 @@ def check_axioms(preference: MenuPreference) -> AxiomReport:
     )
 
 
-def _check_kreps_consequences(ranks: tuple, images: tuple[int, ...]) -> None:
-    """Verify that U respects the closure operator ``images`` with strictly
-    larger closures strictly preferred, and that indifference to enlargement
-    is closure containment: U(A ∪ B) = U(A) ⟺ f(B) ⊆ f(A) for nonempty A.
+def _unfaithful(ranks: tuple, images: tuple[int, ...]) -> int | None:
+    """The first nonempty menu A with U(f(A)) ≠ U(A), f given by its images
+    with f(∅) = ∅, or None if U respects f."""
+    return next(
+        compress(count(), map(ne, ranks, map(ranks.__getitem__, images))), None
+    )
 
-    Checked in O(n·2^n) as respect, U(A) = U(f(A)), plus strict increase on
-    the adjacent closed steps: U(S ∪ {x}) > U(S) for nonempty closed S and
-    x ∉ S.  That proves the rest, f being a closure operator:
+
+def kreps_operator(preference: MenuPreference) -> Topology:
+    """The closure operator f(A) = ⋃{B : U(A ∪ B) = U(A)} of a preference.
+
+    Requires the axioms (:class:`AxiomsViolated` otherwise, with the full
+    report).  Under them, flexibility collapses the union to a per-element
+    test — x ∈ f(A) iff U(A ∪ {x}) = U(A) — so f is the Kreps map that
+    :func:`check_axioms` built and validated as a closure operator.  Checked
+    here are respect, U(A) = U(f(A)) (:func:`_unfaithful`), and strict
+    increase on the adjacent closed steps, U(S ∪ {x}) > U(S) for nonempty
+    closed S and x ∉ S.  That proves the rest, f being a closure operator:
 
     * strict increase: if f(B) ⊊ f(A), the chain S₀ = f(B),
       Sᵢ₊₁ = f(Sᵢ ∪ {xᵢ}) with xᵢ ∈ f(A) ∖ Sᵢ climbs strictly inside f(A)
@@ -353,61 +377,34 @@ def _check_kreps_consequences(ranks: tuple, images: tuple[int, ...]) -> None:
 
     Raises :class:`WitnessVerificationFailed` if a checked fact fails.
     """
-    full = len(ranks) - 1
-    singles = [1 << i for i in range(full.bit_length())]
-    for a in range(1, full + 1):
-        u = ranks[a]
-        if ranks[images[a]] != u:
-            raise WitnessVerificationFailed(
-                "preference does not respect its own Kreps operator"
-            )
-        if images[a] == a and any(
-            not a & x and ranks[a | x] <= u for x in singles
-        ):
-            raise WitnessVerificationFailed(
-                "strictly larger closure is not strictly preferred"
-            )
-
-
-def kreps_operator(preference: MenuPreference) -> Topology:
-    """The closure operator f(A) = ⋃{B : U(A ∪ B) = U(A)} of a preference.
-
-    Requires the axioms (:class:`AxiomsViolated` otherwise, with the full
-    report).  Under them, flexibility collapses the union to a per-element
-    test — x ∈ f(A) iff U(A ∪ {x}) = U(A) — so f is the Kreps map that
-    :func:`check_axioms` already built.  It provably is a closure operator
-    respected by the preference, with indifference equal to closure
-    containment and strictly larger closures strictly preferred; all four
-    consequences are re-verified here in O(n·2^n) before the operator is
-    returned (see :func:`_check_kreps_consequences`).
-    """
     report = check_axioms(preference)
     if not report.ok:
         raise AxiomsViolated(report)
-    ground = preference.ground
     images = report.kreps_images
     assert images is not None
-    validation = _validate_images(ground, images)
-    if not validation.ok:
+    ranks = preference._ranks
+    if _unfaithful(ranks, images) is not None:
         raise WitnessVerificationFailed(
-            "Kreps construction produced a non-closure: "
-            + "; ".join(validation.summary())
+            "preference does not respect its own Kreps operator"
         )
-    _check_kreps_consequences(preference._ranks, images)
-    return Topology._trusted(ground, images)
+    f = Topology._trusted(preference.ground, images)
+    singles = [1 << i for i in range(preference.ground.size)]
+    if any(ranks[c | x] <= ranks[c] for c in f.bits[1:] for x in singles if not c & x):
+        raise WitnessVerificationFailed(
+            "strictly larger closure is not strictly preferred"
+        )
+    return f
 
 
 def respects(
     preference: MenuPreference, f: Topology
 ) -> tuple[bool, SubsetMask | None]:
-    """Whether U(A) = U(f(A)) for every nonempty menu; witness on failure."""
+    """Whether U(A) = U(f(A)) for every nonempty menu; the first menu where
+    it fails as witness (see :func:`_unfaithful`)."""
     if preference.ground != f.ground:
         raise GroundSetMismatch("preference and operator use different ground sets")
-    ranks = preference._ranks
-    for bits, img in enumerate(f.tabulate_bits()):
-        if bits and ranks[bits] != ranks[img]:
-            return False, preference.ground.mask(bits)
-    return True, None
+    bits = _unfaithful(preference._ranks, f.tabulate_bits())
+    return (True, None) if bits is None else (False, preference.ground.mask(bits))
 
 
 def _signature(chains: list[tuple[int, ...]], bits: int) -> tuple[int, ...]:
@@ -489,8 +486,7 @@ def kreps_representation(preference: MenuPreference) -> KrepsRepresentation:
     * so menus sharing a signature share a closure, hence a utility, by
       respect; and σ(D) ≤ σ(C) gives D = ⋂_s g_s(D) ⊆ ⋂_s g_s(C) = C, so a
       strictly larger achieved signature is strictly preferred.  Respect and
-      that strict increase are what :func:`_check_kreps_consequences`
-      verified in :func:`kreps_operator`.
+      that strict increase are verified in :func:`kreps_operator`.
 
     Faithfulness of the ranking is verified by :func:`_check_ranks`.
     """

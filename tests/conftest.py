@@ -38,6 +38,8 @@ from closureops import (
     WitnessVerificationFailed,
 )
 from closureops import poset as poset_module
+from closureops.errors import SchemaError
+from closureops.jsonio import subset_from
 
 ABCD = ("a", "b", "c", "d")
 XYZ = ("x", "y", "z")
@@ -636,6 +638,24 @@ def oracle_axioms(preference: MenuPreference) -> AxiomReport:
     return AxiomReport(tuple(flexibility), tuple(submodularity), images)
 
 
+def oracle_adjacent_submodular(values) -> bool:
+    """Ordinal submodularity of a flexible preference by the adjacent
+    criterion: the Kreps map g(A) = {x : U(A ∪ {x}) = U(A)} satisfies
+    g(A) ⊆ g(A ∪ {x}) for every nonempty A and x ∉ A (O(n²·2^n))."""
+    full = len(values) - 1
+    size = full.bit_length()
+
+    def g(a: int) -> int:
+        return a | sum(1 << i for i in range(size) if values[a | 1 << i] == values[a])
+
+    return all(
+        g(a) & ~g(a | 1 << x) == 0
+        for a in range(1, full + 1)
+        for x in range(size)
+        if not a >> x & 1
+    )
+
+
 def oracle_kreps_consequences(values, images) -> bool:
     """Respect, indifference ⟺ closure containment and strict increase of U
     over closures, each checked on every pair of menus (O(4^n))."""
@@ -650,6 +670,24 @@ def oracle_kreps_consequences(values, images) -> bool:
             if b and contained and images[b] != images[a] and values[a] <= values[b]:
                 return False
     return True
+
+
+def oracle_checked_images(ground: GroundSet, entries: list) -> list[int]:
+    """An operator table map read entry by entry through the exact subset
+    reader, with the errors of :func:`closureops.jsonio.operator_images_from`:
+    the first bad entry in map order is named, a repeated subset before a
+    bad image."""
+    images = [-1] * (ground.full_bits + 1)
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SchemaError("map entry must be a JSON object")
+        if "from" not in entry or "to" not in entry:
+            raise SchemaError('map entries need "from" and "to"')
+        key = subset_from(ground, entry["from"], '"from"').bits
+        if images[key] != -1:
+            raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
+        images[key] = subset_from(ground, entry["to"], '"to"').bits
+    return images
 
 
 def oracle_signatures(utilities, size: int) -> list:

@@ -13,6 +13,7 @@ from closureops import (
     BadEndpoints,
     BinaryClassifier,
     ClosureOperator,
+    ForeignMask,
     GroundSet,
     GroundSetMismatch,
     NotAChain,
@@ -102,6 +103,14 @@ def test_from_utilities_groups_by_ascending_level():
     for bad in (True, False, Decimal("0.5")):  # not exact rationals by type
         with pytest.raises(TypeError):
             WeakOrder.from_utilities(g, {"a": bad, "b": 1, "c": 1})
+
+
+def test_from_utilities_rejects_a_name_outside_the_ground_set():
+    g = ground("ab")
+    with pytest.raises(ForeignMask, match="element 'zzz' is not in the ground set"):
+        WeakOrder.from_utilities(g, {"a": 1, "b": 2, "zzz": 5})
+    with pytest.raises(ForeignMask, match="element 'y' is not in the ground set"):
+        WeakOrder.from_utilities(g, {"y": 1, "a": 1, "b": 2, "zzz": 5})
 
 
 def test_class_index_and_comparisons():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from closureops import (
     BinaryClassifier,
+    ForeignMask,
     GroundSet,
     Labeling,
     canonical_labeling,
@@ -53,6 +54,14 @@ def test_labeling_rejects_bad_input():
         Labeling.from_names(g, ("L",), {"a": ("L",)})  # no labels for b
     with pytest.raises(ValueError):
         Labeling.from_names(g, ("L",), {"a": ("Q",), "b": ()})  # unknown label
+
+
+def test_labeling_from_names_rejects_an_element_outside_the_ground_set():
+    g = ground("ab")
+    with pytest.raises(ForeignMask, match="element 'zzz' is not in the ground set"):
+        Labeling.from_names(g, ["x"], {"a": ["x"], "b": [], "zzz": ["x"]})
+    with pytest.raises(ForeignMask, match="element 'y' is not in the ground set"):
+        Labeling.from_names(g, ["x"], {"a": ["x"], "y": [], "b": [], "zzz": []})
 
 
 # ---------------------------------------------------------------- classifier

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from closureops import (
     AdditiveRepresentation,
     AdditiveState,
+    AxiomReport,
     AxiomsViolated,
     DoesNotRespect,
     GroundSet,
@@ -26,13 +27,12 @@ from closureops import (
     kreps_representation,
     respects,
 )
-from closureops import menus
+from closureops import core, menus
 from closureops.cli import main
 from closureops.core import MAX_RATIONAL_DIGITS, Topology
 from closureops.jsonio import additive_doc, kreps_doc
 from closureops.menus import (
     _check_additive_states,
-    _check_kreps_consequences,
     _check_ranks,
     _utility_keys,
 )
@@ -44,6 +44,7 @@ from conftest import (
     oracle_additive_ok,
     oracle_additive_representation,
     oracle_additive_weights,
+    oracle_adjacent_submodular,
     oracle_axioms,
     oracle_evaluate,
     oracle_kreps_consequences,
@@ -554,7 +555,9 @@ def test_axiom_recipes_reach_every_outcome():
         assert outcomes[key] >= 20
 
 
-def test_kreps_consequence_check_matches_its_oracle():
+def test_kreps_consequence_check_matches_its_oracle(monkeypatch):
+    # kreps_operator checks respect and strict increase on the Kreps map that
+    # check_axioms hands it; here that map is each random closure table.
     outcomes = Counter()
     for seed in range(300):
         rng = random.Random(seed)
@@ -570,10 +573,100 @@ def test_kreps_consequence_check_matches_its_oracle():
             values = list(respecting_preference(rng, f).values)
         if rng.random() < 0.3:
             values[rng.randrange(1, g.full_bits + 1)] += 1
+        report = AxiomReport((), (), kreps_images=images)
+        monkeypatch.setattr(menus, "check_axioms", lambda preference: report)
         expected = oracle_kreps_consequences(values, images)
-        assert _passes(_check_kreps_consequences, tuple(values), images) == expected
+        pref = MenuPreference(g, tuple(values))
+        assert _passes(kreps_operator, pref) == expected
+        if expected:
+            assert kreps_operator(pref).tabulate_bits() == images
         outcomes[expected] += 1
     assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+def _flexible_preference(rng: random.Random, g) -> MenuPreference:
+    """A sum of maxes (both axioms hold) plus, half the time, one or two
+    indicators U(A) += [B ⊆ A] of random sets B with at least two elements:
+    still flexible, and mostly no longer ordinally submodular."""
+    orders = [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))]
+    values = list(sum_of_maxes(g, orders).values)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            bump = rng.randrange(1, g.full_bits + 1) | 3 << rng.randrange(g.size - 1)
+            for a in range(bump, g.full_bits + 1):
+                if bump & ~a == 0:
+                    values[a] += 1
+    return MenuPreference(g, tuple(values))
+
+
+def test_submodularity_is_the_adjacent_criterion_on_flexible_preferences(monkeypatch):
+    # Under flexibility, check_axioms decides submodularity as the
+    # monotonicity of the Kreps map in its closure validation.  It must agree
+    # with the adjacent criterion g(A) ⊆ g(A ∪ {x}); the witness enumeration,
+    # O(8^n), is stubbed to one placeholder triple.
+    monkeypatch.setattr(
+        menus, "_submodularity_witnesses", lambda ranks, masks: [(masks[1],) * 3]
+    )
+    outcomes = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        g = ground([f"e{i}" for i in range(rng.randint(2, 10))])
+        pref = _flexible_preference(rng, g)
+        report = check_axioms(pref)
+        expected = oracle_adjacent_submodular(pref.values)
+        assert report.flexibility_ok
+        assert report.submodularity_ok == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def test_kreps_representation_decides_each_fact_once(monkeypatch):
+    calls = Counter()
+    for module, name in (
+        (menus, "_adjacent_pass"),
+        (menus, "_validate_images"),
+        (core, "_validate_images"),
+        (menus, "_unfaithful"),
+    ):
+
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    kreps_representation(_block_preference(8))
+    assert calls == {"_adjacent_pass": 1, "_validate_images": 1, "_unfaithful": 1}
+
+
+def test_a_kreps_map_that_is_no_closure_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    # A flexible pass whose map g(A) = A, plus b when a ∈ A and c when b ∈ A,
+    # is extensive, monotone and fixes ∅, but g(g({a})) = {a, b, c} ≠ g({a}).
+    def not_idempotent(ranks, size):
+        return True, [a | (a & 3) << 1 for a in range(1 << size)]
+
+    monkeypatch.setattr(menus, "_adjacent_pass", not_idempotent)
+    g = ground("abc")
+    path = tmp_path / "pref.json"
+    path.write_text(
+        json.dumps(
+            {
+                "elements": list(g.elements),
+                "utilities": [
+                    {"menu": list(g.mask(a).members()), "value": a.bit_count()}
+                    for a in range(1, g.full_bits + 1)
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    message = "Kreps construction produced a non-closure: idempotence fails at {a}"
+    for style in ("kreps", "additive"):
+        assert main(["menu-rep", "--preference", str(path), "--style", style]) == 3
+        out, err = capsys.readouterr()
+        assert err == f"internal error: {message}\n"
+        assert json.loads(out) == {"error": message, "internal": True}
 
 
 def test_rank_check_matches_its_oracle():
