@@ -20,22 +20,11 @@ is why these sets alone decide both measures.  So P(f) is the closed sets
 with at most one upper cover: if C alone covers A, every strict superset
 contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A.
 
-:func:`meet_irreducibles` finds P(f) by whichever of two exact routes counts
-fewer steps.  The cover route keeps the closed sets with at most one upper
-cover.  The word route (:func:`~closureops.core._irreducible_words`) builds
-no cover: a closed A ≠ X is meet-irreducible iff some y ∉ A lies in
-f(A ∪ {x}) for every x ∉ A (with one cover C, any y ∈ C ∖ A; with two
-covers C and C′, a y ∉ A misses one of them, say C, and then
-y ∉ f(A ∪ {x}) = C for x ∈ C ∖ A).  Reading S(f) as the 2^n-bit word D and
-the sets holding x as M_x, the closed A ∌ y passing that test for y are
-
-    W_y = D ∧ ¬M_y ∧ ⋀_{x≠y} (M_x ∨ ((¬Q_y ∧ M_x) >> 2^x)),
-
-where Q_y = down(D ∧ ¬M_y) holds the subsets of the closed sets lacking y,
-so a set A ∪ {x} outside Q_y has y ∈ f(A ∪ {x}).  Then
-P(f) = {X} ∪ ⋃_y W_y, in n(7n + 2) operations on 2^n-bit words.  It wins
-on the discrete family, where the covers number n·2^(n−1); the covers win
-on chains and other small families of many elements.
+:func:`meet_irreducibles` finds P(f) by the covers, keeping the closed sets
+with at most one upper cover, or by the words
+(:func:`~closureops._words._irreducible_words`), which build no cover and
+win on the discrete family, where the covers number n·2^(n−1); whichever
+:mod:`closureops._words` counts cheaper.
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
@@ -82,11 +71,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import SubsetMask, Topology, _irreducible_steps, _irreducible_words
+from ._words import _cover_steps, _irreducible_steps, _irreducible_words
+from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
 from .generators import _chain_classes
-from .poset import ChainCover, FinitePoset, _cover_steps
+from .poset import ChainCover, FinitePoset
 
 __all__ = [
     "IrreducibleSet",
@@ -116,11 +106,11 @@ class IrreducibleSet:
 def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`.
 
-    Takes whichever exact route counts fewer steps: the words of
-    :func:`~closureops.core._irreducible_words`, or the upper covers of
-    S(f) (module docstring)."""
+    Takes the words or the upper covers of S(f), whichever
+    :mod:`closureops._words` counts cheaper."""
     size, closed = topology.ground.size, topology.bits
-    if _irreducible_steps(size, len(closed)) < _cover_steps(topology):
+    tabulated = topology._images is not None
+    if _irreducible_steps(size, len(closed)) < _cover_steps(size, closed, tabulated):
         return _irreducible_set(topology, _irreducible_words(size, closed))
     covers = FinitePoset.from_topology(topology).upper_cover_indices()
     return _irreducibles(topology, covers)

@@ -18,31 +18,13 @@ as an array indexed by bit pattern (:meth:`Topology._validated`), validating
 the closure axioms with complete witness reports.  It also provides the
 lattice operations (meet = intersection, join = closure of the union).
 
-Intersection closure of a family S is decided by whichever of three exact
-routes takes fewest steps.  The pair loop tests |S|(|S|−1)/2 pairs.  The
-superset recursion (:func:`_superset_dp`) computes DP(A) = ⋂{C ∈ S : A ⊆ C}
-for all 2^n subsets in n·2^(n−1) steps and checks that each lies in S,
-(n + 2)·2^(n−1) steps in all.  The two agree: S is intersection-closed iff
-every DP(A) lies in S, since DP(A) is an intersection of members, and for
-members C and D the members above C ∩ D meet in C ∩ D.  On success the
-recursion's result is the closure operator's image table, which the topology
-keeps as its only image cache, so the recursion decides whenever it is
-cheaper than the pair loop.  Otherwise the word route (:func:`_missing_meets`)
-runs where it counts fewer steps than the pair loop: it treats S as one
-2^n-bit word and finds the subsets A ∉ S with DP(A) = A in n(3n + 7)
-operations on such words, with no table.  That is the same set the
-recursion reads off its table as ``missing``, the A ∉ S equal to the meet of
-the members above them.  On failure of either the pair loop runs as well,
-so :class:`NotIntersectionClosed` names the same pair whichever route
-decided, trying only members above a missing set (:func:`_above`, one byte
-read per member): a ∩ b ∉ S iff a ∩ b is missing, as DP(a ∩ b) ⊆ a ∩ b.  Closed sets taken from images already known
-to satisfy the axioms are not validated again (:meth:`Topology._trusted`).
-
-The closure axioms of an operator table are checked word-parallel too
-(:func:`_validate_images`): the images become n bit-planes, and each axiom's
-witnesses are the set bits of a few words.  The word kernel (M_x, D, down
-and the bit listing) is at the end of this module; the meet-irreducibles of
-:mod:`closureops.complexity` use it as well.
+Intersection closure of a family S is decided by the pair loop, the superset
+recursion (:func:`_superset_dp`, whose table the topology keeps as its image
+cache) or the words (:func:`~closureops._words._missing_meets`), whichever
+:mod:`closureops._words` counts cheapest; on failure the pair loop names the
+pair.  Closed sets taken from images already known to satisfy the axioms are
+not validated again (:meth:`Topology._trusted`).  The closure axioms of an
+operator table are checked on its n bit-planes (:func:`_validate_images`).
 
 Every other image table built from a family of sets comes from one routine,
 :func:`_meet_images`, f(A) = ⋂{C ∈ F : A ⊆ C} for any family F of bit
@@ -64,13 +46,15 @@ are immutable up to the image cache; all functions are pure.
 from __future__ import annotations
 
 import re
-import struct
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import ne
 
+from ._words import _above, _checked_recursion_steps, _element_words, _fill_steps
+from ._words import _image_planes, _missing_meet_steps, _missing_meets, _pair_steps
+from ._words import _recursion_steps, _set_bits
 from .errors import (
     ForeignMask,
     GroundSetMismatch,
@@ -321,7 +305,7 @@ class Topology:
     superset.  The family is stored one way only, as the ascending tuple of
     its bit patterns: construction drops duplicates, sorts, and validates the
     invariants eagerly, by the cheapest of the pair loop, the superset
-    recursion and the word route (module docstring).  :meth:`from_masks`
+    recursion and the words (:mod:`closureops._words`).  :meth:`from_masks`
     builds one from :class:`SubsetMask` values, and :meth:`from_table` from
     an operator table.  ``ClosureOperator`` is another name for this class.
 
@@ -359,9 +343,9 @@ class Topology:
             raise MissingTopBottom("the full ground set must be closed")
         size = self.ground.size
         count = len(closed)
-        pairs = count * (count - 1) // 2
+        pairs = _pair_steps(count)
         missing: list[int] = []
-        if (size + 2) << (size - 1) < pairs:
+        if _checked_recursion_steps(size) < pairs:
             images = _superset_dp(full, bitset)
             if bitset.issuperset(images):
                 object.__setattr__(self, "_images", images)
@@ -655,28 +639,13 @@ def _validate_images(ground: GroundSet, images: Sequence[int]) -> ValidationRepo
 def _meet_images(size: int, family: Iterable[int]) -> tuple[int, ...]:
     """f(A) = ⋂{C ∈ family : A ⊆ C} for every A ⊆ X, |X| = ``size``, with
     f(∅) = ∅ and X where no member holds A, for any bit patterns in any
-    order, by the route :func:`_meet_route` picks once ∅ and X are added."""
+    order, by the submask fill or the superset recursion, whichever
+    :mod:`closureops._words` counts cheaper once ∅ and X are added."""
     full = (1 << size) - 1
     family = {0, full}.union(family)
-    route = _meet_route(size, family)[1]
-    return route(full, family)
-
-
-def _meet_route(size: int, family: Iterable[int]) -> tuple[int, Callable]:
-    """The steps and the routine of the cheaper exact route to the meet
-    images of a family holding ∅ and X:
-
-    * submask fill, Σ_{C ≠ X} 2^|C| steps (:func:`_submask_fill`), for
-      sparse families such as chains, binary generators and most labelings;
-    * superset recursion, n·2^(n−1) steps (:func:`_superset_dp`), for dense
-      families; on the discrete family the fill would take 3^n − 2^n steps.
-    """
-    full = (1 << size) - 1
-    fill = sum(1 << c.bit_count() for c in family if c != full)
-    recursion = size << (size - 1)
-    if fill <= recursion:
-        return fill, _submask_fill
-    return recursion, _superset_dp
+    if _recursion_steps(size) < _fill_steps(size, family):
+        return _superset_dp(full, family)
+    return _submask_fill(full, family)
 
 
 def _submask_fill(full: int, family: Iterable[int]) -> tuple[int, ...]:
@@ -727,157 +696,3 @@ def _superset_dp(full: int, family: Iterable[int]) -> tuple[int, ...]:
             image &= images[a | x]
         images[a] = image
     return tuple(images)
-
-
-# Word-parallel kernel.  A family of subsets of X, |X| = n, is one 2^n-bit
-# integer whose bit A is set iff A is in the family.  CPython works on such
-# integers a machine word at a time, so one AND, OR or shift of a whole
-# family costs about as much as a Python step while the words are short,
-# and grows with 2^n beyond (:data:`_WORD_SHIFT`).
-
-#: Step counts that compare routes of different kinds are in pair tests,
-#: one ``a & b not in S`` of the pair loop (about 50 ns on CPython 3.11).
-#: An AND, OR or shift of 2^n-bit words counts as 2 + 2^n >> _WORD_SHIFT of
-#: them: twice a pair test up to about a thousand bits, and growing with the
-#: words' length beyond, as measured for n = 4-20.
-_WORD_SHIFT = 11
-
-#: Per byte value, the positions of its set bits, ascending.
-_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
-
-#: Per bit b, the table mapping a byte to the digit "1" if bit b is set,
-#: else "0": runs of 2^b zeros and 2^b ones.
-_PLANE_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
-
-
-def _word_steps(size: int, ops: int) -> int:
-    """Pair tests that ``ops`` operations on 2^size-bit words take
-    (:data:`_WORD_SHIFT`)."""
-    return ops * (2 + ((1 << size) >> _WORD_SHIFT))
-
-
-def _element_words(size: int) -> list[int]:
-    """M_x for every element x: the 2^size-bit word of the subsets that hold
-    x, built by doubling its period of 2^(x+1) bits, never by division."""
-    length = 1 << size
-    words = []
-    for x in range(size):
-        span = 1 << x
-        word = ((1 << span) - 1) << span
-        span <<= 1
-        while span < length:
-            word |= word << span
-            span <<= 1
-        words.append(word)
-    return words
-
-
-def _indicator(size: int, family: Iterable[int]) -> int:
-    """D: the 2^size-bit word of a family's bit patterns, set in a
-    ``bytearray`` in one step per member and read as one integer."""
-    buffer = bytearray(((1 << size) + 7) >> 3)
-    for c in family:
-        buffer[c >> 3] |= 1 << (c & 7)
-    return int.from_bytes(buffer, "little")
-
-
-def _down(word: int, elements: Sequence[int]) -> int:
-    """The subsets of the members of ``word``: for each element x, every
-    member holding x adds itself without x (n shift-OR steps)."""
-    for x, m in enumerate(elements):
-        word |= (word & m) >> (1 << x)
-    return word
-
-
-def _above(size: int, family: Iterable[int]) -> bytes:
-    """The 2^size-bit word of the supersets of a family's members, as
-    little-endian bytes, so that bit A is one byte read: for each element x,
-    every set lacking x adds itself with x (n shift-OR steps)."""
-    word = _indicator(size, family)
-    for x, m in enumerate(_element_words(size)):
-        word |= (word & ~m) << (1 << x)
-    return word.to_bytes(((1 << size) + 7) >> 3, "little")
-
-
-def _set_bits(word: int, size: int) -> list[int]:
-    """The set bits of a 2^size-bit word, ascending, read through
-    ``to_bytes`` (never by ``x & -x`` on the word): the nonzero bytes are
-    found at C speed, and only they take Python steps."""
-    if not word:
-        return []
-    data = word.to_bytes(((1 << size) + 7) >> 3, "little")
-    nonzero = compress(range(len(data)), data)
-    return [i << 3 | b for i in nonzero for b in _BYTE_BITS[data[i]]]
-
-
-def _image_planes(size: int, images: Sequence[int]) -> list[int]:
-    """P_e for every element e: the 2^size-bit word of the A with e ∈ f(A),
-    for images indexed by bit pattern.  The images are packed as
-    little-endian 4-byte integers, and each byte lane becomes eight planes
-    through one ``bytes.translate`` table per bit, read as a binary
-    numeral."""
-    raw = struct.pack(f"<{len(images)}I", *images)
-    lanes = [raw[k::4] for k in range((size + 7) >> 3)]
-    digits = (lanes[e >> 3].translate(_PLANE_DIGITS[e & 7]) for e in range(size))
-    return [int(plane[::-1], 2) for plane in digits]
-
-
-def _missing_meet_steps(size: int, count: int) -> int:
-    """Steps of :func:`_missing_meets` on a family of ``count`` members:
-    one per member for D, and n(3n + 7) word operations."""
-    return count + _word_steps(size, size * (3 * size + 7))
-
-
-def _missing_meets(size: int, family: Iterable[int]) -> list[int]:
-    """The subsets A outside a family holding X that equal the meet of the
-    members above them, ascending: ¬D ∧ ¬⋃_y (¬M_y ∧ ¬Q_y), with
-    Q_y = down(D ∧ ¬M_y) the subsets of the members that lack y.
-
-    For y ∉ A, A ∈ Q_y iff some member above A lacks y, so A escapes no
-    ¬M_y ∧ ¬Q_y iff every y ∉ A is left out by a member above A, that is iff
-    A is the meet of the members above it: A = DP(A) in the terms of
-    :func:`_superset_dp`.  The family is intersection-closed iff the list is
-    empty.
-    """
-    every = (1 << (1 << size)) - 1
-    elements = _element_words(size)
-    closed = _indicator(size, family)
-    escapes = 0
-    for m in elements:
-        escapes |= every ^ (m | _down(closed & ~m, elements))
-    return _set_bits(every ^ (closed | escapes), size)
-
-
-def _irreducible_steps(size: int, count: int) -> int:
-    """Steps of :func:`_irreducible_words` on ``count`` closed sets: one per
-    closed set for D, and n(7n + 2) word operations."""
-    return count + _word_steps(size, size * (7 * size + 2))
-
-
-def _irreducible_words(size: int, closed: Iterable[int]) -> list[int]:
-    """P(f), the meet-irreducible closed sets, ascending, from the closed
-    sets of f alone: {X} ∪ ⋃_y W_y with
-
-        W_y = D ∧ ¬M_y ∧ ⋀_{x ≠ y} (M_x ∨ ((¬Q_y ∧ M_x) >> 2^x)),
-
-    Q_y = down(D ∧ ¬M_y).  Bit A of (¬Q_y ∧ M_x) >> 2^x, for x ∉ A, says
-    that no closed set above A ∪ {x} lacks y, i.e. y ∈ f(A ∪ {x}).  So W_y
-    holds the closed A ∌ y with y ∈ f(A ∪ {x}) for every x ∉ A, and a
-    closed A ≠ X is meet-irreducible iff some such y exists: if C alone
-    covers A, every f(A ∪ {x}) contains C, so any y ∈ C ∖ A will do; if C
-    and C′ both cover A, a y ∉ A misses one of them, say C, and then
-    y ∉ f(A ∪ {x}) = C for x ∈ C ∖ A.
-    """
-    every = (1 << (1 << size)) - 1
-    elements = _element_words(size)
-    family = _indicator(size, closed)
-    irreducible = 1 << ((1 << size) - 1)
-    for y, m in enumerate(elements):
-        lacking = family & ~m
-        beyond = every ^ _down(lacking, elements)
-        word = lacking
-        for x, mx in enumerate(elements):
-            if x != y:
-                word &= mx | ((beyond & mx) >> (1 << x))
-        irreducible |= word
-    return _set_bits(irreducible, size)

@@ -40,19 +40,12 @@ The Möbius function of S = S(f) is walked row by row
 (:meth:`FinitePoset.mobius_walk`): per closed A, the closed C ⊇ A and the
 few entries where μ(A, C) is not the sign (−1)^|C∖A|.  The ``mobius``
 report is written from the walk, and :meth:`FinitePoset.mobius` builds the
-dict rows of a :class:`MobiusTable` from it for API callers.  The walk takes
-whichever of two exact routes takes fewer steps (:func:`_rota_is_cheaper`):
-
-* Rota's closure theorem (:func:`_rota_walk`) reads f(A ∪ B) from the image
-  table for every closed A and B ⊆ X ∖ A: R = Σ_{A ∈ S} 2^(n−|A|) reads, 3^n
-  on the discrete family, which is the size of the report; a topology
-  without its table adds the steps of tabulating it.  It builds neither the
-  rows nor the covers, and only a non-closed A ∪ B makes a correction.
-* The interval loop (:func:`_interval_rows`) sums μ over every interval on
-  the rows: |S|² + Σ_z |↓z|·|↑z| steps, 2·4^n on the discrete family but
-  about |S|² on a chain, where Rota costs about 2^(n+1).  It also gives
-  the :meth:`~FinitePoset.mobius` rows of every poset not built from a
-  topology.
+dict rows of a :class:`MobiusTable` from it for API callers.  The walk reads
+the image table by Rota's closure theorem (:func:`_rota_walk`), which builds
+neither the rows nor the covers, or sums μ over every interval on the rows
+(:func:`_interval_rows`), whichever :mod:`closureops._words` counts cheaper.
+The interval loop also gives the :meth:`~FinitePoset.mobius` rows of every
+poset not built from a topology.
 
 The zeta sums and the inversion read the rows and the Möbius rows, one step
 per comparable pair.
@@ -66,7 +59,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
-from .core import SubsetMask, Topology, _meet_route
+from ._words import _interval_steps, _rota_steps
+from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, InvalidOrderRelation, WitnessVerificationFailed
 
 __all__ = [
@@ -427,20 +421,20 @@ class FinitePoset:
         sets C ⊇ A, and the pairs (index of C, μ(A, C)) where μ(A, C) is not
         the sign (−1)^|C∖A|.
 
-        It takes whichever route costs fewer steps, counted exactly by
-        :func:`_rota_is_cheaper`: Rota's closure theorem on the image table
-        (:func:`_rota_walk`), which takes Σ_{A ∈ S} 2^(n−|A|) table reads
-        (3^n on the discrete family) and reads neither the rows nor the
-        covers, or the interval loop on the rows (:func:`_interval_rows`),
-        which takes |S|² + Σ_z |↓z|·|↑z| steps (about |S|² on a chain).
+        It takes Rota's closure theorem on the image table (:func:`_rota_walk`)
+        or, where :mod:`closureops._words` counts it strictly cheaper, the
+        interval loop on the rows (:func:`_interval_rows`).  The rows are
+        built only when Rota costs more than the loop's |S|² scan.
         """
         topology = self._topology
         if topology is None:
             raise TypeError("mobius_walk needs a poset built by from_topology")
-        if _rota_is_cheaper(topology, self):
-            yield from _rota_walk(topology.bits, topology.tabulate_bits())
+        size, closed = topology.ground.size, topology.bits
+        rota = _rota_steps(size, closed, topology._images is not None)
+        if rota <= len(closed) ** 2 or rota <= _interval_steps(self.up):
+            yield from _rota_walk(closed, topology.tabulate_bits())
         else:
-            yield from _corrected(topology.bits, _interval_rows(self.up))
+            yield from _corrected(closed, _interval_rows(self.up))
 
     def sum_below(
         self, values: Mapping[Hashable, Fraction | int]
@@ -540,56 +534,6 @@ def _walked_covers(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             rest &= ~up[j]
         covers.append(tuple(j for j in picks if not above >> j & 1))
     return tuple(covers)
-
-
-#: One counted step of the covers takes about as long as this many pair
-#: tests of :class:`~closureops.core.Topology` (a sweep step reads an image,
-#: an index and a list; a row step ANDs rows of |S| bits), as measured on
-#: the benchmark's families.
-_COVER_STEP = 8
-
-
-def _cover_steps(topology: Topology) -> int:
-    """Pair tests the covers of S(f) take (:data:`_COVER_STEP`), counted
-    before they are built: with an image table, the Σ_{A ∈ S} (n − |A|)
-    image reads of the sweep (:func:`_swept_covers`); without one, the
-    2·Σ_{A ∈ S} |A| column reads that build the rows, plus at least one step
-    of the walk per closed set below X (:func:`_walked_covers`)."""
-    closed = topology.bits
-    members = sum(c.bit_count() for c in closed)
-    if topology._images is not None:
-        steps = topology.ground.size * len(closed) - members
-    else:
-        steps = 2 * members + len(closed) - 1
-    return _COVER_STEP * steps
-
-
-def _rota_is_cheaper(topology: Topology, poset: FinitePoset) -> bool:
-    """Whether :func:`_rota_walk` takes no more steps than
-    :func:`_interval_rows` for the inclusion order ``poset`` on the closed
-    sets of ``topology``, by exact counts.
-
-    Rota reads R = Σ_{A ∈ S} 2^(n−|A|) images, plus the steps of
-    :func:`~closureops.core._meet_route` when the topology holds no table.
-    The interval loop scans |S| items per item and sums over every
-    interval: I = |S|² + Σ_z |↓z|·|↑z| steps.  When R ≤ |S|² the rows are
-    not built; otherwise building them and counting I costs less than R.
-    """
-    size = topology.ground.size
-    closed = topology.bits
-    rota = sum(1 << (size - c.bit_count()) for c in closed)
-    if topology._images is None:
-        rota += _meet_route(size, closed)[0]
-    scan = len(closed) ** 2
-    if rota <= scan:
-        return True
-    up = poset.up
-    below = [0] * len(up)
-    for row in up:
-        while row:
-            below[(row & -row).bit_length() - 1] += 1
-            row &= row - 1
-    return rota <= scan + sum(b * row.bit_count() for b, row in zip(below, up))
 
 
 def _rota_walk(

@@ -22,11 +22,11 @@ from closureops import (
     check_generation,
     complexity,
     complexity_profile,
-    core,
     intersect_generate,
     meet_irreducibles,
     more_complex,
 )
+from closureops import _words
 from closureops import poset as poset_module
 from conftest import (
     ABCD,
@@ -116,7 +116,7 @@ def test_irreducibles_match_pairwise_oracle_on_random_families(seed, size):
 
 def _forced_routes(t: Topology) -> tuple[list[int], list[int]]:
     """P(f) as bit patterns by the words and by the covers, each forced."""
-    words = core._irreducible_words(t.ground.size, t.bits)
+    words = _words._irreducible_words(t.ground.size, t.bits)
     covers = FinitePoset.from_topology(t).upper_cover_indices()
     return words, [m.bits for m in complexity._irreducibles(t, covers).p_of_f]
 
@@ -154,7 +154,7 @@ def test_irreducibles_of_large_closed_forms(n):
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     full = g.full_bits
     coatoms = [full & ~(1 << i) for i in reversed(range(n))]
-    assert core._irreducible_words(n, range(full + 1)) == [*coatoms, full]
+    assert _words._irreducible_words(n, range(full + 1)) == [*coatoms, full]
     if n < 20:  # a Topology holding 2^20 closed sets takes 100 MB
         discrete = Topology._trusted(g, tuple(range(full + 1)))
         assert [m.bits for m in meet_irreducibles(discrete).b_of_f] == coatoms
