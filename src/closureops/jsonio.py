@@ -298,27 +298,25 @@ def generators_from(
 
 
 def labeling_from(doc: Any) -> Labeling:
+    """A labeling document's :class:`Labeling`.  Every ``"phi"`` entry goes to
+    :meth:`Labeling.from_names`, which rejects a missing element
+    (:class:`SchemaError` here) and a foreign one (:class:`ForeignMask`)."""
     doc = _require_dict(doc, "labeling document")
     _require("labels" in doc, 'labeling document needs a "labels" array')
     _require("phi" in doc, 'labeling document needs a "phi" object')
     labels = _encodable(_name_list(doc["labels"], '"labels"'), '"labels"')
     phi = _require_dict(doc["phi"], '"phi"')
-    if "elements" in doc:
-        element_names = _name_list(doc["elements"], '"elements"')
-        _require(
-            set(element_names) == set(phi),
-            '"phi" must assign labels to exactly the listed elements',
-        )
-    else:
-        element_names = list(phi)
+    element_names = (
+        _name_list(doc["elements"], '"elements"') if "elements" in doc else list(phi)
+    )
     _encodable(element_names, "element names")
     try:
         ground = GroundSet(tuple(element_names))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     assignment = {
-        element: _name_list(phi[element], f'labels of "{element}"')
-        for element in element_names
+        element: _name_list(names, f'labels of "{element}"')
+        for element, names in phi.items()
     }
     try:
         return Labeling.from_names(ground, labels, assignment)
@@ -357,13 +355,10 @@ def preference_from(doc: Any) -> MenuPreference:
                 raise
             parsed[key] = value
         values[menu] = value
-    missing = next((bits for bits in range(1, len(values)) if values[bits] is None), None)
-    _require(
-        missing is None,
-        "preference must cover every nonempty menu; missing "
-        + (ground.mask(missing).label() if missing is not None else ""),
-    )
-    return MenuPreference(ground, tuple(values))
+    try:  # the constructor names the first nonempty menu left without a value
+        return MenuPreference(ground, tuple(values))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------- emitting

@@ -137,12 +137,10 @@ class MenuPreference:
         utilities: Mapping[SubsetMask, Fraction | int | str],
     ) -> MenuPreference:
         """Build from a mask-keyed map covering every nonempty menu, reading
-        utilities by :func:`~closureops.core._exact_fraction`."""
+        each distinct (type, raw value) once by :func:`_exact_fraction`; the
+        constructor checks and ranks the values, however each is written."""
         values: list[Fraction | None] = [None] * (ground.full_bits + 1)
-        # Each distinct raw value is read once, and menus of equal utility
-        # share one Fraction, so __post_init__ keys one object per value.
         parsed: dict[tuple[type, object], Fraction] = {}
-        shared: dict[Fraction, Fraction] = {}
         for menu, raw in utilities.items():
             if menu.ground != ground:
                 raise GroundSetMismatch("menu lives in a different ground set")
@@ -150,8 +148,7 @@ class MenuPreference:
             try:
                 value = parsed[key]
             except (KeyError, TypeError):  # not read yet, or unhashable
-                value = _exact_fraction(raw, "utility")
-                value = parsed[key] = shared.setdefault(value, value)
+                value = parsed[key] = _exact_fraction(raw, "utility")
             values[menu.bits] = value
         return cls(ground, tuple(values))
 
@@ -183,18 +180,17 @@ class MenuPreference:
 class AxiomReport:
     """Outcome of checking the two menu axioms, with complete witness lists.
 
+    Witnesses only: the Kreps map the deciding pass validates goes to
+    :func:`kreps_operator` from the private call that makes the report.
+
     Attributes:
         flexibility_witnesses: pairs (A, B) with B ⊆ A but U(B) > U(A).
         submodularity_witnesses: triples (A, B, C) with U(A ∪ B) = U(A) but
             U(A ∪ B ∪ C) ≠ U(A ∪ C).
-        kreps_images: when both axioms hold, the Kreps map
-            g(A) = {x : U(A ∪ {x}) = U(A)} (g(∅) = ∅) by menu bit pattern, as
-            the deciding pass built it; None otherwise.
     """
 
     flexibility_witnesses: tuple[tuple[SubsetMask, SubsetMask], ...]
     submodularity_witnesses: tuple[tuple[SubsetMask, SubsetMask, SubsetMask], ...]
-    kreps_images: tuple[int, ...] | None = field(default=None, repr=False)
 
     @property
     def flexibility_ok(self) -> bool:
@@ -324,8 +320,15 @@ def check_axioms(preference: MenuPreference) -> AxiomReport:
 
     Witness lists are enumerated over 2^X only for an axiom found failing
     (submodularity's also whenever flexibility fails, as the monotonicity
-    criterion assumes flexibility).
+    criterion assumes flexibility).  g goes to :func:`kreps_operator`, not
+    into the report (:func:`_decide_axioms`).
     """
+    return _decide_axioms(preference)[0]
+
+
+def _decide_axioms(preference: MenuPreference) -> tuple[AxiomReport, tuple | None]:
+    """The :class:`AxiomReport` of :func:`check_axioms` and, when both axioms
+    hold, the Kreps map g it validated, by menu bit pattern (None otherwise)."""
     ground = preference.ground
     ranks = preference._ranks
     flexible, images = _adjacent_pass(ranks, ground.size)
@@ -337,14 +340,14 @@ def check_axioms(preference: MenuPreference) -> AxiomReport:
                     "Kreps construction produced a non-closure: "
                     + "; ".join(validation.summary())
                 )
-            return AxiomReport((), (), kreps_images=tuple(images))
+            return AxiomReport((), ()), tuple(images)
     masks = [ground.mask(bits) for bits in range(len(ranks))]
     return AxiomReport(
         flexibility_witnesses=(
             () if flexible else tuple(_flexibility_witnesses(ranks, masks))
         ),
         submodularity_witnesses=tuple(_submodularity_witnesses(ranks, masks)),
-    )
+    ), None
 
 
 def _unfaithful(ranks: tuple, images: tuple[int, ...]) -> int | None:
@@ -361,7 +364,7 @@ def kreps_operator(preference: MenuPreference) -> Topology:
     Requires the axioms (:class:`AxiomsViolated` otherwise, with the full
     report).  Under them, flexibility collapses the union to a per-element
     test — x ∈ f(A) iff U(A ∪ {x}) = U(A) — so f is the Kreps map that
-    :func:`check_axioms` built and validated as a closure operator.  Checked
+    :func:`_decide_axioms` built and validated as a closure operator.  Checked
     here are respect, U(A) = U(f(A)) (:func:`_unfaithful`), and strict
     increase on the adjacent closed steps, U(S ∪ {x}) > U(S) for nonempty
     closed S and x ∉ S.  That proves the rest, f being a closure operator:
@@ -377,11 +380,9 @@ def kreps_operator(preference: MenuPreference) -> Topology:
 
     Raises :class:`WitnessVerificationFailed` if a checked fact fails.
     """
-    report = check_axioms(preference)
-    if not report.ok:
+    report, images = _decide_axioms(preference)
+    if images is None:
         raise AxiomsViolated(report)
-    images = report.kreps_images
-    assert images is not None
     ranks = preference._ranks
     if _unfaithful(ranks, images) is not None:
         raise WitnessVerificationFailed(

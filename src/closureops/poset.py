@@ -181,8 +181,8 @@ class FinitePoset:
 
     @classmethod
     def _trusted(cls, items: tuple[Hashable, ...], up: tuple[int, ...]) -> FinitePoset:
-        """An inclusion order on distinct sets, built without the order
-        checks: inclusion is reflexive, antisymmetric and transitive."""
+        """An order on distinct items known to be one (inclusion, or the
+        reverse of a checked order), built without the order checks."""
         poset = object.__new__(cls)
         object.__setattr__(poset, "items", items)
         object.__setattr__(poset, "up", up)
@@ -278,7 +278,7 @@ class FinitePoset:
                 j = (row & -row).bit_length() - 1
                 row &= row - 1
                 rows[j] |= 1 << i
-        return FinitePoset(self.items, tuple(rows))
+        return FinitePoset._trusted(self.items, tuple(rows))
 
     def _strict_up(self) -> list[int]:
         return [self.up[i] & ~(1 << i) for i in range(self.size)]
@@ -469,7 +469,7 @@ class FinitePoset:
         return dict(zip(items, totals))
 
     def __repr__(self) -> str:
-        return f"FinitePoset({self.size} items, {sum(r.bit_count() for r in self.up) - self.size} strict relations)"
+        return f"FinitePoset({self.size} items, {sum(map(len, self._covers))} covers)"
 
 
 def _index_of(items: tuple[Hashable, ...]) -> dict[Hashable, int]:

@@ -606,9 +606,7 @@ def oracle_classifier_images(labeling: Labeling) -> tuple[int, ...]:
 
 def oracle_axioms(preference: MenuPreference) -> AxiomReport:
     """Both menu axioms checked straight from their definitions, every
-    (A, B) and (A, B, C) in ascending order (O(8^n)); when both hold, the
-    Kreps images come from the per-element test x ∈ f(A) ⟺ U(A ∪ {x}) = U(A).
-    """
+    (A, B) and (A, B, C) in ascending order (O(8^n))."""
     ground = preference.ground
     values = preference.values
     full = ground.full_bits
@@ -629,13 +627,17 @@ def oracle_axioms(preference: MenuPreference) -> AxiomReport:
                     submodularity.append(
                         (ground.mask(a), ground.mask(b), ground.mask(c))
                     )
-    images = None
-    if not flexibility and not submodularity:
-        images = (0,) + tuple(
-            sum(1 << i for i in range(ground.size) if values[a | 1 << i] == values[a])
-            for a in range(1, full + 1)
-        )
-    return AxiomReport(tuple(flexibility), tuple(submodularity), images)
+    return AxiomReport(tuple(flexibility), tuple(submodularity))
+
+
+def oracle_kreps_images(preference: MenuPreference) -> tuple[int, ...]:
+    """The Kreps images by the per-element test x ∈ f(A) ⟺ U(A ∪ {x}) = U(A),
+    f(∅) = ∅, on every menu, whether or not the axioms hold."""
+    ground, values = preference.ground, preference.values
+    return (0,) + tuple(
+        sum(1 << i for i in range(ground.size) if values[a | 1 << i] == values[a])
+        for a in range(1, ground.full_bits + 1)
+    )
 
 
 def oracle_adjacent_submodular(values) -> bool:

@@ -204,6 +204,24 @@ def test_topology_from_labels(tmp_path, capsys):
     assert json.loads(out) == oracle_topology_doc(animals_topology())
 
 
+def test_topology_from_malformed_labels_exits_2(tmp_path, capsys):
+    # A repeated element, an element without labels and a "phi" key outside
+    # "elements" are each rejected by the constructor that owns the check.
+    cases = [
+        ({"elements": ["a", "b", "a"], "labels": [], "phi": {"a": [], "b": []}},
+         "duplicate element name 'a'"),
+        ({"elements": ["a", "b"], "labels": [], "phi": {"a": []}},
+         "no label set given for element 'b'"),
+        ({"elements": ["a"], "labels": [], "phi": {"a": [], "q": []}},
+         "element 'q' is not in the ground set"),
+    ]
+    for i, (doc, message) in enumerate(cases):
+        path = _write(tmp_path, f"lab{i}.json", doc)
+        code, out, err = _run(capsys, "topology", "--from-labels", path)
+        assert code == 2, doc
+        assert out == "" and err.startswith("error: ") and message in err, err
+
+
 def test_topology_from_generators(tmp_path, capsys):
     doc = {
         "elements": ["a", "b", "c", "d"],
@@ -429,6 +447,71 @@ def test_menu_rep_additive_reports_disrespected_operators(tmp_path, capsys):
     assert "error" in err
     payload = json.loads(out)
     assert payload["witness"] == ["y"]
+
+
+def test_menu_rep_additive_reads_an_operator_table_as_its_topology(tmp_path, capsys):
+    # An operator table and the topology of the same operator give the same
+    # bytes and exit code, also when the preference does not respect it.
+    g = ground("ab")
+    preference = {
+        "elements": ["a", "b"],
+        "utilities": [
+            {"menu": ["a"], "value": "1"},
+            {"menu": ["b"], "value": "1/2"},
+            {"menu": ["a", "b"], "value": "1"},
+        ],
+    }
+    cases = [
+        (preference, topo(g, "", "b", "ab"), 0),  # the preference's Kreps operator
+        (preference, topo(g, "", "a", "b", "ab"), 0),
+        (preference, topo(g, "", "ab"), 1),
+        (_pref_doc(alice_preference()), menus.kreps_operator(alice_preference()), 0),
+    ]
+    for i, (pref_doc, t, expected) in enumerate(cases):
+        pref = _write(tmp_path, f"p{i}.json", pref_doc)
+        table = _write(tmp_path, f"table{i}.json", _table_doc(t.operator()))
+        top = _write(tmp_path, f"top{i}.json", oracle_topology_doc(t))
+        outputs = []
+        for operator in (table, top):
+            code, out, _ = _run(
+                capsys,
+                "menu-rep", "--preference", pref, "--style", "additive",
+                "--operator", operator,
+            )
+            assert code == expected
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
+def test_menu_rep_rejects_an_operator_document_of_neither_kind(tmp_path, capsys):
+    pref = _write(tmp_path, "p.json", _pref_doc(bob_preference()))
+    neither = _write(tmp_path, "neither.json", {"elements": ["x", "y", "z"]})
+    code, out, err = _run(
+        capsys,
+        "menu-rep", "--preference", pref, "--style", "additive", "--operator", neither,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f'error: {neither} holds neither an operator table ("map") nor a '
+        f'topology ("closed_sets")\n'
+    )
+
+
+def test_additive_self_check_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # Weights off S(f) mean U does not respect f; a respects() that says it
+    # does contradicts the transform, which is a failed self-check.
+    monkeypatch.setattr(menus, "respects", lambda preference, f: (True, None))
+    pref = _write(tmp_path, "p.json", _pref_doc(alice_preference()))
+    top = _write(tmp_path, "t.json", oracle_topology_doc(topo(ground("xyz"), "", "xyz")))
+    code, out, err = _run(
+        capsys,
+        "menu-rep", "--preference", pref, "--style", "additive", "--operator", top,
+    )
+    message = "weights off S(f) although U respects f"
+    assert code == 3
+    assert err == f"internal error: {message}\n"
+    assert json.loads(out) == {"error": message, "internal": True}
 
 
 def test_menu_rep_rejects_axiom_violations_with_a_report(tmp_path, capsys):

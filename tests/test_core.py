@@ -66,6 +66,9 @@ def test_ground_set_basics():
     assert g.full_bits == 0b1111
     assert g.empty.bits == 0
     assert g.full.bits == 0b1111
+    assert g.singleton("c") == g.mask(0b100)
+    with pytest.raises(ForeignMask):
+        g.singleton("z")
 
 
 def test_ground_set_rejects_bad_input():
@@ -402,6 +405,9 @@ def test_closure_without_a_closed_superset_is_an_internal_failure():
 def test_membership_ignores_foreign_masks():
     t = topo(ground("ab"), "", "a", "ab")
     assert ground("xy").subset("x") not in t
+    # Only masks are members: not their bit patterns, names or sets.
+    for item in (0, 1, "a", frozenset("a"), None):
+        assert item not in t
 
 
 def test_closure_of_is_smallest_closed_superset():

@@ -455,10 +455,14 @@ def test_labeling_document_without_elements_uses_phi_order():
 def test_labeling_document_errors():
     with pytest.raises(SchemaError):
         labeling_from({"labels": ["L"], "phi": {"a": ["Q"]}})  # unknown label
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="no label set given for element 'b'"):
         labeling_from(
             {"elements": ["a", "b"], "labels": [], "phi": {"a": []}}
-        )  # phi does not match elements
+        )  # phi misses an element
+    with pytest.raises(ForeignMask, match="element 'q' is not in the ground set"):
+        labeling_from(
+            {"elements": ["a"], "labels": [], "phi": {"a": [], "q": []}}
+        )  # phi names an element outside "elements"
     with pytest.raises(SchemaError):
         labeling_from({"labels": []})
     for doc in (

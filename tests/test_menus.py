@@ -34,6 +34,7 @@ from closureops.jsonio import additive_doc, kreps_doc
 from closureops.menus import (
     _check_additive_states,
     _check_ranks,
+    _decide_axioms,
     _utility_keys,
 )
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     oracle_evaluate,
     oracle_kreps_consequences,
     oracle_kreps_doc,
+    oracle_kreps_images,
     oracle_ranks_ok,
     oracle_signatures,
     oracle_signatures_ok,
@@ -115,9 +117,10 @@ def test_preference_rejects_foreign_menus():
         MenuPreference.from_utilities(g, {ground("xy").subset("x"): 1})
 
 
-def test_from_utilities_shares_one_fraction_per_distinct_value():
-    # Menus of equal utility share one Fraction, however the value is
-    # written, and the ranks are those of a Fraction per menu.
+def test_from_utilities_reads_each_spelling_once():
+    # Menus carrying one spelling share one Fraction; equal values spelled
+    # differently are distinct objects, and the ranks are still those of a
+    # Fraction per menu.
     g = GroundSet(tuple(f"e{i}" for i in range(10)))
     rng = random.Random(5)
     spellings = (1, "1", 2, "1/2", "2/4", "0.5", Fraction(1, 2), Fraction(3, 2), "3/2")
@@ -126,7 +129,8 @@ def test_from_utilities_shares_one_fraction_per_distinct_value():
         g, {g.mask(bits): raws[bits] for bits in range(1, g.full_bits + 1)}
     )
     values = pref.values[1:]
-    assert len({id(value) for value in values}) == len(set(values)) == 4
+    assert len({id(value) for value in values}) == len(spellings) == 9
+    assert len(set(values)) == 4
     fresh = MenuPreference(g, (None, *(Fraction(raw) for raw in raws[1:])))
     assert pref.values == fresh.values
     assert pref._ranks == fresh._ranks
@@ -534,12 +538,22 @@ def _random_utilities(rng: random.Random, g) -> MenuPreference:
     return MenuPreference(g, tuple(values))
 
 
+def _decided_as_the_oracles(pref: MenuPreference) -> AxiomReport:
+    """The private axiom decision of ``pref``, checked against both oracles:
+    its report against the witnesses, its Kreps map against the per-element
+    images when both axioms hold (None otherwise).  Returns the report."""
+    report, images = _decide_axioms(pref)
+    assert report == oracle_axioms(pref)
+    assert images == (oracle_kreps_images(pref) if report.ok else None)
+    return report
+
+
 @given(st.integers(0, 10**9), st.integers(1, 5))
 @settings(max_examples=120, deadline=None)
 def test_check_axioms_equals_the_exhaustive_oracle(seed, n):
     g = ground("abcde"[:n])
     pref = _random_utilities(random.Random(seed), g)
-    assert check_axioms(pref) == oracle_axioms(pref)
+    assert check_axioms(pref) == _decided_as_the_oracles(pref)
 
 
 def test_axiom_recipes_reach_every_outcome():
@@ -549,7 +563,7 @@ def test_axiom_recipes_reach_every_outcome():
         g = ground("abcd"[: rng.randint(2, 4)])
         pref = _random_utilities(rng, g)
         report = check_axioms(pref)
-        assert report == oracle_axioms(pref)
+        assert report == _decided_as_the_oracles(pref)
         outcomes[report.flexibility_ok, report.submodularity_ok] += 1
     for key in [(True, True), (True, False), (False, False)]:
         assert outcomes[key] >= 20
@@ -557,7 +571,7 @@ def test_axiom_recipes_reach_every_outcome():
 
 def test_kreps_consequence_check_matches_its_oracle(monkeypatch):
     # kreps_operator checks respect and strict increase on the Kreps map that
-    # check_axioms hands it; here that map is each random closure table.
+    # _decide_axioms hands it; here that map is each random closure table.
     outcomes = Counter()
     for seed in range(300):
         rng = random.Random(seed)
@@ -573,8 +587,8 @@ def test_kreps_consequence_check_matches_its_oracle(monkeypatch):
             values = list(respecting_preference(rng, f).values)
         if rng.random() < 0.3:
             values[rng.randrange(1, g.full_bits + 1)] += 1
-        report = AxiomReport((), (), kreps_images=images)
-        monkeypatch.setattr(menus, "check_axioms", lambda preference: report)
+        decided = AxiomReport((), ()), images
+        monkeypatch.setattr(menus, "_decide_axioms", lambda preference: decided)
         expected = oracle_kreps_consequences(values, images)
         pref = MenuPreference(g, tuple(values))
         assert _passes(kreps_operator, pref) == expected
@@ -707,7 +721,7 @@ def test_rank_table_orders_menus_as_the_utilities_do(seed, n):
     report = check_axioms(pref)
     assert report == check_axioms(base)
     if n <= 6:  # the exhaustive oracle costs 8^n
-        assert report == oracle_axioms(pref)
+        assert report == _decided_as_the_oracles(pref)
     f = random_operator(rng, g)
     images = f.tabulate_bits()
     unfaithful = [b for b in menus if values[b] != values[images[b]]]

@@ -165,6 +165,16 @@ def test_dual_reverses_order():
     assert d.dual() == p
 
 
+def test_dual_builds_the_rows_the_checked_constructor_accepts():
+    # dual() skips the order checks; the reversed rows must pass them.
+    rng = random.Random(27)
+    for n in range(1, 13):
+        p = random_poset(rng, n)
+        d = p.dual()
+        assert d == FinitePoset(p.items, d.up)
+        assert all(d.up[j] >> i & 1 == p.up[i] >> j & 1 for i in range(n) for j in range(n))
+
+
 # ------------------------------------------------------------ Hasse diagram
 
 
@@ -583,6 +593,16 @@ def test_the_rota_route_builds_neither_rows_nor_covers():
     assert "_covers" not in vars(poset)
 
 
+def test_repr_counts_covers_without_building_the_rows():
+    # The discrete family on 14 elements holds its image table, so its covers
+    # are swept from it; the rows would take |S|² = 2^28 bits.
+    t = Topology(GroundSet(tuple(f"e{i}" for i in range(14))), range(1 << 14))
+    poset = FinitePoset.from_topology(t)
+    assert repr(poset) == "FinitePoset(16384 items, 114688 covers)"
+    assert "up" not in vars(poset)
+    assert repr(divisor_poset()) == "FinitePoset(6 items, 7 covers)"
+
+
 def test_a_topology_poset_builds_its_rows_once(routes, monkeypatch):
     built = Counter()
 
@@ -639,6 +659,18 @@ def test_dot_rendering_is_exact():
         '  n2 [label="{a,b}"];\n'
         "  n0 -> n1;\n"
         "  n1 -> n2;\n"
+        "}\n"
+    )
+
+
+def test_dot_labels_items_that_are_not_masks_by_str():
+    p = FinitePoset.from_leq((2, 1), lambda a, b: a <= b)
+    assert to_dot(p) == (
+        "digraph hasse {\n"
+        "  rankdir=BT;\n"
+        '  n0 [label="2"];\n'
+        '  n1 [label="1"];\n'
+        "  n1 -> n0;\n"
         "}\n"
     )
 
