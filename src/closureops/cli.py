@@ -136,11 +136,11 @@ def _run_labels(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _run_menu_rep(args: argparse.Namespace) -> tuple[str, int]:
+    if args.style == "kreps" and args.operator:  # refused before the preference is read
+        raise SchemaError("--operator only applies to --style additive")
     preference = jsonio.preference_from(_load(args.preference))
     menus_checked = preference.ground.full_bits
     if args.style == "kreps":
-        if args.operator:
-            raise SchemaError("--operator only applies to --style additive")
         representation = kreps_representation(preference)
         verification = {
             "axioms_ok": True,

@@ -130,7 +130,7 @@ class GroundSet:
     """
 
     elements: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _bit: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
@@ -141,14 +141,14 @@ class GroundSet:
             raise GroundSetTooLarge(
                 f"ground set has {len(elements)} elements; the cap is {MAX_ELEMENTS}"
             )
-        index: dict[str, int] = {}
+        bit: dict[str, int] = {}  # each name's bit weight, 1 << position
         for i, name in enumerate(elements):
             if not isinstance(name, str) or not name:
                 raise ValueError(f"element names must be nonempty strings, got {name!r}")
-            if name in index:
+            if name in bit:
                 raise ValueError(f"duplicate element name {name!r}")
-            index[name] = i
-        object.__setattr__(self, "_index", index)
+            bit[name] = 1 << i
+        object.__setattr__(self, "_bit", bit)
 
     @property
     def size(self) -> int:
@@ -170,7 +170,7 @@ class GroundSet:
     def index(self, name: str) -> int:
         """Bit position of ``name``, or :class:`ForeignMask` if unknown."""
         try:
-            return self._index[name]
+            return self._bit[name].bit_length() - 1
         except KeyError:
             raise ForeignMask(f"element {name!r} is not in the ground set") from None
 
@@ -200,7 +200,7 @@ class GroundSet:
         return iter(self.elements)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._index
+        return name in self._bit
 
 
 def _misfit(ground: GroundSet, bits: int) -> ForeignMask:

@@ -21,10 +21,13 @@ Formats (subsets are always arrays of element names, in ground-set order):
   ``phi`` key order is used)
 * preference        ``{"elements": [...], "utilities": [{"menu": ["a"], "value": "3/2"}, ...]}``
 
-Each array of element names is read into a bit pattern in one pass, so
-reading and validating a topology builds no
-:class:`~closureops.core.SubsetMask`.  An operator table is read the same way,
-into one array of images indexed by bit pattern
+Every array of element names, in every document, is read into a bit pattern
+by one routine, :func:`_bits_from`, which ORs the names' bit weights, counting
+a repeated name once, and reads an array that fails that (an unknown or
+non-string name, a non-array) name by name, raising the error naming the
+fault.  Reading and
+validating a topology builds no :class:`~closureops.core.SubsetMask`.  An
+operator table is read into one array of images indexed by bit pattern
 (:func:`operator_images_from`), which the validation reads as it is; only
 :func:`operator_table_from`, kept for callers that want a mask-keyed table,
 wraps it in masks.  The other readers wrap the patterns in masks where the
@@ -162,33 +165,40 @@ def fraction_from(value: Any, what: str) -> Fraction:
 # ---------------------------------------------------------------- parsing
 
 
-def ground_from(doc: Any) -> GroundSet:
-    doc = _require_dict(doc, "ground set document")
-    _require("elements" in doc, 'ground set document needs an "elements" array')
-    names = _encodable(_name_list(doc["elements"], '"elements"'), '"elements"')
+def _ground(names: list[str], what: str) -> GroundSet:
+    """The ground set of a list of element names, each encodable."""
+    _encodable(names, what)
     try:
         return GroundSet(tuple(names))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
+def ground_from(doc: Any) -> GroundSet:
+    doc = _require_dict(doc, "ground set document")
+    _require("elements" in doc, 'ground set document needs an "elements" array')
+    return _ground(_name_list(doc["elements"], '"elements"'), '"elements"')
+
+
 def _bits_from(ground: GroundSet, value: Any, what: str) -> int:
-    """The bit pattern of an array of element names, read in one pass with
-    one dict lookup per name."""
-    index = ground._index
-    bits = 0
-    try:
-        if not isinstance(value, list):  # a dict or string would iterate
-            raise TypeError
-        for name in value:
-            bits |= 1 << index[name]
-    except (KeyError, TypeError):
-        # Check again in two passes to raise the right error: a SchemaError
-        # for a non-array or a non-string entry anywhere, else a ForeignMask
-        # for the first unknown name.
-        ground.subset(_name_list(value, what))
-        raise
-    return bits
+    """The bit pattern of an array of element names: the only reader of one.
+
+    The names' bit weights are ORed from the ground set's one name map, so a
+    repeated name counts once.  An array that fails that (an unknown or
+    non-string name) and a non-array are read by :meth:`GroundSet.subset`,
+    which raises the error naming the first fault: a :class:`SchemaError`
+    for a non-array or a non-string entry anywhere, else a
+    :class:`~closureops.errors.ForeignMask` for the first unknown name."""
+    if type(value) is list:  # a dict or string would iterate
+        bit = ground._bit
+        bits = 0
+        try:
+            for name in value:
+                bits |= bit[name]
+            return bits
+        except (KeyError, TypeError):
+            pass
+    return ground.subset(_name_list(value, what)).bits
 
 
 def subset_from(ground: GroundSet, value: Any, what: str = "subset") -> SubsetMask:
@@ -205,48 +215,27 @@ def topology_from(doc: Any) -> Topology:
 
 def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
     """An operator table document as images indexed by bit pattern, −1
-    where the map lacks a subset, read without building a mask.  A repeated
-    ``"from"`` subset is a :class:`SchemaError`; a lacking one is left to the
-    validation, which raises :class:`~closureops.errors.MissingEntry`.
-
-    Each name array is summed through a per-name weight dict, its bit count
-    telling whether a name repeats.  An entry that is anything else (a
-    non-array, an unknown or non-string name, a repeated name, a missing
-    key) is read again on its own by :func:`_entry_bits`, which counts a
-    repeated name once and raises the error naming the entry."""
+    where the map lacks a subset, read without building a mask.  Each
+    entry's ``"from"`` is read by :func:`_bits_from` and checked for a
+    repeat, a :class:`SchemaError`, before its ``"to"`` is read, so a
+    repeated subset is reported before a bad image.  A lacking subset is
+    left to the validation, which raises
+    :class:`~closureops.errors.MissingEntry`."""
     doc = _require_dict(doc, "operator table document")
     ground = ground_from(doc)
     _require("map" in doc, 'operator table document needs a "map" array')
-    entries = _require_list(doc["map"], '"map"')
-    weight = {name: 1 << i for i, name in enumerate(ground.elements)}.__getitem__
     images = [-1] * (ground.full_bits + 1)
-    for entry in entries:
+    for entry in _require_list(doc["map"], '"map"'):
         try:
             source, target = entry["from"], entry["to"]
-            if type(source) is not list or type(target) is not list:
-                raise TypeError
-            key = sum(map(weight, source))
-            image = sum(map(weight, target))
-            if key.bit_count() != len(source) or image.bit_count() != len(target):
-                raise TypeError
         except (KeyError, TypeError):
-            key, image = _entry_bits(ground, entry, images)
+            _require_dict(entry, "map entry")
+            raise SchemaError('map entries need "from" and "to"') from None
+        key = _bits_from(ground, source, '"from"')
         if images[key] != -1:
             raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
-        images[key] = image
+        images[key] = _bits_from(ground, target, '"to"')
     return ground, images
-
-
-def _entry_bits(ground: GroundSet, entry: Any, images: list[int]) -> tuple[int, int]:
-    """The ``"from"`` and ``"to"`` bit patterns of one map entry, read by
-    :func:`_bits_from`.  ``"to"`` is read only for a subset the map has not
-    given yet, so a repeated subset is reported before a bad image."""
-    _require_dict(entry, "map entry")
-    _require("from" in entry and "to" in entry, 'map entries need "from" and "to"')
-    key = _bits_from(ground, entry["from"], '"from"')
-    if images[key] != -1:
-        return key, -1
-    return key, _bits_from(ground, entry["to"], '"to"')
 
 
 def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:
@@ -309,11 +298,7 @@ def labeling_from(doc: Any) -> Labeling:
     element_names = (
         _name_list(doc["elements"], '"elements"') if "elements" in doc else list(phi)
     )
-    _encodable(element_names, "element names")
-    try:
-        ground = GroundSet(tuple(element_names))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    ground = _ground(element_names, "element names")
     assignment = {
         element: _name_list(names, f'labels of "{element}"')
         for element, names in phi.items()

@@ -38,8 +38,8 @@ from closureops import (
     WitnessVerificationFailed,
 )
 from closureops import poset as poset_module
-from closureops.errors import SchemaError
-from closureops.jsonio import subset_from
+from closureops.errors import ForeignMask, SchemaError
+from closureops.jsonio import fraction_from
 
 ABCD = ("a", "b", "c", "d")
 XYZ = ("x", "y", "z")
@@ -674,8 +674,25 @@ def oracle_kreps_consequences(values, images) -> bool:
     return True
 
 
+def oracle_bits_from(ground: GroundSet, value, what: str) -> int:
+    """The bit pattern of an array of element names, read name by name, with
+    the errors of :func:`closureops.jsonio._bits_from`: a non-array or a
+    non-string entry anywhere is a SchemaError before the first unknown name
+    is a ForeignMask; a repeated name counts once."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON array")
+    if not all(isinstance(name, str) for name in value):
+        raise SchemaError(f"{what} must contain strings")
+    bits = 0
+    for name in value:
+        if name not in ground.elements:
+            raise ForeignMask(f"element {name!r} is not in the ground set")
+        bits |= 1 << ground.elements.index(name)
+    return bits
+
+
 def oracle_checked_images(ground: GroundSet, entries: list) -> list[int]:
-    """An operator table map read entry by entry through the exact subset
+    """An operator table map read entry by entry through the name-by-name
     reader, with the errors of :func:`closureops.jsonio.operator_images_from`:
     the first bad entry in map order is named, a repeated subset before a
     bad image."""
@@ -685,11 +702,39 @@ def oracle_checked_images(ground: GroundSet, entries: list) -> list[int]:
             raise SchemaError("map entry must be a JSON object")
         if "from" not in entry or "to" not in entry:
             raise SchemaError('map entries need "from" and "to"')
-        key = subset_from(ground, entry["from"], '"from"').bits
+        key = oracle_bits_from(ground, entry["from"], '"from"')
         if images[key] != -1:
             raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
-        images[key] = subset_from(ground, entry["to"], '"to"').bits
+        images[key] = oracle_bits_from(ground, entry["to"], '"to"')
     return images
+
+
+def oracle_topology(ground: GroundSet, sets: list) -> Topology:
+    """The closed sets of a topology document read one by one through the
+    name-by-name reader."""
+    return Topology(ground, [oracle_bits_from(ground, s, "closed set") for s in sets])
+
+
+def oracle_preference(ground: GroundSet, entries: list) -> MenuPreference:
+    """The utilities of a preference document read entry by entry through
+    the name-by-name reader, with the errors of
+    :func:`closureops.jsonio.preference_from`: each value is parsed on its
+    own, under its menu's name."""
+    values: list[Fraction | None] = [None] * (ground.full_bits + 1)
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SchemaError("utility entry must be a JSON object")
+        if "menu" not in entry or "value" not in entry:
+            raise SchemaError('utility entries need "menu" and "value"')
+        menu = oracle_bits_from(ground, entry["menu"], '"menu"')
+        label = ground.mask(menu).label()
+        if values[menu] is not None:
+            raise SchemaError(f"duplicate utility for menu {label}")
+        values[menu] = fraction_from(entry["value"], f"value of {label}")
+    try:
+        return MenuPreference(ground, tuple(values))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def oracle_signatures(utilities, size: int) -> list:

@@ -411,6 +411,19 @@ def test_menu_rep_kreps_rejects_an_operator_argument(tmp_path, capsys):
     assert out == "" and "error" in err
 
 
+def test_menu_rep_kreps_refuses_an_operator_before_reading_the_preference(
+    tmp_path, capsys
+):
+    top = _write(tmp_path, "t.json", oracle_topology_doc(fork_topology()))
+    missing = str(tmp_path / "missing.json")
+    code, out, err = _run(
+        capsys,
+        "menu-rep", "--preference", missing, "--style", "kreps", "--operator", top,
+    )
+    assert code == 2
+    assert out == "" and err == "error: --operator only applies to --style additive\n"
+
+
 def test_menu_rep_additive_defaults_to_the_kreps_operator(tmp_path, capsys):
     path = _write(tmp_path, "p.json", _pref_doc(alice_preference()))
     code, out, _ = _run(capsys, "menu-rep", "--preference", path, "--style", "additive")

@@ -29,8 +29,8 @@ from closureops import (
     kreps_representation,
     validate_closure,
 )
-from closureops import jsonio
 from closureops.cli import main
+from closureops.errors import ClosureError
 from closureops.jsonio import (
     MAX_RATIONAL_DIGITS,
     additive_doc,
@@ -81,8 +81,10 @@ from conftest import (
     oracle_labeling_doc,
     oracle_mobius,
     oracle_mobius_doc,
+    oracle_preference,
     oracle_profile_doc,
     oracle_subset_doc,
+    oracle_topology,
     oracle_topology_doc,
     oracle_validation_doc,
     oracle_weak_order_doc,
@@ -239,7 +241,7 @@ def _outcome(read) -> tuple:
     """What ``read()`` returns, or the class and message of what it raises."""
     try:
         return ("read", read())
-    except (SchemaError, ForeignMask) as exc:
+    except ClosureError as exc:
         return type(exc), str(exc)
 
 
@@ -281,12 +283,13 @@ def test_table_reader_reads_like_the_entry_by_entry_reader():
 
 
 def test_table_reader_counts_a_repeated_name_once(monkeypatch):
-    # A clean map is read in one pass; an entry with a repeated name is read
-    # again on its own by the exact entry reader, which counts the name once.
-    checked = []
-    entry_reader = jsonio._entry_bits
+    # Each array's bit weights are ORed, so a repeated name counts once
+    # without a second read; only an array that the map of weights cannot
+    # read (here one with an unknown name) is read again, by GroundSet.subset.
+    slow = []
+    subset = GroundSet.subset
     monkeypatch.setattr(
-        jsonio, "_entry_bits", lambda *args: checked.append(1) or entry_reader(*args)
+        GroundSet, "subset", lambda g, names: slow.append(1) or subset(g, names)
     )
     doc = {
         "elements": ["a", "b"],
@@ -297,10 +300,113 @@ def test_table_reader_counts_a_repeated_name_once(monkeypatch):
             {"from": ["b", "a"], "to": ["a", "b"]},
         ],
     }
-    assert operator_images_from(doc)[1] == [0, 1, 3, 3] and not checked
+    assert operator_images_from(doc)[1] == [0, 1, 3, 3] and not slow
     doc["map"][1]["from"] = ["a", "a"]
     doc["map"][3]["to"] = ["a", "b", "a"]
-    assert operator_images_from(doc)[1] == [0, 1, 3, 3] and checked == [1, 1]
+    assert operator_images_from(doc)[1] == [0, 1, 3, 3] and not slow
+    doc["map"][2]["to"] = ["b", "q"]
+    with pytest.raises(ForeignMask, match="^element 'q' is not in the ground set$"):
+        operator_images_from(doc)
+    assert slow == [1]
+
+
+def _spoil_names(rng, names: list) -> None:
+    """Repeats a name of ``names``, or puts in an unknown or non-string one."""
+    if names and rng.random() < 0.5:
+        name = rng.choice(names)
+    else:
+        name = rng.choice(["q", "q", 1, None, ["e0"], True])
+    names.insert(rng.randint(0, len(names)), name)
+
+
+_NOT_ARRAYS = ("e0", {"e0": 1}, None, 3)
+
+
+def test_topology_reader_reads_like_the_name_by_name_reader():
+    # Whatever one or two spoiled closed sets hold (a repeated, unknown or
+    # non-string name, a non-array, a repeated or shrunk closed set), the
+    # reader returns or raises what reading name by name does.
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        sets = [_names(n, b) for b in random_family_bits(rng, n)]
+        rng.shuffle(sets)
+        for k in rng.sample(range(len(sets)), min(len(sets), rng.choice((0, 1, 1, 2)))):
+            spoiler = rng.randrange(4)
+            if spoiler == 0:
+                _spoil_names(rng, sets[k])
+            elif spoiler == 1:
+                sets[k] = rng.choice(_NOT_ARRAYS)
+            elif spoiler == 2:
+                sets.append(list(sets[k]))
+            elif sets[k]:
+                sets[k].pop(rng.randrange(len(sets[k])))
+        doc = {"elements": _names(n, (1 << n) - 1), "closed_sets": sets}
+        ground = ground_from(doc)
+        copy = json.loads(json.dumps(sets))
+        expected = _outcome(lambda: oracle_topology(ground, copy).bits)
+        assert _outcome(lambda: topology_from(doc).bits) == expected
+        seen.add(expected[0])
+    assert {"read", SchemaError, ForeignMask} <= seen
+
+
+def test_preference_reader_reads_like_the_name_by_name_reader():
+    # Whatever one or two spoiled utility entries hold (a repeated, unknown
+    # or non-string name, a non-array menu, a repeated or missing menu, a bad
+    # value, a missing key, an entry that is no object), the reader returns
+    # or raises what reading entry by entry, name by name, does.
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        entries = [
+            {"menu": _names(n, a), "value": rng.choice((a.bit_count(), f"{a}/3", "1.5"))}
+            for a in range(1, 1 << n)
+        ]
+        rng.shuffle(entries)
+        dropped = set()
+        spoiled = rng.sample(range(len(entries)), min(len(entries), rng.choice((0, 1, 1, 2))))
+        for k in spoiled:
+            entry, spoiler = entries[k], rng.choice((0, 0, 0, 1, 2, 3, 4, 5, 6))
+            if spoiler == 0:
+                _spoil_names(rng, entry["menu"])
+            elif spoiler == 1:
+                entry["menu"] = rng.choice(_NOT_ARRAYS)
+            elif spoiler == 2:
+                entry["menu"] = _names(n, rng.randrange(1, 1 << n))
+            elif spoiler == 3:
+                entry["value"] = rng.choice([1.5, True, None, "1/x", "1/0", {"x": 1}, [1]])
+            elif spoiler == 4:
+                entry.pop(rng.choice(["menu", "value"]))
+            elif spoiler == 5:
+                entries[k] = rng.choice([None, "x", [1]])
+            else:
+                dropped.add(k)
+        entries = [entry for k, entry in enumerate(entries) if k not in dropped]
+        doc = {"elements": _names(n, (1 << n) - 1), "utilities": entries}
+        ground = ground_from(doc)
+        copy = json.loads(json.dumps(entries))
+        expected = _outcome(lambda: oracle_preference(ground, copy))
+        assert _outcome(lambda: preference_from(doc)) == expected
+        seen.add(expected[0])
+    assert {"read", SchemaError, ForeignMask} <= seen
+
+
+def test_repeated_names_read_as_their_clean_twin_at_16_elements():
+    n = 16
+    clean = {
+        "elements": _names(n, (1 << n) - 1),
+        "utilities": [
+            {"menu": _names(n, a), "value": (a & 0x5555).bit_count()}
+            for a in range(1, 1 << n)
+        ],
+    }
+    twin = json.loads(json.dumps(clean))
+    for entry in twin["utilities"][::7]:
+        entry["menu"] += entry["menu"][::2]
+    assert twin != clean
+    assert preference_from(twin) == preference_from(clean)
 
 
 def _names(n: int, bits: int) -> list[str]:
