@@ -46,6 +46,7 @@ are immutable up to the image cache; all functions are pure.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -323,7 +324,6 @@ class Topology:
 
     ground: GroundSet
     bits: tuple[int, ...]
-    _bitset: frozenset[int] = field(init=False, repr=False, compare=False)
     _images: tuple[int, ...] | None = field(
         init=False, default=None, repr=False, compare=False
     )
@@ -336,7 +336,6 @@ class Topology:
         if closed and (closed[0] < 0 or closed[-1] > full):
             raise _misfit(self.ground, next(b for b in given if not 0 <= b <= full))
         object.__setattr__(self, "bits", closed)
-        object.__setattr__(self, "_bitset", bitset)
         if 0 not in bitset:
             raise MissingTopBottom("the empty set must be closed")
         if full not in bitset:
@@ -406,7 +405,6 @@ class Topology:
         topology = object.__new__(cls)
         object.__setattr__(topology, "ground", ground)
         object.__setattr__(topology, "bits", bits)
-        object.__setattr__(topology, "_bitset", frozenset(bits))
         object.__setattr__(topology, "_images", images)
         return topology
 
@@ -424,10 +422,12 @@ class Topology:
     def __contains__(self, mask: object) -> bool:
         if not isinstance(mask, SubsetMask):
             return False
-        return mask.ground == self.ground and mask.bits in self._bitset
+        return mask.ground == self.ground and self.contains_bits(mask.bits)
 
     def contains_bits(self, bits: int) -> bool:
-        return bits in self._bitset
+        closed = self.bits
+        i = bisect_left(closed, bits)
+        return i < len(closed) and closed[i] == bits
 
     def __call__(self, mask: SubsetMask) -> SubsetMask:
         if mask.ground != self.ground:

@@ -55,10 +55,10 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring as _string
-from typing import Any
+from typing import Any, TypeVar
 
 from .complexity import ComplexityProfile
 from .core import MAX_RATIONAL_DIGITS, GroundSet, SubsetMask, Topology, ValidationReport
@@ -111,6 +111,18 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+_T = TypeVar("_T")
+
+
+def _checked(make: Callable[..., _T], *args: Any) -> _T:
+    """``make(*args)``, its ValueError reported as a SchemaError with the
+    same message: a constructor's check is the reader's check."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def _require_dict(value: Any, what: str) -> dict:
     _require(isinstance(value, dict), f"{what} must be a JSON object")
     return value
@@ -156,10 +168,7 @@ def fraction_from(value: Any, what: str) -> Fraction:
         )
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{what} must be a rational string or integer")
-    try:
-        return _exact_fraction(value, what)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _checked(_exact_fraction, value, what)
 
 
 # ---------------------------------------------------------------- parsing
@@ -168,10 +177,7 @@ def fraction_from(value: Any, what: str) -> Fraction:
 def _ground(names: list[str], what: str) -> GroundSet:
     """The ground set of a list of element names, each encodable."""
     _encodable(names, what)
-    try:
-        return GroundSet(tuple(names))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _checked(GroundSet, tuple(names))
 
 
 def ground_from(doc: Any) -> GroundSet:
@@ -255,19 +261,13 @@ def weak_order_from(ground: GroundSet, doc: Any) -> WeakOrder:
     )
     classes = _require_list(doc["classes_worst_first"], '"classes_worst_first"')
     masks = tuple(subset_from(ground, c, "indifference class") for c in classes)
-    try:
-        return WeakOrder(ground, masks)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _checked(WeakOrder, ground, masks)
 
 
 def binary_from(ground: GroundSet, doc: Any) -> BinaryClassifier:
     doc = _require_dict(doc, "binary classifier document")
     _require("cutoff" in doc, 'binary classifier document needs a "cutoff" array')
-    try:
-        return BinaryClassifier(subset_from(ground, doc["cutoff"], '"cutoff"'))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _checked(BinaryClassifier, subset_from(ground, doc["cutoff"], '"cutoff"'))
 
 
 def generators_from(
@@ -303,10 +303,7 @@ def labeling_from(doc: Any) -> Labeling:
         element: _name_list(names, f'labels of "{element}"')
         for element, names in phi.items()
     }
-    try:
-        return Labeling.from_names(ground, labels, assignment)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _checked(Labeling.from_names, ground, labels, assignment)
 
 
 def preference_from(doc: Any) -> MenuPreference:
@@ -340,10 +337,8 @@ def preference_from(doc: Any) -> MenuPreference:
                 raise
             parsed[key] = value
         values[menu] = value
-    try:  # the constructor names the first nonempty menu left without a value
-        return MenuPreference(ground, tuple(values))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    # The constructor names the first nonempty menu left without a value.
+    return _checked(MenuPreference, ground, tuple(values))
 
 
 # ---------------------------------------------------------------- emitting

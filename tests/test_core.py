@@ -188,6 +188,38 @@ def test_topology_normalizes_and_validates():
     assert t.contains_bits(0b01) and not t.contains_bits(0b10)
 
 
+def test_membership_agrees_with_the_set_of_closed_bits():
+    """``contains_bits`` and ``in`` answer from the ascending ``bits`` alone,
+    whichever way the topology was built."""
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        g = ground(f"e{i}" for i in range(n))
+        family = random_family_bits(rng, n)
+        built = Topology(g, family)
+        images = built.tabulate_bits()
+        for t in (
+            built,
+            Topology.from_masks(g, map(g.mask, family)),
+            Topology._validated(g, images),
+            Topology._trusted(g, images),
+        ):
+            closed = set(t.bits)
+            assert closed == set(family)
+            for b in range(1 << n):
+                assert t.contains_bits(b) == (b in closed)
+                assert (g.mask(b) in t) == (b in closed)
+    g = ground(f"e{i}" for i in range(16))
+    discrete = Topology(g, range(1 << 16))
+    assert all(map(discrete.contains_bits, range(1 << 16)))
+    g = ground(f"e{i}" for i in range(20))
+    chain = Topology(g, chain_bits(rng, 20))
+    closed = set(chain.bits)
+    for b in [*closed, *(rng.getrandbits(20) for _ in range(4096))]:
+        assert chain.contains_bits(b) == (b in closed)
+        assert (g.mask(b) in chain) == (b in closed)
+
+
 def test_topology_requires_empty_and_full():
     g = ground("ab")
     with pytest.raises(MissingTopBottom):
