@@ -16,9 +16,11 @@ is a closure operator, the preference depends only on closures
 (U(A ∪ B) = U(A) ⟺ f(B) ⊆ f(A)), and strictly larger closures are strictly
 better.  This module decides flexibility on adjacent pairs (A, A ∪ {x}) in
 the loop that builds the Kreps map g, and submodularity as the monotonicity
-of g in g's one closure-axiom validation, enumerates complete witness lists
-only when that decision fails, builds the Kreps operator with its
-consequences verified, and constructs two state-space representations:
+of g in g's one closure-axiom validation, plus, for an inflexible
+preference, a test on the equal-utility supersets of each menu, made in the
+pass that lists its flexibility witnesses (:func:`check_axioms`); it
+enumerates complete witness lists only for an axiom that fails, builds the Kreps operator with its consequences verified,
+and constructs two state-space representations:
 
 * :func:`kreps_representation` — a minimal set of weak-order states (one per
   chain of a minimum chain cover of P(f), so exactly MNWO states) with
@@ -250,19 +252,26 @@ def _adjacent_pass(ranks: tuple, size: int) -> tuple[bool, list[int]]:
     return flexible, images
 
 
-def _flexibility_witnesses(
-    ranks: tuple, masks: list[SubsetMask]
-) -> list[tuple[SubsetMask, SubsetMask]]:
-    """Every pair (A, B), B ⊊ A nonempty, with U(B) > U(A); A ascending, then
-    B descending."""
+def _submenu_pass(
+    ranks: tuple, images: list[int], masks: list[SubsetMask]
+) -> tuple[list[tuple[SubsetMask, SubsetMask]], bool]:
+    """One pass over the pairs B ⊊ A of nonempty menus, g given by its
+    images.  Returns the flexibility witnesses, the pairs (A, B) with
+    U(B) > U(A), A ascending, then B descending; and whether A ⊆ g(B) on
+    every pair with U(A) = U(B), condition (ii) of :func:`check_axioms`."""
     witnesses = []
+    inside = True
     for a in range(1, len(ranks)):
+        u = ranks[a]
         b = (a - 1) & a
         while b:
-            if ranks[b] > ranks[a]:
+            v = ranks[b]
+            if v > u:
                 witnesses.append((masks[a], masks[b]))
+            elif v == u and a & ~images[b]:
+                inside = False
             b = (b - 1) & a
-    return witnesses
+    return witnesses, inside
 
 
 def _submodularity_witnesses(
@@ -298,30 +307,37 @@ def check_axioms(preference: MenuPreference) -> AxiomReport:
     """Check flexibility and ordinal submodularity, with complete witnesses.
 
     Flexibility is decided in O(n·2^n) on adjacent pairs, by the loop that
-    also builds the Kreps map g (see :func:`_adjacent_pass`).  Under
-    flexibility, ordinal submodularity holds iff g is monotone, which
+    also builds the Kreps map g (see :func:`_adjacent_pass`).  Ordinal
+    submodularity holds iff (i) g is monotone, which
     :func:`~closureops.core._validate_images` decides on g's bit-planes in
-    O(n²) word operations:
+    O(n²) word operations, and (ii) every menu D ⊇ A with U(D) = U(A) lies
+    inside g(A):
 
-    * necessity is the axiom with B = {x}, C = {y}: x ∈ g(A) gives
-      U(A ∪ {x, y}) = U(A ∪ {y}), so x ∈ g(A ∪ {y}), and g is monotone on
-      adjacent pairs, hence along any chain of them;
-    * sufficiency: if U(A ∪ B) = U(A), the sandwich
-      U(A) ≤ U(A ∪ {b}) ≤ U(A ∪ B) puts B in g(A), and monotonicity puts it
-      in g(D) for D = A ∪ C and every D' ⊇ D.  Adding the elements of B to
-      D one at a time then never changes U (each lies in g of the current
-      menu), so U(A ∪ B ∪ C) = U(A ∪ C).
+    * necessity: the axiom with B = {x}, C = {y} turns x ∈ g(A) into
+      U(A ∪ {x, y}) = U(A ∪ {y}), so x ∈ g(A ∪ {y}); g is monotone on
+      adjacent pairs, hence along any chain of them, which is (i).  With
+      B = D ∖ A and C = {y}, y ∈ D ∖ A, it turns U(D) = U(A) into
+      U(A ∪ {y}) = U(D) = U(A), so y ∈ g(A), which is (ii);
+    * sufficiency: if U(A ∪ B) = U(A), (ii) puts B in g(A), and (i) puts it
+      in g(M) for every M ⊇ A ∪ C.  Adding the elements of B to A ∪ C one
+      at a time then never changes U (each lies in g of the current menu),
+      so U(A ∪ B ∪ C) = U(A ∪ C).
 
-    Then g is a closure operator: g(∅) = ∅ and A ⊆ g(A) by construction, and
-    U(g(A)) = U(A) by the same one-at-a-time argument, so y ∈ g(g(A)) gives
-    U(A) ≤ U(A ∪ {y}) ≤ U(g(A) ∪ {y}) = U(A) and y ∈ g(A).  The same
-    validation report's extensivity, idempotence and f(∅) = ∅ are g's
-    self-check, a failure raising :class:`WitnessVerificationFailed`.
+    Under flexibility (ii) holds with no scan, by the sandwich
+    U(A) ≤ U(A ∪ {y}) ≤ U(D) = U(A) for y ∈ D ∖ A; for an inflexible
+    preference it is read in the 3^n pass over the pairs A ⊊ D that lists
+    the flexibility witnesses (:func:`_submenu_pass`), at no pass of its own.
 
-    Witness lists are enumerated over 2^X only for an axiom found failing
-    (submodularity's also whenever flexibility fails, as the monotonicity
-    criterion assumes flexibility).  g goes to :func:`kreps_operator`, not
-    into the report (:func:`_decide_axioms`).
+    When both axioms hold, g is a closure operator: g(∅) = ∅ and A ⊆ g(A)
+    by construction, and U(g(A)) = U(A) by the same one-at-a-time argument,
+    so y ∈ g(g(A)) gives U(A) ≤ U(A ∪ {y}) ≤ U(g(A) ∪ {y}) = U(A) and
+    y ∈ g(A).  The same validation report's extensivity, idempotence and
+    f(∅) = ∅ are g's self-check, a failure raising
+    :class:`WitnessVerificationFailed`.
+
+    Witness lists are enumerated over 2^X only for an axiom found failing.
+    g goes to :func:`kreps_operator`, not into the report
+    (:func:`_decide_axioms`).
     """
     return _decide_axioms(preference)[0]
 
@@ -332,21 +348,24 @@ def _decide_axioms(preference: MenuPreference) -> tuple[AxiomReport, tuple | Non
     ground = preference.ground
     ranks = preference._ranks
     flexible, images = _adjacent_pass(ranks, ground.size)
-    if flexible:
-        validation = _validate_images(ground, images)
-        if not validation.monotonicity:
-            if not validation.ok:
-                raise WitnessVerificationFailed(
-                    "Kreps construction produced a non-closure: "
-                    + "; ".join(validation.summary())
-                )
-            return AxiomReport((), ()), tuple(images)
+    validation = _validate_images(ground, images)
+    if flexible and not validation.monotonicity:
+        if not validation.ok:
+            raise WitnessVerificationFailed(
+                "Kreps construction produced a non-closure: "
+                + "; ".join(validation.summary())
+            )
+        return AxiomReport((), ()), tuple(images)
     masks = [ground.mask(bits) for bits in range(len(ranks))]
+    flexibility, inside = (
+        ([], True) if flexible else _submenu_pass(ranks, images, masks)
+    )
+    submodular = inside and not validation.monotonicity
     return AxiomReport(
-        flexibility_witnesses=(
-            () if flexible else tuple(_flexibility_witnesses(ranks, masks))
+        flexibility_witnesses=tuple(flexibility),
+        submodularity_witnesses=(
+            () if submodular else tuple(_submodularity_witnesses(ranks, masks))
         ),
-        submodularity_witnesses=tuple(_submodularity_witnesses(ranks, masks)),
     ), None
 
 

@@ -514,14 +514,27 @@ def _passes(check, *args) -> bool:
     return True
 
 
+def _closure_ranked(rng: random.Random, g) -> list:
+    """U = V∘f for a random closure operator f and a random permutation V of
+    ranks over S(f): U(A ∪ B) = U(A) iff B ⊆ f(A), so U is ordinally
+    submodular, and flexible only when V happens to rise with inclusion."""
+    f = random_operator(rng, g)
+    ranks = list(range(len(f.bits)))
+    rng.shuffle(ranks)
+    rank_of = dict(zip(f.bits, ranks))
+    return [None] + [Fraction(rank_of[image]) for image in f.tabulate_bits()[1:]]
+
+
 def _random_utilities(rng: random.Random, g) -> MenuPreference:
-    """One of three recipes, so that every outcome of the axioms occurs:
+    """One of four recipes, so that every outcome of the axioms occurs:
     small random integers (flexibility mostly fails), sums of nonnegative
-    increments over submenus (flexible; submodular or not), and sums of maxes
-    (both axioms hold); the last two get one menu nudged by ±1 half the time.
+    increments over submenus (flexible; submodular or not), sums of maxes
+    (both axioms hold), and a random ranking of a closure operator's closures
+    (:func:`_closure_ranked`: submodular, mostly inflexible); the middle two
+    get one menu nudged by ±1 half the time.
     """
     full = g.full_bits
-    recipe = rng.randrange(3)
+    recipe = rng.randrange(4)
     if recipe == 0:
         values = [None] + [Fraction(rng.randrange(3)) for _ in range(full)]
     elif recipe == 1:
@@ -530,10 +543,12 @@ def _random_utilities(rng: random.Random, g) -> MenuPreference:
             Fraction(sum(bumps[b] for b in range(1, a + 1) if b & ~a == 0))
             for a in range(1, full + 1)
         ]
-    else:
+    elif recipe == 2:
         orders = [random_weak_order(rng, g) for _ in range(rng.randint(1, 3))]
         values = list(sum_of_maxes(g, orders).values)
-    if recipe and rng.random() < 0.5:
+    else:
+        values = _closure_ranked(rng, g)
+    if recipe in (1, 2) and rng.random() < 0.5:
         values[rng.randrange(1, full + 1)] += rng.choice((-1, 1))
     return MenuPreference(g, tuple(values))
 
@@ -565,7 +580,7 @@ def test_axiom_recipes_reach_every_outcome():
         report = check_axioms(pref)
         assert report == _decided_as_the_oracles(pref)
         outcomes[report.flexibility_ok, report.submodularity_ok] += 1
-    for key in [(True, True), (True, False), (False, False)]:
+    for key in [(True, True), (True, False), (False, True), (False, False)]:
         assert outcomes[key] >= 20
 
 
@@ -629,6 +644,71 @@ def test_submodularity_is_the_adjacent_criterion_on_flexible_preferences(monkeyp
         report = check_axioms(pref)
         expected = oracle_adjacent_submodular(pref.values)
         assert report.flexibility_ok
+        assert report.submodularity_ok == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def _nearly_constant(n: int) -> MenuPreference:
+    """U ≡ 1 except U({e0}) = 2: inflexible on the 2^(n−1) − 1 menus that
+    strictly hold {e0}, and ordinally submodular."""
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    return MenuPreference(g, (None, Fraction(2), *[Fraction(1)] * (g.full_bits - 1)))
+
+
+def test_triples_are_enumerated_only_for_a_failing_axiom(monkeypatch):
+    def refused(ranks, masks):
+        raise AssertionError("submodularity triples enumerated")
+
+    real = menus._submodularity_witnesses
+    monkeypatch.setattr(menus, "_submodularity_witnesses", refused)
+    # inflexible, submodular: CI's inflexible.json
+    report = check_axioms(_pref(ground("ab"), {"a": 1, "b": "1/2", "ab": "1/3"}))
+    assert not report.flexibility_ok and report.submodularity_ok
+    report = check_axioms(_nearly_constant(10))
+    assert len(report.flexibility_witnesses) == 511
+    assert report.submodularity_witnesses == ()
+    calls = []
+
+    def counted(ranks, masks):
+        calls.append(len(ranks))
+        return real(ranks, masks)
+
+    monkeypatch.setattr(menus, "_submodularity_witnesses", counted)
+    # flexible, not submodular: CI's unsubmodular.json
+    g = ground("abc")
+    report = check_axioms(
+        _pref(g, {"a": 1, "b": 1, "c": 1, "ab": 1, "ac": 2, "bc": 2, "abc": 3})
+    )
+    assert calls == [8]
+    assert (sub(g, "a"), sub(g, "b"), sub(g, "c")) in report.submodularity_witnesses
+
+
+def test_inflexible_submodularity_is_the_criterion_on_g(monkeypatch):
+    # For an inflexible preference, check_axioms decides submodularity as g's
+    # monotonicity plus the equal-utility superset scan, and calls the
+    # enumerator (stubbed to one placeholder triple) only when that fails.
+    # The verdict must be the real enumerator's, on closure rankings
+    # (submodular), half of them with one menu given the utility of a menu
+    # above it.
+    real = menus._submodularity_witnesses
+    monkeypatch.setattr(
+        menus, "_submodularity_witnesses", lambda ranks, masks: [(masks[1],) * 3]
+    )
+    g = GroundSet(tuple(f"e{i}" for i in range(7)))
+    masks = [g.mask(bits) for bits in range(g.full_bits + 1)]
+    outcomes = Counter()
+    for seed in range(80):
+        rng = random.Random(seed)
+        values = _closure_ranked(rng, g)
+        if seed % 2:
+            a = rng.randrange(1, g.full_bits + 1)
+            values[a] = values[a | rng.randrange(g.full_bits + 1)]
+        pref = MenuPreference(g, tuple(values))
+        report = check_axioms(pref)
+        if report.flexibility_ok:
+            continue
+        expected = real(pref._ranks, masks) == []
         assert report.submodularity_ok == expected
         outcomes[expected] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 20
