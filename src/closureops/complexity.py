@@ -76,7 +76,7 @@ from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
 from .generators import _chain_classes
-from .poset import ChainCover, FinitePoset
+from .poset import ChainCover, FinitePoset, _inclusion_rows
 
 __all__ = [
     "IrreducibleSet",
@@ -252,15 +252,16 @@ def _weak_order_witness(
 ) -> tuple[tuple[WeakOrder, ...], GenerationReport]:
     """MNWO weak orders that intersect-generate f, and the check they passed.
 
-    A minimum chain cover of P(f) gives one weak order per chain: the
-    chain's bit patterns, padded with 0 and X, are a half-space chain.
+    A minimum chain cover of P(f), over its bit patterns, gives one weak
+    order per chain: the chain, padded with 0 and X, is a half-space chain.
     """
     f = irreducibles.topology
     ground = f.ground
+    p = tuple(m.bits for m in irreducibles.p_of_f)
     weak_orders = []
-    for chain in FinitePoset.from_masks(irreducibles.p_of_f).min_chain_cover().chains:
+    for chain in FinitePoset._trusted(p, _inclusion_rows(p)).min_chain_cover().chains:
         # padded with ∅ and X; ascending bit order is the chain's own order
-        links = sorted({0, ground.full_bits, *(m.bits for m in chain)})
+        links = sorted({0, ground.full_bits, *chain})
         weak_orders.append(WeakOrder(ground, _chain_classes(ground, links)))
     return tuple(weak_orders), _verified(f, weak_orders, "weak-order")
 

@@ -18,9 +18,10 @@ better.  This module decides flexibility on adjacent pairs (A, A ∪ {x}) in
 the loop that builds the Kreps map g, and submodularity as the monotonicity
 of g in g's one closure-axiom validation, plus, for an inflexible
 preference, a test on the equal-utility supersets of each menu, made in the
-pass that lists its flexibility witnesses (:func:`check_axioms`); it
-enumerates complete witness lists only for an axiom that fails, builds the Kreps operator with its consequences verified,
-and constructs two state-space representations:
+pass that lists its flexibility witnesses (:func:`check_axioms`).  It
+enumerates complete witness lists only for an axiom that fails.  It builds
+the Kreps operator with its consequences verified, and constructs two
+state-space representations:
 
 * :func:`kreps_representation` — a minimal set of weak-order states (one per
   chain of a minimum chain cover of P(f), so exactly MNWO states) with

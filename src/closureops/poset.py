@@ -270,15 +270,7 @@ class FinitePoset:
 
     def dual(self) -> FinitePoset:
         """The same items under the reversed order."""
-        n = self.size
-        rows = [0] * n
-        for i in range(n):
-            row = self.up[i]
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                rows[j] |= 1 << i
-        return FinitePoset._trusted(self.items, tuple(rows))
+        return FinitePoset._trusted(self.items, tuple(_transpose(self.up)))
 
     def _strict_up(self) -> list[int]:
         return [self.up[i] & ~(1 << i) for i in range(self.size)]
@@ -481,19 +473,25 @@ def _index_of(items: tuple[Hashable, ...]) -> dict[Hashable, int]:
     return index
 
 
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The columns of a 0/1 matrix held as int rows: bit i of column j is
+    bit j of row i, for every j below the highest bit set in any row."""
+    columns = [0] * max(rows, default=0).bit_length()
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            row ^= low
+            columns[low.bit_length() - 1] |= 1 << i
+    return columns
+
+
 def _inclusion_rows(bits: Sequence[int]) -> tuple[int, ...]:
     """Per subset (a bit pattern), the bitmask of the subsets that contain it.
 
     Column e is the set of items containing element e, and an item's row is
     the AND of the columns of its members, O(Σ|A|) big-int ANDs in all.
     """
-    columns = [0] * max(bits, default=0).bit_length()
-    for i, a in enumerate(bits):
-        rest = a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            columns[low.bit_length() - 1] |= 1 << i
+    columns = _transpose(bits)
     every = (1 << len(bits)) - 1
     rows = []
     for a in bits:
@@ -600,13 +598,7 @@ def _interval_rows(up: Sequence[int]) -> tuple[dict[int, int], ...]:
     defining recursion μ(x, y) = −Σ_{x ≤ z < y} μ(x, z), taking y along a
     linear extension: |S|² scan steps plus one per z in each interval."""
     size = len(up)
-    strict_down = [0] * size
-    for i, row in enumerate(up):
-        row &= ~(1 << i)
-        while row:
-            j = (row & -row).bit_length() - 1
-            row &= row - 1
-            strict_down[j] |= 1 << i
+    strict_down = [column & ~(1 << j) for j, column in enumerate(_transpose(up))]
     # a linear extension: ascending count of items strictly below
     order = sorted(range(size), key=lambda i: (strict_down[i].bit_count(), i))
     rows = []

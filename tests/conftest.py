@@ -9,12 +9,16 @@ without touching the code paths they check.
 
 from __future__ import annotations
 
+import atexit
 import random
+import tempfile
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from closureops import (
     AdditiveRepresentation,
@@ -40,6 +44,16 @@ from closureops import (
 from closureops import poset as poset_module
 from closureops.errors import ForeignMask, SchemaError
 from closureops.jsonio import fraction_from
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 is deterministic.  Hypothesis still caches what it reads
+# from the source files; that cache goes to a temporary directory, removed at
+# exit, so the tests write nothing into the checkout.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
+atexit.register(_hypothesis_home.cleanup)
 
 ABCD = ("a", "b", "c", "d")
 XYZ = ("x", "y", "z")
@@ -218,6 +232,17 @@ def random_family_bits(rng: random.Random, n: int) -> list[int]:
         else:
             pick = rng.getrandbits(n)
         family |= {pick & other for other in family}
+    family.add(0)
+    return sorted(family)
+
+
+def labeling_bits(rng: random.Random, n: int) -> list[int]:
+    """S(f) of a random labeling: the intersections of 20 random label
+    extents, with ∅ and X, ascending (|S| ≈ 600 at n = 20)."""
+    family = {(1 << n) - 1}
+    for _ in range(20):
+        extent = rng.getrandbits(n)
+        family |= {extent & other for other in family}
     family.add(0)
     return sorted(family)
 

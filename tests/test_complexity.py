@@ -41,6 +41,7 @@ from conftest import (
     fork_topology,
     ground,
     iter_topologies,
+    labeling_bits,
     oracle_check_generation,
     oracle_mnbc,
     oracle_mnwo,
@@ -453,6 +454,8 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(poset_module, name, counted)
+    # The weak-order stage builds the rows of P(f) through its own import.
+    monkeypatch.setattr(complexity, "_inclusion_rows", poset_module._inclusion_rows)
     matched_cover = FinitePoset._matched_cover
 
     def matched(self, links):
@@ -482,6 +485,28 @@ def test_discrete_family_closed_forms_at_large_n(n):
     assert profile.mnwo == profile.mnbc == n
     assert profile.irreducibles.p_of_f == (*coatoms, g.full)
     assert profile.class_count == (1 << n) - 1
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("discrete", 16), ("chain", 20), *(("labeling", n) for n in range(16, 21))]
+)
+def test_weak_order_witnesses_match_the_mask_chain_cover_at_large_n(kind, n):
+    # The stage covers P(f) on bit patterns; the oracle covers the same
+    # sets as masks, in the same order, so the chains must be the same.
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    if kind == "discrete":
+        bits = range(1 << n)
+    elif kind == "chain":
+        bits = [(1 << k) - 1 for k in range(n + 1)]
+    else:
+        bits = labeling_bits(random.Random(n), n)
+    irreducibles = meet_irreducibles(Topology(g, bits))
+    weak_orders, report = complexity._weak_order_witness(irreducibles)
+    oracle = FinitePoset.from_masks(irreducibles.p_of_f).min_chain_cover()
+    assert [w.bits for w in weak_orders] == [
+        tuple(sorted({0, g.full_bits, *(m.bits for m in chain)})) for chain in oracle.chains
+    ]
+    assert report.generates
 
 
 def test_discrete_family_hasse_edges_at_fourteen_elements():

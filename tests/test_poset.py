@@ -26,6 +26,7 @@ from conftest import (
     check_chain_cover,
     crown_bits,
     ground,
+    labeling_bits,
     oracle_from_masks,
     oracle_hasse,
     oracle_min_chain_cover,
@@ -262,6 +263,40 @@ def test_from_masks_rejects_a_repeated_subset():
     g = ground("ab")
     with pytest.raises(InvalidOrderRelation, match=r"duplicate item SubsetMask\(\{a\}\)"):
         FinitePoset.from_masks((sub(g, "a"), sub(g, "ab"), sub(g, "a")))
+
+
+def test_transpose_matches_the_brute_force_transpose():
+    rng = random.Random(31)
+    for size in range(71):
+        width, density = rng.randint(0, 70), rng.choice((0.0, 0.05, 0.5, 0.95))
+        rows = [
+            sum(1 << j for j in range(width) if rng.random() < density)
+            for _ in range(size)
+        ]
+        width = max(rows, default=0).bit_length()
+        assert poset_module._transpose(rows) == [
+            sum(1 << i for i, row in enumerate(rows) if row >> j & 1)
+            for j in range(width)
+        ]
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_transposed_rows_match_the_oracles_up_to_twenty_elements(n, routes):
+    # dual, the inclusion rows of from_masks and the strict down-rows of
+    # the interval loop all read their columns through _transpose.
+    rng = random.Random(n)
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    families = (labeling_bits(rng, n), chain_bits(rng, n), crown_bits(n))
+    for bits in families:
+        t = Topology(g, bits)
+        masks = list(t.closed)
+        rng.shuffle(masks)
+        p = FinitePoset.from_masks(masks)
+        assert p == oracle_from_masks(masks)
+        assert p.dual() == FinitePoset.from_leq(masks, lambda a, b: b <= a)
+        mu = {(x.bits, y.bits): value for x, y, value in p.mobius().pairs()}
+        assert mu == oracle_mobius(t)
+    assert routes == {"_interval_rows": len(families)}
 
 
 def _brute_covers(items, leq) -> tuple[tuple[int, ...], ...]:
