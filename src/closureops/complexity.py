@@ -31,16 +31,18 @@ as a lattice and the number of nonempty closed sets (distinguishable classes).
 In the profile the covers of S(f), from the inclusion order
 :meth:`~closureops.poset.FinitePoset.from_topology` keeps, give P(f), the
 width and the depth, all three read from the closed sets' bit patterns: no
-mask is built for S(f) beyond the members of P(f).  The width is certified by
-Dilworth's theorem (:func:`_width_cover`): the largest cardinality level is
-an antichain, a greedy cover along the covers gives as many chains, and only
-when the two differ does the matching run, on the rows of that same order,
-started from the greedy chains.  So the rows of S(f) are built at most once
-per profile: for the covers when f holds no image table, else for the
-matching if it runs.  On the discrete family the bounds meet at
-C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the matching over its 3^n
-comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
-chain cover of P(f) by the matching itself, so their chains do not depend on
+mask is built for S(f) beyond the members of P(f).  The width is a number,
+certified by Dilworth's theorem (:func:`_width`): the largest cardinality
+level is an antichain, a greedy cover along the covers gives as many chains,
+and only when the two differ does the matching
+(:func:`~closureops.poset._matched_cover`) run, on the rows of that same
+order, started from the greedy chains.  No chain of S(f) is kept.  So the
+rows of S(f) are built at most once per profile: for the covers when f holds
+no image table, else for the matching if it runs.  On the discrete family
+the bounds meet at C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the
+matching over its 3^n comparable pairs cost O(3^n).  The weak-order
+witnesses come from a minimum chain cover of P(f) by the same matching, on
+P(f)'s bit patterns and inclusion rows, so their chains do not depend on
 which route settled the width.
 Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
@@ -68,6 +70,7 @@ verifies exactly the witness it prints, once.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -76,7 +79,7 @@ from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
 from .generators import _chain_classes
-from .poset import ChainCover, FinitePoset, _inclusion_rows
+from .poset import FinitePoset, _inclusion_rows, _matched_cover
 
 __all__ = [
     "IrreducibleSet",
@@ -132,51 +135,41 @@ def _irreducible_set(topology: Topology, p_of_f: Sequence[int]) -> IrreducibleSe
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
 
 
-def _width_cover(bits: Sequence[int], poset: FinitePoset) -> ChainCover:
-    """A minimum chain cover of S(f), over its bit patterns ``bits``,
-    certified by Dilworth's theorem.  ``poset`` is the inclusion order of
-    S(f) from :meth:`FinitePoset.from_topology`: the greedy reads its covers,
-    and the matching its rows.
+def _width(bits: Sequence[int], poset: FinitePoset) -> int:
+    """The width of S(f), over its bit patterns ``bits``, certified by
+    Dilworth's theorem.  ``poset`` is the inclusion order of S(f) from
+    :meth:`FinitePoset.from_topology`: the greedy reads its covers, and the
+    matching its rows.
 
     Closed sets of one cardinality are an antichain, so the largest level
     bounds the width from below.  A greedy cover bounds it from above: the
     sets, taken by ascending cardinality, each extend the first chain whose
-    top is one of their lower covers and is still free.  If the bounds meet,
-    the greedy chains and the level are the cover and its certificate.
-    Otherwise the matching of :meth:`FinitePoset.min_chain_cover` finishes
-    the job, started from the greedy links (each is a cover pair, so they
-    form a matching of the strict order).
+    top is one of their lower covers and is still free.  Each chain ends at
+    a top never extended, so the chains number the sets without a
+    successor.  If the bounds meet, that is the width.  Otherwise the
+    matching finishes the job, started from the greedy links (each is a
+    cover pair, so they form a matching of the strict order), and its
+    König antichain certifies the width it returns.
     """
     lower: list[list[int]] = [[] for _ in bits]
     for i, above in enumerate(poset.upper_cover_indices()):
         for j in above:
             lower[j].append(i)
-    levels: dict[int, list[int]] = {}
-    for i, a in enumerate(bits):
-        levels.setdefault(a.bit_count(), []).append(i)
+    sizes = [a.bit_count() for a in bits]
     free = bytearray(len(bits))  # chain tops not yet extended
     succ = [-1] * len(bits)
-    for size in sorted(levels):
-        for i in levels[size]:
-            for j in lower[i]:
-                if free[j]:
-                    free[j] = 0
-                    succ[j] = i
-                    break
-            free[i] = 1
-    widest = max(levels.values(), key=len)
-    starts = set(range(len(bits))) - set(succ)
-    if len(starts) != len(widest):
-        over_bits = FinitePoset._trusted(bits, poset.up)
-        return over_bits._matched_cover((j, i) for j, i in enumerate(succ) if i >= 0)
-    chains = []
-    for i in sorted(starts):
-        chain = [bits[i]]
-        while succ[i] >= 0:
-            i = succ[i]
-            chain.append(bits[i])
-        chains.append(tuple(chain))
-    return ChainCover(chains=tuple(chains), antichain=tuple(bits[i] for i in widest))
+    for i in sorted(range(len(bits)), key=sizes.__getitem__):
+        for j in lower[i]:
+            if free[j]:
+                free[j] = 0
+                succ[j] = i
+                break
+        free[i] = 1
+    widest = max(Counter(sizes).values())
+    if succ.count(-1) == widest:
+        return widest
+    links = ((j, i) for j, i in enumerate(succ) if i >= 0)
+    return _matched_cover(bits, poset.up, links).width
 
 
 def _depth(covers: Sequence[Sequence[int]]) -> int:
@@ -236,7 +229,7 @@ def complexity_profile(f: Topology) -> ComplexityProfile:
     return ComplexityProfile(
         mnwo=len(weak_orders),
         mnbc=len(binary),
-        width_s=_width_cover(f.bits, poset).width,
+        width_s=_width(f.bits, poset),
         depth_s=_depth(covers),
         class_count=len(f) - 1,
         weak_order_witness=weak_orders,
@@ -259,7 +252,7 @@ def _weak_order_witness(
     ground = f.ground
     p = tuple(m.bits for m in irreducibles.p_of_f)
     weak_orders = []
-    for chain in FinitePoset._trusted(p, _inclusion_rows(p)).min_chain_cover().chains:
+    for chain in _matched_cover(p, _inclusion_rows(p), ()).chains:
         # padded with ∅ and X; ascending bit order is the chain's own order
         links = sorted({0, ground.full_bits, *chain})
         weak_orders.append(WeakOrder(ground, _chain_classes(ground, links)))

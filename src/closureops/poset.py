@@ -36,6 +36,10 @@ computes covers.  Which route runs:
   otherwise walked on the rows, one step per cover, since the canonical
   order of S(f) extends inclusion.
 
+A minimum chain cover is one function of items and int rows,
+:func:`_matched_cover`, which :mod:`closureops.complexity` calls on P(f)
+and S(f) with no poset object around them.
+
 The Möbius function of S = S(f) is walked row by row
 (:meth:`FinitePoset.mobius_walk`): per closed A, the closed C ⊇ A and the
 few entries where μ(A, C) is not the sign (−1)^|C∖A|.  The ``mobius``
@@ -134,9 +138,13 @@ class MobiusTable:
                 yield x, items[j], value
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class FinitePoset:
     """An immutable finite partially ordered set over hashable items.
+
+    Two posets are equal when their items and rows are; two posets built by
+    :meth:`from_topology` compare their topologies instead, so neither
+    builds its |S|² rows.  The hash reads the items alone.
 
     Attributes:
         items: the items, in construction order (used for all tie-breaking).
@@ -145,9 +153,9 @@ class FinitePoset:
 
     items: tuple[Hashable, ...]
     up: tuple[int, ...]
-    _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
-    _covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _topology: Topology | None = field(init=False, default=None, repr=False, compare=False)
+    _index: dict[Hashable, int] = field(init=False, repr=False)
+    _covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _topology: Topology | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
@@ -188,6 +196,16 @@ class FinitePoset:
         object.__setattr__(poset, "up", up)
         object.__setattr__(poset, "_index", _index_of(items))
         return poset
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FinitePoset):
+            return NotImplemented
+        if self._topology is not None and other._topology is not None:
+            return self._topology == other._topology
+        return (self.items, self.up) == (other.items, other.up)
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
     def __getattr__(self, name: str) -> object:
         # Called only for an attribute built on first use: the covers of any
@@ -272,9 +290,6 @@ class FinitePoset:
         """The same items under the reversed order."""
         return FinitePoset._trusted(self.items, tuple(_transpose(self.up)))
 
-    def _strict_up(self) -> list[int]:
-        return [self.up[i] & ~(1 << i) for i in range(self.size)]
-
     def upper_covers(self) -> tuple[int, ...]:
         """Per item, a bitmask of the items that cover it."""
         return tuple(sum(1 << j for j in above) for above in self._covers)
@@ -305,87 +320,7 @@ class FinitePoset:
         whose right copy is not.  Neighbor scans follow item order, so the
         result is deterministic.
         """
-        return self._matched_cover(())
-
-    def _matched_cover(self, links: Iterable[tuple[int, int]]) -> ChainCover:
-        """:meth:`min_chain_cover`, with the matching started from ``links``,
-        index pairs (i, j) with item i < item j that share no endpoint.
-
-        The breadth-first searches run on the strict up-rows as bitsets: a
-        left vertex reaches, in one AND, every right vertex of its row that
-        this search has not reached yet.  Each left vertex unmatched at the
-        start is searched once; one that finds no augmenting path never gets
-        one later (the classical invariant of Kuhn's method), so the
-        matching ends maximum.
-        """
-        n = self.size
-        strict_up = self._strict_up()
-        match_l = [-1] * n
-        match_r = [-1] * n
-        for i, j in links:
-            match_l[i] = j
-            match_r[j] = i
-        every = (1 << n) - 1
-        for start in [u for u in range(n) if match_l[u] < 0]:
-            parent: dict[int, int] = {}
-            unreached = every
-            queue = deque([start])
-            goal = -1
-            while queue and goal < 0:
-                u = queue.popleft()
-                row = strict_up[u] & unreached
-                unreached &= ~row
-                while row:
-                    low = row & -row
-                    row ^= low
-                    v = low.bit_length() - 1
-                    parent[v] = u
-                    w = match_r[v]
-                    if w < 0:
-                        goal = v
-                        break
-                    queue.append(w)
-            v = goal
-            while v >= 0:
-                u = parent[v]
-                previous = match_l[u]
-                match_l[u] = v
-                match_r[v] = u
-                v = previous
-        # König: Z = alternating reachability from unmatched left vertices.
-        # A left vertex in Z is unmatched or entered through its partner, so
-        # its row minus the right vertices already in Z holds no matched edge.
-        unmatched = [u for u in range(n) if match_l[u] < 0]
-        z_left = 0
-        for u in unmatched:
-            z_left |= 1 << u
-        z_right = 0
-        queue = deque(unmatched)
-        while queue:
-            row = strict_up[queue.popleft()] & ~z_right
-            z_right |= row
-            while row:
-                low = row & -row
-                row ^= low
-                w = match_r[low.bit_length() - 1]
-                if w >= 0 and not z_left >> w & 1:
-                    z_left |= 1 << w
-                    queue.append(w)
-        antichain = z_left & ~z_right
-        chains = []
-        for i in range(n):
-            if match_r[i] >= 0:
-                continue  # i has a predecessor in some chain
-            chain = [self.items[i]]
-            j = match_l[i]
-            while j >= 0:
-                chain.append(self.items[j])
-                j = match_l[j]
-            chains.append(tuple(chain))
-        return ChainCover(
-            chains=tuple(chains),
-            antichain=tuple(self.items[i] for i in range(n) if antichain >> i & 1),
-        )
+        return _matched_cover(self.items, self.up, ())
 
     def mobius(self) -> MobiusTable:
         """The Möbius function on all comparable pairs, as exact integers.
@@ -503,6 +438,90 @@ def _inclusion_rows(bits: Sequence[int]) -> tuple[int, ...]:
             row &= columns[low.bit_length() - 1]
         rows.append(row)
     return tuple(rows)
+
+
+def _matched_cover(
+    items: Sequence[Hashable], up: Sequence[int], links: Iterable[tuple[int, int]]
+) -> ChainCover:
+    """A minimum chain cover of the order with rows ``up`` on ``items``,
+    with the matching started from ``links``, index pairs (i, j) with
+    item i < item j that share no endpoint.
+
+    The breadth-first searches run on the strict up-rows as bitsets: a
+    left vertex reaches, in one AND, every right vertex of its row that
+    this search has not reached yet.  Each left vertex unmatched at the
+    start is searched once; one that finds no augmenting path never gets
+    one later (the classical invariant of Kuhn's method), so the matching
+    ends maximum.
+    """
+    n = len(items)
+    strict_up = [row & ~(1 << i) for i, row in enumerate(up)]
+    match_l = [-1] * n
+    match_r = [-1] * n
+    for i, j in links:
+        match_l[i] = j
+        match_r[j] = i
+    every = (1 << n) - 1
+    for start in [u for u in range(n) if match_l[u] < 0]:
+        parent: dict[int, int] = {}
+        unreached = every
+        queue = deque([start])
+        goal = -1
+        while queue and goal < 0:
+            u = queue.popleft()
+            row = strict_up[u] & unreached
+            unreached &= ~row
+            while row:
+                low = row & -row
+                row ^= low
+                v = low.bit_length() - 1
+                parent[v] = u
+                w = match_r[v]
+                if w < 0:
+                    goal = v
+                    break
+                queue.append(w)
+        v = goal
+        while v >= 0:
+            u = parent[v]
+            previous = match_l[u]
+            match_l[u] = v
+            match_r[v] = u
+            v = previous
+    # König: Z = alternating reachability from unmatched left vertices.
+    # A left vertex in Z is unmatched or entered through its partner, so
+    # its row minus the right vertices already in Z holds no matched edge.
+    unmatched = [u for u in range(n) if match_l[u] < 0]
+    z_left = 0
+    for u in unmatched:
+        z_left |= 1 << u
+    z_right = 0
+    queue = deque(unmatched)
+    while queue:
+        row = strict_up[queue.popleft()] & ~z_right
+        z_right |= row
+        while row:
+            low = row & -row
+            row ^= low
+            w = match_r[low.bit_length() - 1]
+            if w >= 0 and not z_left >> w & 1:
+                z_left |= 1 << w
+                queue.append(w)
+    antichain = z_left & ~z_right
+    chains = []
+    for i in range(n):
+        if match_r[i] >= 0:
+            continue  # i has a predecessor in some chain
+        chain = [items[i]]
+        j = match_l[i]
+        while j >= 0:
+            chain.append(items[j])
+            j = match_l[j]
+        chains.append(tuple(chain))
+    return ChainCover(
+        chains=tuple(chains),
+        antichain=tuple(items[i] for i in range(n) if antichain >> i & 1),
+    )
 
 
 def _walked_covers(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -601,7 +601,7 @@ def test_any_other_exception_exits_3_naming_its_type(tmp_path, capsys, monkeypat
     def planted(*args):
         raise RuntimeError("planted bug")
 
-    monkeypatch.setattr(complexity, "_width_cover", planted)
+    monkeypatch.setattr(complexity, "_width", planted)
     path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
     code, out, err = _run(capsys, "complexity", "--topology", path)
     assert code == 3
@@ -610,13 +610,13 @@ def test_any_other_exception_exits_3_naming_its_type(tmp_path, capsys, monkeypat
 
 
 def test_a_broken_width_certificate_exits_3(tmp_path, capsys, monkeypatch):
-    width_cover = complexity._width_cover
+    matched_cover = complexity._matched_cover
 
-    def broken(bits, covers):
-        cover = width_cover(bits, covers)
+    def broken(items, up, links):
+        cover = matched_cover(items, up, links)
         return ChainCover(chains=cover.chains, antichain=cover.antichain[1:])
 
-    monkeypatch.setattr(complexity, "_width_cover", broken)
+    monkeypatch.setattr(complexity, "_matched_cover", broken)
     path = _write(tmp_path, "t.json", oracle_topology_doc(crown_topology()))
     code, out, err = _run(capsys, "complexity", "--topology", path)
     assert code == 3

@@ -44,6 +44,7 @@ from conftest import (
     labeling_bits,
     oracle_check_generation,
     oracle_mnbc,
+    oracle_min_chain_cover,
     oracle_mnwo,
     order,
     random_family_bits,
@@ -363,14 +364,14 @@ def test_discrete_family_closed_forms_at_twelve_elements():
 def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
     # width_s is certified by the largest level when the greedy cover meets
     # it, and finished by the warm-started matching otherwise.
-    matched_cover = FinitePoset._matched_cover
-    fallbacks = Counter()
+    matched_cover = complexity._matched_cover
+    fallbacks = []
 
-    def counted(self, links):
-        fallbacks["calls"] += 1
-        return matched_cover(self, links)
+    def counted(items, up, links):
+        fallbacks.append(matched_cover(items, up, links))
+        return fallbacks[-1]
 
-    monkeypatch.setattr(FinitePoset, "_matched_cover", counted)
+    monkeypatch.setattr(complexity, "_matched_cover", counted)
     routes: Counter = Counter()
     for seed in range(300):
         rng = random.Random(seed)
@@ -378,11 +379,12 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
         g = GroundSet(tuple(f"e{i}" for i in range(n)))
         t = Topology(g, random_family_bits(rng, n))
         p = FinitePoset.from_topology(t)
-        before = fallbacks["calls"]
-        cover = complexity._width_cover(t.bits, p)
-        routes["fallback" if fallbacks["calls"] > before else "certified"] += 1
-        check_chain_cover(FinitePoset(t.bits, p.up), cover)
-        assert cover.width == p.min_chain_cover().width
+        before = len(fallbacks)
+        width = complexity._width(t.bits, p)
+        routes["fallback" if len(fallbacks) > before else "certified"] += 1
+        if len(fallbacks) > before:
+            check_chain_cover(FinitePoset(t.bits, p.up), fallbacks[-1])
+        assert width == p.min_chain_cover().width
     assert routes["certified"] >= 20 and routes["fallback"] >= 20
 
 
@@ -456,13 +458,13 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
         monkeypatch.setattr(poset_module, name, counted)
     # The weak-order stage builds the rows of P(f) through its own import.
     monkeypatch.setattr(complexity, "_inclusion_rows", poset_module._inclusion_rows)
-    matched_cover = FinitePoset._matched_cover
+    matched_cover = complexity._matched_cover
 
-    def matched(self, links):
+    def matched(items, up, links):
         built["matchings"] += 1
-        return matched_cover(self, links)
+        return matched_cover(items, up, links)
 
-    monkeypatch.setattr(FinitePoset, "_matched_cover", matched)
+    monkeypatch.setattr(complexity, "_matched_cover", matched)
     t = Topology(GroundSet(tuple(f"e{i}" for i in range(6))), (0, 8, 10, 13, 63))
     assert t._images is None
     assert complexity_profile(t).width_s == 2
@@ -507,6 +509,31 @@ def test_weak_order_witnesses_match_the_mask_chain_cover_at_large_n(kind, n):
         tuple(sorted({0, g.full_bits, *(m.bits for m in chain)})) for chain in oracle.chains
     ]
     assert report.generates
+
+
+@pytest.mark.parametrize("n", range(16, 21))
+def test_the_matching_covers_p_and_s_of_random_labelings_at_large_n(n):
+    # |S| is about 600.  The reference order is built pair by pair and
+    # checked, and the list matching scans neighbors in the same order.
+    t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), labeling_bits(random.Random(n), n))
+    p = [m.bits for m in meet_irreducibles(t).p_of_f]
+    for bits in (p, t.bits):
+        reference = FinitePoset.from_leq(bits, lambda a, b: a & ~b == 0)
+        cover = poset_module._matched_cover(bits, reference.up, ())
+        check_chain_cover(reference, cover)
+        assert cover == oracle_min_chain_cover(reference)
+    # cover is now that of S(f), whose width _width certifies on its own route
+    assert complexity._width(t.bits, FinitePoset.from_topology(t)) == cover.width
+
+
+def test_discrete_width_is_certified_without_the_matching_at_sixteen(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the matching ran")
+
+    monkeypatch.setattr(complexity, "_matched_cover", refuse)
+    n = 16
+    t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), range(1 << n))
+    assert complexity._width(t.bits, FinitePoset.from_topology(t)) == comb(16, 8) == 12_870
 
 
 def test_discrete_family_hasse_edges_at_fourteen_elements():

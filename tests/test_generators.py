@@ -150,6 +150,17 @@ def test_half_space_is_the_smallest_prefix():
     assert wo.half_space(sub(g, "a")) == g.full
 
 
+def test_half_space_rejects_a_menu_of_another_ground_set():
+    with pytest.raises(GroundSetMismatch, match="menu lives in a different ground set"):
+        order(ground("ab"), "a", "b").half_space(ground("xy").subset("x"))
+
+
+def test_generators_repr_their_classes_and_cutoff():
+    g = ground("abc")
+    assert repr(order(g, "a", "bc")) == "WeakOrder({a} < {b,c})"
+    assert repr(BinaryClassifier(sub(g, "ab"))) == "BinaryClassifier(cutoff={a,b})"
+
+
 def _prefix_unions(wo: WeakOrder) -> list[int]:
     acc, out = 0, [0]
     for c in wo.classes:

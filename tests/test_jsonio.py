@@ -145,6 +145,15 @@ def test_fraction_parsing_rejects_inexact_or_malformed():
         _utility_constructors_reject(bad, TypeError)
 
 
+def test_fraction_parsing_rejects_an_exponent_that_is_not_a_number():
+    # "e" is read as an exponent marker first; what follows it is no integer,
+    # so Fraction gets the whole string and rejects it.
+    for bad in ("1e5x", "2e-"):
+        with pytest.raises(SchemaError, match=f"^v is not a valid rational: '{bad}'$"):
+            fraction_from(bad, "v")
+        _utility_constructors_reject(bad, ValueError)
+
+
 def test_fraction_parsing_bounds_digits_and_exponent():
     limit = MAX_RATIONAL_DIGITS
     assert fraction_from("1e" + str(limit), "v") == Fraction(10) ** limit

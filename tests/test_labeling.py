@@ -64,6 +64,11 @@ def test_labeling_from_names_rejects_an_element_outside_the_ground_set():
         Labeling.from_names(g, ["x"], {"a": ["x"], "y": [], "b": [], "zzz": []})
 
 
+def test_labeling_repr_lists_each_elements_labels():
+    lab = Labeling.from_names(ground("abc"), ("x", "y"), {"a": ["x"], "b": ["y", "x"], "c": []})
+    assert repr(lab) == "Labeling(a:{x}, b:{x,y}, c:{})"
+
+
 # ---------------------------------------------------------------- classifier
 
 

@@ -111,6 +111,10 @@ def test_preference_rejects_an_inexact_empty_menu_utility(empty):
     assert pref.utility(g.empty) == 0
 
 
+def test_preference_repr_counts_its_menus():
+    assert repr(bob_preference()) == "MenuPreference(7 menus on {x,y,z})"
+
+
 def test_preference_rejects_foreign_menus():
     g = ground("ab")
     with pytest.raises(GroundSetMismatch):

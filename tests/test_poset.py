@@ -628,6 +628,35 @@ def test_the_rota_route_builds_neither_rows_nor_covers():
     assert "_covers" not in vars(poset)
 
 
+def test_equality_and_hash_build_no_rows_for_topology_posets():
+    # The rows of the discrete family on 14 elements would take 2^28 bits.
+    t = Topology(GroundSet(tuple(f"e{i}" for i in range(14))), range(1 << 14))
+    p, q = FinitePoset.from_topology(t), FinitePoset.from_topology(t)
+    assert p == q and hash(p) == hash(q)
+    assert "up" not in vars(p) and "up" not in vars(q)
+    # A topology poset equals the inclusion order on the same closed sets,
+    # built any other way, and hashes alike.
+    g = ground("abc")
+    small = FinitePoset.from_topology(topo(g, "", "a", "b", "ab", "abc"))
+    for other in (
+        FinitePoset.from_masks(small.items),
+        FinitePoset(small.items, small.up),
+        FinitePoset.from_topology(topo(g, "", "a", "b", "ab", "abc")),
+    ):
+        assert small == other and other == small and hash(small) == hash(other)
+    assert small != FinitePoset.from_topology(topo(g, "", "a", "ab", "abc"))
+    assert small != small.dual()
+    assert small != small.items
+
+
+def test_missing_attributes_and_walks_off_a_topology_raise():
+    for poset in (divisor_poset(), FinitePoset.from_topology(topo(ground("a"), "", "a"))):
+        with pytest.raises(AttributeError):
+            poset.no_such_attribute
+    with pytest.raises(TypeError, match="mobius_walk needs a poset built by from_topology"):
+        next(divisor_poset().mobius_walk())
+
+
 def test_repr_counts_covers_without_building_the_rows():
     # The discrete family on 14 elements holds its image table, so its covers
     # are swept from it; the rows would take |S|² = 2^28 bits.
