@@ -485,8 +485,7 @@ class Topology:
         return self
 
     def __repr__(self) -> str:
-        sets = ", ".join(m.label() for m in self)
-        return f"Topology([{sets}])"
+        return f"Topology({len(self.bits)} closed sets on {{{','.join(self.ground.elements)}}})"
 
 
 #: The closure operator and its closed sets are one object.

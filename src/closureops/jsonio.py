@@ -25,14 +25,12 @@ Every array of element names, in every document, is read into a bit pattern
 by one routine, :func:`_bits_from`, which ORs the names' bit weights, counting
 a repeated name once, and reads an array that fails that (an unknown or
 non-string name, a non-array) name by name, raising the error naming the
-fault.  Reading and
-validating a topology builds no :class:`~closureops.core.SubsetMask`.  An
-operator table is read into one array of images indexed by bit pattern
-(:func:`operator_images_from`), which the validation reads as it is; only
-:func:`operator_table_from`, kept for callers that want a mask-keyed table,
-wraps it in masks.  The other readers wrap the patterns in masks where the
-values they return hold masks.  An error message names a subset by its label,
-which is built only when the error is raised.
+fault.  Reading and validating a topology builds no
+:class:`~closureops.core.SubsetMask`.  An operator table is read into one
+array of images indexed by bit pattern (:func:`operator_images_from`), which
+the validation reads as it is.  The other readers wrap the patterns in masks
+where the values they return hold masks.  An error message names a subset by
+its label, which is built only when the error is raised.
 
 Utilities are exact rationals: JSON strings (``"3/2"``, ``"1.5"``) or integers.
 Floats are rejected — binary floating point is not exact.  Each distinct
@@ -78,7 +76,6 @@ __all__ = [
     "subset_from",
     "topology_from",
     "operator_images_from",
-    "operator_table_from",
     "weak_order_from",
     "binary_from",
     "generators_from",
@@ -100,7 +97,6 @@ __all__ = [
     "decomposition_doc",
     "flat_doc",
     "verified_doc",
-    "fraction_str",
     "fraction_from",
     "MAX_RATIONAL_DIGITS",
 ]
@@ -149,11 +145,6 @@ def _encodable(names: list[str], what: str) -> list[str]:
         except UnicodeEncodeError:
             raise SchemaError(f"{what} must be encodable as UTF-8, got {name!r}") from None
     return names
-
-
-def fraction_str(value: Fraction) -> str:
-    """Exact decimal-free rendering: ``"3"`` or ``"3/2"``."""
-    return str(value)
 
 
 def fraction_from(value: Any, what: str) -> Fraction:
@@ -242,15 +233,6 @@ def operator_images_from(doc: Any) -> tuple[GroundSet, list[int]]:
             raise SchemaError(f"duplicate map entry for {ground.mask(key).label()}")
         images[key] = _bits_from(ground, target, '"to"')
     return ground, images
-
-
-def operator_table_from(doc: Any) -> tuple[GroundSet, dict[SubsetMask, SubsetMask]]:
-    """The :func:`operator_images_from` images as a mask-keyed table, in
-    canonical order.  A map that lacks entries gives a table that lacks
-    them too."""
-    ground, images = operator_images_from(doc)
-    mask = ground.mask
-    return ground, {mask(a): mask(b) for a, b in enumerate(images) if b != -1}
 
 
 def weak_order_from(ground: GroundSet, doc: Any) -> WeakOrder:
@@ -591,7 +573,7 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
                 state % (
                     _string(s.name),
                     writer.subset(s.carrier, 3),
-                    _string(fraction_str(s.weight)),
+                    _string(str(s.weight)),
                 )
                 for s in side
             ],

@@ -233,23 +233,6 @@ class FinitePoset:
         return value
 
     @classmethod
-    def from_leq(
-        cls,
-        items: Sequence[Hashable],
-        leq: Callable[[Hashable, Hashable], bool],
-    ) -> FinitePoset:
-        """Build a poset from a comparison predicate (evaluated on all pairs)."""
-        items = tuple(items)
-        rows = []
-        for a in items:
-            row = 0
-            for j, b in enumerate(items):
-                if leq(a, b):
-                    row |= 1 << j
-            rows.append(row)
-        return cls(items, tuple(rows))
-
-    @classmethod
     def from_masks(cls, masks: Sequence[SubsetMask]) -> FinitePoset:
         """The inclusion order on a family of subsets (kept in given order).
 
@@ -290,24 +273,9 @@ class FinitePoset:
         """The same items under the reversed order."""
         return FinitePoset._trusted(self.items, tuple(_transpose(self.up)))
 
-    def upper_covers(self) -> tuple[int, ...]:
-        """Per item, a bitmask of the items that cover it."""
-        return tuple(sum(1 << j for j in above) for above in self._covers)
-
     def upper_cover_indices(self) -> tuple[tuple[int, ...], ...]:
-        """Per item, the indices of the items that cover it, ascending."""
+        """Per item, the indices of the items covering it, ascending: the Hasse arrows."""
         return self._covers
-
-    def hasse(self) -> tuple[tuple[Hashable, Hashable], ...]:
-        """The covering pairs (a, b): a < b with nothing strictly between.
-
-        These are the arrows of the Hasse diagram, ordered by item index of the
-        lower item, then of the upper.
-        """
-        items = self.items
-        return tuple(
-            (items[i], items[j]) for i, above in enumerate(self._covers) for j in above
-        )
 
     def min_chain_cover(self) -> ChainCover:
         """A minimum chain cover with a maximum antichain certificate.
@@ -691,8 +659,9 @@ def to_dot(
 ) -> str:
     """Render the Hasse diagram as Graphviz DOT text, bottom-up.
 
-    Output is deterministic: nodes appear in item order, edges in
-    :meth:`FinitePoset.hasse` order, so equal posets yield byte-equal text.
+    Output is deterministic: nodes appear in item order, edges by the index
+    of the lower item, then of the upper, so equal posets yield byte-equal
+    text.
     """
     label = label or _default_label
     lines = [f"digraph {name} {{", "  rankdir=BT;"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import atexit
 import random
 import tempfile
+import warnings
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -54,6 +55,20 @@ settings.load_profile("tier1")
 _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_hypothesis_home.name)
 atexit.register(_hypothesis_home.cleanup)
+
+# When a property test fails, Hypothesis's pytest plugin imports its patch
+# writer, and through it libcst, whose import can warn that
+# mypy_extensions.TypedDict is deprecated.  Under ``-W error`` that warning
+# stops the whole session, so the writer is imported here, once, with only
+# that warning ignored; every other warning stays an error.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", r"mypy_extensions\.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin then writes no patch
+        pass
 
 ABCD = ("a", "b", "c", "d")
 XYZ = ("x", "y", "z")
@@ -447,9 +462,27 @@ def oracle_check_generation(
     return GenerationReport(tuple(condition1), tuple(condition2), pointwise)
 
 
+def oracle_from_leq(items, leq) -> FinitePoset:
+    """The order with a ≤ b iff ``leq(a, b)``, by one predicate call per pair,
+    through the checked constructor."""
+    items = tuple(items)
+    return FinitePoset(
+        items, tuple(sum(1 << j for j, b in enumerate(items) if leq(a, b)) for a in items)
+    )
+
+
 def oracle_from_masks(masks) -> FinitePoset:
     """The inclusion order by one ``SubsetMask.__le__`` call per pair."""
-    return FinitePoset.from_leq(tuple(masks), lambda a, b: a <= b)
+    return oracle_from_leq(masks, lambda a, b: a <= b)
+
+
+def hasse_pairs(poset: FinitePoset) -> tuple[tuple, ...]:
+    """The Hasse arrows (a, b), read from the poset's cover indices: ordered
+    by the index of the lower item, then of the upper."""
+    items = poset.items
+    return tuple(
+        (items[i], items[j]) for i, above in enumerate(poset.upper_cover_indices()) for j in above
+    )
 
 
 def oracle_hasse(poset: FinitePoset) -> tuple[tuple, ...]:
@@ -817,7 +850,7 @@ def oracle_additive_weights(
     """The weights h with U(A) = Σ{h(B) : A ⊆ B ∈ S(f)}, by Möbius inversion
     over the nonempty closed sets under reversed inclusion (O(|S|²))."""
     closed = [m for m in f.closed_sets() if m.bits]
-    reversed_poset = FinitePoset.from_leq(tuple(closed), lambda a, b: b <= a)
+    reversed_poset = oracle_from_leq(closed, lambda a, b: b <= a)
     return reversed_poset.mobius_invert({m: preference.utility(m) for m in closed})
 
 

@@ -49,6 +49,7 @@ from conftest import (
     sum_of_maxes,
     fork_topology,
     ground,
+    hasse_pairs,
     oracle_additive_doc,
     oracle_decomposition_doc,
     oracle_flat_doc,
@@ -762,7 +763,7 @@ def test_every_report_is_json_dumps_of_its_document(tmp_path, capsys, monkeypatc
     expected = [
         (["complexity", "--topology", top], oracle_profile_doc(profile)),
         (["mobius", "--topology", top], oracle_mobius_doc(t, oracle_mobius(t))),
-        (["hasse", "--topology", top], oracle_hasse_doc(t, poset.hasse())),
+        (["hasse", "--topology", top], oracle_hasse_doc(t, hasse_pairs(poset))),
         (["labels", "--topology", top, "--minimal"],
          oracle_labeling_doc(minimal_labeling(f))),
         (["decompose", "--topology", top, "--kind", "binary"],

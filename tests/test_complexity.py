@@ -40,9 +40,11 @@ from conftest import (
     crown_topology,
     fork_topology,
     ground,
+    hasse_pairs,
     iter_topologies,
     labeling_bits,
     oracle_check_generation,
+    oracle_from_leq,
     oracle_mnbc,
     oracle_min_chain_cover,
     oracle_mnwo,
@@ -355,7 +357,7 @@ def test_discrete_family_closed_forms_at_twelve_elements():
     irreducibles = complexity._irreducibles(t, poset.upper_cover_indices())
     assert irreducibles.p_of_f == (*coatoms, g.full)
     assert irreducibles.b_of_f == coatoms
-    edges = poset.hasse()
+    edges = hasse_pairs(poset)
     assert len(edges) == n << (n - 1) == 24_576
     assert all((upper.bits ^ lower.bits).bit_count() == 1 for lower, upper in edges)
     assert complexity._depth(poset.upper_cover_indices()) == n
@@ -518,7 +520,7 @@ def test_the_matching_covers_p_and_s_of_random_labelings_at_large_n(n):
     t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), labeling_bits(random.Random(n), n))
     p = [m.bits for m in meet_irreducibles(t).p_of_f]
     for bits in (p, t.bits):
-        reference = FinitePoset.from_leq(bits, lambda a, b: a & ~b == 0)
+        reference = oracle_from_leq(bits, lambda a, b: a & ~b == 0)
         cover = poset_module._matched_cover(bits, reference.up, ())
         check_chain_cover(reference, cover)
         assert cover == oracle_min_chain_cover(reference)
@@ -540,7 +542,7 @@ def test_discrete_family_hasse_edges_at_fourteen_elements():
     n = 14
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     poset = FinitePoset.from_topology(Topology(g, range(1 << n)))
-    edges = poset.hasse()
+    edges = hasse_pairs(poset)
     assert "up" not in vars(poset)  # the covers came from the sweep, not the rows
     assert len(edges) == n << (n - 1) == 114_688
     assert all(

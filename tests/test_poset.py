@@ -26,7 +26,9 @@ from conftest import (
     check_chain_cover,
     crown_bits,
     ground,
+    hasse_pairs,
     labeling_bits,
+    oracle_from_leq,
     oracle_from_masks,
     oracle_hasse,
     oracle_min_chain_cover,
@@ -44,7 +46,7 @@ DIVISORS_OF_12 = (1, 2, 3, 4, 6, 12)
 
 
 def divisor_poset() -> FinitePoset:
-    return FinitePoset.from_leq(DIVISORS_OF_12, lambda a, b: b % a == 0)
+    return oracle_from_leq(DIVISORS_OF_12, lambda a, b: b % a == 0)
 
 
 def classical_mobius(n: int) -> int:
@@ -114,7 +116,7 @@ def test_index_of_unknown_item():
 # ------------------------------------------------------------- construction
 
 
-def test_from_leq_divisibility():
+def test_divisor_order_keeps_its_items_and_relation():
     p = divisor_poset()
     assert p.items == DIVISORS_OF_12
     assert p.size == 6
@@ -180,7 +182,7 @@ def test_dual_builds_the_rows_the_checked_constructor_accepts():
 
 
 def test_hasse_of_divisor_lattice():
-    assert divisor_poset().hasse() == (
+    assert hasse_pairs(divisor_poset()) == (
         (1, 2),
         (1, 3),
         (2, 4),
@@ -194,22 +196,22 @@ def test_hasse_of_divisor_lattice():
 def test_hasse_of_boolean_cube():
     g = ground("abc")
     p = FinitePoset.from_masks(tuple(g.subsets()))
-    covers = p.hasse()
+    covers = hasse_pairs(p)
     assert len(covers) == 12  # 3 · 2² one-bit extensions
     for lower, upper in covers:
         assert lower < upper and len(upper) == len(lower) + 1
 
 
 def test_hasse_skips_transitive_edges():
-    p = FinitePoset.from_leq((0, 1, 2), lambda a, b: a <= b)
-    assert p.hasse() == ((0, 1), (1, 2))
+    p = oracle_from_leq((0, 1, 2), lambda a, b: a <= b)
+    assert hasse_pairs(p) == ((0, 1), (1, 2))
 
 
-def _cover_rows(poset: FinitePoset, pairs) -> tuple[int, ...]:
-    rows = [0] * poset.size
+def _cover_indices(poset: FinitePoset, pairs) -> tuple[tuple[int, ...], ...]:
+    above: list[list[int]] = [[] for _ in range(poset.size)]
     for lower, upper in pairs:
-        rows[poset.index(lower)] |= 1 << poset.index(upper)
-    return tuple(rows)
+        above[poset.index(lower)].append(poset.index(upper))
+    return tuple(tuple(sorted(row)) for row in above)
 
 
 def test_covers_match_the_oracle_on_random_families():
@@ -219,8 +221,8 @@ def test_covers_match_the_oracle_on_random_families():
         t = Topology(ground("abcdefgh"[:n]), random_family_bits(rng, n))
         p = FinitePoset.from_topology(t)
         expected = oracle_hasse(p)
-        assert p.hasse() == expected
-        assert p.upper_covers() == _cover_rows(p, expected)
+        assert hasse_pairs(p) == expected
+        assert p.upper_cover_indices() == _cover_indices(p, expected)
 
 
 def test_swept_and_looped_covers_match_the_oracle_on_random_families():
@@ -237,14 +239,14 @@ def test_swept_and_looped_covers_match_the_oracle_on_random_families():
         routes["sweep" if t._images is not None else "loop"] += 1
         p = FinitePoset.from_topology(t)
         expected = oracle_hasse(p)
-        assert p.hasse() == expected
-        assert p.upper_covers() == _cover_rows(p, expected)
+        assert hasse_pairs(p) == expected
+        assert p.upper_cover_indices() == _cover_indices(p, expected)
         looped = FinitePoset.from_masks(t.closed)
         t.operator().tabulate_bits()
         swept = FinitePoset.from_topology(t)
         for other in (looped, swept):
             assert other == p
-            assert other.upper_covers() == p.upper_covers()
+            assert other.upper_cover_indices() == p.upper_cover_indices()
     assert routes["sweep"] >= 20 and routes["loop"] >= 20
 
 
@@ -256,7 +258,7 @@ def test_trusted_inclusion_posets_equal_the_checked_ones():
         for p in (FinitePoset.from_topology(t), FinitePoset.from_masks(t.closed[::-1])):
             checked = FinitePoset(p.items, p.up)
             assert checked == p
-            assert checked.upper_covers() == p.upper_covers()
+            assert checked.upper_cover_indices() == p.upper_cover_indices()
 
 
 def test_from_masks_rejects_a_repeated_subset():
@@ -293,7 +295,7 @@ def test_transposed_rows_match_the_oracles_up_to_twenty_elements(n, routes):
         rng.shuffle(masks)
         p = FinitePoset.from_masks(masks)
         assert p == oracle_from_masks(masks)
-        assert p.dual() == FinitePoset.from_leq(masks, lambda a, b: b <= a)
+        assert p.dual() == oracle_from_leq(masks, lambda a, b: b <= a)
         mu = {(x.bits, y.bits): value for x, y, value in p.mobius().pairs()}
         assert mu == oracle_mobius(t)
     assert routes == {"_interval_rows": len(families)}
@@ -323,9 +325,9 @@ def test_covers_match_the_oracle_when_items_are_not_sorted(seed, n):
     rng = random.Random(seed)
     p = permuted_poset(rng, random_poset(rng, n, rng.choice((0.1, 0.3, 0.6))))
     expected = oracle_hasse(p)
-    assert p.hasse() == expected
-    assert p.upper_covers() == _cover_rows(p, expected)
-    assert p.dual().hasse() == oracle_hasse(p.dual())
+    assert hasse_pairs(p) == expected
+    assert p.upper_cover_indices() == _cover_indices(p, expected)
+    assert hasse_pairs(p.dual()) == oracle_hasse(p.dual())
     # The pick walk, against brute force: in shuffled order it picks items
     # that are not covers and must drop them through later picks.
     for q in (p, p.dual()):
@@ -388,9 +390,9 @@ def test_chain_cover_is_deterministic_on_a_small_family():
 
 
 def test_chain_cover_of_antichain_and_chain():
-    anti = FinitePoset.from_leq((0, 1, 2, 3), lambda a, b: a == b)
+    anti = oracle_from_leq((0, 1, 2, 3), lambda a, b: a == b)
     assert anti.min_chain_cover().width == 4
-    chain = FinitePoset.from_leq((0, 1, 2, 3), lambda a, b: a <= b)
+    chain = oracle_from_leq((0, 1, 2, 3), lambda a, b: a <= b)
     cover = chain.min_chain_cover()
     assert cover.width == 1
     assert cover.chains == ((0, 1, 2, 3),)
@@ -454,7 +456,7 @@ def test_mobius_of_boolean_cube_is_signed_by_gap_size():
 
 
 def test_mobius_of_a_chain():
-    p = FinitePoset.from_leq((0, 1, 2, 3, 4), lambda a, b: a <= b)
+    p = oracle_from_leq((0, 1, 2, 3, 4), lambda a, b: a <= b)
     table = p.mobius()
     for a in range(5):
         for b in range(a, 5):
@@ -678,9 +680,9 @@ def test_a_topology_poset_builds_its_rows_once(routes, monkeypatch):
     t = Topology(ground("abcdefghijkl"), crown_bits(12))
     assert t._images is None
     poset = FinitePoset.from_topology(t)
-    edges = poset.hasse()
+    edges = hasse_pairs(poset)
     poset.mobius()
-    assert poset.hasse() == edges
+    assert hasse_pairs(poset) == edges
     assert built == {"rows": 1}
     assert routes == {"_interval_rows": 1}
 
@@ -704,7 +706,7 @@ def test_inversion_round_trips(seed, n):
 
 
 def test_sum_below_on_a_chain():
-    p = FinitePoset.from_leq((0, 1, 2), lambda a, b: a <= b)
+    p = oracle_from_leq((0, 1, 2), lambda a, b: a <= b)
     sums = p.sum_below({0: 1, 1: 2, 2: 3})
     assert sums == {0: Fraction(1), 1: Fraction(3), 2: Fraction(6)}
 
@@ -728,7 +730,7 @@ def test_dot_rendering_is_exact():
 
 
 def test_dot_labels_items_that_are_not_masks_by_str():
-    p = FinitePoset.from_leq((2, 1), lambda a, b: a <= b)
+    p = oracle_from_leq((2, 1), lambda a, b: a <= b)
     assert to_dot(p) == (
         "digraph hasse {\n"
         "  rankdir=BT;\n"
@@ -740,7 +742,7 @@ def test_dot_labels_items_that_are_not_masks_by_str():
 
 
 def test_dot_custom_name_and_label_escaping():
-    p = FinitePoset.from_leq(('say "hi"', "x\\y"), lambda a, b: a == b)
+    p = oracle_from_leq(('say "hi"', "x\\y"), lambda a, b: a == b)
     text = to_dot(p, name="order", label=str)
     assert text.startswith("digraph order {")
     assert '  n0 [label="say \\"hi\\""];' in text

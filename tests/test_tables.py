@@ -27,6 +27,7 @@ from closureops import (
 )
 from closureops.cli import main
 from conftest import (
+    hasse_pairs,
     oracle_check_generation,
     oracle_hasse_doc,
     oracle_mobius,
@@ -178,7 +179,8 @@ def test_a_missing_entry_is_named_in_canonical_order(capsys, tmp_path):
     for command in ("validate", "topology"):
         out, err, code = _by_cli(capsys, tmp_path, command, doc)
         assert (out, err, code) == ("", "error: table lacks an image for {a,b}\n", 2)
-    ground, table = jsonio.operator_table_from(doc)
+    ground, images = jsonio.operator_images_from(doc)
+    table = {ground.mask(a): ground.mask(b) for a, b in enumerate(images) if b != -1}
     assert list(table) == [ground.mask(b) for b in (0, 1, 2, 4, 6, 7)]
     with pytest.raises(MissingEntry, match=r"\{a,b\}"):
         ClosureOperator.from_table(ground, table)
@@ -221,6 +223,18 @@ def count_masks(monkeypatch):
     return start
 
 
+def test_a_topology_repr_counts_its_closed_sets_and_builds_no_mask(count_masks):
+    # The discrete family on 16 elements: the repr names the count and the
+    # ground set, not each of the 65,536 closed sets.
+    names = tuple(f"e{i}" for i in range(16))
+    t = Topology(GroundSet(names), range(1 << 16))
+    made = count_masks()
+    text = repr(t)
+    assert made["masks"] == 0
+    assert text == f"Topology(65536 closed sets on {{{','.join(names)}}})"
+    assert repr(Topology(GroundSet(("a", "b")), [0, 1, 3])) == "Topology(3 closed sets on {a,b})"
+
+
 def test_table_and_mobius_calls_build_no_mask(capsys, tmp_path, count_masks):
     n = 10
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
@@ -236,7 +250,7 @@ def test_table_and_mobius_calls_build_no_mask(capsys, tmp_path, count_masks):
         "validate": _text(oracle_validation_doc(validate_closure(g, discrete.table()))),
         "topology": _text(oracle_topology_doc(discrete)),
         "mobius": _text(oracle_mobius_doc(discrete, oracle_mobius(discrete))),
-        "hasse": _text(oracle_hasse_doc(discrete, poset.hasse())),
+        "hasse": _text(oracle_hasse_doc(discrete, hasse_pairs(poset))),
     }
     made = count_masks()
     outputs = {}
