@@ -20,7 +20,8 @@ the caller runs the one these counts price cheapest, counted before any runs:
 * P(f) (:func:`~closureops.complexity.meet_irreducibles`): the words
   (:func:`_irreducible_words`) where strictly cheaper, else the covers of S,
   swept from the image table or walked on the rows;
-* the Möbius function (:meth:`~closureops.poset.FinitePoset.mobius_walk`):
+* the Möbius function (:meth:`~closureops.poset._ClosedSetOrder.mobius_walk`,
+  the walk of the closed-set order ``FinitePoset.from_topology`` returns):
   Rota's closure theorem, unless the interval loop is strictly cheaper.
   That loop costs 2·4^n on the discrete family, where Rota reads 3^n, but
   about |S|² on a chain, where Rota reads about 2^(n+1); its rows are built

@@ -143,32 +143,29 @@ def _width(bits: Sequence[int], poset: FinitePoset) -> int:
 
     Closed sets of one cardinality are an antichain, so the largest level
     bounds the width from below.  A greedy cover bounds it from above: the
-    sets, taken by ascending cardinality, each extend the first chain whose
-    top is one of their lower covers and is still free.  Each chain ends at
-    a top never extended, so the chains number the sets without a
-    successor.  If the bounds meet, that is the width.  Otherwise the
-    matching finishes the job, started from the greedy links (each is a
-    cover pair, so they form a matching of the strict order), and its
-    König antichain certifies the width it returns.
+    sets, taken by descending cardinality, each hang below the first chain
+    whose bottom is one of their upper covers and is still free.  Each
+    chain ends at a top that found no such chain, so the chains number the
+    sets without a successor.  If the bounds meet, that is the width.
+    Otherwise the matching finishes the job, started from the greedy links
+    (each is a cover pair, so they form a matching of the strict order), and
+    its König antichain certifies the width it returns.
     """
-    lower: list[list[int]] = [[] for _ in bits]
-    for i, above in enumerate(poset.upper_cover_indices()):
-        for j in above:
-            lower[j].append(i)
+    covers = poset.upper_cover_indices()
     sizes = [a.bit_count() for a in bits]
-    free = bytearray(len(bits))  # chain tops not yet extended
+    free = bytearray(len(bits))  # chain bottoms nothing hangs below yet
     succ = [-1] * len(bits)
-    for i in sorted(range(len(bits)), key=sizes.__getitem__):
-        for j in lower[i]:
+    for i in sorted(range(len(bits)), key=sizes.__getitem__, reverse=True):
+        for j in covers[i]:
             if free[j]:
                 free[j] = 0
-                succ[j] = i
+                succ[i] = j
                 break
         free[i] = 1
     widest = max(Counter(sizes).values())
     if succ.count(-1) == widest:
         return widest
-    links = ((j, i) for j, i in enumerate(succ) if i >= 0)
+    links = ((i, j) for i, j in enumerate(succ) if j >= 0)
     return _matched_cover(bits, poset.up, links).width
 
 

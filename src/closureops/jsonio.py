@@ -594,9 +594,10 @@ def mobius_doc(
     topology: Topology, rows: Iterable[tuple[list[int], Sequence[tuple[int, int]]]]
 ) -> str:
     """The closed sets of ``topology`` and the entries of its Möbius rows,
-    read as :meth:`FinitePoset.mobius_walk` yields them: per closed set A,
-    the ascending indices of the closed sets C ⊇ A and the (index, μ) pairs
-    where μ(A, C) is not (−1)^|C∖A|.  No dict row is built.
+    read as :meth:`~closureops.poset._ClosedSetOrder.mobius_walk` yields
+    them: per closed set A, the ascending indices of the closed sets C ⊇ A
+    and the (index, μ) pairs where μ(A, C) is not (−1)^|C∖A|.  No dict row
+    is built.
 
     Each closed set's name array is rendered once, and so is the text of
     each entry from its ``"to"`` array on, with the sign it takes under

@@ -15,41 +15,42 @@ bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms her
 cheap word operations.  A poset also keeps each item's upper covers, as index
 lists, built when first read; the Hasse diagram and
 :mod:`closureops.complexity` read them, and nothing outside this module
-computes covers.  Which route runs:
+computes covers.  There are two kinds of order, and which route runs:
 
-* ``FinitePoset(items, up)`` from user data validates the order axioms
-  eagerly, so malformed relations never reach the algorithms.  Its covers are
-  walked on the rows (:func:`_walked_covers`): the lowest remaining item
-  above is picked, and the items above the pick are dropped.  The walk is
-  exact in any item order, and takes one step per cover when ascending index
-  extends the order.
-* :meth:`FinitePoset.from_masks` builds an inclusion order, which is an order
-  by construction, so it skips those checks (a repeated subset is still
-  rejected).  Its covers are walked on the rows the same way, and only if
-  something reads them: a minimum chain cover does not.
-* :meth:`FinitePoset.from_topology` keeps the closure operator and builds its
-  items, rows and covers each at most once, when first read: the items are
-  masks of the closed sets, and the rows take |S|² bits, 512 MB for the
-  discrete family on 16 elements.  When the operator holds its image table
-  (validated by the superset recursion, or built from images) the covers are
-  swept from it, about n steps per closed set (:func:`_swept_covers`), and
-  otherwise walked on the rows, one step per cover, since the canonical
-  order of S(f) extends inclusion.
+* A :class:`FinitePoset` holds the rows it is given.  ``FinitePoset(items,
+  up)`` from user data validates the order axioms eagerly, so malformed
+  relations never reach the algorithms; :meth:`FinitePoset.from_masks`
+  builds an inclusion order, which is an order by construction, so it skips
+  those checks (a repeated subset is still rejected).  Its covers are walked
+  on the rows (:func:`_walked_covers`), and only if something reads them: the
+  lowest remaining item above is picked, and the items above the pick are
+  dropped.  The walk is exact in any item order, and takes one step per
+  cover when ascending index extends the order.  Its Möbius rows come from
+  the interval loop (:func:`_interval_rows`).
+* :meth:`FinitePoset.from_topology` returns a :class:`_ClosedSetOrder`, which
+  keeps the closure operator and builds its items, rows and covers each at
+  most once, when first read: the items are masks of the closed sets, and
+  the rows take |S|² bits, 512 MB for the discrete family on 16 elements.
+  When the operator holds its image table (validated by the superset
+  recursion, or built from images) the covers are swept from it, about n
+  steps per closed set (:func:`_swept_covers`), and otherwise walked on the
+  rows, one step per cover, since the canonical order of S(f) extends
+  inclusion.  Only this order compares by its topology and walks its Möbius
+  rows.
 
 A minimum chain cover is one function of items and int rows,
 :func:`_matched_cover`, which :mod:`closureops.complexity` calls on P(f)
 and S(f) with no poset object around them.
 
 The Möbius function of S = S(f) is walked row by row
-(:meth:`FinitePoset.mobius_walk`): per closed A, the closed C ⊇ A and the
-few entries where μ(A, C) is not the sign (−1)^|C∖A|.  The ``mobius``
-report is written from the walk, and :meth:`FinitePoset.mobius` builds the
-dict rows of a :class:`MobiusTable` from it for API callers.  The walk reads
-the image table by Rota's closure theorem (:func:`_rota_walk`), which builds
-neither the rows nor the covers, or sums μ over every interval on the rows
-(:func:`_interval_rows`), whichever :mod:`closureops._words` counts cheaper.
-The interval loop also gives the :meth:`~FinitePoset.mobius` rows of every
-poset not built from a topology.
+(:meth:`_ClosedSetOrder.mobius_walk`): per closed A, the closed C ⊇ A and
+the few entries where μ(A, C) is not the sign (−1)^|C∖A|.  The ``mobius``
+report is written from the walk, and the closed-set order's ``mobius``
+builds the dict rows of a :class:`MobiusTable` from it for API callers.  The
+walk reads the image table by Rota's closure theorem (:func:`_rota_walk`),
+which builds neither the rows nor the covers, or sums μ over every interval
+on the rows (:func:`_interval_rows`), whichever :mod:`closureops._words`
+counts cheaper.
 
 The zeta sums and the inversion read the rows and the Möbius rows, one step
 per comparable pair.
@@ -61,6 +62,7 @@ from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 
 from ._words import _interval_steps, _rota_steps
@@ -114,9 +116,9 @@ class MobiusTable:
     holds μ(i, j) for every item j ≥ item i, zeros included, in ascending j,
     so the rows list exactly the comparable pairs in item order.
     :meth:`FinitePoset.mobius` fills them, for API callers: the ``mobius``
-    report is written from :meth:`FinitePoset.mobius_walk` and builds no
-    table.  :meth:`mu` and :meth:`pairs` read the rows alone, never the
-    poset's order rows.
+    report is written from the closed-set order's
+    :meth:`~_ClosedSetOrder.mobius_walk` and builds no table.  :meth:`mu`
+    and :meth:`pairs` read the rows alone, never the poset's order rows.
 
     Attributes:
         poset: the poset the table belongs to.
@@ -142,9 +144,13 @@ class MobiusTable:
 class FinitePoset:
     """An immutable finite partially ordered set over hashable items.
 
-    Two posets are equal when their items and rows are; two posets built by
-    :meth:`from_topology` compare their topologies instead, so neither
-    builds its |S|² rows.  The hash reads the items alone.
+    A poset holds its given rows, and walks its covers on them when they
+    are first read.  :meth:`from_topology` returns the other kind of order,
+    the inclusion order on a topology's closed sets, which builds its items,
+    rows and covers from the topology on first read and adds
+    ``mobius_walk``.  Two posets are equal when their items and rows are;
+    two built by :meth:`from_topology` compare their topologies instead, so
+    neither builds its |S|² rows.  The hash reads the items alone.
 
     Attributes:
         items: the items, in construction order (used for all tie-breaking).
@@ -154,8 +160,6 @@ class FinitePoset:
     items: tuple[Hashable, ...]
     up: tuple[int, ...]
     _index: dict[Hashable, int] = field(init=False, repr=False)
-    _covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    _topology: Topology | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
@@ -200,37 +204,14 @@ class FinitePoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        if self._topology is not None and other._topology is not None:
-            return self._topology == other._topology
         return (self.items, self.up) == (other.items, other.up)
 
     def __hash__(self) -> int:
         return hash(self.items)
 
-    def __getattr__(self, name: str) -> object:
-        # Called only for an attribute built on first use: the covers of any
-        # poset, and the items, rows and item index of the inclusion order
-        # from_topology builds, which keeps its topology.  The rows take |S|²
-        # bits; hasse reads them only without an image table, and mobius
-        # only on the interval route.
-        topology = self._topology
-        if name == "_covers":
-            if topology is not None and topology._images is not None:
-                value: object = _swept_covers(topology.bits, topology._images)
-            else:  # walked on the rows, which from_topology then keeps
-                value = _walked_covers(self.up)
-        elif topology is None:
-            raise AttributeError(name)
-        elif name == "items":
-            value = topology.closed
-        elif name == "up":
-            value = _inclusion_rows(topology.bits)
-        elif name == "_index":
-            value = _index_of(self.items)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, ...], ...]:
+        return _walked_covers(self.up)
 
     @classmethod
     def from_masks(cls, masks: Sequence[SubsetMask]) -> FinitePoset:
@@ -248,13 +229,11 @@ class FinitePoset:
     def from_topology(cls, topology: Topology) -> FinitePoset:
         """The inclusion order on a topology's closed sets (canonical order).
 
-        The poset keeps the topology: its items (masks of the closed sets),
+        The order keeps the topology: its items (masks of the closed sets),
         covers, rows and item index are each built once, on first use, and
-        :meth:`mobius` may read the topology's image table instead.
+        its Möbius walk may read the topology's image table instead.
         """
-        poset = object.__new__(cls)
-        object.__setattr__(poset, "_topology", topology)
-        return poset
+        return _ClosedSetOrder(topology)
 
     @property
     def size(self) -> int:
@@ -291,45 +270,9 @@ class FinitePoset:
         return _matched_cover(self.items, self.up, ())
 
     def mobius(self) -> MobiusTable:
-        """The Möbius function on all comparable pairs, as exact integers.
-
-        A poset built by :meth:`from_topology` builds its rows from
-        :meth:`mobius_walk`; every other poset takes the interval loop on
-        the rows (:func:`_interval_rows`).  The ``mobius`` report reads the
-        walk itself, so these dict rows are built only for API callers.
-        """
-        topology = self._topology
-        if topology is None:
-            return MobiusTable(poset=self, rows=_interval_rows(self.up))
-        closed = topology.bits
-        signs = _signs(closed)
-        rows = []
-        for a, (above, corrections) in zip(closed, self.mobius_walk()):
-            row = dict(zip(above, map(signs[a.bit_count() & 1].__getitem__, above)))
-            row.update(corrections)
-            rows.append(row)
-        return MobiusTable(poset=self, rows=tuple(rows))
-
-    def mobius_walk(self) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-        """The Möbius rows of a poset built by :meth:`from_topology`, lazily:
-        per closed set A in index order, the ascending indices of the closed
-        sets C ⊇ A, and the pairs (index of C, μ(A, C)) where μ(A, C) is not
-        the sign (−1)^|C∖A|.
-
-        It takes Rota's closure theorem on the image table (:func:`_rota_walk`)
-        or, where :mod:`closureops._words` counts it strictly cheaper, the
-        interval loop on the rows (:func:`_interval_rows`).  The rows are
-        built only when Rota costs more than the loop's |S|² scan.
-        """
-        topology = self._topology
-        if topology is None:
-            raise TypeError("mobius_walk needs a poset built by from_topology")
-        size, closed = topology.ground.size, topology.bits
-        rota = _rota_steps(size, closed, topology._images is not None)
-        if rota <= len(closed) ** 2 or rota <= _interval_steps(self.up):
-            yield from _rota_walk(closed, topology.tabulate_bits())
-        else:
-            yield from _corrected(closed, _interval_rows(self.up))
+        """The Möbius function on all comparable pairs, as exact integers,
+        by the interval loop on the rows (:func:`_interval_rows`)."""
+        return MobiusTable(poset=self, rows=_interval_rows(self.up))
 
     def sum_below(
         self, values: Mapping[Hashable, Fraction | int]
@@ -365,6 +308,79 @@ class FinitePoset:
 
     def __repr__(self) -> str:
         return f"FinitePoset({self.size} items, {sum(map(len, self._covers))} covers)"
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class _ClosedSetOrder(FinitePoset):
+    """The inclusion order on a topology's closed sets, which
+    :meth:`FinitePoset.from_topology` returns.
+
+    It keeps the topology, and builds its items, rows, item index and covers
+    from it, each once, when first read.  The rows take |S|² bits; ``hasse``
+    reads them only without an image table, and ``mobius`` only on the
+    interval route.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        object.__setattr__(self, "_topology", topology)
+
+    @cached_property
+    def items(self) -> tuple[SubsetMask, ...]:
+        return self._topology.closed
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        return _inclusion_rows(self._topology.bits)
+
+    @cached_property
+    def _index(self) -> dict[Hashable, int]:
+        return _index_of(self.items)
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, ...], ...]:
+        topology = self._topology
+        if topology._images is not None:
+            return _swept_covers(topology.bits, topology._images)
+        return _walked_covers(self.up)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ClosedSetOrder):
+            return self._topology == other._topology
+        return super().__eq__(other)
+
+    __hash__ = FinitePoset.__hash__
+
+    def mobius(self) -> MobiusTable:
+        """The Möbius function on all comparable pairs, as exact integers,
+        as dict rows built from :meth:`mobius_walk`.  The ``mobius`` report
+        reads the walk itself, so these rows are built only for API callers.
+        """
+        closed = self._topology.bits
+        signs = _signs(closed)
+        rows = []
+        for a, (above, corrections) in zip(closed, self.mobius_walk()):
+            row = dict(zip(above, map(signs[a.bit_count() & 1].__getitem__, above)))
+            row.update(corrections)
+            rows.append(row)
+        return MobiusTable(poset=self, rows=tuple(rows))
+
+    def mobius_walk(self) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+        """The Möbius rows, lazily: per closed set A in index order, the
+        ascending indices of the closed sets C ⊇ A, and the pairs (index of
+        C, μ(A, C)) where μ(A, C) is not the sign (−1)^|C∖A|.
+
+        It takes Rota's closure theorem on the image table (:func:`_rota_walk`)
+        or, where :mod:`closureops._words` counts it strictly cheaper, the
+        interval loop on the rows (:func:`_interval_rows`).  The rows are
+        built only when Rota costs more than the loop's |S|² scan.
+        """
+        topology = self._topology
+        size, closed = topology.ground.size, topology.bits
+        rota = _rota_steps(size, closed, topology._images is not None)
+        if rota <= len(closed) ** 2 or rota <= _interval_steps(self.up):
+            yield from _rota_walk(closed, topology.tabulate_bits())
+        else:
+            yield from _corrected(closed, _interval_rows(self.up))
 
 
 def _index_of(items: tuple[Hashable, ...]) -> dict[Hashable, int]:

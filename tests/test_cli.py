@@ -578,7 +578,7 @@ def test_internal_verification_failure_exits_3_with_an_error_document(
     [
         (NotAChain, complexity, "_chain_classes", "complexity"),
         (InvalidOrderRelation, FinitePoset, "upper_cover_indices", "hasse"),
-        (NotClosed, FinitePoset, "mobius_walk", "mobius"),
+        (NotClosed, poset_module._ClosedSetOrder, "mobius_walk", "mobius"),
     ],
 )
 def test_errors_no_input_raises_exit_3_with_an_error_document(

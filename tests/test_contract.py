@@ -14,8 +14,15 @@ dropped or added.  Every command form that reads that kind runs through
   text on exit 0);
 * the ``--out`` run exits alike, prints the same stderr and no stdout, and its
   file holds what the other run printed.
+
+A second, fixed set of cases damages the file rather than a node: a repeated
+key, the ``NaN`` and ``Infinity`` tokens, nesting past the recursion limit,
+bytes that are not UTF-8, a UTF-8 byte-order mark, UTF-16, an empty file and
+a truncated one.  Each exits 2, except a repeated key: the JSON parser keeps
+the last of two equal keys, so that document is read as valid.
 """
 
+import codecs
 import copy
 import io
 import json
@@ -178,7 +185,8 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
-def _check_contract(argv: list[str], out_path: str) -> None:
+def _check_contract(argv: list[str], out_path: str) -> int:
+    """Check one call against the contract, and return its exit code."""
     code, stdout, stderr = _run(argv)
     assert code in (0, 1, 2), (argv, code, stderr)
     if code == 2:
@@ -196,15 +204,17 @@ def _check_contract(argv: list[str], out_path: str) -> None:
         with open(out_path, encoding="utf-8") as handle:
             assert handle.read() == stdout
         os.remove(out_path)
+    return code
 
 
-def _argvs(kind: str, text: str, tmp: str) -> list[list[str]]:
-    """The kind's command forms, reading ``text`` as the file "F" and
-    OTHER_PREFERENCE as "P", both written into ``tmp``."""
+def _argvs(kind: str, text: str | bytes, tmp: str) -> list[list[str]]:
+    """The kind's command forms, reading ``text`` (encoded as UTF-8 unless
+    given as bytes) as the file "F" and OTHER_PREFERENCE as "P", both written
+    into ``tmp``."""
     paths = {"F": os.path.join(tmp, "doc.json"), "P": os.path.join(tmp, "pref.json")}
     for name, content in (("F", text), ("P", json.dumps(OTHER_PREFERENCE))):
-        with open(paths[name], "w", encoding="utf-8") as handle:
-            handle.write(content)
+        with open(paths[name], "wb") as handle:
+            handle.write(content if isinstance(content, bytes) else content.encode("utf-8"))
     return [[paths.get(arg, arg) for arg in form] for form in FORMS[kind]]
 
 
@@ -223,3 +233,45 @@ def test_every_unmutated_document_exits_zero(kind):
     with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
         for argv in _argvs(kind, json.dumps(DOCUMENTS[kind]), tmp):
             assert _run(argv)[0] == 0, argv
+
+
+# Deeper than any recursion limit CPython sets by default.
+DEEP = 100_000
+
+
+def _file_cases(kind: str) -> dict[str, tuple[str | bytes, int]]:
+    """Per name, the file contents of one file-level defect of the kind's
+    document, and the exit code it gets."""
+    doc = DOCUMENTS[kind]
+    text = json.dumps(doc)
+    first = json.dumps(next(iter(doc)))
+    cases: dict[str, tuple[str | bytes, int]] = {
+        "repeated-key": ("{%s: null, %s" % (first, text[1:]), 0),
+        "nested-arrays": ("[" * DEEP + "]" * DEEP, 2),
+        "nested-objects": ('{"a": ' * DEEP + "null" + "}" * DEEP, 2),
+        "invalid-utf8": (text.encode("utf-8").replace(b'"', b'"\xff', 1), 2),
+        "utf8-bom": (codecs.BOM_UTF8 + text.encode("utf-8"), 2),
+        "utf16": (text.encode("utf-16"), 2),
+        "empty": ("", 2),
+        "truncated": (text[: len(text) // 2], 2),
+    }
+    if kind == "preference":
+        marked = copy.deepcopy(doc)
+        marked["utilities"][0]["value"] = BIG
+        for token in ("NaN", "Infinity", "-Infinity"):
+            cases[token] = (json.dumps(marked).replace(json.dumps(BIG), token), 2)
+        entry = json.dumps(doc["utilities"][0])
+        repeated = text.replace(entry, '{"menu": null, ' + entry[1:], 1)
+        cases["repeated-key-in-utility"] = (repeated, 0)
+    return cases
+
+
+FILE_CASES = [(kind, name) for kind in sorted(FORMS) for name in _file_cases(kind)]
+
+
+@pytest.mark.parametrize("kind, name", FILE_CASES)
+def test_a_damaged_file_keeps_the_exit_code_contract(kind, name):
+    content, expected = _file_cases(kind)[name]
+    with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
+        for argv in _argvs(kind, content, tmp):
+            assert _check_contract(argv, os.path.join(tmp, "out.txt")) == expected, argv

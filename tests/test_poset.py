@@ -1,5 +1,6 @@
 """Finite posets: validation, Hasse diagrams, chain covers, Möbius inversion."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -655,8 +656,16 @@ def test_missing_attributes_and_walks_off_a_topology_raise():
     for poset in (divisor_poset(), FinitePoset.from_topology(topo(ground("a"), "", "a"))):
         with pytest.raises(AttributeError):
             poset.no_such_attribute
-    with pytest.raises(TypeError, match="mobius_walk needs a poset built by from_topology"):
-        next(divisor_poset().mobius_walk())
+    with pytest.raises(AttributeError):
+        divisor_poset().mobius_walk
+
+
+def test_both_kinds_of_order_are_frozen():
+    t = topo(ground("ab"), "", "a", "ab")
+    for poset in (divisor_poset(), FinitePoset.from_topology(t)):
+        for name in ("items", "up", "_topology", "no_such_attribute"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(poset, name, None)
 
 
 def test_repr_counts_covers_without_building_the_rows():
