@@ -19,12 +19,16 @@ and exits with:
 Diagnostics go to stderr; stdout carries only the report.  Output is
 deterministic: equal inputs produce byte-equal output.  A JSON report is the
 text of ``json.dumps(report, indent=2, ensure_ascii=False)`` plus a newline,
-rendered by :mod:`closureops.jsonio` without building the document.
+rendered by :mod:`closureops.jsonio` without building the document.  The
+``topology``, ``hasse`` and ``mobius`` reports are rendered in full as lists
+of pieces, then written a piece at a time, so no byte goes out before the
+last check has run.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 from contextlib import nullcontext
@@ -50,7 +54,7 @@ from .errors import (
 from .generators import intersect_generate
 from .labeling import canonical_labeling, minimal_labeling
 from .menus import additive_representation, kreps_operator, kreps_representation
-from .poset import FinitePoset, to_dot
+from .poset import FinitePoset, _dot_pieces
 
 __all__ = ["main", "build_parser"]
 
@@ -63,6 +67,9 @@ _MALFORMED = (
     GroundSetMismatch,
 )
 _MATH_FAILURE = (NotIntersectionClosed, MissingTopBottom)
+
+# A report is its text, or a list of text pieces whose join is that text.
+Report = str | list[str]
 
 
 def _load(path: str) -> Any:
@@ -95,14 +102,14 @@ def _operator_from_path(path: str) -> Topology:
     )
 
 
-def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
+def _run_validate(args: argparse.Namespace) -> tuple[Report, int]:
     report = _validate_images(*jsonio.operator_images_from(_load(args.table)))
     if not report.ok:
         print("validation failed: " + "; ".join(report.summary()), file=sys.stderr)
     return jsonio.validation_doc(report), 0 if report.ok else 1
 
 
-def _run_topology(args: argparse.Namespace) -> tuple[str, int]:
+def _run_topology(args: argparse.Namespace) -> tuple[Report, int]:
     if args.from_table:
         operator = Topology._validated(
             *jsonio.operator_images_from(_load(args.from_table))
@@ -114,28 +121,28 @@ def _run_topology(args: argparse.Namespace) -> tuple[str, int]:
             _load(args.from_generators)
         )
         operator = intersect_generate(ground, [*weak_orders, *binary])
-    return jsonio.topology_doc(operator), 0
+    return jsonio.topology_pieces(operator), 0
 
 
-def _run_complexity(args: argparse.Namespace) -> tuple[str, int]:
+def _run_complexity(args: argparse.Namespace) -> tuple[Report, int]:
     operator = jsonio.topology_from(_load(args.topology))
     return jsonio.profile_doc(complexity_profile(operator)), 0
 
 
-def _run_decompose(args: argparse.Namespace) -> tuple[str, int]:
+def _run_decompose(args: argparse.Namespace) -> tuple[Report, int]:
     operator = jsonio.topology_from(_load(args.topology))
     stage = _weak_order_witness if args.kind == "weak-orders" else _binary_witness
     generators, report = stage(meet_irreducibles(operator))
     return jsonio.decomposition_doc(operator.ground, args.kind, generators, report), 0
 
 
-def _run_labels(args: argparse.Namespace) -> tuple[str, int]:
+def _run_labels(args: argparse.Namespace) -> tuple[Report, int]:
     operator = jsonio.topology_from(_load(args.topology))
     labeling = minimal_labeling(operator) if args.minimal else canonical_labeling(operator)
     return jsonio.labeling_doc(labeling), 0
 
 
-def _run_menu_rep(args: argparse.Namespace) -> tuple[str, int]:
+def _run_menu_rep(args: argparse.Namespace) -> tuple[Report, int]:
     if args.style == "kreps" and args.operator:  # refused before the preference is read
         raise SchemaError("--operator only applies to --style additive")
     preference = jsonio.preference_from(_load(args.preference))
@@ -164,18 +171,18 @@ def _run_menu_rep(args: argparse.Namespace) -> tuple[str, int]:
     return jsonio.verified_doc(document, jsonio.flat_doc(verification)), 0
 
 
-def _run_mobius(args: argparse.Namespace) -> tuple[str, int]:
+def _run_mobius(args: argparse.Namespace) -> tuple[Report, int]:
     topology = jsonio.topology_from(_load(args.topology))
     rows = FinitePoset.from_topology(topology).mobius_walk()
-    return jsonio.mobius_doc(topology, rows), 0
+    return jsonio.mobius_pieces(topology, rows), 0
 
 
-def _run_hasse(args: argparse.Namespace) -> tuple[str, int]:
+def _run_hasse(args: argparse.Namespace) -> tuple[Report, int]:
     topology = jsonio.topology_from(_load(args.topology))
     poset = FinitePoset.from_topology(topology)
     if args.dot:
-        return to_dot(poset).removesuffix("\n"), 0  # _write adds the last newline
-    return jsonio.hasse_doc(topology, poset.upper_cover_indices()), 0
+        return _dot_pieces(poset), 0
+    return jsonio.hasse_pieces(topology, poset.upper_cover_indices()), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,10 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(report: str, out: str | None) -> None:
-    # The newline is a second write: appending it would copy the report.
+def _write(report: Report, out: str | None) -> None:
+    """Write the report, a string or a list of pieces, and a newline, one
+    ``write`` call each: joining the pieces would copy the report.  A handle
+    that encodes to anything but UTF-8 may fail on a name, so it takes the
+    report in one write, which fails before any byte of it goes out."""
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
-        handle.write(report)
+        pieces = [report] if isinstance(report, str) else report
+        encoding = getattr(handle, "encoding", None)
+        if encoding and codecs.lookup(encoding).name != "utf-8":
+            pieces = ["".join(pieces)]
+        for piece in pieces:
+            handle.write(piece)
         handle.write("\n")
 
 

@@ -44,9 +44,14 @@ Emitters (``*_doc``) return the report as text, byte-identical to
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the document they
 describe, with deterministic key and element order, so equal values yield
 byte-equal reports.  They render straight to text instead of building the
-document: each element name is escaped once per report, each subset's name
-array once per indentation depth, and each object from a ``%``-template of
-its fixed keys.
+document: each element name is escaped once per report, and each object
+comes from a ``%``-template of its fixed keys.  A subset's name array at an
+indentation depth is two table reads and one concatenation: the first use
+of a depth builds, for each half of the ground set, the joined member lines
+of every subset of that half (2^⌈n/2⌉ strings per half).  The reports that
+list every closed set (``topology``, ``hasse`` and ``mobius``) are also
+rendered as lists of text pieces (``*_pieces``), which the CLI writes one
+at a time with no final join; their ``*_doc`` is the join of the pieces.
 """
 
 from __future__ import annotations
@@ -94,6 +99,9 @@ __all__ = [
     "additive_doc",
     "mobius_doc",
     "hasse_doc",
+    "topology_pieces",
+    "mobius_pieces",
+    "hasse_pieces",
     "decomposition_doc",
     "flat_doc",
     "verified_doc",
@@ -382,16 +390,28 @@ def _scalar(value: bool | int | str) -> str:
     return _string(value)
 
 
+def _member_lines(names: list[str], separator: str) -> list[str]:
+    """For each subset of ``names``, indexed by bit pattern, its members
+    each after a ``separator``; built by doubling, one name at a time."""
+    lines = [""]
+    for name in names:
+        tail = separator + name
+        lines += [line + tail for line in lines]
+    return lines
+
+
 class _Writer:
     """Renders the subsets of one report over one ground set: each element
-    name is escaped once, and each subset's name array once per depth."""
+    name is escaped once.  A subset's name array at depth d is read from two
+    tables of that depth, one per half of the ground set, built the first
+    time d is used: 2 · 2^⌈n/2⌉ strings at most, however many subsets."""
 
-    __slots__ = ("names", "_arrays")
+    __slots__ = ("names", "_tables")
 
     def __init__(self, ground: GroundSet | None = None) -> None:
         # Without a ground set, the names come from the first subset rendered.
         self.names = None if ground is None else [_string(name) for name in ground]
-        self._arrays: dict[tuple[int, int], str] = {}
+        self._tables: dict[int, tuple[int, list[str], list[str], list[str]]] = {}
 
     def elements(self, depth: int) -> str:
         return _array(self.names, depth)
@@ -401,14 +421,37 @@ class _Writer:
             self.names = [_string(name) for name in mask.ground]
         return self.pattern(mask.bits, depth)
 
+    def _halves(self, depth: int) -> tuple[int, list[str], list[str], list[str]]:
+        """``(h, low, high, bare)`` for arrays opening at ``depth``, where h
+        is the width of the low half: a subset whose low h bits hold lo ≠ 0
+        and whose other bits hold hi is ``low[lo] + high[hi]``, and one with
+        lo = 0 is ``bare[hi]``."""
+        tables = self._tables.get(depth)
+        if tables is None:
+            names = self.names
+            h = (len(names) + 1) // 2
+            separator = ",\n" + "  " * (depth + 1)
+            closing = "\n" + "  " * depth + "]"
+            # "[" + line[1:] opens the array at a line's first member.
+            low = ["[" + line[1:] for line in _member_lines(names[:h], separator)]
+            upper = _member_lines(names[h:], separator)
+            high = [line + closing for line in upper]
+            bare = ["[" + line[1:] + closing for line in upper]
+            bare[0] = "[]"
+            tables = self._tables[depth] = (h, low, high, bare)
+        return tables
+
     def pattern(self, bits: int, depth: int) -> str:
         """The name array of a subset given as a bit pattern."""
-        key = (bits, depth)
-        text = self._arrays.get(key)
-        if text is None:
-            members = [name for i, name in enumerate(self.names) if bits >> i & 1]
-            text = self._arrays[key] = _array(members, depth)
-        return text
+        h, low, high, bare = self._halves(depth)
+        lo = bits & ((1 << h) - 1)
+        return low[lo] + high[bits >> h] if lo else bare[bits >> h]
+
+    def patterns(self, bits: Iterable[int], depth: int) -> list[str]:
+        """:meth:`pattern` of each bit pattern, in order."""
+        h, low, high, bare = self._halves(depth)
+        mask = (1 << h) - 1
+        return [low[b & mask] + high[b >> h] if b & mask else bare[b >> h] for b in bits]
 
     def subsets(self, masks: Iterable[SubsetMask], depth: int) -> str:
         return _array([self.subset(mask, depth + 1) for mask in masks], depth)
@@ -427,12 +470,36 @@ def subset_doc(mask: SubsetMask) -> str:
     return _Writer(mask.ground).subset(mask, 0)
 
 
-def topology_doc(topology: Topology) -> str:
+_BLOCK = 4096  # subsets rendered and joined at a time by _array_pieces
+
+
+def _array_pieces(writer: _Writer, bits: Sequence[int], depth: int) -> list[str]:
+    """The array opening at ``depth`` of the name arrays of ``bits``, as its
+    opening, one joined piece per ``_BLOCK`` subsets with the separators
+    between them, and its closing."""
+    if not bits:
+        return ["[]"]
+    inner = "\n" + "  " * (depth + 1)
+    separator = "," + inner
+    pieces = ["[" + inner]
+    for start in range(0, len(bits), _BLOCK):
+        block = writer.patterns(bits[start : start + _BLOCK], depth + 1)
+        pieces += (separator.join(block), separator)
+    pieces[-1] = "\n" + "  " * depth + "]"
+    return pieces
+
+
+def topology_pieces(topology: Topology) -> list[str]:
+    """:func:`topology_doc` as a list of text pieces, the closed sets joined
+    a block at a time."""
     writer = _Writer(topology.ground)
-    return _template(("elements", "closed_sets"), 0) % (
-        writer.elements(1),
-        _array([writer.pattern(bits, 2) for bits in topology.bits], 1),
-    )
+    start, before_sets, end = _template(("elements", "closed_sets"), 0).split("%s")
+    sets = _array_pieces(writer, topology.bits, 1)
+    return [start, writer.elements(1), before_sets, *sets, end]
+
+
+def topology_doc(topology: Topology) -> str:
+    return "".join(topology_pieces(topology))
 
 
 def validation_doc(report: ValidationReport) -> str:
@@ -590,24 +657,23 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
     )
 
 
-def mobius_doc(
+def mobius_pieces(
     topology: Topology, rows: Iterable[tuple[list[int], Sequence[tuple[int, int]]]]
-) -> str:
+) -> list[str]:
     """The closed sets of ``topology`` and the entries of its Möbius rows,
     read as :meth:`~closureops.poset._ClosedSetOrder.mobius_walk` yields
     them: per closed set A, the ascending indices of the closed sets C ⊇ A
     and the (index, μ) pairs where μ(A, C) is not (−1)^|C∖A|.  No dict row
-    is built.
+    is built, and the report is a list of text pieces, one per row.
 
-    Each closed set's name array is rendered once, and so is the text of
-    each entry from its ``"to"`` array on, with the sign it takes under
-    either parity of |A|.  A row is then one join of those texts on a lead
-    that holds the row's ``"from"`` array; only a corrected entry is
-    formatted on its own."""
+    Each closed set's name array is rendered once per depth it is used at,
+    and so is the text of each entry from its ``"to"`` array on, with the
+    sign it takes under either parity of |A|.  A row is then one join of
+    those texts on a lead that holds the row's ``"from"`` array; only a
+    corrected entry is formatted on its own."""
     writer = _Writer(topology.ground)
     closed = topology.bits
-    listed = [writer.pattern(bits, 2) for bits in closed]
-    names = [_nest(text, 1) for text in listed]
+    names = writer.patterns(closed, 3)
     head, middle, before_mu, tail = _template(("from", "to", "mu"), 2).split("%s")
     targets = [name + before_mu for name in names]
     signed: tuple[list[str], list[str]] = ([], [])  # per parity of |A|
@@ -620,33 +686,57 @@ def mobius_doc(
         ("elements", "closed_sets", "entries"), 0
     ).split("%s")
     opening, closing = _array(["%s"], 1).split("%s")
-    pieces = [start, writer.elements(1), before_sets, _array(listed, 1), before_entries]
+    sets = _array_pieces(writer, closed, 1)
+    pieces = [start, writer.elements(1), before_sets, *sets, before_entries]
+    first = len(pieces)
     for a, name, (above, corrections) in zip(closed, names, rows):
         lead = between + name + middle
-        texts = list(map(signed[a.bit_count() & 1].__getitem__, above))
+        # The empty first text puts a lead before the row's first entry too.
+        texts = ["", *map(signed[a.bit_count() & 1].__getitem__, above)]
         for j, mu in corrections:
-            texts[bisect_left(above, j)] = targets[j] + str(mu)
-        pieces += (lead, lead.join(texts))
-    pieces[5] = opening + head + names[0] + middle  # the first entry follows no other
+            texts[bisect_left(above, j) + 1] = targets[j] + str(mu)
+        pieces.append(lead.join(texts))
+    # The first entry follows no other: the array's opening replaces its lead.
+    pieces[first] = opening + head + pieces[first][len(between) :]
     pieces.append(tail + closing + end)
-    return "".join(pieces)
+    return pieces
+
+
+def mobius_doc(
+    topology: Topology, rows: Iterable[tuple[list[int], Sequence[tuple[int, int]]]]
+) -> str:
+    """:func:`mobius_pieces` joined."""
+    return "".join(mobius_pieces(topology, rows))
+
+
+def hasse_pieces(topology: Topology, covers: Sequence[Sequence[int]]) -> list[str]:
+    """The covering pairs of ``topology``'s closed sets, from the indices of their
+    upper covers (``FinitePoset.upper_cover_indices()``), each named once, as a
+    list of text pieces.  The edges of one lower set are one join of its
+    covers' names on a lead that ends in its own."""
+    writer = _Writer(topology.ground)
+    names = writer.patterns(topology.bits, 3)
+    head, middle, tail = _template(("lower", "upper"), 2).split("%s")
+    between = tail + ",\n" + "  " * 2 + head  # from one edge to the next
+    start, before_edges, end = _template(("elements", "edges"), 0).split("%s")
+    pieces = [start, writer.elements(1), before_edges]
+    first = len(pieces)
+    for name, above in zip(names, covers):
+        if above:
+            lead = between + name + middle
+            pieces.append(lead.join(["", *map(names.__getitem__, above)]))
+    if len(pieces) == first:
+        return [*pieces, "[]", end]
+    # The first edge follows no other: the array's opening replaces its lead.
+    opening, closing = _array(["%s"], 1).split("%s")
+    pieces[first] = opening + head + pieces[first][len(between) :]
+    pieces.append(tail + closing + end)
+    return pieces
 
 
 def hasse_doc(topology: Topology, covers: Sequence[Sequence[int]]) -> str:
-    """The covering pairs of ``topology``'s closed sets, from the indices of their
-    upper covers (``FinitePoset.upper_cover_indices()``), each named once.  The
-    edges of one lower set are one join of its covers' names on a lead that
-    ends in its own."""
-    writer = _Writer(topology.ground)
-    names = [writer.pattern(bits, 3) for bits in topology.bits]
-    head, middle, tail = _template(("lower", "upper"), 2).split("%s")
-    between = tail + ",\n" + "  " * 2
-    edges = []
-    for name, above in zip(names, covers):
-        if above:
-            lead = head + name + middle
-            edges.append(lead + (between + lead).join(map(names.__getitem__, above)) + tail)
-    return _template(("elements", "edges"), 0) % (writer.elements(1), _array(edges, 1))
+    """:func:`hasse_pieces` joined."""
+    return "".join(hasse_pieces(topology, covers))
 
 
 def decomposition_doc(
@@ -678,7 +768,7 @@ def flat_doc(fields: Mapping[str, bool | int | str | SubsetMask]) -> str:
         [
             (
                 _string(key),
-                _nest(subset_doc(value), 1)
+                _Writer(value.ground).subset(value, 1)
                 if isinstance(value, SubsetMask)
                 else _scalar(value),
             )

@@ -667,6 +667,26 @@ def _default_label(item: Hashable) -> str:
     return str(item)
 
 
+def _dot_pieces(
+    poset: FinitePoset,
+    name: str = "hasse",
+    label: Callable[[Hashable], str] | None = None,
+) -> list[str]:
+    """The text of :func:`to_dot` without its last newline, as pieces: the
+    header and node lines in one, then the edge lines of each lower item."""
+    label = label or _default_label
+    lines = [f"digraph {name} {{\n", "  rankdir=BT;\n"]
+    for i, item in enumerate(poset.items):
+        text = label(item).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{text}"];\n')
+    pieces = ["".join(lines)]
+    for i, above in enumerate(poset.upper_cover_indices()):
+        if above:
+            pieces.append("".join([f"  n{i} -> n{j};\n" for j in above]))
+    pieces.append("}")
+    return pieces
+
+
 def to_dot(
     poset: FinitePoset,
     *,
@@ -679,12 +699,4 @@ def to_dot(
     of the lower item, then of the upper, so equal posets yield byte-equal
     text.
     """
-    label = label or _default_label
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i, item in enumerate(poset.items):
-        text = label(item).replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{i} [label="{text}"];')
-    for i, above in enumerate(poset.upper_cover_indices()):
-        lines += (f"  n{i} -> n{j};" for j in above)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join([*_dot_pieces(poset, name, label), "\n"])

@@ -1076,12 +1076,12 @@ def oracle_mobius_doc(topology: Topology, mu: Mapping[tuple[int, int], int]) -> 
 
 
 def oracle_hasse_doc(topology: Topology, covers) -> dict:
+    """The ``hasse`` report of ``topology`` from its covering pairs of masks;
+    each closed set's name list is built once and shared by its edges."""
+    names = {m.bits: oracle_subset_doc(m) for m in topology.closed}
     return {
         "elements": list(topology.ground.elements),
-        "edges": [
-            {"lower": oracle_subset_doc(a), "upper": oracle_subset_doc(b)}
-            for a, b in covers
-        ],
+        "edges": [{"lower": names[a.bits], "upper": names[b.bits]} for a, b in covers],
     }
 
 

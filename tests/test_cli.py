@@ -913,6 +913,37 @@ def test_a_stdout_that_cannot_encode_a_name_exits_2(tmp_path, capsys, monkeypatc
     assert written.getvalue() == b""
 
 
+# A name ASCII cannot encode, which no report writes in its first piece.
+ACCENTED = oracle_topology_doc(topo(ground("abé"), "", "a", "abé"))
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["mobius", "--topology"], ACCENTED),
+        (["hasse", "--topology"], ACCENTED),
+        (["hasse", "--dot", "--topology"], ACCENTED),
+        (
+            ["topology", "--from-labels"],
+            {"elements": ["a", "b", "é"], "labels": ["x"], "phi": {"a": ["x"], "b": [], "é": []}},
+        ),
+    ],
+    ids=["mobius", "hasse", "hasse-dot", "topology-from-labels"],
+)
+def test_a_report_written_in_pieces_leaves_no_byte_on_a_stdout_that_cannot_encode_it(
+    tmp_path, capsys, monkeypatch, argv, doc
+):
+    # Unbuffered, so a piece written before the one that fails would show.
+    path = _write(tmp_path, "in.json", doc)
+    written = io.BytesIO()
+    stdout = io.TextIOWrapper(written, encoding="ascii", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main([*argv, path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the report: ")
+    assert written.getvalue() == b""
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [

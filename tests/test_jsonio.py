@@ -33,6 +33,7 @@ from closureops.cli import main
 from closureops.errors import ClosureError
 from closureops.jsonio import (
     MAX_RATIONAL_DIGITS,
+    _Writer,
     additive_doc,
     axioms_doc,
     binary_doc,
@@ -68,6 +69,7 @@ from conftest import (
     fork_topology,
     ground,
     hasse_pairs,
+    labeling_bits,
     oracle_additive_doc,
     oracle_axioms_doc,
     oracle_binary_doc,
@@ -1007,3 +1009,77 @@ def test_byte_identity_covers_empty_lists_and_rationals():
     assert any(f'"closed_sets": {trivial.replace(chr(10), chr(10) + "  ")}' in t for t in texts)
     assert any(": []" in text for text in texts)
     assert any(re.search(r'"weight": "-?[0-9]+/[0-9]+"', text) for text in texts)
+
+
+# ------------------------------------------------------------ large ground sets
+
+
+def _dumps_to(text: str, doc) -> bool:
+    """Whether ``text`` is ``_text(doc)``, read chunk by chunk from the
+    encoder, so a report of 100+ MB is not held twice."""
+    position = 0
+    for chunk in json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(doc):
+        if not text.startswith(chunk, position):
+            return False
+        position += len(chunk)
+    return position == len(text)
+
+
+def test_name_arrays_match_a_plain_render_up_to_20_elements():
+    # Each half of the ground set gets its own table; a pattern may fill
+    # either half, both or neither.
+    rng = random.Random(36)
+    for n in range(1, 21):
+        names = [f"e{i}" if i % 3 else f'é"{i}' for i in range(n)]
+        writer = _Writer(GroundSet(tuple(names)))
+        half = (n + 1) // 2
+        full = (1 << n) - 1
+        bits = [0, full, (1 << half) - 1, full >> half << half, 1 << (n - 1)]
+        bits += [rng.getrandbits(n) for _ in range(40)]
+        for depth in range(5):
+            for b, text in zip(bits, writer.patterns(bits, depth)):
+                members = [x for i, x in enumerate(names) if b >> i & 1]
+                plain = json.dumps(members, indent=2, ensure_ascii=False)
+                plain = plain.replace("\n", "\n" + "  " * depth)
+                assert text == writer.pattern(b, depth) == plain
+
+
+def test_topology_and_hasse_reports_of_the_discrete_family_at_16_elements():
+    n = 16
+    t = Topology(ground([f"e{i:02d}" for i in range(n)]), range(1 << n))
+    assert topology_doc(t) == _text(oracle_topology_doc(t))
+    poset = FinitePoset.from_topology(t)
+    text = hasse_doc(t, poset.upper_cover_indices())
+    assert text.count('"lower"') == n << (n - 1)
+    assert _dumps_to(text, oracle_hasse_doc(t, hasse_pairs(poset)))
+
+
+def test_topology_and_hasse_reports_of_a_random_labeling_at_20_elements():
+    n = 20
+    t = Topology(ground([f"x{i}" for i in range(n)]), labeling_bits(random.Random(36), n))
+    assert len(t.bits) > 200
+    assert topology_doc(t) == _text(oracle_topology_doc(t))
+    poset = FinitePoset.from_topology(t)
+    text = hasse_doc(t, poset.upper_cover_indices())
+    assert text == _text(oracle_hasse_doc(t, hasse_pairs(poset)))
+
+
+def test_mobius_report_of_the_discrete_family_at_12_elements():
+    # On the Boolean lattice μ(A, C) = (−1)^|C∖A|: checked against the
+    # interval loop at six elements, then used as the oracle's μ at twelve.
+    def boolean_mu(t):
+        full = t.ground.full_bits
+        mu = {}
+        for a in t.bits:
+            c = a
+            while c <= full:  # the supersets of a, ascending
+                mu[a, c] = -1 if (c & ~a).bit_count() & 1 else 1
+                c = (c + 1) | a
+        return mu
+
+    small = Topology(ground("abcdef"), range(1 << 6))
+    assert boolean_mu(small) == oracle_mobius(small)
+    n = 12
+    t = Topology(ground([f"e{i:02d}" for i in range(n)]), range(1 << n))
+    text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+    assert _dumps_to(text, oracle_mobius_doc(t, boolean_mu(t)))
