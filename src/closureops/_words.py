@@ -10,10 +10,12 @@ the caller runs the one these counts price cheapest, counted before any runs:
 
 * intersection closure (:class:`~closureops.core.Topology`): the superset
   recursion, which leaves the image table behind, wherever it is cheaper
-  than the pair loop; else the words (:func:`_missing_meets`) wherever they
-  are; else the pair loop.  When a meet is missing the pair loop runs too,
-  over the members above one, so the error names the same pair whichever
-  route decided;
+  than the pair loop and than the words plus the cheaper route to that
+  table, min(fill, recursion), which a later stage may read
+  (:func:`_recursion_pays`); else the words (:func:`_missing_meets`)
+  wherever they are cheaper than the pair loop; else the pair loop.  When a
+  meet is missing the pair loop runs too, over the members above one, so the
+  error names the same pair whichever route decided;
 * meet images (:func:`~closureops.core._meet_images`): the submask fill, or
   the superset recursion where strictly cheaper (the fill costs 3^n − 2^n
   on the discrete family);
@@ -26,6 +28,12 @@ the caller runs the one these counts price cheapest, counted before any runs:
   That loop costs 2·4^n on the discrete family, where Rota reads 3^n, but
   about |S|² on a chain, where Rota reads about 2^(n+1); its rows are built
   only when Rota costs more than its |S|² scan.
+
+The profile's width and depth of S (:func:`~closureops.complexity._shape`)
+take no count of their own: the image table's presence, which the first
+choice decided, picks their route.  With the table, the depth comes from the
+words (:func:`_depth_words`) and the width's greedy from the table; without
+it, both read the covers walked on the rows.
 
 Every count is in one unit, the pair test ``a & b not in S`` of the pair
 loop (about 50 ns on CPython 3.11), with one weight per step kind: a
@@ -78,6 +86,23 @@ def _fill_steps(size: int, family: Iterable[int]) -> int:
     """The submask fill: Σ_{C ≠ X} 2^|C| steps."""
     full = (1 << size) - 1
     return sum(1 << c.bit_count() for c in family if c != full)
+
+
+def _recursion_pays(size: int, closed: Sequence[int], words: int) -> bool:
+    """Whether the checked superset recursion costs less than ``words``,
+    the words' count, plus the image table a later stage may read,
+    min(fill, recursion).  The fill's sum reads the ascending ``closed``
+    from the top, X last and left out, and stops once it passes the
+    margin."""
+    margin = _checked_recursion_steps(size) - words
+    if margin >= _recursion_steps(size):
+        return False
+    fill = 0
+    i = len(closed) - 1
+    while fill <= margin and i:
+        i -= 1
+        fill += 1 << closed[i].bit_count()
+    return fill > margin
 
 
 def _word_steps(size: int, ops: int) -> int:
@@ -241,3 +266,30 @@ def _irreducible_words(size: int, closed: Iterable[int]) -> list[int]:
                 word &= mx | ((beyond & mx) >> (1 << x))
         irreducible |= word
     return _set_bits(irreducible, size)
+
+
+def _depth_words(size: int, closed: Sequence[int]) -> int:
+    """The longest chain of nonempty closed sets, from the ascending closed
+    sets of f alone: the last k with R_k ≠ 0, where R_0 = {f(∅)} and
+    R_{k+1} = D ∧ U_k, U_k the strict supersets of the members of R_k.
+
+    U_k = up(⋃_x (R_k ∧ ¬M_x) << 2^x), up repeating U |= (U ∧ ¬M_x) << 2^x
+    over x, and one sweep over x ascending builds both at once:
+    U |= ((R_k ∨ U) ∧ ¬M_x) << 2^x.  A strict superset B of A ∈ R_k is
+    reached by adding the elements of B ∖ A in ascending order, one per
+    step, and each step lands in U; a set never shifted stays out of U.  So
+    by induction R_k holds the closed sets that end a chain
+    f(∅) = C_0 ⊊ C_1 ⊊ … ⊊ C_k.  f(∅), the least closed set, starts every
+    longest chain, so the last such k is the depth; R_k is empty once k > n.
+    """
+    lacking = [~m for m in _element_words(size)]
+    family = _indicator(size, closed)
+    level = 1 << closed[0]
+    depth = -1
+    while level:
+        depth += 1
+        above = 0
+        for x, m in enumerate(lacking):
+            above |= ((level | above) & m) << (1 << x)
+        level = family & above
+    return depth

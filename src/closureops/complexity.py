@@ -28,22 +28,29 @@ win on the discrete family, where the covers number n·2^(n−1); whichever
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
-In the profile the covers of S(f), from the inclusion order
-:meth:`~closureops.poset.FinitePoset.from_topology` keeps, give P(f), the
-width and the depth, all three read from the closed sets' bit patterns: no
-mask is built for S(f) beyond the members of P(f).  The width is a number,
-certified by Dilworth's theorem (:func:`_width`): the largest cardinality
-level is an antichain, a greedy cover along the covers gives as many chains,
-and only when the two differ does the matching
-(:func:`~closureops.poset._matched_cover`) run, on the rows of that same
-order, started from the greedy chains.  No chain of S(f) is kept.  So the
-rows of S(f) are built at most once per profile: for the covers when f holds
-no image table, else for the matching if it runs.  On the discrete family
-the bounds meet at C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the
-matching over its 3^n comparable pairs cost O(3^n).  The weak-order
-witnesses come from a minimum chain cover of P(f) by the same matching, on
-P(f)'s bit patterns and inclusion rows, so their chains do not depend on
-which route settled the width.
+All three of P(f), the width and the depth are read from the closed sets' bit
+patterns: no mask is built for S(f) beyond the members of P(f).  Which route
+reads them depends on whether f holds its image table (:func:`_shape`).
+Without one (a sparse family that pairs or words validated), the covers of
+S(f), walked on the rows of the inclusion order
+:meth:`~closureops.poset.FinitePoset.from_topology` keeps, give all three.
+With one (a dense family that the superset recursion validated, or an
+operator built from images), no cover is needed: P(f) comes from
+:func:`meet_irreducibles`, the depth from the words
+(:func:`~closureops._words._depth_words`) and the width's greedy from the
+table; the n·2^(n−1) covers of the discrete family are never built.  The
+width is a number, certified by Dilworth's theorem (:func:`_width`): the
+largest cardinality level is an antichain, a greedy cover linking each
+closed set to a strict superset gives as many chains, and only when the two
+differ does the matching (:func:`~closureops.poset._matched_cover`) run, on
+the rows of that same order, started from the greedy chains.  No chain of
+S(f) is kept.  So the rows of S(f) are built at most once per profile: for
+the covers when f holds no image table, else for the matching if it runs.
+On the discrete family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs
+O(n·2^n) steps where the matching over its 3^n comparable pairs cost
+O(3^n).  The weak-order witnesses come from a minimum chain cover of P(f) by
+the same matching, on P(f)'s bit patterns and inclusion rows, so their
+chains do not depend on which route settled the width.
 Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
 
@@ -74,7 +81,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ._words import _cover_steps, _irreducible_steps, _irreducible_words
+from ._words import _cover_steps, _depth_words, _irreducible_steps, _irreducible_words
 from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
@@ -135,38 +142,73 @@ def _irreducible_set(topology: Topology, p_of_f: Sequence[int]) -> IrreducibleSe
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
 
 
-def _width(bits: Sequence[int], poset: FinitePoset) -> int:
-    """The width of S(f), over its bit patterns ``bits``, certified by
-    Dilworth's theorem.  ``poset`` is the inclusion order of S(f) from
-    :meth:`FinitePoset.from_topology`: the greedy reads its covers, and the
-    matching its rows.
+def _width(f: Topology, order: FinitePoset) -> int:
+    """The width of S(f), certified by Dilworth's theorem.  ``order`` is the
+    inclusion order of S(f) from :meth:`FinitePoset.from_topology`: the
+    greedy reads its covers when f holds no image table, and the matching
+    its rows.
 
     Closed sets of one cardinality are an antichain, so the largest level
     bounds the width from below.  A greedy cover bounds it from above: the
     sets, taken by descending cardinality, each hang below the first chain
-    whose bottom is one of their upper covers and is still free.  Each
-    chain ends at a top that found no such chain, so the chains number the
-    sets without a successor.  If the bounds meet, that is the width.
-    Otherwise the matching finishes the job, started from the greedy links
-    (each is a cover pair, so they form a matching of the strict order), and
-    its König antichain certifies the width it returns.
+    whose bottom is a strict superset on their list and is still free
+    (:func:`_image_links`, :func:`_cover_links`).  Each chain ends at a top
+    that found no such chain, so the chains number the sets without a
+    successor.  If the bounds meet, that is the width.  Otherwise the
+    matching finishes the job, started from the greedy links (each is a
+    strict inclusion, so they form a matching of the strict order), and its
+    König antichain certifies the width it returns.
     """
-    covers = poset.upper_cover_indices()
-    sizes = [a.bit_count() for a in bits]
-    free = bytearray(len(bits))  # chain bottoms nothing hangs below yet
-    succ = [-1] * len(bits)
-    for i in sorted(range(len(bits)), key=sizes.__getitem__, reverse=True):
+    bits = f.bits
+    if f._images is None:
+        succ = _cover_links(bits, order.upper_cover_indices())
+    else:
+        succ = _image_links(bits, f._images)
+    widest = max(Counter(map(int.bit_count, bits)).values())
+    if len(bits) - len(succ) == widest:
+        return widest
+    index = {a: i for i, a in enumerate(bits)}
+    links = ((index[a], index[c]) for a, c in succ.items())
+    return _matched_cover(bits, order.up, links).width
+
+
+def _image_links(closed: Sequence[int], images: Sequence[int]) -> dict[int, int]:
+    """The greedy's links, by bit pattern, from the image table: each closed
+    A, by descending cardinality, links to the first f(A ∪ {y}), y ascending
+    outside A, that has no predecessor yet.  f(A ∪ {y}) is a closed strict
+    superset of A, so no cover is needed."""
+    full = closed[-1]
+    free = bytearray(full + 1)  # chain bottoms nothing hangs below yet
+    succ = {}
+    for a in sorted(closed, key=int.bit_count, reverse=True):
+        rest = full ^ a
+        while rest:
+            y = rest & -rest
+            rest ^= y
+            c = images[a | y]
+            if free[c]:
+                free[c] = 0
+                succ[a] = c
+                break
+        free[a] = 1
+    return succ
+
+
+def _cover_links(closed: Sequence[int], covers: Sequence[Sequence[int]]) -> dict[int, int]:
+    """The greedy's links, by bit pattern, along the upper covers: each
+    closed set, by descending cardinality, links to its first upper cover
+    that has no predecessor yet."""
+    sizes = [a.bit_count() for a in closed]
+    free = bytearray(len(closed))
+    succ = {}
+    for i in sorted(range(len(closed)), key=sizes.__getitem__, reverse=True):
         for j in covers[i]:
             if free[j]:
                 free[j] = 0
-                succ[i] = j
+                succ[closed[i]] = closed[j]
                 break
         free[i] = 1
-    widest = max(Counter(sizes).values())
-    if succ.count(-1) == widest:
-        return widest
-    links = ((i, j) for i, j in enumerate(succ) if j >= 0)
-    return _matched_cover(bits, poset.up, links).width
+    return succ
 
 
 def _depth(covers: Sequence[Sequence[int]]) -> int:
@@ -177,6 +219,20 @@ def _depth(covers: Sequence[Sequence[int]]) -> int:
         for j in above:
             longest[j] = max(longest[j], longest[i] + 1)
     return longest[-1]
+
+
+def _shape(f: Topology) -> tuple[IrreducibleSet, int, int]:
+    """P(f), ``width_s`` and ``depth_s``.  With no image table they are read
+    from the covers of S(f), walked on its rows.  With one, P(f) comes from
+    :func:`meet_irreducibles`, the depth from the words
+    (:func:`~closureops._words._depth_words`) and the width's greedy from
+    the table, so no cover of S(f) is built unless the chooser of P(f)
+    prices the sweep cheaper than the words."""
+    order = FinitePoset.from_topology(f)
+    if f._images is None:
+        covers = order.upper_cover_indices()
+        return _irreducibles(f, covers), _width(f, order), _depth(covers)
+    return meet_irreducibles(f), _width(f, order), _depth_words(f.ground.size, f.bits)
 
 
 @dataclass(frozen=True)
@@ -211,23 +267,21 @@ class ComplexityProfile:
 def complexity_profile(f: Topology) -> ComplexityProfile:
     """Compute both complexity measures of f together with optimal witnesses.
 
-    Runs both witness stages (:func:`_weak_order_witness` and
-    :func:`_binary_witness`) on P(f), then the width and depth of S(f) from
-    the same covers.  Each stage verifies its list at the closed sets of f
-    (proof in the module docstring); a failure would be an implementation
-    bug and raises :class:`WitnessVerificationFailed`.  The profile keeps
-    both reports.
+    Reads P(f), the width and the depth of S(f) on one route
+    (:func:`_shape`), then runs both witness stages
+    (:func:`_weak_order_witness` and :func:`_binary_witness`) on P(f).  Each
+    stage verifies its list at the closed sets of f (proof in the module
+    docstring); a failure would be an implementation bug and raises
+    :class:`WitnessVerificationFailed`.  The profile keeps both reports.
     """
-    poset = FinitePoset.from_topology(f)
-    covers = poset.upper_cover_indices()
-    irreducibles = _irreducibles(f, covers)
+    irreducibles, width_s, depth_s = _shape(f)
     weak_orders, weak_order_check = _weak_order_witness(irreducibles)
     binary, binary_check = _binary_witness(irreducibles)
     return ComplexityProfile(
         mnwo=len(weak_orders),
         mnbc=len(binary),
-        width_s=_width(f.bits, poset),
-        depth_s=_depth(covers),
+        width_s=width_s,
+        depth_s=depth_s,
         class_count=len(f) - 1,
         weak_order_witness=weak_orders,
         binary_witness=binary,

@@ -55,7 +55,7 @@ from operator import ne
 
 from ._words import _above, _checked_recursion_steps, _element_words, _fill_steps
 from ._words import _image_planes, _missing_meet_steps, _missing_meets, _pair_steps
-from ._words import _recursion_steps, _set_bits
+from ._words import _recursion_pays, _recursion_steps, _set_bits
 from .errors import (
     ForeignMask,
     GroundSetMismatch,
@@ -343,14 +343,15 @@ class Topology:
         size = self.ground.size
         count = len(closed)
         pairs = _pair_steps(count)
+        words = _missing_meet_steps(size, count)
         missing: list[int] = []
-        if _checked_recursion_steps(size) < pairs:
+        if _checked_recursion_steps(size) < pairs and _recursion_pays(size, closed, words):
             images = _superset_dp(full, bitset)
             if bitset.issuperset(images):
                 object.__setattr__(self, "_images", images)
                 return
             missing = [m for m, image in enumerate(images) if m == image and m not in bitset]
-        elif _missing_meet_steps(size, count) < pairs:
+        elif words < pairs:
             missing = _missing_meets(size, closed)
             if not missing:
                 return

@@ -13,9 +13,11 @@ equal inputs produce byte-equal outputs.
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
 cheap word operations.  A poset also keeps each item's upper covers, as index
-lists, built when first read; the Hasse diagram and
-:mod:`closureops.complexity` read them, and nothing outside this module
-computes covers.  There are two kinds of order, and which route runs:
+lists, built when first read.  The Hasse diagram reads them, and so does
+:mod:`closureops.complexity`: for P(f) where the covers cost less than the
+words, and for the width and depth of S(f) when f holds no image table.
+Nothing outside this module computes covers.  There are two kinds of order,
+and which route runs:
 
 * A :class:`FinitePoset` holds the rows it is given.  ``FinitePoset(items,
   up)`` from user data validates the order axioms eagerly, so malformed

@@ -31,6 +31,7 @@ from closureops import poset as poset_module
 from conftest import (
     ABCD,
     atoms_topology,
+    brute_depth,
     brute_meet_reducible,
     brute_width,
     chain_bits,
@@ -57,6 +58,7 @@ from conftest import (
     sub,
     tall_chain_topology,
     topo,
+    truncated_bits,
     wide_topology,
 )
 
@@ -365,7 +367,9 @@ def test_discrete_family_closed_forms_at_twelve_elements():
 
 def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
     # width_s is certified by the largest level when the greedy cover meets
-    # it, and finished by the warm-started matching otherwise.
+    # it, and finished by the warm-started matching otherwise.  The greedy
+    # links along the covers without an image table, and along f(A ∪ {y})
+    # read from the table with one.
     matched_cover = complexity._matched_cover
     fallbacks = []
 
@@ -379,15 +383,36 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
         g = GroundSet(tuple(f"e{i}" for i in range(n)))
-        t = Topology(g, random_family_bits(rng, n))
-        p = FinitePoset.from_topology(t)
-        before = len(fallbacks)
-        width = complexity._width(t.bits, p)
-        routes["fallback" if len(fallbacks) > before else "certified"] += 1
-        if len(fallbacks) > before:
-            check_chain_cover(FinitePoset(t.bits, p.up), fallbacks[-1])
-        assert width == p.min_chain_cover().width
-    assert routes["certified"] >= 20 and routes["fallback"] >= 20
+        bits = random_family_bits(rng, n)
+        for tabulated in (False, True):
+            t = Topology(g, bits)
+            if tabulated:
+                t.tabulate_bits()
+            else:  # drop the table validation may have left
+                object.__setattr__(t, "_images", None)
+            p = FinitePoset.from_topology(t)
+            before = len(fallbacks)
+            width = complexity._width(t, p)
+            outcome = "fallback" if len(fallbacks) > before else "certified"
+            routes[outcome, tabulated] += 1
+            if len(fallbacks) > before:
+                check_chain_cover(FinitePoset(t.bits, p.up), fallbacks[-1])
+            assert width == p.min_chain_cover().width
+            assert ("_covers" in vars(p)) is not tabulated
+    assert min(routes.values()) >= 20 and len(routes) == 4
+
+
+def test_word_depth_matches_the_covers_and_brute_force():
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), random_family_bits(rng, n))
+        t.tabulate_bits()
+        depth = _words._depth_words(n, t.bits)
+        assert depth == complexity._depth(FinitePoset.from_topology(t).upper_cover_indices())
+        if len(t) <= 150:  # the oracle takes |S|² mask comparisons
+            assert depth == brute_depth(t.closed)
+        assert complexity_profile(t).depth_s == depth
 
 
 def test_profile_reads_closed_sets_without_masks(monkeypatch):
@@ -471,15 +496,17 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
     assert t._images is None
     assert complexity_profile(t).width_s == 2
     assert built == {"_inclusion_rows": 2, "_walked_covers": 1, "matchings": 2}
-    # With the image table the covers are swept, and the matching alone
-    # builds the rows of S(f).
+    # With the image table the greedy reads the table and P(f) the words, so
+    # no cover is built and the matching alone builds the rows of S(f).
     built.clear()
+    g = GroundSet(tuple(f"e{i}" for i in range(10)))
+    t = Topology(g, random_family_bits(random.Random(17), 10))
     t.tabulate_bits()
-    assert complexity_profile(t).width_s == 2
-    assert built == {"_inclusion_rows": 2, "_swept_covers": 1, "matchings": 2}
+    assert complexity_profile(t).width_s == 8
+    assert built == {"_inclusion_rows": 2, "matchings": 2}
 
 
-@pytest.mark.parametrize("n", [14, 15, 16])
+@pytest.mark.parametrize("n", [14, 15, 16, 17, 18])
 def test_discrete_family_closed_forms_at_large_n(n):
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     profile = complexity_profile(Topology(g, range(1 << n)).operator())
@@ -489,6 +516,29 @@ def test_discrete_family_closed_forms_at_large_n(n):
     assert profile.mnwo == profile.mnbc == n
     assert profile.irreducibles.p_of_f == (*coatoms, g.full)
     assert profile.class_count == (1 << n) - 1
+
+
+def test_a_tabulated_profile_at_sixteen_builds_no_covers(monkeypatch):
+    # Validation leaves the image table behind on both families, so P(f)
+    # comes from the words, the depth from the words and the width's greedy
+    # from the table.  Truncated: the 14-subsets each have X as their one
+    # upper cover, so they and X are P(f), and a longest chain climbs one
+    # element at a time to a 14-subset, then to X.
+    def refuse(*args):
+        raise AssertionError("the covers of S(f) were built")
+
+    monkeypatch.setattr(poset_module, "_swept_covers", refuse)
+    monkeypatch.setattr(poset_module, "_walked_covers", refuse)
+    n = 16
+    g = GroundSet(tuple(f"e{i}" for i in range(n)))
+    families = ((range(1 << n), n, n), (truncated_bits(n), comb(n, 2), n - 1))
+    for bits, irreducibles, depth in families:
+        t = Topology(g, bits)
+        assert t._images is not None
+        profile = complexity_profile(t)
+        assert profile.width_s == comb(n, n // 2)
+        assert profile.depth_s == depth
+        assert profile.mnwo == profile.mnbc == irreducibles
 
 
 @pytest.mark.parametrize(
@@ -525,7 +575,7 @@ def test_the_matching_covers_p_and_s_of_random_labelings_at_large_n(n):
         check_chain_cover(reference, cover)
         assert cover == oracle_min_chain_cover(reference)
     # cover is now that of S(f), whose width _width certifies on its own route
-    assert complexity._width(t.bits, FinitePoset.from_topology(t)) == cover.width
+    assert complexity._width(t, FinitePoset.from_topology(t)) == cover.width
 
 
 def test_discrete_width_is_certified_without_the_matching_at_sixteen(monkeypatch):
@@ -535,7 +585,7 @@ def test_discrete_width_is_certified_without_the_matching_at_sixteen(monkeypatch
     monkeypatch.setattr(complexity, "_matched_cover", refuse)
     n = 16
     t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), range(1 << n))
-    assert complexity._width(t.bits, FinitePoset.from_topology(t)) == comb(16, 8) == 12_870
+    assert complexity._width(t, FinitePoset.from_topology(t)) == comb(16, 8) == 12_870
 
 
 def test_discrete_family_hasse_edges_at_fourteen_elements():

@@ -5,10 +5,13 @@ closure in ``Topology`` (the superset recursion, the words or the pair
 loop), P(f) in ``meet_irreducibles`` (the words, or covers swept from the
 image table or walked on the rows), the meet images of a family (the submask
 fill or the superset recursion) and the Möbius walk (Rota's theorem or the
-interval loop).  Every route gives the same answer, so a change to a step
-weight shows only in which route runs; these tests make it show as a failed
-choice.  The routes are seen by the names of the functions that run, so the
-pins do not depend on which module holds a route.
+interval loop).  A fifth follows from the first: the profile reads P(f), the
+width and the depth of S(f) from the covers when validation left no image
+table, else from the words and the table.  Every route gives the same
+answer, so a change to a step weight shows only in which route runs; these
+tests make it show as a failed choice.  The routes are seen by the names of
+the functions that run, so the pins do not depend on which module holds a
+route.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import pytest
 from conftest import chain_bits, crown_bits, truncated_bits
 
 from closureops import FinitePoset, GroundSet, MenuPreference, Topology
-from closureops import core
+from closureops import complexity, core
 from closureops.complexity import meet_irreducibles
 from closureops.menus import kreps_operator
 
@@ -35,6 +38,8 @@ ROUTES = {
     "_walked_covers": "walked",
     "_rota_walk": "rota",
     "_interval_rows": "interval",
+    "_depth": "covers",
+    "_depth_words": "table",
 }
 
 
@@ -75,8 +80,8 @@ def _family(name: str, n: int) -> list[int]:
 
 
 def _choices(bits: list[int], n: int) -> str:
-    """The four routes taken on a family, as
-    ``validation/irreducibles/meet images/Möbius``."""
+    """The five routes taken on a family, as
+    ``validation/irreducibles/profile/meet images/Möbius``."""
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     with _routes_run() as seen:
         t = Topology(g, bits)
@@ -84,6 +89,13 @@ def _choices(bits: list[int], n: int) -> str:
     with _routes_run() as seen:
         meet_irreducibles(t)
     irreducibles = _one(seen)
+    # The profile's S(f) stage, before Rota's walk can leave a table behind.
+    with _routes_run() as seen:
+        complexity._shape(t)
+    profile = _one(seen & {"covers", "table"})
+    # The covers route walks the covers; the table route builds only those
+    # the chooser of P(f) asks for.
+    assert seen - {profile} == ({"walked"} if profile == "covers" else {irreducibles})
     with _routes_run() as seen:
         core._meet_images(n, bits)
     images = _one(seen)
@@ -91,23 +103,28 @@ def _choices(bits: list[int], n: int) -> str:
     with _routes_run() as seen:
         next(iter(poset.mobius_walk()))
     mobius = _one(seen - {"fill", "recursion"})
-    return f"{validation}/{irreducibles}/{images}/{mobius}"
+    return f"{validation}/{irreducibles}/{profile}/{images}/{mobius}"
 
 
 # Per family, the routes at n = 4, 5, ..., 18, as runs of (routes, sizes).
 PINNED = {
     "block": [
-        ("pairs/walked/fill/rota", 1),
-        ("pairs/walked/fill/interval", 5),
-        ("pairs/words/fill/interval", 1),
-        ("words/words/fill/interval", 3),
-        ("recursion/words/fill/interval", 1),
-        ("recursion/words/fill/rota", 4),
+        ("pairs/walked/covers/fill/rota", 1),
+        ("pairs/walked/covers/fill/interval", 5),
+        ("pairs/words/covers/fill/interval", 1),
+        ("words/words/covers/fill/interval", 4),
+        ("words/words/covers/fill/rota", 4),
     ],
-    "chain": [("pairs/walked/fill/rota", 1), ("pairs/walked/fill/interval", 14)],
-    "crown": [("pairs/words/fill/rota", 2), ("pairs/walked/fill/interval", 13)],
-    "discrete": [("recursion/swept/recursion/rota", 1), ("recursion/words/recursion/rota", 14)],
-    "truncated": [("recursion/swept/recursion/rota", 1), ("recursion/words/recursion/rota", 14)],
+    "chain": [("pairs/walked/covers/fill/rota", 1), ("pairs/walked/covers/fill/interval", 14)],
+    "crown": [("pairs/words/covers/fill/rota", 2), ("pairs/walked/covers/fill/interval", 13)],
+    "discrete": [
+        ("recursion/swept/table/recursion/rota", 1),
+        ("recursion/words/table/recursion/rota", 14),
+    ],
+    "truncated": [
+        ("recursion/swept/table/recursion/rota", 1),
+        ("recursion/words/table/recursion/rota", 14),
+    ],
 }
 
 
