@@ -20,8 +20,9 @@ the caller runs the one these counts price cheapest, counted before any runs:
   the superset recursion where strictly cheaper (the fill costs 3^n − 2^n
   on the discrete family);
 * P(f) (:func:`~closureops.complexity.meet_irreducibles`): the words
-  (:func:`_irreducible_words`) where strictly cheaper, else the covers of S,
-  swept from the image table or walked on the rows;
+  (:func:`_irreducible_words`) where strictly cheaper, else the covers of S
+  walked on the rows.  Both read S alone, so one family takes one route
+  whether or not it holds its image table;
 * the Möbius function (:meth:`~closureops.poset._ClosedSetOrder.mobius_walk`,
   the walk of the closed-set order ``FinitePoset.from_topology`` returns):
   Rota's closure theorem, unless the interval loop is strictly cheaper.
@@ -53,9 +54,9 @@ from itertools import compress
 #: with the words' length beyond, as measured for n = 4-20.
 _WORD_SHIFT = 11
 
-#: A step of the covers (a sweep reads an image, an index and a list; a row
-#: step ANDs rows of |S| bits) takes about as long as this many pair tests,
-#: as measured on the benchmark's families.
+#: A step of the covers walked on the rows (a column read ANDs rows of |S|
+#: bits, a walk step picks a cover) takes about as long as this many pair
+#: tests, as measured on the benchmark's families.
 _COVER_STEP = 8
 
 #: Per byte value, the positions of its set bits, ascending.
@@ -122,14 +123,11 @@ def _irreducible_steps(size: int, count: int) -> int:
     return count + _word_steps(size, size * (7 * size + 2))
 
 
-def _cover_steps(size: int, closed: Sequence[int], tabulated: bool) -> int:
-    """The upper covers of the closed sets (:data:`_COVER_STEP`): with an
-    image table, the Σ_{A ∈ S} (n − |A|) image reads of the sweep; without
-    one, the 2·Σ_{A ∈ S} |A| column reads that build the rows, plus at least
-    one step of the walk per closed set below X."""
+def _cover_steps(closed: Sequence[int]) -> int:
+    """The upper covers of the closed sets walked on the rows
+    (:data:`_COVER_STEP`): the 2·Σ_{A ∈ S} |A| column reads that build the
+    rows, plus at least one step of the walk per closed set below X."""
     members = sum(c.bit_count() for c in closed)
-    if tabulated:
-        return _COVER_STEP * (size * len(closed) - members)
     return _COVER_STEP * (2 * members + len(closed) - 1)
 
 

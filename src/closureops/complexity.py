@@ -20,11 +20,13 @@ is why these sets alone decide both measures.  So P(f) is the closed sets
 with at most one upper cover: if C alone covers A, every strict superset
 contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A.
 
-:func:`meet_irreducibles` finds P(f) by the covers, keeping the closed sets
-with at most one upper cover, or by the words
-(:func:`~closureops._words._irreducible_words`), which build no cover and
-win on the discrete family, where the covers number n·2^(n−1); whichever
-:mod:`closureops._words` counts cheaper.
+:func:`meet_irreducibles` finds P(f) by the covers walked on the inclusion
+rows of S(f), keeping the closed sets with at most one upper cover, or by
+the words (:func:`~closureops._words._irreducible_words`), which build no
+cover and win on the discrete family, where the covers number n·2^(n−1);
+whichever :mod:`closureops._words` counts cheaper.  Both routes read the
+closed sets alone, never the image table, so one family takes one route
+however it arrived.
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
@@ -35,22 +37,25 @@ Without one (a sparse family that pairs or words validated), the covers of
 S(f), walked on the rows of the inclusion order
 :meth:`~closureops.poset.FinitePoset.from_topology` keeps, give all three.
 With one (a dense family that the superset recursion validated, or an
-operator built from images), no cover is needed: P(f) comes from
-:func:`meet_irreducibles`, the depth from the words
+operator built from images), the width and depth need no cover: P(f) comes
+from :func:`meet_irreducibles`, the depth from the words
 (:func:`~closureops._words._depth_words`) and the width's greedy from the
-table; the n·2^(n−1) covers of the discrete family are never built.  The
-width is a number, certified by Dilworth's theorem (:func:`_width`): the
-largest cardinality level is an antichain, a greedy cover linking each
-closed set to a strict superset gives as many chains, and only when the two
-differ does the matching (:func:`~closureops.poset._matched_cover`) run, on
-the rows of that same order, started from the greedy chains.  No chain of
-S(f) is kept.  So the rows of S(f) are built at most once per profile: for
-the covers when f holds no image table, else for the matching if it runs.
-On the discrete family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs
-O(n·2^n) steps where the matching over its 3^n comparable pairs cost
-O(3^n).  The weak-order witnesses come from a minimum chain cover of P(f) by
-the same matching, on P(f)'s bit patterns and inclusion rows, so their
-chains do not depend on which route settled the width.
+table.  The n·2^(n−1) covers of the discrete family are never built; a
+sparser family's are walked only where the chooser of P(f) prices the walk
+cheaper than the words.  The width is a number, certified by Dilworth's
+theorem (:func:`_width`): the largest cardinality level is an antichain, a
+greedy cover linking each closed set to a strict superset gives as many
+chains, and only when the two differ does the matching
+(:func:`~closureops.poset._matched_cover`) run, on the rows of that same
+order, started from the greedy chains.  No chain of S(f) is kept.  So
+without a table the rows of S(f) are built once per profile, for the covers
+and the matching; with one, for the matching if it runs and for the walk of
+P(f) if the chooser takes it.  On the discrete family the bounds meet at
+C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the matching over its 3^n
+comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
+chain cover of P(f) by the same matching, on P(f)'s bit patterns and
+inclusion rows, so their chains do not depend on which route settled the
+width.
 Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
 
@@ -86,7 +91,7 @@ from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
 from .generators import _chain_classes
-from .poset import FinitePoset, _inclusion_rows, _matched_cover
+from .poset import FinitePoset, _inclusion_rows, _matched_cover, _walked_covers
 
 __all__ = [
     "IrreducibleSet",
@@ -116,14 +121,13 @@ class IrreducibleSet:
 def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`.
 
-    Takes the words or the upper covers of S(f), whichever
-    :mod:`closureops._words` counts cheaper."""
+    Takes the words or the upper covers of S(f) walked on its inclusion
+    rows, whichever :mod:`closureops._words` counts cheaper.  Both read the
+    closed sets alone, so the route depends on n and S(f) only."""
     size, closed = topology.ground.size, topology.bits
-    tabulated = topology._images is not None
-    if _irreducible_steps(size, len(closed)) < _cover_steps(size, closed, tabulated):
+    if _irreducible_steps(size, len(closed)) < _cover_steps(closed):
         return _irreducible_set(topology, _irreducible_words(size, closed))
-    covers = FinitePoset.from_topology(topology).upper_cover_indices()
-    return _irreducibles(topology, covers)
+    return _irreducibles(topology, _walked_covers(_inclusion_rows(closed)))
 
 
 def _irreducibles(topology: Topology, covers: Sequence[Sequence[int]]) -> IrreducibleSet:
@@ -227,7 +231,7 @@ def _shape(f: Topology) -> tuple[IrreducibleSet, int, int]:
     :func:`meet_irreducibles`, the depth from the words
     (:func:`~closureops._words._depth_words`) and the width's greedy from
     the table, so no cover of S(f) is built unless the chooser of P(f)
-    prices the sweep cheaper than the words."""
+    prices the walk cheaper than the words."""
     order = FinitePoset.from_topology(f)
     if f._images is None:
         covers = order.upper_cover_indices()

@@ -49,9 +49,9 @@ comes from a ``%``-template of its fixed keys.  A subset's name array at an
 indentation depth is two table reads and one concatenation: the first use
 of a depth builds, for each half of the ground set, the joined member lines
 of every subset of that half (2^⌈n/2⌉ strings per half).  The reports that
-list every closed set (``topology``, ``hasse`` and ``mobius``) are also
-rendered as lists of text pieces (``*_pieces``), which the CLI writes one
-at a time with no final join; their ``*_doc`` is the join of the pieces.
+list every closed set (``topology``, ``hasse`` and ``mobius``) are rendered
+as lists of text pieces instead (``*_pieces``), which the CLI writes one at
+a time with no final join; the report is the join of the pieces.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ __all__ = [
     "labeling_from",
     "preference_from",
     "subset_doc",
-    "topology_doc",
     "validation_doc",
     "profile_doc",
     "generation_doc",
@@ -97,8 +96,6 @@ __all__ = [
     "axioms_doc",
     "kreps_doc",
     "additive_doc",
-    "mobius_doc",
-    "hasse_doc",
     "topology_pieces",
     "mobius_pieces",
     "hasse_pieces",
@@ -490,16 +487,12 @@ def _array_pieces(writer: _Writer, bits: Sequence[int], depth: int) -> list[str]
 
 
 def topology_pieces(topology: Topology) -> list[str]:
-    """:func:`topology_doc` as a list of text pieces, the closed sets joined
-    a block at a time."""
+    """The ``topology`` report of ``topology`` as a list of text pieces, the
+    closed sets joined a block at a time."""
     writer = _Writer(topology.ground)
     start, before_sets, end = _template(("elements", "closed_sets"), 0).split("%s")
     sets = _array_pieces(writer, topology.bits, 1)
     return [start, writer.elements(1), before_sets, *sets, end]
-
-
-def topology_doc(topology: Topology) -> str:
-    return "".join(topology_pieces(topology))
 
 
 def validation_doc(report: ValidationReport) -> str:
@@ -657,6 +650,22 @@ def additive_doc(representation: AdditiveRepresentation) -> str:
     )
 
 
+def _array_of_rows(
+    pieces: list[str], first: int, head: str, between: str, tail: str, end: str
+) -> list[str]:
+    """``pieces`` with its rows, ``pieces[first:]``, made an array at depth 1
+    of the objects that start with ``head`` and end with ``tail``, followed
+    by ``end``.  Each row opens with ``between``, the text from one object to
+    the next, but the first object follows no other: the array's opening
+    replaces its lead.  With no row the array is ``[]``."""
+    if len(pieces) == first:
+        return [*pieces, "[]", end]
+    opening, closing = _array(["%s"], 1).split("%s")
+    pieces[first] = opening + head + pieces[first][len(between) :]
+    pieces.append(tail + closing + end)
+    return pieces
+
+
 def mobius_pieces(
     topology: Topology, rows: Iterable[tuple[list[int], Sequence[tuple[int, int]]]]
 ) -> list[str]:
@@ -685,7 +694,6 @@ def mobius_pieces(
     start, before_sets, before_entries, end = _template(
         ("elements", "closed_sets", "entries"), 0
     ).split("%s")
-    opening, closing = _array(["%s"], 1).split("%s")
     sets = _array_pieces(writer, closed, 1)
     pieces = [start, writer.elements(1), before_sets, *sets, before_entries]
     first = len(pieces)
@@ -696,17 +704,7 @@ def mobius_pieces(
         for j, mu in corrections:
             texts[bisect_left(above, j) + 1] = targets[j] + str(mu)
         pieces.append(lead.join(texts))
-    # The first entry follows no other: the array's opening replaces its lead.
-    pieces[first] = opening + head + pieces[first][len(between) :]
-    pieces.append(tail + closing + end)
-    return pieces
-
-
-def mobius_doc(
-    topology: Topology, rows: Iterable[tuple[list[int], Sequence[tuple[int, int]]]]
-) -> str:
-    """:func:`mobius_pieces` joined."""
-    return "".join(mobius_pieces(topology, rows))
+    return _array_of_rows(pieces, first, head, between, tail, end)
 
 
 def hasse_pieces(topology: Topology, covers: Sequence[Sequence[int]]) -> list[str]:
@@ -725,18 +723,7 @@ def hasse_pieces(topology: Topology, covers: Sequence[Sequence[int]]) -> list[st
         if above:
             lead = between + name + middle
             pieces.append(lead.join(["", *map(names.__getitem__, above)]))
-    if len(pieces) == first:
-        return [*pieces, "[]", end]
-    # The first edge follows no other: the array's opening replaces its lead.
-    opening, closing = _array(["%s"], 1).split("%s")
-    pieces[first] = opening + head + pieces[first][len(between) :]
-    pieces.append(tail + closing + end)
-    return pieces
-
-
-def hasse_doc(topology: Topology, covers: Sequence[Sequence[int]]) -> str:
-    """:func:`hasse_pieces` joined."""
-    return "".join(hasse_pieces(topology, covers))
+    return _array_of_rows(pieces, first, head, between, tail, end)
 
 
 def decomposition_doc(

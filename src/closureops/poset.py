@@ -14,10 +14,12 @@ Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
 cheap word operations.  A poset also keeps each item's upper covers, as index
 lists, built when first read.  The Hasse diagram reads them, and so does
-:mod:`closureops.complexity`: for P(f) where the covers cost less than the
-words, and for the width and depth of S(f) when f holds no image table.
-Nothing outside this module computes covers.  There are two kinds of order,
-and which route runs:
+:mod:`closureops.complexity` for the profile of an f that holds no image
+table.  :func:`~closureops.complexity.meet_irreducibles` needs no order
+object: where the covers cost less than the words, it walks them
+(:func:`_walked_covers`) on the inclusion rows of S(f)
+(:func:`_inclusion_rows`) directly.  Nothing outside this module computes
+covers.  There are two kinds of order, and which route runs:
 
 * A :class:`FinitePoset` holds the rows it is given.  ``FinitePoset(items,
   up)`` from user data validates the order axioms eagerly, so malformed
@@ -35,10 +37,11 @@ and which route runs:
   the rows take |S|² bits, 512 MB for the discrete family on 16 elements.
   When the operator holds its image table (validated by the superset
   recursion, or built from images) the covers are swept from it, about n
-  steps per closed set (:func:`_swept_covers`), and otherwise walked on the
+  steps per closed set (:func:`_swept_covers`), with no rows; only ``hasse``
+  and API callers read swept covers.  Otherwise they are walked on the
   rows, one step per cover, since the canonical order of S(f) extends
-  inclusion.  Only this order compares by its topology and walks its Möbius
-  rows.
+  inclusion.  Only this order compares by its topology and walks its
+  Möbius rows.
 
 A minimum chain cover is one function of items and int rows,
 :func:`_matched_cover`, which :mod:`closureops.complexity` calls on P(f)

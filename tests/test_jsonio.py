@@ -44,18 +44,18 @@ from closureops.jsonio import (
     generation_doc,
     generators_from,
     ground_from,
-    hasse_doc,
+    hasse_pieces,
     kreps_doc,
     labeling_doc,
     labeling_from,
-    mobius_doc,
+    mobius_pieces,
     operator_images_from,
     preference_from,
     profile_doc,
     subset_doc,
     subset_from,
-    topology_doc,
     topology_from,
+    topology_pieces,
     validation_doc,
     verified_doc,
     weak_order_doc,
@@ -461,7 +461,7 @@ def test_large_topology_documents_read_as_their_bits():
 
 def test_topology_document_round_trip():
     t = fork_topology()
-    text = topology_doc(t)
+    text = "".join(topology_pieces(t))
     doc = json.loads(text)
     assert text == _text(doc)
     assert doc == {
@@ -475,7 +475,7 @@ def test_topology_document_round_trip():
         ],
     }
     assert topology_from(doc) == t
-    assert topology_doc(topology_from(doc)) == text
+    assert "".join(topology_pieces(topology_from(doc))) == text
 
 
 def test_topology_document_distinguishes_malformed_from_wrong():
@@ -845,7 +845,7 @@ def test_additive_document_for_a_constant_preference():
 
 def test_mobius_document_for_a_chain():
     t = topo(ground("ab"), "", "a", "ab")
-    text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+    text = "".join(mobius_pieces(t, FinitePoset.from_topology(t).mobius_walk()))
     assert text == _text({
         "elements": ["a", "b"],
         "closed_sets": [[], ["a"], ["a", "b"]],
@@ -865,7 +865,7 @@ def test_mobius_report_matches_the_oracle_on_random_families(routes):
     for _ in range(200):
         n = rng.randint(1, 10)
         t = Topology(ground("abcdefghij"[:n]), random_family_bits(rng, n))
-        text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+        text = "".join(mobius_pieces(t, FinitePoset.from_topology(t).mobius_walk()))
         assert text == _text(oracle_mobius_doc(t, oracle_mobius(t)))
     assert routes["_rota_walk"] >= 20
     assert routes["_interval_rows"] >= 20
@@ -874,7 +874,7 @@ def test_mobius_report_matches_the_oracle_on_random_families(routes):
 def test_mobius_report_of_a_truncated_family_writes_its_corrections(routes):
     n = 10
     t = Topology(ground("abcdefghij"), truncated_bits(n))
-    text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+    text = "".join(mobius_pieces(t, FinitePoset.from_topology(t).mobius_walk()))
     assert routes == {"_rota_walk": 1}
     assert text == _text(oracle_mobius_doc(t, oracle_mobius(t)))
 
@@ -882,7 +882,7 @@ def test_mobius_report_of_a_truncated_family_writes_its_corrections(routes):
 def test_hasse_document_for_a_chain():
     t = topo(ground("ab"), "", "a", "ab")
     covers = FinitePoset.from_topology(t).upper_cover_indices()
-    assert hasse_doc(t, covers) == _text({
+    assert "".join(hasse_pieces(t, covers)) == _text({
         "elements": ["a", "b"],
         "edges": [
             {"lower": [], "upper": ["a"]},
@@ -893,7 +893,8 @@ def test_hasse_document_for_a_chain():
 
 def test_emission_is_byte_deterministic():
     t = fork_topology()
-    assert topology_doc(t) == topology_doc(topology_from(json.loads(topology_doc(t))))
+    text = "".join(topology_pieces(t))
+    assert "".join(topology_pieces(topology_from(json.loads(text)))) == text
     lab = animals_labeling()
     assert labeling_doc(lab) == labeling_doc(labeling_from(json.loads(labeling_doc(lab))))
 
@@ -945,7 +946,7 @@ def _reports(names, labels, seed, trivial):
     decomposition = check_generation(f, [w.operator() for w in profile.weak_order_witness])
     cases = [(subset_doc(m), oracle_subset_doc(m)) for m in (g.empty, g.full, witness)]
     cases += [
-        (topology_doc(t), oracle_topology_doc(t)),
+        ("".join(topology_pieces(t)), oracle_topology_doc(t)),
         (validation_doc(validation), oracle_validation_doc(validation)),
         (profile_doc(profile), oracle_profile_doc(profile)),
         (generation_doc(generation), oracle_generation_doc(generation)),
@@ -955,8 +956,11 @@ def _reports(names, labels, seed, trivial):
         (axioms_doc(axioms), oracle_axioms_doc(axioms)),
         (kreps_doc(kreps), oracle_kreps_doc(kreps)),
         (additive_doc(additive), oracle_additive_doc(additive)),
-        (mobius_doc(t, poset.mobius_walk()), oracle_mobius_doc(t, oracle_mobius(t))),
-        (hasse_doc(t, poset.upper_cover_indices()), oracle_hasse_doc(t, hasse_pairs(poset))),
+        ("".join(mobius_pieces(t, poset.mobius_walk())), oracle_mobius_doc(t, oracle_mobius(t))),
+        (
+            "".join(hasse_pieces(t, poset.upper_cover_indices())),
+            oracle_hasse_doc(t, hasse_pairs(poset)),
+        ),
         (
             decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),
             oracle_decomposition_doc(g, "weak-orders", profile.weak_order_witness, decomposition),
@@ -1047,9 +1051,9 @@ def test_name_arrays_match_a_plain_render_up_to_20_elements():
 def test_topology_and_hasse_reports_of_the_discrete_family_at_16_elements():
     n = 16
     t = Topology(ground([f"e{i:02d}" for i in range(n)]), range(1 << n))
-    assert topology_doc(t) == _text(oracle_topology_doc(t))
+    assert "".join(topology_pieces(t)) == _text(oracle_topology_doc(t))
     poset = FinitePoset.from_topology(t)
-    text = hasse_doc(t, poset.upper_cover_indices())
+    text = "".join(hasse_pieces(t, poset.upper_cover_indices()))
     assert text.count('"lower"') == n << (n - 1)
     assert _dumps_to(text, oracle_hasse_doc(t, hasse_pairs(poset)))
 
@@ -1058,9 +1062,9 @@ def test_topology_and_hasse_reports_of_a_random_labeling_at_20_elements():
     n = 20
     t = Topology(ground([f"x{i}" for i in range(n)]), labeling_bits(random.Random(36), n))
     assert len(t.bits) > 200
-    assert topology_doc(t) == _text(oracle_topology_doc(t))
+    assert "".join(topology_pieces(t)) == _text(oracle_topology_doc(t))
     poset = FinitePoset.from_topology(t)
-    text = hasse_doc(t, poset.upper_cover_indices())
+    text = "".join(hasse_pieces(t, poset.upper_cover_indices()))
     assert text == _text(oracle_hasse_doc(t, hasse_pairs(poset)))
 
 
@@ -1081,5 +1085,5 @@ def test_mobius_report_of_the_discrete_family_at_12_elements():
     assert boolean_mu(small) == oracle_mobius(small)
     n = 12
     t = Topology(ground([f"e{i:02d}" for i in range(n)]), range(1 << n))
-    text = mobius_doc(t, FinitePoset.from_topology(t).mobius_walk())
+    text = "".join(mobius_pieces(t, FinitePoset.from_topology(t).mobius_walk()))
     assert _dumps_to(text, oracle_mobius_doc(t, boolean_mu(t)))

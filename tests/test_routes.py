@@ -2,30 +2,38 @@
 
 Four choices pick between exact routes by counting steps: intersection
 closure in ``Topology`` (the superset recursion, the words or the pair
-loop), P(f) in ``meet_irreducibles`` (the words, or covers swept from the
-image table or walked on the rows), the meet images of a family (the submask
-fill or the superset recursion) and the Möbius walk (Rota's theorem or the
-interval loop).  A fifth follows from the first: the profile reads P(f), the
-width and the depth of S(f) from the covers when validation left no image
-table, else from the words and the table.  Every route gives the same
-answer, so a change to a step weight shows only in which route runs; these
-tests make it show as a failed choice.  The routes are seen by the names of
-the functions that run, so the pins do not depend on which module holds a
-route.
+loop), P(f) in ``meet_irreducibles`` (the words or the covers walked on the
+rows), the meet images of a family (the submask fill or the superset
+recursion) and the Möbius walk (Rota's theorem or the interval loop).  A
+fifth follows from the first: the profile reads P(f), the width and the
+depth of S(f) from the covers when validation left no image table, else from
+the words and the table.  Every route gives the same answer, so a change to
+a step weight shows only in which route runs; these tests make it show as a
+failed choice.  The routes are seen by the names of the functions that run,
+so the pins do not depend on which module holds a route.
+
+P(f) is chosen from S(f) alone: each family's twins with and without the
+image table take one route to one P(f), and neither sweeps its covers.  The
+last tests run ``hasse`` and ``mobius`` with the other route's structures
+refused: the sweep of a tabulated family builds no rows, and a table-less
+family's covers and Möbius rows build no image table.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 
 import pytest
 from conftest import chain_bits, crown_bits, truncated_bits
 
 from closureops import FinitePoset, GroundSet, MenuPreference, Topology
-from closureops import complexity, core
+from closureops import complexity, core, poset
+from closureops.cli import main
 from closureops.complexity import meet_irreducibles
 from closureops.menus import kreps_operator
 
@@ -79,6 +87,30 @@ def _family(name: str, n: int) -> list[int]:
     return sorted({*range(1 << max(n - 5, 1)), *(1 << i for i in range(n)), (1 << n) - 1})
 
 
+def _refuse(what: str):
+    def refuse(*args):
+        raise AssertionError(f"{what} was built")
+
+    return refuse
+
+
+def _irreducible_route(f: Topology) -> str:
+    """The P(f) route of f.  Twins of f, one holding its image table and one
+    without, must take the same route to the same P(f): the chooser reads
+    S(f) alone."""
+    images = f._images or core._meet_images(f.ground.size, f.bits)
+    tabulated = Topology._trusted(f.ground, images)
+    tableless = Topology._trusted(f.ground, images)
+    object.__setattr__(tableless, "_images", None)
+    seen = []
+    for twin in (tabulated, tableless):
+        with _routes_run() as routes:
+            p_of_f = meet_irreducibles(twin).p_of_f
+        seen.append((_one(routes), p_of_f))
+    assert seen[0] == seen[1]
+    return seen[0][0]
+
+
 def _choices(bits: list[int], n: int) -> str:
     """The five routes taken on a family, as
     ``validation/irreducibles/profile/meet images/Möbius``."""
@@ -86,9 +118,7 @@ def _choices(bits: list[int], n: int) -> str:
     with _routes_run() as seen:
         t = Topology(g, bits)
     validation = _one(seen, "pairs")
-    with _routes_run() as seen:
-        meet_irreducibles(t)
-    irreducibles = _one(seen)
+    irreducibles = _irreducible_route(t)
     # The profile's S(f) stage, before Rota's walk can leave a table behind.
     with _routes_run() as seen:
         complexity._shape(t)
@@ -117,14 +147,8 @@ PINNED = {
     ],
     "chain": [("pairs/walked/covers/fill/rota", 1), ("pairs/walked/covers/fill/interval", 14)],
     "crown": [("pairs/words/covers/fill/rota", 2), ("pairs/walked/covers/fill/interval", 13)],
-    "discrete": [
-        ("recursion/swept/table/recursion/rota", 1),
-        ("recursion/words/table/recursion/rota", 14),
-    ],
-    "truncated": [
-        ("recursion/swept/table/recursion/rota", 1),
-        ("recursion/words/table/recursion/rota", 14),
-    ],
+    "discrete": [("recursion/words/table/recursion/rota", 15)],
+    "truncated": [("recursion/words/table/recursion/rota", 15)],
 }
 
 
@@ -136,7 +160,8 @@ def _pinned(name: str, n: int) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 @pytest.mark.parametrize("n", range(4, 19))
-def test_each_chooser_keeps_its_route_on_fixed_families(name, n):
+def test_each_chooser_keeps_its_route_on_fixed_families(name, n, monkeypatch):
+    monkeypatch.setattr(poset, "_swept_covers", _refuse("a swept cover"))
     assert _choices(_family(name, n), n) == _pinned(name, n)
 
 
@@ -158,12 +183,48 @@ def _ladder_preference(n: int) -> MenuPreference:
 
 
 # The P(f) route of the menu ladder's Kreps operators at n = 5, 6, ..., 12.
-PINNED_KREPS = ["swept"] * 3 + ["words"] * 5
+PINNED_KREPS = ["walked"] * 3 + ["words"] * 5
 
 
 @pytest.mark.parametrize("n", range(5, 13))
-def test_the_kreps_operators_of_the_menu_ladder_keep_their_route(n):
+def test_the_kreps_operators_of_the_menu_ladder_keep_their_route(n, monkeypatch):
+    monkeypatch.setattr(poset, "_swept_covers", _refuse("a swept cover"))
     f = kreps_operator(_ladder_preference(n))
-    with _routes_run() as seen:
-        meet_irreducibles(f)
-    assert _one(seen) == PINNED_KREPS[n - 5]
+    assert _irreducible_route(f) == PINNED_KREPS[n - 5]
+
+
+def _report(tmp_path, command: str, n: int, bits) -> dict:
+    """``command`` run through the CLI on the topology of ``bits``."""
+    names = [f"e{i}" for i in range(n)]
+    closed = [[x for i, x in enumerate(names) if b >> i & 1] for b in bits]
+    top, out = tmp_path / "t.json", tmp_path / "out.json"
+    top.write_text(json.dumps({"elements": names, "closed_sets": closed}), encoding="utf-8")
+    assert main(["--out", str(out), command, "--topology", str(top)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", ["discrete", "truncated"])
+def test_hasse_sweeps_a_tabulated_family_without_rows(name, tmp_path, monkeypatch):
+    # Validation leaves the image table behind, and the sweep reads it: the
+    # walk would need |S|² bits of rows first.
+    monkeypatch.setattr(poset, "_inclusion_rows", _refuse("an inclusion row"))
+    monkeypatch.setattr(poset, "_walked_covers", _refuse("a walked cover"))
+    n = 12
+    # Each set of at most n − 3 elements is covered by its n − |A| one-element
+    # extensions; each (n − 2)-set by X alone.
+    edges = {
+        "discrete": n << (n - 1),
+        "truncated": sum(comb(n, k) * (n - k) for k in range(n - 2)) + comb(n, 2),
+    }
+    assert len(_report(tmp_path, "hasse", n, _family(name, n))["edges"]) == edges[name]
+
+
+@pytest.mark.parametrize("command, count", [("hasse", 18), ("mobius", 19 * 20 // 2)])
+def test_a_tableless_chain_builds_no_image_table(command, count, tmp_path, monkeypatch):
+    # The pair loop validates the chain and leaves no table; its covers are
+    # walked on the rows and its Möbius rows come from the interval loop.
+    monkeypatch.setattr(core, "_superset_dp", _refuse("an image table"))
+    monkeypatch.setattr(core, "_submask_fill", _refuse("an image table"))
+    n = 18
+    report = _report(tmp_path, command, n, [(1 << k) - 1 for k in range(n + 1)])
+    assert len(report["edges" if command == "hasse" else "entries"]) == count
