@@ -31,10 +31,11 @@ the caller runs the one these counts price cheapest, counted before any runs:
   only when Rota costs more than its |S|² scan.
 
 The profile's width and depth of S (:func:`~closureops.complexity._shape`)
-take no count of their own: the image table's presence, which the first
-choice decided, picks their route.  With the table, the depth comes from the
-words (:func:`_depth_words`) and the width's greedy from the table; without
-it, both read the covers walked on the rows.
+take no count of their own: they follow P(f)'s choice (:func:`_words_pay`),
+asked only of an f that holds its image table.  With the table and the
+words cheaper, D gives P(f) and the depth (:func:`_depth_words`) and the
+table the width's greedy; otherwise the covers walked on the rows give all
+three.
 
 Every count is in one unit, the pair test ``a & b not in S`` of the pair
 loop (about 50 ns on CPython 3.11), with one weight per step kind: a
@@ -129,6 +130,12 @@ def _cover_steps(closed: Sequence[int]) -> int:
     rows, plus at least one step of the walk per closed set below X."""
     members = sum(c.bit_count() for c in closed)
     return _COVER_STEP * (2 * members + len(closed) - 1)
+
+
+def _words_pay(size: int, closed: Sequence[int]) -> bool:
+    """Whether P(f) by the words (:func:`_irreducible_words`) costs strictly
+    less than by the covers of the ascending ``closed`` walked on the rows."""
+    return _irreducible_steps(size, len(closed)) < _cover_steps(closed)
 
 
 def _rota_steps(size: int, closed: Sequence[int], tabulated: bool) -> int:
@@ -237,9 +244,9 @@ def _missing_meets(size: int, family: Iterable[int]) -> list[int]:
     return _set_bits(every ^ (closed | escapes), size)
 
 
-def _irreducible_words(size: int, closed: Iterable[int]) -> list[int]:
-    """P(f), the meet-irreducible closed sets, ascending, from the closed
-    sets of f alone: {X} ∪ ⋃_y W_y with
+def _irreducible_words(size: int, family: int) -> list[int]:
+    """P(f), the meet-irreducible closed sets, ascending, from D, the
+    indicator of the closed sets of f (:func:`_indicator`): {X} ∪ ⋃_y W_y with
 
         W_y = D ∧ ¬M_y ∧ ⋀_{x ≠ y} (M_x ∨ ((¬Q_y ∧ M_x) >> 2^x)),
 
@@ -253,7 +260,6 @@ def _irreducible_words(size: int, closed: Iterable[int]) -> list[int]:
     """
     every = (1 << (1 << size)) - 1
     elements = _element_words(size)
-    family = _indicator(size, closed)
     irreducible = 1 << ((1 << size) - 1)
     for y, m in enumerate(elements):
         lacking = family & ~m
@@ -266,10 +272,11 @@ def _irreducible_words(size: int, closed: Iterable[int]) -> list[int]:
     return _set_bits(irreducible, size)
 
 
-def _depth_words(size: int, closed: Sequence[int]) -> int:
-    """The longest chain of nonempty closed sets, from the ascending closed
-    sets of f alone: the last k with R_k ≠ 0, where R_0 = {f(∅)} and
-    R_{k+1} = D ∧ U_k, U_k the strict supersets of the members of R_k.
+def _depth_words(size: int, family: int) -> int:
+    """The longest chain of nonempty closed sets, from D, the indicator of
+    the closed sets of f (:func:`_indicator`): the last k with R_k ≠ 0,
+    where R_0 = {∅} and R_{k+1} = D ∧ U_k, U_k the strict supersets of the
+    members of R_k.
 
     U_k = up(⋃_x (R_k ∧ ¬M_x) << 2^x), up repeating U |= (U ∧ ¬M_x) << 2^x
     over x, and one sweep over x ascending builds both at once:
@@ -277,12 +284,12 @@ def _depth_words(size: int, closed: Sequence[int]) -> int:
     reached by adding the elements of B ∖ A in ascending order, one per
     step, and each step lands in U; a set never shifted stays out of U.  So
     by induction R_k holds the closed sets that end a chain
-    f(∅) = C_0 ⊊ C_1 ⊊ … ⊊ C_k.  f(∅), the least closed set, starts every
-    longest chain, so the last such k is the depth; R_k is empty once k > n.
+    ∅ = C_0 ⊊ C_1 ⊊ … ⊊ C_k.  Every topology holds ∅, bit 0 of D, and ∅
+    starts every longest chain, so the last such k is the depth; R_k is
+    empty once k > n.
     """
     lacking = [~m for m in _element_words(size)]
-    family = _indicator(size, closed)
-    level = 1 << closed[0]
+    level = 1
     depth = -1
     while level:
         depth += 1

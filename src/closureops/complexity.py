@@ -31,28 +31,25 @@ however it arrived.
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
 All three of P(f), the width and the depth are read from the closed sets' bit
-patterns: no mask is built for S(f) beyond the members of P(f).  Which route
-reads them depends on whether f holds its image table (:func:`_shape`).
-Without one (a sparse family that pairs or words validated), the covers of
-S(f), walked on the rows of the inclusion order
-:meth:`~closureops.poset.FinitePoset.from_topology` keeps, give all three.
-With one (a dense family that the superset recursion validated, or an
-operator built from images), the width and depth need no cover: P(f) comes
-from :func:`meet_irreducibles`, the depth from the words
-(:func:`~closureops._words._depth_words`) and the width's greedy from the
-table.  The n·2^(n−1) covers of the discrete family are never built; a
-sparser family's are walked only where the chooser of P(f) prices the walk
-cheaper than the words.  The width is a number, certified by Dilworth's
-theorem (:func:`_width`): the largest cardinality level is an antichain, a
-greedy cover linking each closed set to a strict superset gives as many
-chains, and only when the two differ does the matching
-(:func:`~closureops.poset._matched_cover`) run, on the rows of that same
-order, started from the greedy chains.  No chain of S(f) is kept.  So
-without a table the rows of S(f) are built once per profile, for the covers
-and the matching; with one, for the matching if it runs and for the walk of
-P(f) if the chooser takes it.  On the discrete family the bounds meet at
-C(n, ⌊n/2⌋), so S(f) costs O(n·2^n) steps where the matching over its 3^n
-comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
+patterns: no mask is built for S(f) beyond the members of P(f).  One choice
+picks their route (:func:`_shape`): the words, if f holds its image table (a
+dense family that the superset recursion validated, or an operator built
+from images) and the chooser of P(f) prices them cheaper; the covers
+otherwise.  The chooser is asked only when the table is there.  On the
+words, the indicator word D of S(f) is built once, P(f) and the depth
+(:func:`~closureops._words._depth_words`) are read from it, and the width's
+greedy reads the table, so the n·2^(n−1) covers of the discrete family are
+never built.  On the covers, the inclusion rows of S(f) and the upper covers
+walked on them are built once, and give P(f), the greedy's links, the depth
+and, if the bounds miss, the matching.  The width is a number, certified by
+Dilworth's theorem (:func:`_width`): the largest cardinality level is an
+antichain, a greedy cover linking each closed set to a strict superset gives
+as many chains, and only when the two differ does the matching
+(:func:`~closureops.poset._matched_cover`) run, on the rows of S(f), started
+from the greedy chains.  No chain of S(f) is kept, and the rows of S(f) are
+built at most once per profile: on the words only if the matching runs.  On
+the discrete family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs O(n·2^n)
+steps where the matching over its 3^n comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
 chain cover of P(f) by the same matching, on P(f)'s bit patterns and
 inclusion rows, so their chains do not depend on which route settled the
 width.
@@ -86,12 +83,12 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ._words import _cover_steps, _depth_words, _irreducible_steps, _irreducible_words
+from ._words import _depth_words, _indicator, _irreducible_words, _words_pay
 from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
 from .generators import _chain_classes
-from .poset import FinitePoset, _inclusion_rows, _matched_cover, _walked_covers
+from .poset import _inclusion_rows, _matched_cover, _walked_covers
 
 __all__ = [
     "IrreducibleSet",
@@ -125,16 +122,10 @@ def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     rows, whichever :mod:`closureops._words` counts cheaper.  Both read the
     closed sets alone, so the route depends on n and S(f) only."""
     size, closed = topology.ground.size, topology.bits
-    if _irreducible_steps(size, len(closed)) < _cover_steps(closed):
-        return _irreducible_set(topology, _irreducible_words(size, closed))
-    return _irreducibles(topology, _walked_covers(_inclusion_rows(closed)))
-
-
-def _irreducibles(topology: Topology, covers: Sequence[Sequence[int]]) -> IrreducibleSet:
-    """P(f) and B(f), read from the upper covers of S(f) (module docstring)."""
-    return _irreducible_set(
-        topology, [a for a, above in zip(topology.bits, covers) if len(above) <= 1]
-    )
+    if _words_pay(size, closed):
+        return _irreducible_set(topology, _irreducible_words(size, _indicator(size, closed)))
+    covers = _walked_covers(_inclusion_rows(closed))
+    return _irreducible_set(topology, [a for a, above in zip(closed, covers) if len(above) <= 1])
 
 
 def _irreducible_set(topology: Topology, p_of_f: Sequence[int]) -> IrreducibleSet:
@@ -146,11 +137,10 @@ def _irreducible_set(topology: Topology, p_of_f: Sequence[int]) -> IrreducibleSe
     return IrreducibleSet(topology=topology, p_of_f=p, b_of_f=b_of_f)
 
 
-def _width(f: Topology, order: FinitePoset) -> int:
-    """The width of S(f), certified by Dilworth's theorem.  ``order`` is the
-    inclusion order of S(f) from :meth:`FinitePoset.from_topology`: the
-    greedy reads its covers when f holds no image table, and the matching
-    its rows.
+def _width(closed: Sequence[int], links: dict[int, int], rows: Sequence[int] | None) -> int:
+    """The width of S(f), certified by Dilworth's theorem, from its closed
+    sets, the greedy's ``links`` and its inclusion ``rows`` if built (else
+    ``None``: the matching builds them if it runs).
 
     Closed sets of one cardinality are an antichain, so the largest level
     bounds the width from below.  A greedy cover bounds it from above: the
@@ -163,17 +153,12 @@ def _width(f: Topology, order: FinitePoset) -> int:
     strict inclusion, so they form a matching of the strict order), and its
     König antichain certifies the width it returns.
     """
-    bits = f.bits
-    if f._images is None:
-        succ = _cover_links(bits, order.upper_cover_indices())
-    else:
-        succ = _image_links(bits, f._images)
-    widest = max(Counter(map(int.bit_count, bits)).values())
-    if len(bits) - len(succ) == widest:
+    widest = max(Counter(map(int.bit_count, closed)).values())
+    if len(closed) - len(links) == widest:
         return widest
-    index = {a: i for i, a in enumerate(bits)}
-    links = ((index[a], index[c]) for a, c in succ.items())
-    return _matched_cover(bits, order.up, links).width
+    index = {a: i for i, a in enumerate(closed)}
+    pairs = ((index[a], index[c]) for a, c in links.items())
+    return _matched_cover(closed, rows or _inclusion_rows(closed), pairs).width
 
 
 def _image_links(closed: Sequence[int], images: Sequence[int]) -> dict[int, int]:
@@ -226,17 +211,21 @@ def _depth(covers: Sequence[Sequence[int]]) -> int:
 
 
 def _shape(f: Topology) -> tuple[IrreducibleSet, int, int]:
-    """P(f), ``width_s`` and ``depth_s``.  With no image table they are read
-    from the covers of S(f), walked on its rows.  With one, P(f) comes from
-    :func:`meet_irreducibles`, the depth from the words
-    (:func:`~closureops._words._depth_words`) and the width's greedy from
-    the table, so no cover of S(f) is built unless the chooser of P(f)
-    prices the walk cheaper than the words."""
-    order = FinitePoset.from_topology(f)
-    if f._images is None:
-        covers = order.upper_cover_indices()
-        return _irreducibles(f, covers), _width(f, order), _depth(covers)
-    return meet_irreducibles(f), _width(f, order), _depth_words(f.ground.size, f.bits)
+    """P(f), ``width_s`` and ``depth_s``: from the indicator word of S(f)
+    and the image table if f holds one and the words price P(f) cheaper,
+    else from the covers of S(f) walked on its rows."""
+    size, closed = f.ground.size, f.bits
+    if f._images is not None and _words_pay(size, closed):
+        family = _indicator(size, closed)
+        width = _width(closed, _image_links(closed, f._images), None)
+        p_of_f, depth = _irreducible_words(size, family), _depth_words(size, family)
+    else:
+        rows = _inclusion_rows(closed)
+        covers = _walked_covers(rows)
+        width = _width(closed, _cover_links(closed, covers), rows)
+        p_of_f = [a for a, above in zip(closed, covers) if len(above) <= 1]
+        depth = _depth(covers)
+    return _irreducible_set(f, p_of_f), width, depth
 
 
 @dataclass(frozen=True)

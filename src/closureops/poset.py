@@ -13,13 +13,11 @@ equal inputs produce byte-equal outputs.
 Internally a poset over n items stores one n-bit row per item (``up[i]`` has
 bit j set iff item i ≤ item j), which keeps the O(n²)–O(n³) algorithms here in
 cheap word operations.  A poset also keeps each item's upper covers, as index
-lists, built when first read.  The Hasse diagram reads them, and so does
-:mod:`closureops.complexity` for the profile of an f that holds no image
-table.  :func:`~closureops.complexity.meet_irreducibles` needs no order
-object: where the covers cost less than the words, it walks them
-(:func:`_walked_covers`) on the inclusion rows of S(f)
-(:func:`_inclusion_rows`) directly.  Nothing outside this module computes
-covers.  There are two kinds of order, and which route runs:
+lists, built when first read.  The Hasse diagram reads them.
+:mod:`closureops.complexity` needs no order object: where P(f) or the
+profile reads the covers of S(f), it walks them (:func:`_walked_covers`) on
+the inclusion rows of S(f) (:func:`_inclusion_rows`) directly.  Nothing
+outside this module computes covers.  There are two kinds of order, and which route runs:
 
 * A :class:`FinitePoset` holds the rows it is given.  ``FinitePoset(items,
   up)`` from user data validates the order axioms eagerly, so malformed

@@ -120,11 +120,15 @@ def test_irreducibles_match_pairwise_oracle_on_random_families(seed, size):
     assert meet_irreducibles(t).p_of_f == _pairwise_irreducibles(t)
 
 
-def _forced_routes(t: Topology) -> tuple[list[int], list[int]]:
-    """P(f) as bit patterns by the words and by the covers, each forced."""
-    words = _words._irreducible_words(t.ground.size, t.bits)
-    covers = FinitePoset.from_topology(t).upper_cover_indices()
-    return words, [m.bits for m in complexity._irreducibles(t, covers).p_of_f]
+def _forced_routes(t: Topology) -> tuple[list[int], ...]:
+    """P(f) as bit patterns by the words and by the covers, each forced
+    through the chooser of ``meet_irreducibles``."""
+    routes = []
+    for words in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexity, "_words_pay", lambda size, closed: words)
+            routes.append([m.bits for m in meet_irreducibles(t).p_of_f])
+    return tuple(routes)
 
 
 def test_both_irreducible_routes_match_the_pairwise_oracle(monkeypatch):
@@ -160,7 +164,7 @@ def test_irreducibles_of_large_closed_forms(n):
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     full = g.full_bits
     coatoms = [full & ~(1 << i) for i in reversed(range(n))]
-    assert _words._irreducible_words(n, range(full + 1)) == [*coatoms, full]
+    assert _words._irreducible_words(n, (1 << (full + 1)) - 1) == [*coatoms, full]
     if n < 20:  # a Topology holding 2^20 closed sets takes 100 MB
         discrete = Topology._trusted(g, tuple(range(full + 1)))
         assert [m.bits for m in meet_irreducibles(discrete).b_of_f] == coatoms
@@ -321,17 +325,17 @@ def test_closed_set_verification_agrees_with_check_generation():
     "field, message", [("p_of_f", "weak-order witness"), ("b_of_f", "binary witness")]
 )
 def test_profile_rejects_a_witness_that_does_not_generate(monkeypatch, field, message):
-    real = complexity._irreducibles
+    real = complexity._irreducible_set
 
-    def short_of_one(topology, poset):
-        irreducibles = real(topology, poset)
+    def short_of_one(topology, p_of_f):
+        irreducibles = real(topology, p_of_f)
         members = getattr(irreducibles, field)
         dropped = members[len(members) // 2]
         return dataclasses.replace(
             irreducibles, **{field: tuple(m for m in members if m != dropped)}
         )
 
-    monkeypatch.setattr(complexity, "_irreducibles", short_of_one)
+    monkeypatch.setattr(complexity, "_irreducible_set", short_of_one)
     with pytest.raises(WitnessVerificationFailed, match=message):
         complexity_profile(fork_topology().operator())
 
@@ -347,22 +351,30 @@ def test_profile_widths_match_brute_force(seed, size):
     assert profile.class_count == len(t) - 1
 
 
-def test_discrete_family_closed_forms_at_twelve_elements():
+def test_discrete_family_closed_forms_at_twelve_elements(monkeypatch):
     # Every subset is closed: P(f) is the n coatoms plus X, every one-element
-    # extension is a cover (n·2^(n−1) edges), and the depth is n.  All three
-    # are read from one poset, without the width matching.
+    # extension is a cover (n·2^(n−1) edges), and the depth is n.  Without
+    # the image table the profile reads all three from the covers, and the
+    # width without the matching.
     n = 12
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     t = Topology(g, range(1 << n))
     poset = FinitePoset.from_topology(t)
     coatoms = tuple(g.mask(g.full_bits & ~(1 << i)) for i in reversed(range(n)))
-    irreducibles = complexity._irreducibles(t, poset.upper_cover_indices())
-    assert irreducibles.p_of_f == (*coatoms, g.full)
-    assert irreducibles.b_of_f == coatoms
     edges = hasse_pairs(poset)
     assert len(edges) == n << (n - 1) == 24_576
     assert all((upper.bits ^ lower.bits).bit_count() == 1 for lower, upper in edges)
-    assert complexity._depth(poset.upper_cover_indices()) == n
+
+    def refuse(*args):
+        raise AssertionError("the words, the table or the matching were read")
+
+    for name in ("_irreducible_words", "_depth_words", "_image_links", "_matched_cover"):
+        monkeypatch.setattr(complexity, name, refuse)
+    object.__setattr__(t, "_images", None)
+    irreducibles, width, depth = complexity._shape(t)
+    assert irreducibles.p_of_f == (*coatoms, g.full)
+    assert irreducibles.b_of_f == coatoms
+    assert (width, depth) == (comb(n, n // 2), n)
 
 
 def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
@@ -392,7 +404,12 @@ def test_certified_width_matches_the_matching_on_random_families(monkeypatch):
                 object.__setattr__(t, "_images", None)
             p = FinitePoset.from_topology(t)
             before = len(fallbacks)
-            width = complexity._width(t, p)
+            if tabulated:
+                links, rows = complexity._image_links(t.bits, t._images), None
+            else:
+                links = complexity._cover_links(t.bits, p.upper_cover_indices())
+                rows = p.up
+            width = complexity._width(t.bits, links, rows)
             outcome = "fallback" if len(fallbacks) > before else "certified"
             routes[outcome, tabulated] += 1
             if len(fallbacks) > before:
@@ -408,7 +425,7 @@ def test_word_depth_matches_the_covers_and_brute_force():
         n = rng.randint(1, 10)
         t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), random_family_bits(rng, n))
         t.tabulate_bits()
-        depth = _words._depth_words(n, t.bits)
+        depth = _words._depth_words(n, _words._indicator(n, t.bits))
         assert depth == complexity._depth(FinitePoset.from_topology(t).upper_cover_indices())
         if len(t) <= 150:  # the oracle takes |S|² mask comparisons
             assert depth == brute_depth(t.closed)
@@ -483,8 +500,8 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(poset_module, name, counted)
-    # The weak-order stage builds the rows of P(f) through its own import.
-    monkeypatch.setattr(complexity, "_inclusion_rows", poset_module._inclusion_rows)
+        if hasattr(complexity, name):  # complexity reads them through its own import
+            monkeypatch.setattr(complexity, name, counted)
     matched_cover = complexity._matched_cover
 
     def matched(items, up, links):
@@ -504,6 +521,17 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
     t.tabulate_bits()
     assert complexity_profile(t).width_s == 8
     assert built == {"_inclusion_rows": 2, "matchings": 2}
+    # With the image table but P(f) priced cheaper by the walk, the profile
+    # takes the covers: the rows of S(f) serve P(f), the greedy, the depth
+    # and the matching, built once.
+    built.clear()
+    rng = random.Random(27)
+    n = rng.randint(4, 10)
+    t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), random_family_bits(rng, n))
+    t.tabulate_bits()
+    assert not _words._words_pay(n, t.bits)
+    assert complexity_profile(t).width_s == 6
+    assert built == {"_inclusion_rows": 2, "_walked_covers": 1, "matchings": 2}
 
 
 @pytest.mark.parametrize("n", [14, 15, 16, 17, 18])
@@ -528,14 +556,26 @@ def test_a_tabulated_profile_at_sixteen_builds_no_covers(monkeypatch):
         raise AssertionError("the covers of S(f) were built")
 
     monkeypatch.setattr(poset_module, "_swept_covers", refuse)
-    monkeypatch.setattr(poset_module, "_walked_covers", refuse)
+    for module in (poset_module, complexity):
+        monkeypatch.setattr(module, "_walked_covers", refuse)
+    # P(f) and the depth read one indicator word of S(f).
+    indicators = []
+    indicator = complexity._indicator
+
+    def counted(size, family):
+        indicators.append(size)
+        return indicator(size, family)
+
+    monkeypatch.setattr(complexity, "_indicator", counted)
     n = 16
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     families = ((range(1 << n), n, n), (truncated_bits(n), comb(n, 2), n - 1))
     for bits, irreducibles, depth in families:
         t = Topology(g, bits)
         assert t._images is not None
+        indicators.clear()
         profile = complexity_profile(t)
+        assert indicators == [n]
         assert profile.width_s == comb(n, n // 2)
         assert profile.depth_s == depth
         assert profile.mnwo == profile.mnbc == irreducibles
@@ -574,8 +614,8 @@ def test_the_matching_covers_p_and_s_of_random_labelings_at_large_n(n):
         cover = poset_module._matched_cover(bits, reference.up, ())
         check_chain_cover(reference, cover)
         assert cover == oracle_min_chain_cover(reference)
-    # cover is now that of S(f), whose width _width certifies on its own route
-    assert complexity._width(t, FinitePoset.from_topology(t)) == cover.width
+    # cover is now that of S(f), whose width the profile certifies on its own route
+    assert complexity._shape(t)[1] == cover.width
 
 
 def test_discrete_width_is_certified_without_the_matching_at_sixteen(monkeypatch):
@@ -585,7 +625,7 @@ def test_discrete_width_is_certified_without_the_matching_at_sixteen(monkeypatch
     monkeypatch.setattr(complexity, "_matched_cover", refuse)
     n = 16
     t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), range(1 << n))
-    assert complexity._width(t, FinitePoset.from_topology(t)) == comb(16, 8) == 12_870
+    assert complexity._shape(t)[1] == comb(16, 8) == 12_870
 
 
 def test_discrete_family_hasse_edges_at_fourteen_elements():

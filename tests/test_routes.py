@@ -5,15 +5,18 @@ closure in ``Topology`` (the superset recursion, the words or the pair
 loop), P(f) in ``meet_irreducibles`` (the words or the covers walked on the
 rows), the meet images of a family (the submask fill or the superset
 recursion) and the Möbius walk (Rota's theorem or the interval loop).  A
-fifth follows from the first: the profile reads P(f), the width and the
-depth of S(f) from the covers when validation left no image table, else from
-the words and the table.  Every route gives the same answer, so a change to
+fifth follows from the first two: the profile reads P(f), the width and the
+depth of S(f) from the words and the table when f holds its image table and
+P(f) takes the words, else from the covers walked on the rows, and builds no
+order object either way.  Every route gives the same answer, so a change to
 a step weight shows only in which route runs; these tests make it show as a
 failed choice.  The routes are seen by the names of the functions that run,
 so the pins do not depend on which module holds a route.
 
 P(f) is chosen from S(f) alone: each family's twins with and without the
 image table take one route to one P(f), and neither sweeps its covers.  The
+menu ladder's Kreps operators hold their tables; at n = 14 and 16 P(f) walks,
+so their profiles read the covers and equal their table-less twins'.  The
 last tests run ``hasse`` and ``mobius`` with the other route's structures
 refused: the sweep of a tabulated family builds no rows, and a table-less
 family's covers and Möbius rows build no image table.
@@ -47,7 +50,9 @@ ROUTES = {
     "_rota_walk": "rota",
     "_interval_rows": "interval",
     "_depth": "covers",
+    "_cover_links": "covers",
     "_depth_words": "table",
+    "_image_links": "table",
 }
 
 
@@ -111,6 +116,19 @@ def _irreducible_route(f: Topology) -> str:
     return seen[0][0]
 
 
+def _profile_route(f: Topology) -> str:
+    """The route of f's profile, ``covers`` or ``table``, taken with no order
+    object built.  The covers route walks the covers and reads neither the
+    depth words nor the table's links; the table route builds no cover and
+    reads P(f) from the words."""
+    with pytest.MonkeyPatch.context() as patch, _routes_run() as seen:
+        patch.setattr(FinitePoset, "from_topology", _refuse("an order object"))
+        complexity._shape(f)
+    route = _one(seen & {"covers", "table"})
+    assert seen == {"covers": {"covers", "walked"}, "table": {"table", "words"}}[route]
+    return route
+
+
 def _choices(bits: list[int], n: int) -> str:
     """The five routes taken on a family, as
     ``validation/irreducibles/profile/meet images/Möbius``."""
@@ -119,13 +137,10 @@ def _choices(bits: list[int], n: int) -> str:
         t = Topology(g, bits)
     validation = _one(seen, "pairs")
     irreducibles = _irreducible_route(t)
-    # The profile's S(f) stage, before Rota's walk can leave a table behind.
-    with _routes_run() as seen:
-        complexity._shape(t)
-    profile = _one(seen & {"covers", "table"})
-    # The covers route walks the covers; the table route builds only those
-    # the chooser of P(f) asks for.
-    assert seen - {profile} == ({"walked"} if profile == "covers" else {irreducibles})
+    # The profile's S(f) stage, before Rota's walk can leave a table behind:
+    # the table route needs the table and the words for P(f).
+    profile = _profile_route(t)
+    assert (profile == "table") == (t._images is not None and irreducibles == "words")
     with _routes_run() as seen:
         core._meet_images(n, bits)
     images = _one(seen)
@@ -182,15 +197,35 @@ def _ladder_preference(n: int) -> MenuPreference:
     return MenuPreference(GroundSet(tuple(f"e{i}" for i in range(n))), values)
 
 
-# The P(f) route of the menu ladder's Kreps operators at n = 5, 6, ..., 12.
-PINNED_KREPS = ["walked"] * 3 + ["words"] * 5
+# The P(f) and profile routes of the menu ladder's Kreps operators at
+# n = 5, 6, ..., 12.  Each holds its image table, so the profile follows P(f).
+PINNED_KREPS = [("walked", "covers")] * 3 + [("words", "table")] * 5
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_the_kreps_operators_of_the_menu_ladder_keep_their_route(n, monkeypatch):
     monkeypatch.setattr(poset, "_swept_covers", _refuse("a swept cover"))
     f = kreps_operator(_ladder_preference(n))
-    assert _irreducible_route(f) == PINNED_KREPS[n - 5]
+    assert (_irreducible_route(f), _profile_route(f)) == PINNED_KREPS[n - 5]
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_a_large_kreps_operator_profiles_like_its_tableless_twin(n, monkeypatch):
+    # P(f) walks here although the Kreps map holds its table, so its profile
+    # reads the covers, as its twin without the table does, to the same
+    # profile, and builds no order object.
+    monkeypatch.setattr(poset, "_swept_covers", _refuse("a swept cover"))
+    f = kreps_operator(_ladder_preference(n))
+    assert f._images is not None and _irreducible_route(f) == "walked"
+    tableless = Topology._trusted(f.ground, f._images)
+    object.__setattr__(tableless, "_images", None)
+    profiles = []
+    for twin in (f, tableless):
+        assert _profile_route(twin) == "covers"
+        with monkeypatch.context() as patch:
+            patch.setattr(FinitePoset, "from_topology", _refuse("an order object"))
+            profiles.append(complexity.complexity_profile(twin))
+    assert profiles[0] == profiles[1]
 
 
 def _report(tmp_path, command: str, n: int, bits) -> dict:
