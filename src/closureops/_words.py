@@ -1,53 +1,62 @@
-"""The 2^n-bit word kernel, and the step counts that choose every exact route.
+"""The 2^n-bit word kernel, and the one module that prices exact routes.
 
 A family of subsets of X, |X| = n, is one 2^n-bit integer whose bit A is set
 iff A is in the family.  CPython works on such integers a machine word at a
 time, so one AND, OR or shift of a whole family costs about as much as a
 Python step while the words are short, and grows with 2^n beyond.
 
-Four facts of S = S(f) each have exact routes that give the same answer, and
-the caller runs the one these counts price cheapest, counted before any runs:
+Six facts of S = S(f) have exact routes that give the same answer.  Each
+priced fact has one chooser here, which counts its routes' steps before any
+runs and returns the name of the route; the caller dispatches on that name
+and counts nothing itself.  This table is the one statement of the rules:
 
-* intersection closure (:class:`~closureops.core.Topology`): the superset
-  recursion, which leaves the image table behind, wherever it is cheaper
-  than the pair loop and than the words plus the cheaper route to that
-  table, min(fill, recursion), which a later stage may read
-  (:func:`_recursion_pays`); else the words (:func:`_missing_meets`)
-  wherever they are cheaper than the pair loop; else the pair loop.  When a
-  meet is missing the pair loop runs too, over the members above one, so the
-  error names the same pair whichever route decided;
-* meet images (:func:`~closureops.core._meet_images`): the submask fill, or
-  the superset recursion where strictly cheaper (the fill costs 3^n − 2^n
-  on the discrete family);
-* P(f) (:func:`~closureops.complexity.meet_irreducibles`): the words
-  (:func:`_irreducible_words`) where strictly cheaper, else the covers of S
-  walked on the rows.  Both read S alone, so one family takes one route
-  whether or not it holds its image table;
-* the Möbius function (:meth:`~closureops.poset._ClosedSetOrder.mobius_walk`,
-  the walk of the closed-set order ``FinitePoset.from_topology`` returns):
-  Rota's closure theorem, unless the interval loop is strictly cheaper.
-  That loop costs 2·4^n on the discrete family, where Rota reads 3^n, but
-  about |S|² on a chain, where Rota reads about 2^(n+1); its rows are built
-  only when Rota costs more than its |S|² scan.
+=================  =========  =============================  ==================
+fact, caller       routes     price, and when it is taken    chooser
+=================  =========  =============================  ==================
+closure of S       recursion  (n + 2)·2^(n−1); below pairs,  _closure_route
+Topology                      and below words plus the
+                              table a later stage may
+                              read, min(fill, n·2^(n−1))
+                   words      |S| + W·n(3n + 7); below pairs
+                   pairs      |S|(|S| − 1)/2; otherwise, and
+                              over the members above a
+                              missing meet, to name it
+meet images        recursion  n·2^(n−1); below fill          _meet_route
+_meet_images       fill       Σ_{C ≠ X} 2^|C| over members
+P(f)               words      |S| + W·n(7n + 2); below       _irreducible_route
+meet_irreducibles             walked
+                   walked     C·(2·Σ_{A ∈ S} |A| + |S| − 1)
+profile of S       table      none of its own: iff f holds   _profile_route
+_shape                        its image table and P(f)
+                              takes the words
+                   covers     otherwise
+Möbius function    rota       R = Σ_{A ∈ S} 2^(n−|A|), plus  _mobius_route
+mobius_walk                   min(fill, n·2^(n−1)) without
+                              the table; unless above both
+                              |S|² and interval
+                   interval   |S|² + Σ_z |↓z|·|↑z| on the
+                              rows, built only when R is
+                              above |S|²
+Hasse covers       swept      none: iff f holds its image    one ``if``
+_covers                       table                          in _covers
+                   walked     otherwise
+=================  =========  =============================  ==================
 
-The profile's width and depth of S (:func:`~closureops.complexity._shape`)
-take no count of their own: they follow P(f)'s choice (:func:`_words_pay`),
-asked only of an f that holds its image table.  With the table and the
-words cheaper, D gives P(f) and the depth (:func:`_depth_words`) and the
-table the width's greedy; otherwise the covers walked on the rows give all
-three.
+Both routes to P(f) read S alone, so one family takes one route whether or
+not it holds its image table; the profile asks P(f)'s chooser only of an f
+that holds it.
 
 Every count is in one unit, the pair test ``a & b not in S`` of the pair
 loop (about 50 ns on CPython 3.11), with one weight per step kind: a
 recursion step, a fill step, a Rota read and an interval step weigh 1, a
-cover step :data:`_COVER_STEP`, and an operation on 2^n-bit words
-2 + 2^n >> :data:`_WORD_SHIFT`.
+cover step C = :data:`_COVER_STEP`, and an operation on 2^n-bit words
+W = 2 + 2^n >> :data:`_WORD_SHIFT`.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import compress
 
 #: An AND, OR or shift of 2^n-bit words counts as 2 + 2^n >> _WORD_SHIFT
@@ -68,20 +77,9 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range
 _PLANE_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
-def _pair_steps(count: int) -> int:
-    """The pair loop over ``count`` members: |S|(|S|−1)/2 pair tests."""
-    return count * (count - 1) // 2
-
-
 def _recursion_steps(size: int) -> int:
     """The superset recursion: n·2^(n−1) steps."""
     return size << (size - 1)
-
-
-def _checked_recursion_steps(size: int) -> int:
-    """The superset recursion and one membership test per subset:
-    (n + 2)·2^(n−1) steps."""
-    return (size + 2) << (size - 1)
 
 
 def _fill_steps(size: int, family: Iterable[int]) -> int:
@@ -90,72 +88,72 @@ def _fill_steps(size: int, family: Iterable[int]) -> int:
     return sum(1 << c.bit_count() for c in family if c != full)
 
 
-def _recursion_pays(size: int, closed: Sequence[int], words: int) -> bool:
-    """Whether the checked superset recursion costs less than ``words``,
-    the words' count, plus the image table a later stage may read,
-    min(fill, recursion).  The fill's sum reads the ascending ``closed``
-    from the top, X last and left out, and stops once it passes the
-    margin."""
-    margin = _checked_recursion_steps(size) - words
-    if margin >= _recursion_steps(size):
-        return False
-    fill = 0
-    i = len(closed) - 1
-    while fill <= margin and i:
-        i -= 1
-        fill += 1 << closed[i].bit_count()
-    return fill > margin
-
-
 def _word_steps(size: int, ops: int) -> int:
     """``ops`` operations on 2^size-bit words (:data:`_WORD_SHIFT`)."""
     return ops * (2 + ((1 << size) >> _WORD_SHIFT))
 
 
-def _missing_meet_steps(size: int, count: int) -> int:
-    """:func:`_missing_meets` on ``count`` members: one step per member for
-    D, and n(3n + 7) word operations."""
-    return count + _word_steps(size, size * (3 * size + 7))
+def _closure_route(size: int, closed: Sequence[int]) -> str:
+    """How intersection closure of the ascending ``closed`` is decided:
+    ``"recursion"``, ``"words"`` (:func:`_missing_meets`) or ``"pairs"``.
+    The fill's sum reads ``closed`` from the top, X last and left out, and
+    stops once it passes the recursion's margin over the words."""
+    count = len(closed)
+    pairs = count * (count - 1) // 2
+    words = count + _word_steps(size, size * (3 * size + 7))
+    recursion = (size + 2) << (size - 1)
+    margin = recursion - words
+    if recursion < pairs and margin < _recursion_steps(size):
+        fill = 0
+        i = count - 1
+        while fill <= margin and i:
+            i -= 1
+            fill += 1 << closed[i].bit_count()
+        if fill > margin:
+            return "recursion"
+    return "words" if words < pairs else "pairs"
 
 
-def _irreducible_steps(size: int, count: int) -> int:
-    """:func:`_irreducible_words` on ``count`` closed sets: one step per
-    closed set for D, and n(7n + 2) word operations."""
-    return count + _word_steps(size, size * (7 * size + 2))
+def _meet_route(size: int, family: Iterable[int]) -> str:
+    """How the images of a family holding ∅ and X are tabulated:
+    ``"recursion"`` or ``"fill"``."""
+    return "recursion" if _recursion_steps(size) < _fill_steps(size, family) else "fill"
 
 
-def _cover_steps(closed: Sequence[int]) -> int:
-    """The upper covers of the closed sets walked on the rows
-    (:data:`_COVER_STEP`): the 2·Σ_{A ∈ S} |A| column reads that build the
-    rows, plus at least one step of the walk per closed set below X."""
+def _irreducible_route(size: int, closed: Sequence[int]) -> str:
+    """How P(f) is found: ``"words"`` (:func:`_irreducible_words`) or
+    ``"walked"``, the covers of ``closed`` walked on the rows."""
+    words = len(closed) + _word_steps(size, size * (7 * size + 2))
     members = sum(c.bit_count() for c in closed)
-    return _COVER_STEP * (2 * members + len(closed) - 1)
+    walked = _COVER_STEP * (2 * members + len(closed) - 1)
+    return "words" if words < walked else "walked"
 
 
-def _words_pay(size: int, closed: Sequence[int]) -> bool:
-    """Whether P(f) by the words (:func:`_irreducible_words`) costs strictly
-    less than by the covers of the ascending ``closed`` walked on the rows."""
-    return _irreducible_steps(size, len(closed)) < _cover_steps(closed)
+def _profile_route(size: int, closed: Sequence[int], tabulated: bool) -> str:
+    """How the profile reads P(f), the width and the depth of S: ``"table"``
+    or ``"covers"``.  P(f)'s chooser is asked only when ``tabulated``."""
+    return "table" if tabulated and _irreducible_route(size, closed) == "words" else "covers"
 
 
-def _rota_steps(size: int, closed: Sequence[int], tabulated: bool) -> int:
-    """Rota's walk: R = Σ_{A ∈ S} 2^(n−|A|) image reads, plus the cheaper
-    route to the image table when there is none."""
-    reads = sum(1 << (size - c.bit_count()) for c in closed)
-    if tabulated:
-        return reads
-    return reads + min(_fill_steps(size, closed), _recursion_steps(size))
-
-
-def _interval_steps(up: Sequence[int]) -> int:
-    """The interval loop on the rows of an order: |S|² scan steps, plus
-    Σ_z |↓z|·|↑z| for the sums over every interval."""
+def _mobius_route(
+    size: int, closed: Sequence[int], tabulated: bool, rows: Callable[[], Sequence[int]]
+) -> str:
+    """How the Möbius function is walked: ``"rota"`` or ``"interval"``.
+    ``rows()``, the up-rows of the order, is read only when Rota costs more
+    than the interval loop's |S|² scan."""
+    rota = sum(1 << (size - c.bit_count()) for c in closed)
+    if not tabulated:
+        rota += min(_fill_steps(size, closed), _recursion_steps(size))
+    if rota <= len(closed) ** 2:
+        return "rota"
+    up = rows()
     below = [0] * len(up)
     for row in up:
         while row:
             below[(row & -row).bit_length() - 1] += 1
             row &= row - 1
-    return len(up) ** 2 + sum(b * row.bit_count() for b, row in zip(below, up))
+    interval = len(up) ** 2 + sum(b * row.bit_count() for b, row in zip(below, up))
+    return "rota" if rota <= interval else "interval"
 
 
 def _element_words(size: int) -> list[int]:

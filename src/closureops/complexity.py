@@ -23,36 +23,31 @@ contains C; if C ≠ D both cover A, then A ⊆ C ∩ D ⊊ C forces C ∩ D = A
 :func:`meet_irreducibles` finds P(f) by the covers walked on the inclusion
 rows of S(f), keeping the closed sets with at most one upper cover, or by
 the words (:func:`~closureops._words._irreducible_words`), which build no
-cover and win on the discrete family, where the covers number n·2^(n−1);
-whichever :mod:`closureops._words` counts cheaper.  Both routes read the
-closed sets alone, never the image table, so one family takes one route
-however it arrived.
+cover, as :func:`~closureops._words._irreducible_route` chooses.
 
 The profile also records coarser shape statistics of S(f): its width and depth
 as a lattice and the number of nonempty closed sets (distinguishable classes).
 All three of P(f), the width and the depth are read from the closed sets' bit
 patterns: no mask is built for S(f) beyond the members of P(f).  One choice
-picks their route (:func:`_shape`): the words, if f holds its image table (a
-dense family that the superset recursion validated, or an operator built
-from images) and the chooser of P(f) prices them cheaper; the covers
-otherwise.  The chooser is asked only when the table is there.  On the
-words, the indicator word D of S(f) is built once, P(f) and the depth
+picks their route (:func:`_shape`), the one
+:func:`~closureops._words._profile_route` returns.  On the table route, the
+indicator word D of S(f) is built once, P(f) and the depth
 (:func:`~closureops._words._depth_words`) are read from it, and the width's
 greedy reads the table, so the n·2^(n−1) covers of the discrete family are
-never built.  On the covers, the inclusion rows of S(f) and the upper covers
-walked on them are built once, and give P(f), the greedy's links, the depth
-and, if the bounds miss, the matching.  The width is a number, certified by
+never built.  On the covers route, the inclusion rows of S(f) and the
+upper covers walked on them are built once, and give P(f), the greedy's
+links, the depth and, if the bounds miss, the matching.  The width is a number, certified by
 Dilworth's theorem (:func:`_width`): the largest cardinality level is an
 antichain, a greedy cover linking each closed set to a strict superset gives
 as many chains, and only when the two differ does the matching
 (:func:`~closureops.poset._matched_cover`) run, on the rows of S(f), started
 from the greedy chains.  No chain of S(f) is kept, and the rows of S(f) are
-built at most once per profile: on the words only if the matching runs.  On
-the discrete family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs O(n·2^n)
-steps where the matching over its 3^n comparable pairs cost O(3^n).  The weak-order witnesses come from a minimum
-chain cover of P(f) by the same matching, on P(f)'s bit patterns and
-inclusion rows, so their chains do not depend on which route settled the
-width.
+built at most once per profile: on the table route only if the matching
+runs.  On the discrete family the bounds meet at C(n, ⌊n/2⌋), so S(f) costs
+O(n·2^n) steps where the matching over its 3^n comparable pairs cost O(3^n).
+The weak-order witnesses come from a minimum chain cover of P(f) by the
+same matching, on P(f)'s bit patterns and inclusion rows, so their chains
+do not depend on which route settled the width.
 Both witness lists are verified before they are returned, by the two
 generation conditions evaluated at the closed sets of f only:
 
@@ -73,7 +68,7 @@ witness has one stage that builds its list and checks it
 both and keeps both reports.  ``decompose`` runs only the stage of its kind
 and the Kreps representation only the weak-order stage, on the P(f) of
 :func:`meet_irreducibles` alone, without the width or depth of S(f), and so
-without the covers whenever the words are cheaper.  So each report
+without the covers whenever P(f) takes the words.  So each report
 verifies exactly the witness it prints, once.
 """
 
@@ -83,7 +78,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ._words import _depth_words, _indicator, _irreducible_words, _words_pay
+from ._words import _depth_words, _indicator, _irreducible_route, _irreducible_words
+from ._words import _profile_route
 from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, WitnessVerificationFailed
 from .generators import BinaryClassifier, GenerationReport, WeakOrder, check_generation
@@ -119,10 +115,9 @@ def meet_irreducibles(topology: Topology) -> IrreducibleSet:
     """Compute P(f) and B(f) for a topology; see :class:`IrreducibleSet`.
 
     Takes the words or the upper covers of S(f) walked on its inclusion
-    rows, whichever :mod:`closureops._words` counts cheaper.  Both read the
-    closed sets alone, so the route depends on n and S(f) only."""
+    rows, as :func:`~closureops._words._irreducible_route` chooses."""
     size, closed = topology.ground.size, topology.bits
-    if _words_pay(size, closed):
+    if _irreducible_route(size, closed) == "words":
         return _irreducible_set(topology, _irreducible_words(size, _indicator(size, closed)))
     covers = _walked_covers(_inclusion_rows(closed))
     return _irreducible_set(topology, [a for a, above in zip(closed, covers) if len(above) <= 1])
@@ -212,10 +207,10 @@ def _depth(covers: Sequence[Sequence[int]]) -> int:
 
 def _shape(f: Topology) -> tuple[IrreducibleSet, int, int]:
     """P(f), ``width_s`` and ``depth_s``: from the indicator word of S(f)
-    and the image table if f holds one and the words price P(f) cheaper,
-    else from the covers of S(f) walked on its rows."""
+    and the image table, or from the covers of S(f) walked on its rows, as
+    :func:`~closureops._words._profile_route` chooses."""
     size, closed = f.ground.size, f.bits
-    if f._images is not None and _words_pay(size, closed):
+    if _profile_route(size, closed, f._images is not None) == "table":
         family = _indicator(size, closed)
         width = _width(closed, _image_links(closed, f._images), None)
         p_of_f, depth = _irreducible_words(size, family), _depth_words(size, family)

@@ -20,11 +20,12 @@ lattice operations (meet = intersection, join = closure of the union).
 
 Intersection closure of a family S is decided by the pair loop, the superset
 recursion (:func:`_superset_dp`, whose table the topology keeps as its image
-cache) or the words (:func:`~closureops._words._missing_meets`), whichever
-:mod:`closureops._words` counts cheapest; on failure the pair loop names the
-pair.  Closed sets taken from images already known to satisfy the axioms are
-not validated again (:meth:`Topology._trusted`).  The closure axioms of an
-operator table are checked on its n bit-planes (:func:`_validate_images`).
+cache) or the words (:func:`~closureops._words._missing_meets`), as
+:func:`~closureops._words._closure_route` chooses; on failure the pair loop
+names the pair.  Closed sets taken from images already known to satisfy the
+axioms are not validated again (:meth:`Topology._trusted`).  The closure
+axioms of an operator table are checked on its n bit-planes
+(:func:`_validate_images`).
 
 Every other image table built from a family of sets comes from one routine,
 :func:`_meet_images`, f(A) = ⋂{C ∈ F : A ⊆ C} for any family F of bit
@@ -53,9 +54,8 @@ from fractions import Fraction
 from itertools import compress
 from operator import ne
 
-from ._words import _above, _checked_recursion_steps, _element_words, _fill_steps
-from ._words import _image_planes, _missing_meet_steps, _missing_meets, _pair_steps
-from ._words import _recursion_pays, _recursion_steps, _set_bits
+from ._words import _above, _closure_route, _element_words, _image_planes, _meet_route
+from ._words import _missing_meets, _set_bits
 from .errors import (
     ForeignMask,
     GroundSetMismatch,
@@ -305,8 +305,8 @@ class Topology:
     determines f: :meth:`closure_of` maps a subset to its smallest closed
     superset.  The family is stored one way only, as the ascending tuple of
     its bit patterns: construction drops duplicates, sorts, and validates the
-    invariants eagerly, by the cheapest of the pair loop, the superset
-    recursion and the words (:mod:`closureops._words`).  :meth:`from_masks`
+    invariants eagerly, by the route that
+    :func:`~closureops._words._closure_route` chooses.  :meth:`from_masks`
     builds one from :class:`SubsetMask` values, and :meth:`from_table` from
     an operator table.  ``ClosureOperator`` is another name for this class.
 
@@ -314,8 +314,8 @@ class Topology:
     from the table of all 2^n images.  The superset recursion leaves that
     table behind, an operator built from images starts with them, and
     otherwise :func:`_meet_images` builds it from the closed sets when first
-    needed, in min(Σ_{C ≠ X} 2^|C|, n·2^(n−1)) steps.  Equality and hashing
-    read the ground set and the closed sets, so they build no table.
+    needed.  Equality and hashing read the ground set and the closed sets,
+    so they build no table.
 
     Attributes:
         ground: the underlying ground set.
@@ -341,17 +341,15 @@ class Topology:
         if full not in bitset:
             raise MissingTopBottom("the full ground set must be closed")
         size = self.ground.size
-        count = len(closed)
-        pairs = _pair_steps(count)
-        words = _missing_meet_steps(size, count)
+        route = _closure_route(size, closed)
         missing: list[int] = []
-        if _checked_recursion_steps(size) < pairs and _recursion_pays(size, closed, words):
+        if route == "recursion":
             images = _superset_dp(full, bitset)
             if bitset.issuperset(images):
                 object.__setattr__(self, "_images", images)
                 return
             missing = [m for m, image in enumerate(images) if m == image and m not in bitset]
-        elif words < pairs:
+        elif route == "words":
             missing = _missing_meets(size, closed)
             if not missing:
                 return
@@ -639,11 +637,11 @@ def _validate_images(ground: GroundSet, images: Sequence[int]) -> ValidationRepo
 def _meet_images(size: int, family: Iterable[int]) -> tuple[int, ...]:
     """f(A) = ⋂{C ∈ family : A ⊆ C} for every A ⊆ X, |X| = ``size``, with
     f(∅) = ∅ and X where no member holds A, for any bit patterns in any
-    order, by the submask fill or the superset recursion, whichever
-    :mod:`closureops._words` counts cheaper once ∅ and X are added."""
+    order, by the submask fill or the superset recursion, as
+    :func:`~closureops._words._meet_route` chooses once ∅ and X are added."""
     full = (1 << size) - 1
     family = {0, full}.union(family)
-    if _recursion_steps(size) < _fill_steps(size, family):
+    if _meet_route(size, family) == "recursion":
         return _superset_dp(full, family)
     return _submask_fill(full, family)
 

@@ -33,13 +33,12 @@ outside this module computes covers.  There are two kinds of order, and which ro
   keeps the closure operator and builds its items, rows and covers each at
   most once, when first read: the items are masks of the closed sets, and
   the rows take |S|² bits, 512 MB for the discrete family on 16 elements.
-  When the operator holds its image table (validated by the superset
-  recursion, or built from images) the covers are swept from it, about n
-  steps per closed set (:func:`_swept_covers`), with no rows; only ``hasse``
-  and API callers read swept covers.  Otherwise they are walked on the
-  rows, one step per cover, since the canonical order of S(f) extends
-  inclusion.  Only this order compares by its topology and walks its
-  Möbius rows.
+  Its covers are swept from the image table, about n steps per closed set
+  (:func:`_swept_covers`), with no rows, or walked on the rows, one step
+  per cover, since the canonical order of S(f) extends inclusion; the Hasse
+  row of the table in :mod:`closureops._words` says which.  Only ``hasse``
+  and API callers read swept covers.  Only this order compares by its
+  topology and walks its Möbius rows.
 
 A minimum chain cover is one function of items and int rows,
 :func:`_matched_cover`, which :mod:`closureops.complexity` calls on P(f)
@@ -52,8 +51,8 @@ report is written from the walk, and the closed-set order's ``mobius``
 builds the dict rows of a :class:`MobiusTable` from it for API callers.  The
 walk reads the image table by Rota's closure theorem (:func:`_rota_walk`),
 which builds neither the rows nor the covers, or sums μ over every interval
-on the rows (:func:`_interval_rows`), whichever :mod:`closureops._words`
-counts cheaper.
+on the rows (:func:`_interval_rows`), as
+:func:`~closureops._words._mobius_route` chooses.
 
 The zeta sums and the inversion read the rows and the Möbius rows, one step
 per comparable pair.
@@ -68,7 +67,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 
-from ._words import _interval_steps, _rota_steps
+from ._words import _mobius_route
 from .core import SubsetMask, Topology
 from .errors import GroundSetMismatch, InvalidOrderRelation, WitnessVerificationFailed
 
@@ -373,14 +372,13 @@ class _ClosedSetOrder(FinitePoset):
         C, μ(A, C)) where μ(A, C) is not the sign (−1)^|C∖A|.
 
         It takes Rota's closure theorem on the image table (:func:`_rota_walk`)
-        or, where :mod:`closureops._words` counts it strictly cheaper, the
-        interval loop on the rows (:func:`_interval_rows`).  The rows are
-        built only when Rota costs more than the loop's |S|² scan.
+        or the interval loop on the rows (:func:`_interval_rows`), as
+        :func:`~closureops._words._mobius_route` chooses.
         """
         topology = self._topology
         size, closed = topology.ground.size, topology.bits
-        rota = _rota_steps(size, closed, topology._images is not None)
-        if rota <= len(closed) ** 2 or rota <= _interval_steps(self.up):
+        tabulated = topology._images is not None
+        if _mobius_route(size, closed, tabulated, lambda: self.up) == "rota":
             yield from _rota_walk(closed, topology.tabulate_bits())
         else:
             yield from _corrected(closed, _interval_rows(self.up))

@@ -124,9 +124,9 @@ def _forced_routes(t: Topology) -> tuple[list[int], ...]:
     """P(f) as bit patterns by the words and by the covers, each forced
     through the chooser of ``meet_irreducibles``."""
     routes = []
-    for words in (True, False):
+    for route in ("words", "walked"):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(complexity, "_words_pay", lambda size, closed: words)
+            patch.setattr(complexity, "_irreducible_route", lambda size, closed: route)
             routes.append([m.bits for m in meet_irreducibles(t).p_of_f])
     return tuple(routes)
 
@@ -529,7 +529,7 @@ def test_a_profile_builds_the_rows_of_s_once(monkeypatch):
     n = rng.randint(4, 10)
     t = Topology(GroundSet(tuple(f"e{i}" for i in range(n))), random_family_bits(rng, n))
     t.tabulate_bits()
-    assert not _words._words_pay(n, t.bits)
+    assert _words._irreducible_route(n, t.bits) == "walked"
     assert complexity_profile(t).width_s == 6
     assert built == {"_inclusion_rows": 2, "_walked_covers": 1, "matchings": 2}
 

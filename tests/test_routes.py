@@ -1,17 +1,14 @@
 """The route each exact chooser takes, pinned on fixed families of each size.
 
-Four choices pick between exact routes by counting steps: intersection
-closure in ``Topology`` (the superset recursion, the words or the pair
-loop), P(f) in ``meet_irreducibles`` (the words or the covers walked on the
-rows), the meet images of a family (the submask fill or the superset
-recursion) and the Möbius walk (Rota's theorem or the interval loop).  A
-fifth follows from the first two: the profile reads P(f), the width and the
-depth of S(f) from the words and the table when f holds its image table and
-P(f) takes the words, else from the covers walked on the rows, and builds no
-order object either way.  Every route gives the same answer, so a change to
-a step weight shows only in which route runs; these tests make it show as a
-failed choice.  The routes are seen by the names of the functions that run,
-so the pins do not depend on which module holds a route.
+The five choosers of ``closureops._words`` (its module docstring tables
+their rules) pick intersection closure, meet images, P(f), the profile and
+the Möbius walk; each caller dispatches on the name its chooser returns.
+Every route gives the same answer, so a change to a step weight shows only
+in which route runs; these tests make it show as a failed choice.  The
+routes are seen by the names of the functions that run, so the pins do not
+depend on which module holds a route, and each chooser's return value must
+equal the route seen, so the table and the dispatch cannot drift apart.
+The profile builds no order object on either route.
 
 P(f) is chosen from S(f) alone: each family's twins with and without the
 image table take one route to one P(f), and neither sweeps its covers.  The
@@ -35,7 +32,7 @@ import pytest
 from conftest import chain_bits, crown_bits, truncated_bits
 
 from closureops import FinitePoset, GroundSet, MenuPreference, Topology
-from closureops import complexity, core, poset
+from closureops import _words, complexity, core, poset
 from closureops.cli import main
 from closureops.complexity import meet_irreducibles
 from closureops.menus import kreps_operator
@@ -100,9 +97,9 @@ def _refuse(what: str):
 
 
 def _irreducible_route(f: Topology) -> str:
-    """The P(f) route of f.  Twins of f, one holding its image table and one
-    without, must take the same route to the same P(f): the chooser reads
-    S(f) alone."""
+    """The P(f) route of f, as its chooser returns it.  Twins of f, one
+    holding its image table and one without, must take the same route to the
+    same P(f): the chooser reads S(f) alone."""
     images = f._images or core._meet_images(f.ground.size, f.bits)
     tabulated = Topology._trusted(f.ground, images)
     tableless = Topology._trusted(f.ground, images)
@@ -113,29 +110,33 @@ def _irreducible_route(f: Topology) -> str:
             p_of_f = meet_irreducibles(twin).p_of_f
         seen.append((_one(routes), p_of_f))
     assert seen[0] == seen[1]
+    assert _words._irreducible_route(f.ground.size, f.bits) == seen[0][0]
     return seen[0][0]
 
 
 def _profile_route(f: Topology) -> str:
-    """The route of f's profile, ``covers`` or ``table``, taken with no order
-    object built.  The covers route walks the covers and reads neither the
-    depth words nor the table's links; the table route builds no cover and
-    reads P(f) from the words."""
+    """The route of f's profile, ``covers`` or ``table``, as its chooser
+    returns it, taken with no order object built.  The covers route walks
+    the covers and reads neither the depth words nor the table's links; the
+    table route builds no cover and reads P(f) from the words."""
     with pytest.MonkeyPatch.context() as patch, _routes_run() as seen:
         patch.setattr(FinitePoset, "from_topology", _refuse("an order object"))
         complexity._shape(f)
     route = _one(seen & {"covers", "table"})
     assert seen == {"covers": {"covers", "walked"}, "table": {"table", "words"}}[route]
+    assert _words._profile_route(f.ground.size, f.bits, f._images is not None) == route
     return route
 
 
 def _choices(bits: list[int], n: int) -> str:
     """The five routes taken on a family, as
-    ``validation/irreducibles/profile/meet images/Möbius``."""
+    ``validation/irreducibles/profile/meet images/Möbius``, each the one its
+    chooser returns."""
     g = GroundSet(tuple(f"e{i}" for i in range(n)))
     with _routes_run() as seen:
         t = Topology(g, bits)
     validation = _one(seen, "pairs")
+    assert _words._closure_route(n, t.bits) == validation
     irreducibles = _irreducible_route(t)
     # The profile's S(f) stage, before Rota's walk can leave a table behind:
     # the table route needs the table and the words for P(f).
@@ -144,10 +145,13 @@ def _choices(bits: list[int], n: int) -> str:
     with _routes_run() as seen:
         core._meet_images(n, bits)
     images = _one(seen)
+    assert _words._meet_route(n, {0, g.full_bits, *bits}) == images
     poset = FinitePoset.from_topology(t)
+    tabulated = t._images is not None
     with _routes_run() as seen:
         next(iter(poset.mobius_walk()))
     mobius = _one(seen - {"fill", "recursion"})
+    assert _words._mobius_route(n, t.bits, tabulated, lambda: poset.up) == mobius
     return f"{validation}/{irreducibles}/{profile}/{images}/{mobius}"
 
 
@@ -178,6 +182,18 @@ def _pinned(name: str, n: int) -> str:
 def test_each_chooser_keeps_its_route_on_fixed_families(name, n, monkeypatch):
     monkeypatch.setattr(poset, "_swept_covers", _refuse("a swept cover"))
     assert _choices(_family(name, n), n) == _pinned(name, n)
+
+
+def test_only_the_word_module_prices_a_route():
+    # The callers dispatch on the names the choosers return, so none of them
+    # holds a step formula, a comparison of step counts or a step weight.
+    for module in (core, complexity, poset):
+        priced = [
+            name
+            for name in vars(module)
+            if name.endswith(("_steps", "_pay", "_pays")) or name in ("_WORD_SHIFT", "_COVER_STEP")
+        ]
+        assert priced == [], module.__name__
 
 
 @pytest.mark.parametrize("n", [6, 9, 14])
